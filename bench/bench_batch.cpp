@@ -1,7 +1,7 @@
 // Batched vs scalar fault-campaign throughput (comparator macro).
 //
 // Runs the comparator campaign in two arms -- scalar (--batch=1, the
-// historical path) and batched (lockstep sibling-fault prepass) -- and
+// historical path) and batched (sibling-fault prepass) -- and
 // reports the classes/sec speedup with the per-run setup cost (defect
 // sprinkle, collapsing, envelope, golden solve) subtracted out:
 //
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   const bool prepass_ran = batch_result.batch_evaluated > 0;
   if (!prepass_ran)
     std::fprintf(stderr, "error: batched arm evaluated 0 classes in the "
-                         "lockstep prepass\n");
+                         "batched prepass\n");
 
   // Gate 4: batching must not lose throughput.
   const bool faster = speedup >= 1.0;

@@ -8,16 +8,17 @@
 //   --classes=N    cap on evaluated fault classes (0 = all)
 //   --seed=N       master seed
 //   --threads=N    worker threads (default: hardware concurrency)
-//   --solver=M     linear solver: auto (default) | dense | sparse
+//   --solver=M     linear solver: auto (default; sparse at >= 18
+//                  unknowns) | dense | sparse | schur
 //   --shamanskii=N Newton iterations per numeric refactor (default 1)
 //   --class-timeout-ms=T  wall-clock budget per fault-class attempt
 //                  (0 = unlimited, the default); expired classes are
 //                  retried under escalating solver aid and reported
 //                  unresolved after the retry budget
 //   --max-retries=N retries after a failed class attempt (default 3)
-//   --batch=N|auto  sibling-fault batch size for the lockstep
-//                  transient prepass on the comparator/bank campaigns
-//                  (1 = scalar path, the default; auto = 8)
+//   --batch=N|auto  sibling-fault batch size for the batched
+//                  transient prepass on the comparator/bank/chip
+//                  campaigns (1 = scalar path, the default; auto = 32)
 //   --phase-times  collect the device-eval/assembly/factor/solve
 //                  wall-time breakdown from batched evaluations
 //   --json=FILE    machine-readable result + run metadata

@@ -13,6 +13,7 @@
 //   {"sizes": [{"family": "...", "n": ..., "dense_ms": ..., "sparse_ms": ...,
 //               "speedup": ..., "max_delta": ...}, ...],
 //    "crossover_n": <smallest n where sparse wins on both families>}
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -164,8 +165,8 @@ int main(int argc, char** argv) {
   std::size_t total = 0;
   bool all_converged = true;
   double worst_delta = 0.0;
-  // Crossover: smallest n where the sparse path wins and keeps winning
-  // for every larger n of the same family.
+  // Crossover: smallest n from which the sparse path wins at every
+  // larger n of both families (the largest per-family crossover).
   std::size_t crossover = 0;
   for (const auto& s : samples) {
     char dense_ms[32], sparse_ms[32], speedup[32], delta[32];
@@ -180,12 +181,20 @@ int main(int argc, char** argv) {
     all_converged = all_converged && s.converged;
     worst_delta = std::max(worst_delta, s.max_delta);
   }
-  for (const auto& s : samples) {
-    bool wins_from_here = true;
-    for (const auto& t : samples)
-      if (t.family == s.family && t.n >= s.n && t.sparse_ms >= t.dense_ms)
-        wins_from_here = false;
-    if (wins_from_here && (crossover == 0 || s.n < crossover)) crossover = s.n;
+  for (const char* family : {"ladder", "mos"}) {
+    std::size_t family_crossover = 0;
+    for (const auto& s : samples) {
+      if (s.family != family) continue;
+      bool wins_from_here = true;
+      for (const auto& t : samples)
+        if (t.family == s.family && t.n >= s.n && t.sparse_ms >= t.dense_ms)
+          wins_from_here = false;
+      if (wins_from_here && (family_crossover == 0 || s.n < family_crossover))
+        family_crossover = s.n;
+    }
+    // A family where sparse never settles into winning has no crossover.
+    if (family_crossover == 0) family_crossover = samples.back().n + 1;
+    crossover = std::max(crossover, family_crossover);
   }
   std::printf("%s", table.str().c_str());
   std::printf("sparse wins for n >= %zu | all converged: %s | worst "

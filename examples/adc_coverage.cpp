@@ -16,8 +16,8 @@
 //   --resume              replay the journal, skipping completed classes
 //   --class-timeout-ms=T  wall-clock budget per class attempt (0 = off)
 //   --max-retries=N       retries under escalating solver aid (default 3)
-//   --batch=N|auto        sibling-fault batch size for the lockstep
-//                         transient prepass on the comparator/bank
+//   --batch=N|auto        sibling-fault batch size for the batched
+//                         transient prepass on the comparator/bank/chip
 //                         campaigns (1 = scalar path, the default)
 //   --phase-times         collect the device-eval/assembly/factor/solve
 //                         wall-time breakdown from batched evaluations

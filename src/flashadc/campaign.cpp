@@ -73,8 +73,8 @@ struct ClassEval {
   std::optional<FaultOutcome> noncat;
 };
 
-/// Class index -> finished evaluation, produced by the batched lockstep
-/// prepass; evaluate_classes consumes these instead of re-simulating.
+/// Class index -> finished evaluation, produced by the batched prepass;
+/// evaluate_classes consumes these instead of re-simulating.
 using PrecomputedEvals = std::unordered_map<std::size_t, ClassEval>;
 
 std::vector<FaultClass> truncated_classes(
@@ -133,7 +133,7 @@ FaultModelOptions model_options(const CampaignConfig& config,
 ///     with the continuation aid ladder escalated one rung, and a class
 ///     that exhausts 1 + max_retries attempts is carried as a
 ///     structured kUnresolved outcome instead of aborting the campaign.
-///   * batching -- classes the lockstep prepass already finished (see
+///   * batching -- classes the batched prepass already finished (see
 ///     batch_prepass) are taken from `precomputed` instead of
 ///     re-simulated; a class the prepass evicted is simply absent and
 ///     runs through the unchanged scalar attempt ladder below.
@@ -249,14 +249,14 @@ void evaluate_classes(const std::string& macro_name, const Netlist& good,
   }
 }
 
-/// Batched lockstep prepass over the transient-bench macros
-/// (comparator / bank): enumerates every (class, pass, variant,
-/// decision-grid) transient of `chunk` fault classes at a time, hands
-/// them to spice::run_transient_batch -- which shares the symbolic
-/// analysis, the first DC iterate and the SoA device kernels across
-/// the batch -- and reassembles per-class outcomes with the exact
-/// worst-variant logic of the scalar path. Semantics mirror the scalar
-/// flow case by case:
+/// Batched prepass over the transient-bench macros (comparator / bank /
+/// chip): enumerates every (class, pass, variant, decision-grid)
+/// transient of a chunk of fault classes, hands them to
+/// spice::run_transient_batch -- which shares the symbolic analysis
+/// and the first DC iterate across the batch -- and reassembles
+/// per-class outcomes with the exact worst-variant logic of the scalar
+/// path. Chunks run in parallel on the global pool. Semantics mirror
+/// the scalar flow case by case:
 ///   * a member whose transient fails to converge contributes a
 ///     converged=false run record, exactly like simulate_comparator's
 ///     swallowed ConvergenceError;
@@ -277,11 +277,6 @@ PrecomputedEvals batch_prepass(
     MakeBench&& make_bench, ExtractRun&& extract_run, ClassifyRuns&& classify,
     MacroCampaignResult& result) {
   const ResilienceOptions& res = config.resilience;
-  PrecomputedEvals out;
-  // Auto chunk: 32 measured fastest on the comparator campaign (the
-  // shared-pattern grouping and factor reuse amortize better than 8,
-  // while 64 starts thrashing the per-member working sets).
-  const std::size_t chunk = config.batch == 0 ? 32 : config.batch;
   spice::TranOptions options = tran;
   options.solver = config.solver;
   options.collect_phase_times = config.collect_phase_times;
@@ -296,11 +291,29 @@ PrecomputedEvals batch_prepass(
     pending.push_back(c);
   }
 
+  // Auto chunk: 32 classes. Chunks are also capped at an even share of
+  // the pending classes per worker thread, so every thread gets one;
+  // no member's result depends on the chunking.
+  const std::size_t threads = util::ThreadPool::global_thread_count();
+  const std::size_t share = (pending.size() + threads - 1) / threads;
+  const std::size_t chunk =
+      std::max<std::size_t>(1, std::min(config.batch == 0 ? 32 : config.batch,
+                                        share));
+  const std::size_t chunk_count = (pending.size() + chunk - 1) / chunk;
+
   struct JobKey {
     std::size_t cls = 0;
     bool noncat = false;
     int variant = 0;
     std::size_t grid = 0;
+  };
+  /// One chunk's finished classes (in class order) and its telemetry.
+  struct ChunkEvals {
+    std::vector<std::pair<std::size_t, ClassEval>> evals;
+    spice::PhaseTimes phase_times;
+    std::size_t block_refreshes = 0;
+    std::size_t block_reuses = 0;
+    std::size_t lowrank_updates = 0;
   };
 
   auto skip_pass = [&](const FaultClass& cls, bool noncat) {
@@ -308,8 +321,10 @@ PrecomputedEvals batch_prepass(
                       !fault::supports_noncatastrophic(cls.representative));
   };
 
-  for (std::size_t start = 0; start < pending.size(); start += chunk) {
-    if (util::shutdown_requested()) break;  // graceful-interrupt drain
+  auto run_chunk = [&](std::size_t k) {
+    ChunkEvals part;
+    if (util::shutdown_requested()) return part;  // graceful-interrupt drain
+    const std::size_t start = k * chunk;
     const std::size_t end = std::min(pending.size(), start + chunk);
     std::vector<std::unique_ptr<Netlist>> benches;
     std::vector<spice::BatchJob> jobs;
@@ -357,17 +372,17 @@ PrecomputedEvals batch_prepass(
         for (int variant = 0; variant < variants; ++variant) {
           std::array<ComparatorRun, 4> runs{};
           for (std::size_t j = 0; j < keys.size(); ++j) {
-            const JobKey& k = keys[j];
-            if (k.cls != c || k.noncat != noncat || k.variant != variant)
+            const JobKey& key = keys[j];
+            if (key.cls != c || key.noncat != noncat || key.variant != variant)
               continue;
             if (outcomes[j].converged) {
-              runs[k.grid] =
+              runs[key.grid] =
                   extract_run(*outcomes[j].result, cls.representative);
               const spice::TranStats& stats = outcomes[j].result->stats();
-              result.phase_times += stats.phases;
-              result.block_refreshes += stats.block_refreshes;
-              result.block_reuses += stats.block_reuses;
-              result.lowrank_updates += stats.lowrank_updates;
+              part.phase_times += stats.phases;
+              part.block_refreshes += stats.block_refreshes;
+              part.block_reuses += stats.block_reuses;
+              part.lowrank_updates += stats.lowrank_updates;
             }
             // else: default-constructed run, converged == false -- the
             // same record simulate_comparator's catch produces.
@@ -381,9 +396,19 @@ PrecomputedEvals batch_prepass(
         }
         (noncat ? eval.noncat : eval.cat) = std::move(worst);
       }
-      out.emplace(c, std::move(eval));
-      ++result.batch_evaluated;
+      part.evals.emplace_back(c, std::move(eval));
     }
+    return part;
+  };
+
+  PrecomputedEvals out;
+  for (ChunkEvals& part : util::parallel_map(chunk_count, run_chunk)) {
+    for (auto& [c, eval] : part.evals) out.emplace(c, std::move(eval));
+    result.batch_evaluated += part.evals.size();
+    result.phase_times += part.phase_times;
+    result.block_refreshes += part.block_refreshes;
+    result.block_reuses += part.block_reuses;
+    result.lowrank_updates += part.lowrank_updates;
   }
   return out;
 }
@@ -398,7 +423,7 @@ struct ComparatorEvalContext {
 
   /// Classification given the four grid runs; shared by the scalar
   /// path (which simulates them here) and the batched prepass (which
-  /// simulated them in lockstep).
+  /// simulated them in batches).
   FaultOutcome evaluate_runs(const std::array<ComparatorRun, 4>& runs) const {
     FaultOutcome outcome;
     outcome.voltage = classify_comparator(runs, nominal);

@@ -89,8 +89,8 @@ struct CampaignConfig {
   /// Sharding / checkpoint-resume / degradation knobs.
   ResilienceOptions resilience;
   /// Batched sibling-fault evaluation: fault classes evaluated together
-  /// per lockstep transient batch on the transient-bench macros
-  /// (comparator, bank). 1 = scalar path (default, byte-identical to
+  /// per transient batch on the transient-bench macros (comparator,
+  /// bank, chip). 1 = scalar path (default, byte-identical to
   /// the original flow); 0 = auto (currently 32). A batch member that
   /// exhausts its budget degrades to the unchanged scalar attempt
   /// ladder for its class, so resilience semantics are preserved.
@@ -143,7 +143,7 @@ struct MacroCampaignResult {
   std::vector<FaultOutcome> catastrophic;
   std::vector<FaultOutcome> noncatastrophic;
   /// Fault classes whose whole evaluation came from the batched
-  /// lockstep prepass (0 on the scalar path / non-batched macros).
+  /// prepass (0 on the scalar path / non-batched macros).
   std::size_t batch_evaluated = 0;
   /// Solver wall-time breakdown summed over the batched evaluations;
   /// all zero unless CampaignConfig::collect_phase_times was set.

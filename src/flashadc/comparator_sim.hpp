@@ -44,7 +44,7 @@ spice::Netlist instantiate_comparator_bench(const spice::Netlist& macro,
 
 /// Transient settings of the two-cycle comparator bench (shared by the
 /// scalar path and the batched campaign prepass, which simulates many
-/// benches in lockstep and extracts each record afterwards).
+/// benches together and extracts each record afterwards).
 spice::TranOptions comparator_tran_options();
 
 /// Extracts the run record from a finished two-cycle transient

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "spice/dc.hpp"
-#include "spice/devices.hpp"
 #include "spice/mna.hpp"
-#include "spice/partition.hpp"
 #include "spice/resilience.hpp"
 #include "spice/solver.hpp"
 #include "util/error.hpp"
@@ -21,43 +19,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Trusted-stream tags: the DC and transient stamp streams of one
-// netlist differ (capacitors and inductors stamp differently), so each
-// analysis mode gets its own tag and a mode switch refreezes once.
-constexpr std::uint32_t kTagDc = 1;
-constexpr std::uint32_t kTagTransient = 2;
-
-// Soft cap on the stored waveforms of one lockstep wave. TranResult
-// keeps every accepted state vector, so large-n members (the flat bank
-// bench) are advanced in smaller waves.
-constexpr double kWaveBytes = 128.0 * 1024.0 * 1024.0;
-
-/// Per-member SoA gather state: node indices and polarity per MOSFET
-/// occurrence, the DeviceBatch lanes, and the companion sink consumed
-/// by assembly.
-struct MemberLanes {
-  std::vector<int> drain, gate, source, bulk;
-  std::vector<double> sign;
-  DeviceBatch batch;
-  std::vector<MosCompanion> companions;
-};
-
 struct Member {
   const BatchJob* job = nullptr;
-  MnaMap map;
-  std::vector<std::string> node_names;
-  TranOptions options;  ///< Resolved: kAuto forced to kSparse.
-  SolverContext ctx;
-  MemberLanes lanes;
-  std::function<void(const std::vector<double>&)> prepare;
-  StampOptions dc_stamp;
-  MosStampPlan mos_plan;  ///< Precompiled MOSFET stamps (per member).
+  std::optional<TranStepper> run;  ///< Map, solver context, MOS kernel.
   std::vector<double> b;  ///< DC grouping-assembly RHS.
   std::vector<double> x;
-  std::optional<TranStepper> stepper;
-  std::optional<TranResult> result;
-  std::size_t newton_iterations = 0;
-  PhaseTimes phases;
+  std::size_t dc_iterations = 0;
   bool share_dc = false;       ///< Eligible for the shared first iterate.
   bool dc_ready = false;       ///< x holds a converged operating point.
   bool has_first_iterate = false;
@@ -75,9 +42,8 @@ class BatchEngine {
   std::vector<BatchJobOutcome> run();
 
  private:
-  void init_member(Member& m, const BatchJob& job);
-  void dc_phase(std::vector<Member*>& wave);
-  void transient_phase(std::vector<Member*>& wave);
+  void dc_phase();
+  void transient_phase();
   void finalize(Member& m, BatchJobOutcome& out);
 
   /// Runs `fn` inside the member's EvalScope with the class's remaining
@@ -119,105 +85,15 @@ class BatchEngine {
   std::unordered_map<std::size_t, Clock::time_point> class_start_;
 };
 
-void BatchEngine::init_member(Member& m, const BatchJob& job) {
-  m.job = &job;
-  m.map = MnaMap(*job.netlist);
-  m.node_names.reserve(job.netlist->node_count());
-  for (std::size_t i = 0; i < job.netlist->node_count(); ++i)
-    m.node_names.push_back(job.netlist->node_name(static_cast<NodeId>(i)));
-
-  m.options = job.options;
-  // The batched path always engages the frozen-pattern sparse
-  // machinery; an explicit kDense request is respected (that member
-  // just skips pattern grouping and the shared first iterate).
-  if (m.options.solver.mode == SolverMode::kAuto)
-    m.options.solver.mode = SolverMode::kSparse;
-  m.ctx = SolverContext(m.options.solver);
-  // Each member carries its own fault netlist, so each derives its own
-  // slice partition (a bridge fault's nets demote to the interface of
-  // that member only).
-  if (m.options.solver.mode == SolverMode::kSchur)
-    m.ctx.set_partition(make_slice_partition(*job.netlist, m.map));
-  if (m.options.collect_phase_times) m.ctx.set_phase_times(&m.phases);
-
-  // SoA lanes: one entry per MOSFET occurrence, in device order (the
-  // order assembly consumes companions in).
-  for (const auto& device : job.netlist->devices()) {
-    const auto* mos = std::get_if<Mosfet>(&device);
-    if (mos == nullptr) continue;
-    m.lanes.drain.push_back(m.map.node_index(mos->drain));
-    m.lanes.gate.push_back(m.map.node_index(mos->gate));
-    m.lanes.source.push_back(m.map.node_index(mos->source));
-    m.lanes.bulk.push_back(m.map.node_index(mos->bulk));
-    m.lanes.sign.push_back(mos->type == MosType::kNmos ? 1.0 : -1.0);
-    m.lanes.batch.push_device(mos->model, mos->w / mos->l);
-    m.lanes.companions.push_back({});
-  }
-
-  // The prepare hook gathers terminal voltages, runs the SoA kernel and
-  // refreshes the companion sink -- the same arithmetic, in the same
-  // order, as the scalar MOSFET stamping branch, so the assembled
-  // values are bit-identical.
-  const bool collect = m.options.collect_phase_times;
-  Member* const mp = &m;
-  m.prepare = [mp, collect](const std::vector<double>& x) {
-    Clock::time_point t0;
-    if (collect) t0 = Clock::now();
-    MemberLanes& lanes = mp->lanes;
-    const std::size_t count = lanes.sign.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      const int di = lanes.drain[i];
-      const int gi = lanes.gate[i];
-      const int si = lanes.source[i];
-      const int bi = lanes.bulk[i];
-      const double vd = di < 0 ? 0.0 : x[static_cast<std::size_t>(di)];
-      const double vg = gi < 0 ? 0.0 : x[static_cast<std::size_t>(gi)];
-      const double vs = si < 0 ? 0.0 : x[static_cast<std::size_t>(si)];
-      const double vb = bi < 0 ? 0.0 : x[static_cast<std::size_t>(bi)];
-      const double sign = lanes.sign[i];
-      lanes.batch.vgs[i] = sign * (vg - vs);
-      lanes.batch.vds[i] = sign * (vd - vs);
-      lanes.batch.vbs[i] = sign * (vb - vs);
-    }
-    eval_mos_batch(lanes.batch);
-    for (std::size_t i = 0; i < count; ++i) {
-      const double gm = lanes.batch.gm[i];
-      const double gds = lanes.batch.gds[i];
-      const double gmb = lanes.batch.gmb[i];
-      const double ieq = lanes.batch.ids[i] - gm * lanes.batch.vgs[i] -
-                         gds * lanes.batch.vds[i] - gmb * lanes.batch.vbs[i];
-      lanes.companions[i] = MosCompanion{gm, gds, gmb, lanes.sign[i] * ieq};
-    }
-    if (collect)
-      mp->phases.device_eval_seconds +=
-          std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-
-  m.dc_stamp.mode = AnalysisMode::kDc;
-  m.dc_stamp.time = 0.0;
-  m.dc_stamp.gshunt = m.options.newton.gshunt;
-  m.dc_stamp.mos_companions = &m.lanes.companions;
-  m.dc_stamp.prepare_assembly = &m.prepare;
-  m.dc_stamp.stream_tag = kTagDc;
-  m.dc_stamp.mos_plan = &m.mos_plan;
-
-  m.x.assign(m.map.size(), 0.0);
-  // The shared first iterate replicates exactly one classic-Newton
-  // iteration, so it is only equivalent to the scalar trajectory at
-  // shamanskii depth 1 (the default everywhere in the campaign).
-  m.share_dc = m.options.start_from_dc && m.ctx.use_sparse(m.map.size()) &&
-               std::max(1, m.options.solver.shamanskii_depth) == 1;
-}
-
-void BatchEngine::dc_phase(std::vector<Member*>& wave) {
+void BatchEngine::dc_phase() {
   // 1) Flat-start DC assembly per eligible member: yields the CSR
   //    pattern (group key) and the iterate-0 system.
-  for (Member* m : wave) {
+  for (auto& m : members_) {
     if (m->done() || !m->share_dc) continue;
     run_guarded(*m, [&] {
-      std::vector<double> no_prev_sized(m->map.size(), 0.0);
-      assemble_mna(*m->job->netlist, m->map, m->x, no_prev_sized, m->dc_stamp,
-                   m->ctx.assembler(), m->b);
+      std::vector<double> no_prev_sized(m->x.size(), 0.0);
+      assemble_mna(*m->job->netlist, m->run->map(), m->x, no_prev_sized,
+                   m->run->dc_stamp(), m->run->solver().assembler(), m->b);
     });
   }
 
@@ -225,65 +101,65 @@ void BatchEngine::dc_phase(std::vector<Member*>& wave) {
   //    share one symbolic analysis (and, where the values match too,
   //    the iterate-0 factorization through a multi-RHS solve).
   std::vector<std::vector<Member*>> groups;
-  for (Member* m : wave) {
+  for (auto& m : members_) {
     if (m->done() || !m->share_dc) continue;
     bool placed = false;
     for (auto& group : groups) {
-      if (group.front()->ctx.assembler().pattern() ==
-          m->ctx.assembler().pattern()) {
-        group.push_back(m);
+      if (group.front()->run->solver().assembler().pattern() ==
+          m->run->solver().assembler().pattern()) {
+        group.push_back(m.get());
         placed = true;
         break;
       }
     }
-    if (!placed) groups.push_back({m});
+    if (!placed) groups.push_back({m.get()});
   }
 
   for (auto& group : groups) {
     Member* leader = group.front();
+    SolverContext& lead = leader->run->solver();
     bool leader_factored = false;
     run_guarded(*leader, [&] {
-      leader_factored = leader->ctx.factor(leader->map.size());
+      leader_factored = lead.factor(leader->x.size());
     });
-    if (leader_factored && leader->ctx.sparse_active()) {
-      const auto symbolic = leader->ctx.shared_symbolic();
+    if (leader_factored && lead.sparse_active()) {
+      const auto symbolic = lead.shared_symbolic();
       std::vector<Member*> sharers;
       std::vector<const std::vector<double>*> rhs;
       for (Member* m : group) {
         if (m->done()) continue;
-        if (m != leader) m->ctx.adopt_symbolic(symbolic);
+        if (m != leader) m->run->solver().adopt_symbolic(symbolic);
         // Value-identical iterate-0 matrices (the VIN sweep of one
         // fault variant differs only in the RHS) ride the leader's
         // factors; the refactor is deterministic, so equal values
         // imply bit-equal factors.
-        if (m->ctx.assembler().values() ==
-            leader->ctx.assembler().values()) {
+        if (m->run->solver().assembler().values() ==
+            lead.assembler().values()) {
           sharers.push_back(m);
           rhs.push_back(&m->b);
         }
       }
       if (!sharers.empty()) {
         std::vector<std::vector<double>> solutions;
-        leader->ctx.solve_multi(rhs, solutions);
+        lead.solve_multi(rhs, solutions);
         for (std::size_t k = 0; k < sharers.size(); ++k) {
           Member* m = sharers[k];
           run_guarded(*m, [&] {
             // Replicates newton_solve's damped update for iteration 0
             // from a flat start (x = 0), including the immediate
             // convergence check.
+            const DcOptions& newton = m->job->options.newton;
             const std::vector<double>& x_new = solutions[k];
             double max_dv = 0.0;
-            for (std::size_t i = 0; i < m->map.node_unknowns(); ++i)
+            for (std::size_t i = 0; i < m->run->map().node_unknowns(); ++i)
               max_dv = std::max(max_dv, std::fabs(x_new[i] - m->x[i]));
-            const double alpha = max_dv > m->options.newton.max_step_v
-                                     ? m->options.newton.max_step_v / max_dv
-                                     : 1.0;
-            for (std::size_t i = 0; i < m->map.size(); ++i)
+            const double alpha =
+                max_dv > newton.max_step_v ? newton.max_step_v / max_dv : 1.0;
+            for (std::size_t i = 0; i < m->x.size(); ++i)
               m->x[i] += alpha * (x_new[i] - m->x[i]);
-            m->newton_iterations += 1;
+            m->dc_iterations += 1;
             m->has_first_iterate = true;
-            if (alpha == 1.0 && max_dv < m->options.newton.vtol)
-              m->dc_ready = true;
+            if (alpha == 1.0 && max_dv < newton.vtol) m->dc_ready = true;
           });
         }
       }
@@ -294,62 +170,43 @@ void BatchEngine::dc_phase(std::vector<Member*>& wave) {
   //    iterate, Newton continues from there (identical trajectory to
   //    the scalar flat start at depth 1); otherwise, or on failure,
   //    the full scalar continuation ladder runs unchanged.
-  for (Member* m : wave) {
-    if (m->done() || !m->options.start_from_dc || m->dc_ready) continue;
+  for (auto& m : members_) {
+    if (m->done() || !m->job->options.start_from_dc || m->dc_ready) continue;
     run_guarded(*m, [&] {
-      DcOptions dc = m->options.newton;
-      dc.time = 0.0;
       if (m->has_first_iterate) {
-        const std::vector<double> no_prev_sized(m->map.size(), 0.0);
-        DcResult r = newton_solve(*m->job->netlist, m->map, m->x, m->dc_stamp,
-                                  dc, no_prev_sized, &m->ctx);
-        m->newton_iterations += static_cast<std::size_t>(r.iterations);
+        DcOptions dc = m->job->options.newton;
+        dc.time = 0.0;
+        const std::vector<double> no_prev_sized(m->x.size(), 0.0);
+        DcResult r =
+            newton_solve(*m->job->netlist, m->run->map(), m->x,
+                         m->run->dc_stamp(), dc, no_prev_sized,
+                         &m->run->solver());
+        m->dc_iterations += static_cast<std::size_t>(r.iterations);
         if (r.converged) {
           m->x = std::move(r.x);
           m->dc_ready = true;
           return;
         }
       }
-      const DcResult op =
-          dc_operating_point(*m->job->netlist, m->map, dc, nullptr, &m->ctx);
-      m->newton_iterations += static_cast<std::size_t>(op.iterations);
-      m->x = op.x;
+      DcResult op = m->run->solve_dc();
+      m->dc_iterations += static_cast<std::size_t>(op.iterations);
+      m->x = std::move(op.x);
       m->dc_ready = true;
     });
   }
 }
 
-void BatchEngine::transient_phase(std::vector<Member*>& wave) {
-  for (Member* m : wave) {
+void BatchEngine::transient_phase() {
+  // Each member runs to completion in turn, which keeps one member's
+  // working set hot (round-robin over members only thrashed the
+  // cache). Members that fail to converge (verdict: converged=false,
+  // like the scalar path) or blow their budget (evicted) stop there.
+  for (auto& m : members_) {
     if (m->done()) continue;
     run_guarded(*m, [&] {
-      m->result.emplace(m->map, m->node_names);
-      m->result->append(0.0, m->x);
-      m->stepper.emplace(*m->job->netlist, m->map, m->options, std::move(m->x),
-                         &m->ctx);
-      StampOptions& stamp = m->stepper->stamp_overrides();
-      stamp.mos_companions = &m->lanes.companions;
-      stamp.prepare_assembly = &m->prepare;
-      stamp.stream_tag = kTagTransient;
-      stamp.mos_plan = &m->mos_plan;
+      m->run->start(std::move(m->x));
+      while (!m->run->done()) m->run->step();
     });
-  }
-
-  // Round-robin lockstep: every live member advances one accepted time
-  // point per sweep. Members that finish, fail to converge (verdict:
-  // converged=false, like the scalar path) or blow their budget
-  // (evicted) drop out of the rotation.
-  bool active = true;
-  while (active) {
-    active = false;
-    for (Member* m : wave) {
-      if (m->done() || !m->stepper || m->stepper->done()) continue;
-      run_guarded(*m, [&] {
-        m->stepper->step();
-        m->result->append(m->stepper->time(), m->stepper->state());
-      });
-      if (!m->done() && !m->stepper->done()) active = true;
-    }
   }
 }
 
@@ -366,55 +223,30 @@ void BatchEngine::finalize(Member& m, BatchJobOutcome& out) {
     return;
   }
   out.converged = true;
-  TranStats stats;
-  stats.unknowns = m.map.size();
-  stats.newton_iterations =
-      m.newton_iterations + (m.stepper ? m.stepper->newton_iterations() : 0);
-  stats.gshunt_rescues = m.stepper ? m.stepper->gshunt_rescues() : 0;
-  stats.factorizations = m.ctx.factorizations();
-  stats.symbolic_analyses = m.ctx.symbolic_analyses();
-  stats.sparse = m.ctx.sparse_active();
-  stats.schur = m.ctx.schur_active();
-  stats.block_refreshes = m.ctx.schur_stats().block_refreshes;
-  stats.block_reuses = m.ctx.schur_stats().block_reuses;
-  stats.lowrank_updates = m.ctx.schur_stats().lowrank_updates;
-  stats.phases = m.phases;
-  m.result->set_stats(stats);
-  out.result = std::move(m.result);
+  out.result = m.run->finish(m.dc_iterations);
 }
 
 std::vector<BatchJobOutcome> BatchEngine::run() {
   members_.reserve(jobs_.size());
   std::vector<BatchJobOutcome> outcomes(jobs_.size());
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (jobs_[i].netlist == nullptr)
+  for (const BatchJob& job : jobs_) {
+    if (job.netlist == nullptr)
       throw util::InvalidInputError("run_transient_batch: null netlist");
-    members_.push_back(std::make_unique<Member>());
-    init_member(*members_.back(), jobs_[i]);
+    auto m = std::make_unique<Member>();
+    m->job = &job;
+    m->run.emplace(*job.netlist, job.options);
+    m->x.assign(m->run->map().size(), 0.0);
+    // The shared first iterate replicates exactly one classic-Newton
+    // iteration, so it is only equivalent to the scalar trajectory at
+    // shamanskii depth 1 (the default everywhere in the campaign).
+    m->share_dc = job.options.start_from_dc &&
+                  m->run->solver().use_sparse(m->x.size()) &&
+                  std::max(1, job.options.solver.shamanskii_depth) == 1;
+    members_.push_back(std::move(m));
   }
 
-  // Lockstep waves bounded by stored-waveform memory: each member keeps
-  // every accepted state vector until extraction.
-  std::size_t begin = 0;
-  while (begin < members_.size()) {
-    std::vector<Member*> wave;
-    double bytes = 0.0;
-    std::size_t end = begin;
-    while (end < members_.size()) {
-      Member& m = *members_[end];
-      const double steps =
-          m.options.dt > 0.0 ? m.options.t_stop / m.options.dt + 2.0 : 2.0;
-      const double member_bytes = steps * 8.0 * m.map.size();
-      if (!wave.empty() && bytes + member_bytes > kWaveBytes) break;
-      bytes += member_bytes;
-      wave.push_back(&m);
-      ++end;
-    }
-    dc_phase(wave);
-    transient_phase(wave);
-    begin = end;
-  }
-
+  dc_phase();
+  transient_phase();
   for (std::size_t i = 0; i < members_.size(); ++i)
     finalize(*members_[i], outcomes[i]);
   return outcomes;

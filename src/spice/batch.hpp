@@ -1,33 +1,29 @@
 // Batched sibling-fault evaluation: runs many near-identical transient
-// jobs (faulty variants of one macro bench) in lockstep, amortizing the
-// per-iteration work that dominates a fault-simulation campaign.
+// jobs (faulty variants of one macro bench) together, sharing the DC
+// start-up work across the batch. Each member then integrates on the
+// same transient kernel (TranStepper) as spice::transient, so its
+// waveforms are bit-identical to a scalar run.
 //
 // What is shared across a batch:
 //
-//  * the sparse path is engaged unconditionally (kAuto resolves to
-//    kSparse inside the engine) so the frozen-pattern machinery and the
-//    symbolic cache apply even below the dense/sparse crossover;
 //  * one symbolic analysis per *pattern group*: sibling fault classes
-//    whose DC stamp produces the same CSR pattern (shorts perturb only
-//    values; opens split a node and land in their own group) adopt the
-//    group leader's analysis instead of re-running it;
+//    on the sparse path whose DC stamp produces the same CSR pattern
+//    (shorts perturb only values; opens split a node and land in their
+//    own group) adopt the group leader's analysis instead of re-running
+//    it;
 //  * the first DC Newton iterate: members whose flat-start matrix is
 //    value-identical to the leader's (the VIN sweep of one fault
 //    variant enters only the right-hand side) share the leader's
-//    factorization through one multi-RHS triangular solve;
-//  * the Level-1 MOSFET evaluation runs through the SoA DeviceBatch
-//    kernel (devices.hpp) and the trusted-stream assembler fast path
-//    (StampOptions::mos_companions / prepare_assembly / stream_tag),
-//    both bit-identical to the scalar stamping they replace.
+//    factorization through one multi-RHS triangular solve.
 //
 // Divergence and drop-out: a member whose transient step fails to
 // converge even at dt_min completes with converged=false -- the same
-// verdict the scalar path's ConvergenceError handling produces -- and
-// simply stops occupying its lockstep slot. A member that exhausts its
-// fault class's wall-clock budget (or any unexpected failure) is
-// *evicted*: the batch carries on un-poisoned and the campaign layer
-// re-evaluates that class through the unchanged scalar attempt ladder,
-// where the usual retry/aid/unresolved accounting applies.
+// verdict the scalar path's ConvergenceError handling produces. A
+// member that exhausts its fault class's wall-clock budget (or any
+// unexpected failure) is *evicted*: the batch carries on un-poisoned
+// and the campaign layer re-evaluates that class through the unchanged
+// scalar attempt ladder, where the usual retry/aid/unresolved
+// accounting applies.
 #pragma once
 
 #include <cstddef>

@@ -75,10 +75,10 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
         drift = std::max(drift, std::fabs(result.x[i] - x_at_factor[i]));
     const bool refresh = force_fresh || !have_factors || !sparse_path ||
                          since_factor >= depth || drift > kStaleDriftV;
-    // Phase-time attribution (batched campaign path only; pt is null
-    // everywhere else and the hot loop stays clock-free). Device eval
-    // reached through prepare_assembly self-reports into pt, so the
-    // assembly phase is the stamping wall time minus that delta.
+    // Phase-time attribution (only when a sink is attached; otherwise
+    // the hot loop stays clock-free). The MOSFET kernel's device eval
+    // self-reports into pt, so the assembly phase is the stamping wall
+    // time minus that delta.
     PhaseTimes* const pt = ctx.phase_times();
     PhaseClock::time_point t0;
     double dev_before = 0.0;
@@ -182,7 +182,7 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
 DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
                             const DcOptions& base_options,
                             const std::vector<double>* warm_start,
-                            SolverContext* solver) {
+                            SolverContext* solver, MosKernel* mos) {
   // Continuation aid ladder (campaign resilience): a retried fault
   // class runs under an EvalScope whose aid level escalates the stock
   // strategies. Level 0 (every non-campaign caller) is byte-identical
@@ -214,6 +214,7 @@ DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
   stamp.mode = AnalysisMode::kDc;
   stamp.time = options.time;
   stamp.gshunt = options.gshunt;
+  stamp.mos = mos;
 
   // 0) Newton seeded from a matching previously converged solution
   //    (skipped at aid >= 3: reset warm-start).

@@ -48,11 +48,14 @@ struct DcResult {
 /// related solves (Newton iterations, continuation rungs, fault
 /// classes with a shared node layout) to amortize analysis and
 /// allocation. Without one, a private context with default options is
-/// used.
+/// used. `mos` (optional) is the netlist's MOSFET kernel (see
+/// MosKernel); it changes how the MOSFETs are evaluated, not the
+/// result.
 DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
                             const DcOptions& options = {},
                             const std::vector<double>* warm_start = nullptr,
-                            SolverContext* solver = nullptr);
+                            SolverContext* solver = nullptr,
+                            MosKernel* mos = nullptr);
 
 /// Newton loop from a given initial guess at fixed gshunt/source scale.
 /// Returns converged=false instead of throwing; building block for the

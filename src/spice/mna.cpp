@@ -1,10 +1,13 @@
 #include "spice/mna.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
 
+#include "spice/solver.hpp"
 #include "util/error.hpp"
 
 namespace dot::spice {
@@ -50,7 +53,62 @@ double MnaMap::branch_current(const std::vector<double>& x,
   return x[branch_index(source_name)];
 }
 
+MosKernel::MosKernel(const Netlist& netlist, const MnaMap& map)
+    : netlist_(&netlist) {
+  static std::atomic<std::uint32_t> next_id{0};
+  id_ = next_id.fetch_add(1);
+  for (const auto& device : netlist.devices()) {
+    const auto* mos = std::get_if<Mosfet>(&device);
+    if (mos == nullptr) continue;
+    drain_.push_back(map.node_index(mos->drain));
+    gate_.push_back(map.node_index(mos->gate));
+    source_.push_back(map.node_index(mos->source));
+    bulk_.push_back(map.node_index(mos->bulk));
+    sign_.push_back(mos->type == MosType::kNmos ? 1.0 : -1.0);
+    batch_.push_device(mos->model, mos->w / mos->l);
+  }
+  companions_.resize(sign_.size());
+}
+
+void MosKernel::evaluate(const std::vector<double>& x) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point t0;
+  if (phase_times_ != nullptr) t0 = Clock::now();
+  auto at = [&x](int i) {
+    return i < 0 ? 0.0 : x[static_cast<std::size_t>(i)];
+  };
+  const std::size_t count = sign_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const double vs = at(source_[i]);
+    batch_.vgs[i] = sign_[i] * (at(gate_[i]) - vs);
+    batch_.vds[i] = sign_[i] * (at(drain_[i]) - vs);
+    batch_.vbs[i] = sign_[i] * (at(bulk_[i]) - vs);
+  }
+  eval_mos_batch(batch_);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double gm = batch_.gm[i];
+    const double gds = batch_.gds[i];
+    const double gmb = batch_.gmb[i];
+    const double ieq = batch_.ids[i] - gm * batch_.vgs[i] -
+                       gds * batch_.vds[i] - gmb * batch_.vbs[i];
+    companions_[i] = MosCompanion{gm, gds, gmb, sign_[i] * ieq};
+  }
+  if (phase_times_ != nullptr)
+    phase_times_->device_eval_seconds +=
+        std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
 namespace {
+
+// Trusted-stream tag of a kernel-attached assembly: unique per kernel
+// (hence per netlist) and per analysis mode -- the DC and transient
+// stamp streams of one netlist differ (capacitors and inductors stamp
+// differently), so a mode switch or another kernel refreezes once.
+std::uint32_t stream_tag(const StampOptions& options) {
+  if (options.mos == nullptr) return 0;
+  const std::uint32_t mode = options.mode == AnalysisMode::kDc ? 1 : 2;
+  return (options.mos->id() << 2) | mode;
+}
 
 /// Smooth switch conductance between r_off and r_on as a function of the
 /// control voltage, using a cubic smoothstep over [v_off, v_on] in
@@ -249,7 +307,12 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
   constexpr bool kSparse = std::is_same_v<Target, SparseTarget>;
   Stamper<Target> stamp(map, target, b);
 
-  if (options.prepare_assembly != nullptr) (*options.prepare_assembly)(x);
+  MosKernel* const kernel = options.mos;
+  if (kernel != nullptr) {
+    if (&kernel->netlist() != &netlist)
+      throw std::logic_error("assemble_mna: MOS kernel of another netlist");
+    kernel->evaluate(x);
+  }
 
   // MOS stamp-plan disposition (see MosStampPlan). Apply rounds replace
   // each MOSFET's Stamper walk with a precompiled flat loop; the first
@@ -260,12 +323,10 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
   bool plan_capture = false;
   const double* comp_flat = nullptr;
   if constexpr (kSparse) {
-    plan = options.mos_plan;
-    if (plan != nullptr && options.mos_companions != nullptr &&
-        target.a.fast_active()) {
-      comp_flat =
-          reinterpret_cast<const double*>(options.mos_companions->data());
-      if (plan->ready && plan->tag == options.stream_tag) {
+    if (kernel != nullptr && target.a.fast_active()) {
+      plan = &kernel->plan();
+      comp_flat = reinterpret_cast<const double*>(kernel->companions().data());
+      if (plan->ready && plan->tag == stream_tag(options)) {
         plan_apply = true;
       } else {
         plan_capture = true;
@@ -378,11 +439,10 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
                 map.voltage(x, d.ctrl_p) - map.voltage(x, d.ctrl_n);
             stamp.conductance(d.a, d.b, switch_conductance(d, vctrl));
           } else if constexpr (std::is_same_v<T, Mosfet>) {
-            if (options.mos_companions != nullptr) {
-              // Batched path: the SoA kernel already evaluated this
-              // occurrence for the current iterate (prepare_assembly);
-              // stamp the precomputed companion directly.
-              const MosCompanion& c = (*options.mos_companions)[mos_index++];
+            if (kernel != nullptr) {
+              // The SoA kernel already evaluated this occurrence for
+              // the current iterate; stamp its companion directly.
+              const MosCompanion& c = kernel->companions()[mos_index++];
               stamp.transconductance(d.drain, d.source, d.gate, d.source,
                                      c.gm);
               stamp.transconductance(d.drain, d.source, d.drain, d.source,
@@ -430,7 +490,7 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
   if constexpr (kSparse) {
     if (plan_capture) {
       plan->ready = true;
-      plan->tag = options.stream_tag;
+      plan->tag = stream_tag(options);
     }
   }
 }
@@ -455,7 +515,7 @@ void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   const StampOptions& options, numeric::SparseAssembler& a,
                   std::vector<double>& b) {
   const std::size_t n = map.size();
-  a.begin(n, options.stream_tag);
+  a.begin(n, stream_tag(options));
   b.assign(n, 0.0);
   assemble_into(netlist, map, x, x_prev_step, options, SparseTarget{a}, b);
   a.finish();

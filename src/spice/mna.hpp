@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +17,9 @@
 #include "spice/netlist.hpp"
 
 namespace dot::spice {
+
+class MnaMap;
+struct PhaseTimes;
 
 /// What the assembly treats capacitors as.
 enum class AnalysisMode {
@@ -35,7 +37,7 @@ enum class Integrator {
 /// Precomputed Newton companion model for one MOSFET occurrence, in the
 /// device's NMOS-normalized convention; `ieq` already carries the
 /// polarity sign, so it stamps as-is (see the MOSFET branch in
-/// assemble_into). Produced by the batched SoA device kernel.
+/// assemble_into).
 struct MosCompanion {
   double gm = 0.0;
   double gds = 0.0;
@@ -43,7 +45,7 @@ struct MosCompanion {
   double ieq = 0.0;  ///< sign * (ids - gm*vgs - gds*vds - gmb*vbs).
 };
 
-/// Precompiled MOSFET stamp segments for the batched Newton path.
+/// Precompiled MOSFET stamp segments (part of MosKernel).
 ///
 /// Stamping a MOSFET companion walks four Stamper calls per device:
 /// node-index lookups, grounded-terminal guards and sign branches that
@@ -59,12 +61,10 @@ struct MosCompanion {
 /// values (+/-1.0 multiplies are exact), so the assembled system is
 /// bit-identical to full stamping.
 ///
-/// Owned by the batch engine, one instance per member; scalar callers
-/// leave StampOptions::mos_plan null and are untouched. The plan is
-/// captured on the first trusted-stream round after the pattern
-/// freezes, keyed by the stream tag: a tag change (DC -> transient
-/// stream) discards and recaptures. assemble_mna validates the
-/// predicted add count against the assembler cursor at capture and
+/// The plan is captured on the first trusted-stream round after the
+/// pattern freezes, keyed by the stream tag: a tag change (DC ->
+/// transient stream) discards and recaptures. assemble_mna validates
+/// the predicted add count against the assembler cursor at capture and
 /// throws on mismatch, so a desynchronized plan cannot ship values.
 struct MosStampPlan {
   bool ready = false;
@@ -82,6 +82,40 @@ struct MosStampPlan {
   std::vector<std::int32_t> b_ptr;
 };
 
+/// The transient kernel's MOSFET stage for one circuit: one SoA lane
+/// per MOSFET occurrence (device order), the companion sink assembly
+/// consumes, and the precompiled stamp plan. Attached through
+/// StampOptions::mos, it replaces the per-device scalar eval_mos call:
+/// every assembly gathers the terminal voltages of the candidate
+/// iterate, runs eval_mos_batch over all lanes and stamps the
+/// companions -- the same arithmetic, in the same order, as the scalar
+/// MOSFET branch, so the assembled values are bit-identical.
+class MosKernel {
+ public:
+  MosKernel(const Netlist& netlist, const MnaMap& map);
+
+  /// The netlist this kernel was built for (assembly checks it).
+  const Netlist& netlist() const { return *netlist_; }
+  /// Process-unique serial; keys the kernel's trusted stamp streams.
+  std::uint32_t id() const { return id_; }
+  /// Refreshes every companion for candidate iterate `x`.
+  void evaluate(const std::vector<double>& x);
+  const std::vector<MosCompanion>& companions() const { return companions_; }
+  MosStampPlan& plan() { return plan_; }
+  /// Sink for the device-evaluation wall time (null: no clock reads).
+  void set_phase_times(PhaseTimes* sink) { phase_times_ = sink; }
+
+ private:
+  const Netlist* netlist_;
+  std::uint32_t id_ = 0;
+  std::vector<int> drain_, gate_, source_, bulk_;
+  std::vector<double> sign_;
+  DeviceBatch batch_;
+  std::vector<MosCompanion> companions_;
+  MosStampPlan plan_;
+  PhaseTimes* phase_times_ = nullptr;
+};
+
 /// Options shared by assembly-based solvers.
 struct StampOptions {
   double gshunt = 1e-12;      ///< Conductance from every node to ground.
@@ -93,26 +127,12 @@ struct StampOptions {
   /// Trapezoidal only: capacitor currents at the previous time point,
   /// ordered by capacitor occurrence in the device list.
   const std::vector<double>* cap_i_prev = nullptr;
-
-  // --- Batched-evaluation hooks (defaults keep the scalar path
-  // byte-identical; see spice/batch.hpp). ---
-  /// Precomputed MOSFET companions, one entry per Mosfet in device
-  /// order. When set, assembly consumes them instead of evaluating the
-  /// level-1 model inline; `prepare_assembly` is expected to refresh
-  /// them for the candidate iterate.
-  const std::vector<MosCompanion>* mos_companions = nullptr;
-  /// Invoked with the candidate iterate at the top of every assembly,
-  /// before any stamping: the batch path gathers terminal voltages and
-  /// runs the SoA device kernel here.
-  const std::function<void(const std::vector<double>& x)>* prepare_assembly =
-      nullptr;
-  /// Trusted-stream tag forwarded to SparseAssembler::begin (nonzero
-  /// only when the caller guarantees the stamp stream is frozen for
-  /// this netlist + analysis mode; see numeric::SparseAssemblerT).
-  std::uint32_t stream_tag = 0;
-  /// Precompiled MOSFET stamp segments (sparse trusted streams with
-  /// mos_companions only; see MosStampPlan). Null disables the plan.
-  MosStampPlan* mos_plan = nullptr;
+  /// The circuit's MOSFET kernel (built for the netlist being
+  /// assembled). When set, MOSFETs stamp the kernel's SoA companions,
+  /// and the sparse assembly declares a trusted stream per kernel and
+  /// analysis mode (see numeric::SparseAssemblerT) and runs the stamp
+  /// plan. Null evaluates each MOSFET with the scalar eval_mos.
+  MosKernel* mos = nullptr;
 };
 
 /// Index map from netlist entities to unknown-vector slots. The map is

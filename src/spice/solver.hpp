@@ -50,8 +50,9 @@ struct SolverOptions {
   SolverMode mode = SolverMode::kAuto;
   /// kAuto crossover: systems with at least this many unknowns go
   /// sparse. Default measured with bench_solver on the MNA-style
-  /// benchmark netlists (see DESIGN.md).
-  std::size_t sparse_threshold = 48;
+  /// benchmark netlists (crossover_n in BENCH_bench_solver.json; see
+  /// DESIGN.md). The 39-unknown comparator bench is well above it.
+  std::size_t sparse_threshold = 18;
   /// Shamanskii-style Newton: reuse the numeric factors for up to this
   /// many consecutive iterations before refactoring. 1 = classic Newton
   /// (factor every iteration). Convergence reached under stale factors
@@ -72,8 +73,8 @@ struct SolverSeed {
 /// iteration to its phases: device (companion-model) evaluation, MNA
 /// assembly (stamping minus device eval), numeric factorization, and
 /// triangular solves. Collected only when a PhaseTimes sink is attached
-/// to the SolverContext (the batched campaign path); the scalar hot
-/// loop stays clock-free.
+/// to the SolverContext (TranOptions::collect_phase_times); otherwise
+/// the hot loop stays clock-free.
 struct PhaseTimes {
   double device_eval_seconds = 0.0;
   double assembly_seconds = 0.0;

@@ -70,21 +70,55 @@ std::vector<double> TranResult::voltage_series(const std::string& node) const {
   return out;
 }
 
-TranStepper::TranStepper(const Netlist& netlist, const MnaMap& map,
-                         const TranOptions& options, std::vector<double> x0,
-                         SolverContext* solver)
+TranStepper::TranStepper(const Netlist& netlist, const TranOptions& options)
     : netlist_(netlist),
-      map_(map),
       options_(options),
-      solver_(solver),
-      x_(std::move(x0)),
+      map_(netlist),
+      solver_(options.solver),
+      mos_(netlist, map_),
       dt_(options.dt) {
+  // One solver context for the whole run: the matrix pattern is fixed,
+  // so every time step after the first refactors against the cached
+  // symbolic analysis. Each netlist derives its own slice partition (a
+  // bridge fault's nets demote to the interface of that circuit only).
+  if (options.solver.mode == SolverMode::kSchur)
+    solver_.set_partition(make_slice_partition(netlist, map_));
+  if (options.collect_phase_times) {
+    solver_.set_phase_times(&phases_);
+    mos_.set_phase_times(&phases_);
+  }
+  stamp_.mos = &mos_;
   // Trapezoidal integration needs the capacitor currents of the previous
   // accepted point; at t = 0 (DC) they are zero.
   std::size_t cap_count = 0;
   for (const auto& device : netlist_.devices())
     cap_count += std::holds_alternative<Capacitor>(device) ? 1u : 0u;
   cap_i_.assign(cap_count, 0.0);
+}
+
+StampOptions TranStepper::dc_stamp() {
+  StampOptions stamp;
+  stamp.mode = AnalysisMode::kDc;
+  stamp.time = 0.0;
+  stamp.gshunt = options_.newton.gshunt;
+  stamp.mos = &mos_;
+  return stamp;
+}
+
+DcResult TranStepper::solve_dc() {
+  DcOptions dc = options_.newton;
+  dc.time = 0.0;
+  return dc_operating_point(netlist_, map_, dc, nullptr, &solver_, &mos_);
+}
+
+void TranStepper::start(std::vector<double> x0) {
+  std::vector<std::string> node_names;
+  node_names.reserve(netlist_.node_count());
+  for (std::size_t i = 0; i < netlist_.node_count(); ++i)
+    node_names.push_back(netlist_.node_name(static_cast<NodeId>(i)));
+  result_.emplace(map_, std::move(node_names));
+  x_ = std::move(x0);
+  result_->append(0.0, x_);
 }
 
 void TranStepper::step() {
@@ -100,7 +134,7 @@ void TranStepper::step() {
     stamp_.cap_i_prev = &cap_i_;
 
     DcResult step =
-        newton_solve(netlist_, map_, x_, stamp_, options_.newton, x_, solver_);
+        newton_solve(netlist_, map_, x_, stamp_, options_.newton, x_, &solver_);
     newton_iterations_ += static_cast<std::size_t>(step.iterations);
     if (!step.converged) {
       dt_ /= 2.0;
@@ -122,6 +156,7 @@ void TranStepper::step() {
       cap_i_ = capacitor_currents(netlist_, map_, step.x, x_, stamp_);
     x_ = std::move(step.x);
     t_ = t_next;
+    result_->append(t_, x_);
     // Recover the step size after successful steps.
     if (dt_ < options_.dt) dt_ = std::min(options_.dt, dt_ * 2.0);
     return;
@@ -140,7 +175,7 @@ bool TranStepper::gshunt_rescue() {
     const bool last = g <= options_.newton.gshunt;
     stamp_.gshunt = last ? options_.newton.gshunt : g;
     DcResult rung = newton_solve(netlist_, map_, std::move(guess), stamp_,
-                                 options_.newton, x_, solver_);
+                                 options_.newton, x_, &solver_);
     newton_iterations_ += static_cast<std::size_t>(rung.iterations);
     if (!rung.converged) return false;
     guess = std::move(rung.x);
@@ -150,61 +185,46 @@ bool TranStepper::gshunt_rescue() {
     cap_i_ = capacitor_currents(netlist_, map_, guess, x_, stamp_);
   x_ = std::move(guess);
   t_ += dt;
+  result_->append(t_, x_);
   dt_ = dt;  // the normal per-step recovery doubles it back up
   ++gshunt_rescues_;
   return true;
+}
+
+TranResult TranStepper::finish(std::size_t dc_iterations) {
+  TranStats stats;
+  stats.unknowns = map_.size();
+  stats.newton_iterations = dc_iterations + newton_iterations_;
+  stats.gshunt_rescues = gshunt_rescues_;
+  stats.factorizations = solver_.factorizations();
+  stats.symbolic_analyses = solver_.symbolic_analyses();
+  stats.sparse = solver_.sparse_active();
+  stats.schur = solver_.schur_active();
+  stats.block_refreshes = solver_.schur_stats().block_refreshes;
+  stats.block_reuses = solver_.schur_stats().block_reuses;
+  stats.lowrank_updates = solver_.schur_stats().lowrank_updates;
+  stats.phases = phases_;
+  result_->set_stats(stats);
+  TranResult out = std::move(*result_);
+  result_.reset();
+  return out;
 }
 
 TranResult transient(const Netlist& netlist, const TranOptions& options) {
   if (options.dt <= 0.0 || options.t_stop <= 0.0)
     throw util::InvalidInputError("transient: dt and t_stop must be positive");
 
-  const MnaMap map(netlist);
-  std::vector<std::string> node_names;
-  node_names.reserve(netlist.node_count());
-  for (std::size_t i = 0; i < netlist.node_count(); ++i)
-    node_names.push_back(netlist.node_name(static_cast<NodeId>(i)));
-  TranResult result(map, std::move(node_names));
-
-  // One solver context for the whole run: the matrix pattern is fixed,
-  // so every time step after the first refactors against the cached
-  // symbolic analysis.
-  SolverContext solver(options.solver);
-  if (options.solver.mode == SolverMode::kSchur)
-    solver.set_partition(make_slice_partition(netlist, map));
-  PhaseTimes phases;
-  if (options.collect_phase_times) solver.set_phase_times(&phases);
-
-  // Initial condition.
-  TranStats stats;
-  stats.unknowns = map.size();
-  std::vector<double> x(map.size(), 0.0);
+  TranStepper stepper(netlist, options);
+  std::vector<double> x(stepper.map().size(), 0.0);
+  std::size_t dc_iterations = 0;
   if (options.start_from_dc) {
-    DcOptions dc = options.newton;
-    dc.time = 0.0;
-    const DcResult op = dc_operating_point(netlist, map, dc, nullptr, &solver);
-    stats.newton_iterations += static_cast<std::size_t>(op.iterations);
-    x = op.x;
+    DcResult op = stepper.solve_dc();
+    dc_iterations = static_cast<std::size_t>(op.iterations);
+    x = std::move(op.x);
   }
-  result.append(0.0, x);
-
-  TranStepper stepper(netlist, map, options, std::move(x), &solver);
-  while (!stepper.done()) {
-    stepper.step();
-    result.append(stepper.time(), stepper.state());
-  }
-  stats.newton_iterations += stepper.newton_iterations();
-  stats.gshunt_rescues = stepper.gshunt_rescues();
-  stats.factorizations = solver.factorizations();
-  stats.symbolic_analyses = solver.symbolic_analyses();
-  stats.sparse = solver.sparse_active();
-  stats.schur = solver.schur_active();
-  stats.block_refreshes = solver.schur_stats().block_refreshes;
-  stats.block_reuses = solver.schur_stats().block_reuses;
-  stats.lowrank_updates = solver.schur_stats().lowrank_updates;
-  stats.phases = phases;
-  result.set_stats(stats);
-  return result;
+  stepper.start(std::move(x));
+  while (!stepper.done()) stepper.step();
+  return stepper.finish(dc_iterations);
 }
 
 }  // namespace dot::spice

@@ -4,6 +4,7 @@
 // inspected after the run.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,37 +117,42 @@ class TranResult {
   TranStats stats_;
 };
 
-/// Resumable core of the transient loop: one object advances a single
-/// circuit from a given t=0 state, one *accepted* time point per step()
-/// call (internal dt halving retries failed Newton solves, exactly like
-/// transient()). The batched fault-evaluation path round-robins a
-/// stepper per batch member so sibling faults advance in lockstep;
-/// transient() itself delegates here, so the two paths share one
-/// integration loop.
+/// The transient kernel of one circuit, shared by transient() and the
+/// batched fault-evaluation engine (spice/batch.hpp): it owns the MNA
+/// map, the solver context and the SoA MOSFET kernel (MosKernel, with
+/// its trusted stamp streams and precompiled stamp plan), and advances
+/// the circuit from a t = 0 state one *accepted* time point per step()
+/// call (internal dt halving retries failed Newton solves), recording
+/// every point into the TranResult that finish() hands over.
 class TranStepper {
  public:
-  /// `netlist`, `map` and `solver` must outlive the stepper; `x0` is
-  /// the state at t = 0 (post-DC operating point, or flat).
-  TranStepper(const Netlist& netlist, const MnaMap& map,
-              const TranOptions& options, std::vector<double> x0,
-              SolverContext* solver);
+  /// `netlist` must outlive the stepper. kSchur options attach the
+  /// netlist's slice partition; collect_phase_times attaches the phase
+  /// sink reported in TranStats::phases.
+  TranStepper(const Netlist& netlist, const TranOptions& options);
+  TranStepper(const TranStepper&) = delete;
+  TranStepper& operator=(const TranStepper&) = delete;
 
+  const MnaMap& map() const { return map_; }
+  SolverContext& solver() { return solver_; }
+  /// DC stamp template at t = 0 with the MOSFET kernel attached.
+  StampOptions dc_stamp();
+  /// The t = 0 operating point: dc_operating_point's full continuation
+  /// ladder through this circuit's kernel and solver context.
+  DcResult solve_dc();
+
+  /// Starts integration from state `x0` at t = 0 (the post-DC
+  /// operating point, or flat), recording it as the first point.
+  void start(std::vector<double> x0);
   /// True once the final time point (t_stop) has been accepted.
   bool done() const { return t_ >= options_.t_stop - 1e-18; }
-  /// Advances to the next accepted time point. Precondition: !done().
-  /// Throws util::ConvergenceError when the step fails even at dt_min.
+  /// Advances to the next accepted time point. Precondition: start()
+  /// ran and !done(). Throws util::ConvergenceError when the step fails
+  /// even at dt_min.
   void step();
-
-  double time() const { return t_; }
-  const std::vector<double>& state() const { return x_; }
-  std::size_t newton_iterations() const { return newton_iterations_; }
-  std::size_t gshunt_rescues() const { return gshunt_rescues_; }
-
-  /// Stamp template used for every assembly: the batched path sets its
-  /// hook fields (mos_companions / prepare_assembly / stream_tag) here.
-  /// Per-step fields (mode, dt, time, gshunt, integrator, cap_i_prev)
-  /// are overwritten by step().
-  StampOptions& stamp_overrides() { return stamp_; }
+  /// Hands over the recorded waveform with its TranStats;
+  /// `dc_iterations` counts the Newton iterations spent before start().
+  TranResult finish(std::size_t dc_iterations);
 
  private:
   /// Last-resort rescue once the step cascade has halved dt below
@@ -159,10 +165,13 @@ class TranStepper {
   bool gshunt_rescue();
 
   const Netlist& netlist_;
-  const MnaMap& map_;
   TranOptions options_;
-  SolverContext* solver_;
+  MnaMap map_;
+  SolverContext solver_;
+  PhaseTimes phases_;
+  MosKernel mos_;
   StampOptions stamp_;
+  std::optional<TranResult> result_;
   std::vector<double> x_;
   std::vector<double> cap_i_;
   double t_ = 0.0;

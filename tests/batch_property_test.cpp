@@ -1,10 +1,10 @@
 // Differential properties of the batched sibling-fault evaluation
-// path: lockstep transient batches must agree with the scalar engine on
-// DC operating points and whole waveforms to 1e-12 (they are designed
-// bit-identical; the tolerance only guards the comparison), campaigns
-// must produce identical verdicts at every batch size, and a batch
-// member hitting its evaluation budget must degrade to the scalar
-// attempt ladder without poisoning its batch-mates.
+// path: transient batches must agree with the scalar engine exactly on
+// DC operating points and whole waveforms (both integrate on the same
+// transient kernel), campaigns must produce identical verdicts at every
+// batch size, and a batch member hitting its evaluation budget must
+// degrade to the scalar attempt ladder without poisoning its
+// batch-mates.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "flashadc/bank.hpp"
 #include "flashadc/campaign.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
@@ -43,13 +44,35 @@ std::vector<spice::Netlist> bench_variants() {
   return variants;
 }
 
-TEST(BatchedTransient, WaveformsMatchScalarWithin1e12) {
+// Every state of every step, bit for bit: a batched run against the
+// scalar transient() of the same netlist.
+void expect_same_waveforms(const spice::TranResult& batched,
+                           const spice::TranResult& scalar,
+                           const std::string& what) {
+  ASSERT_EQ(batched.steps(), scalar.steps()) << what;
+  for (std::size_t s = 0; s < scalar.steps(); ++s) {
+    ASSERT_EQ(batched.time(s), scalar.time(s)) << what << " step " << s;
+    // Step 0 is the DC operating point when start_from_dc is set, so
+    // this also pins the batched DC path to the scalar one.
+    ASSERT_EQ(batched.state(s), scalar.state(s)) << what << " step " << s;
+  }
+}
+
+spice::TranResult run_one_member(const spice::Netlist& netlist,
+                                 const spice::TranOptions& options) {
+  spice::BatchJob job;
+  job.netlist = &netlist;
+  job.options = options;
+  job.scope_macro = "batch_property";
+  const auto outcomes = spice::run_transient_batch({job});
+  EXPECT_TRUE(outcomes.at(0).completed && outcomes.at(0).converged)
+      << outcomes.at(0).error;
+  return *outcomes.at(0).result;
+}
+
+TEST(BatchedTransient, WaveformsMatchScalarExactly) {
   const auto variants = bench_variants();
-  auto options = flashadc::comparator_tran_options();
-  // The batch engine resolves kAuto to the sparse path unconditionally;
-  // pin the scalar reference to the same path so the trajectories are
-  // comparable (they are bit-identical by design on matching paths).
-  options.solver.mode = spice::SolverMode::kSparse;
+  const auto options = flashadc::comparator_tran_options();
 
   std::vector<spice::BatchJob> jobs;
   for (std::size_t i = 0; i < variants.size(); ++i) {
@@ -66,21 +89,43 @@ TEST(BatchedTransient, WaveformsMatchScalarWithin1e12) {
   for (std::size_t i = 0; i < variants.size(); ++i) {
     ASSERT_TRUE(outcomes[i].completed) << outcomes[i].error;
     ASSERT_TRUE(outcomes[i].converged) << outcomes[i].error;
-    const auto& batched = *outcomes[i].result;
-    const auto scalar = spice::transient(variants[i], options);
-    ASSERT_EQ(batched.steps(), scalar.steps()) << "variant " << i;
-    for (std::size_t s = 0; s < scalar.steps(); ++s) {
-      EXPECT_EQ(batched.time(s), scalar.time(s));
-      const auto& xb = batched.state(s);
-      const auto& xs = scalar.state(s);
-      ASSERT_EQ(xb.size(), xs.size());
-      for (std::size_t k = 0; k < xs.size(); ++k)
-        // Step 0 is the DC operating point (start_from_dc), so this
-        // also pins the batched DC path to the scalar one.
-        ASSERT_NEAR(xb[k], xs[k], 1e-12)
-            << "variant " << i << " step " << s << " unknown " << k;
-    }
+    expect_same_waveforms(*outcomes[i].result,
+                          spice::transient(variants[i], options),
+                          "variant " + std::to_string(i));
   }
+}
+
+// The scalar transient() and a one-member batch run one kernel: equal
+// waveforms on all four decision-grid points of the comparator bench.
+// The bench has 39 unknowns, so kAuto must also pick the sparse path.
+TEST(TransientKernel, ComparatorScalarEqualsOneMemberBatch) {
+  const auto macro = flashadc::build_comparator_netlist();
+  const auto options = flashadc::comparator_tran_options();
+  ASSERT_EQ(options.solver.mode, spice::SolverMode::kAuto);
+  for (const double dv : flashadc::kDecisionGrid) {
+    const auto bench = flashadc::instantiate_comparator_bench(macro, dv);
+    const auto scalar = spice::transient(bench, options);
+    EXPECT_EQ(scalar.stats().unknowns, 39u);
+    EXPECT_TRUE(scalar.stats().sparse) << "dv " << dv;
+    expect_same_waveforms(run_one_member(bench, options), scalar,
+                          "dv " + std::to_string(dv));
+  }
+}
+
+// Same on an 8-slice bank bench carrying an inter-slice bridge fault
+// (integrated from the zero state, like the bank campaign).
+TEST(TransientKernel, BankScalarEqualsOneMemberBatchWithBridge) {
+  flashadc::BankOptions bank;
+  bank.size = 8;
+  auto macro = flashadc::build_bank_netlist(bank);
+  ASSERT_TRUE(macro.find_node("s3_outp").has_value());
+  ASSERT_TRUE(macro.find_node("s4_outn").has_value());
+  macro.add_resistor("rbridge", "s3_outp", "s4_outn", 500.0);
+  const auto bench = flashadc::instantiate_bank_bench(macro, bank, 3, 0.009);
+  const auto options = flashadc::bank_tran_options();
+  const auto scalar = spice::transient(bench, options);
+  EXPECT_TRUE(scalar.stats().sparse);
+  expect_same_waveforms(run_one_member(bench, options), scalar, "bank-8");
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
-// Batched sibling-fault evaluation building blocks: the SoA level-1
-// MOSFET kernel, the multi-RHS triangular solve, the trusted-stream
-// assembler fast path and the precompiled MOSFET stamp plan. Every case
-// here asserts *bit* identity against the scalar code path it replaces
-// -- the batched campaign's verdict-equality guarantee rests on these.
+// Transient-kernel building blocks: the SoA level-1 MOSFET kernel, the
+// multi-RHS triangular solve, the trusted-stream assembler fast path
+// and the precompiled MOSFET stamp plan. Every case here asserts *bit*
+// identity against the scalar code path it replaces -- the verdict
+// equality of the scalar and batched campaign paths rests on these.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -154,8 +154,9 @@ TEST(MnaMap, BranchAtMatchesBranchIndex) {
 // ---------------------------------------------------------------------
 // Precompiled MOSFET stamp plan (MosStampPlan).
 
-// Assembles the comparator bench with and without a stamp plan over
-// several rounds of changing companion values and iterates, asserting
+// Assembles the comparator bench through the MOSFET kernel (SoA lanes,
+// trusted stream, stamp plan) and through the scalar per-device
+// eval_mos walk over several rounds of changing iterates, asserting
 // bit-identical matrices and right-hand sides. Rounds 0/1 exercise the
 // freeze and capture paths, later rounds the flat apply loop.
 TEST(MosStampPlan, AssembliesBitIdenticalToStamperWalk) {
@@ -168,63 +169,55 @@ TEST(MosStampPlan, AssembliesBitIdenticalToStamperWalk) {
     if (std::holds_alternative<spice::Mosfet>(device)) ++n_mos;
   ASSERT_GT(n_mos, 0u);
 
-  std::vector<spice::MosCompanion> companions(n_mos);
-  auto refresh_companions = [&](std::size_t round) {
-    for (std::size_t i = 0; i < n_mos; ++i) {
-      companions[i].gm = 1e-4 * (1.0 + wiggle(i, round));
-      companions[i].gds = 1e-5 * (1.0 + wiggle(i + 1, round));
-      companions[i].gmb = 1e-6 * (1.0 + wiggle(i + 2, round));
-      companions[i].ieq = 1e-5 * wiggle(i + 3, round);
-    }
-  };
+  spice::MosKernel kernel(bench, map);
+  spice::StampOptions with_kernel;
+  with_kernel.mos = &kernel;
+  spice::StampOptions scalar = with_kernel;
+  scalar.mos = nullptr;
 
-  spice::MosStampPlan plan;
-  spice::StampOptions with_plan;
-  with_plan.mos_companions = &companions;
-  with_plan.stream_tag = 7;
-  with_plan.mos_plan = &plan;
-  spice::StampOptions without_plan = with_plan;
-  without_plan.mos_plan = nullptr;
-
-  numeric::SparseAssembler a_plan;
+  numeric::SparseAssembler a_kernel;
   numeric::SparseAssembler a_ref;
-  std::vector<double> b_plan;
+  std::vector<double> b_kernel;
   std::vector<double> b_ref;
   std::vector<double> x(map.size(), 0.0);
   const std::vector<double> x_prev(map.size(), 0.1);
+  auto assemble_round = [&](std::size_t round) {
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = 1.5 * wiggle(i, round);
+    assemble_mna(bench, map, x, x_prev, with_kernel, a_kernel, b_kernel);
+    assemble_mna(bench, map, x, x_prev, scalar, a_ref, b_ref);
+    EXPECT_EQ(a_kernel.values(), a_ref.values()) << "round " << round;
+    EXPECT_EQ(b_kernel, b_ref) << "round " << round;
+  };
 
   for (std::size_t round = 0; round < 5; ++round) {
-    refresh_companions(round);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = wiggle(i, round);
-    assemble_mna(bench, map, x, x_prev, with_plan, a_plan, b_plan);
-    assemble_mna(bench, map, x, x_prev, without_plan, a_ref, b_ref);
-    EXPECT_EQ(a_plan.values(), a_ref.values()) << "round " << round;
-    EXPECT_EQ(b_plan, b_ref) << "round " << round;
+    assemble_round(round);
     // Round 0 freezes the pattern, round 1 captures the plan, round 2+
     // run the flat apply loop.
-    EXPECT_EQ(plan.ready, round >= 1) << "round " << round;
+    EXPECT_EQ(kernel.plan().ready, round >= 1) << "round " << round;
+    EXPECT_EQ(a_kernel.fast_path_used(), round >= 1) << "round " << round;
   }
-  EXPECT_EQ(plan.mat_ptr.size(), n_mos + 1);
-  EXPECT_EQ(plan.b_ptr.size(), n_mos + 1);
-  EXPECT_EQ(plan.tag, 7u);
+  EXPECT_EQ(kernel.plan().mat_ptr.size(), n_mos + 1);
+  EXPECT_EQ(kernel.plan().b_ptr.size(), n_mos + 1);
+  const std::uint32_t dc_tag = kernel.plan().tag;
 
-  // A stream-tag change (the DC -> transient hand-off in the batch
-  // engine) invalidates and recaptures the plan on the new stream.
-  with_plan.mode = spice::AnalysisMode::kTransient;
-  with_plan.dt = 1e-9;
-  with_plan.stream_tag = 8;
-  without_plan.mode = spice::AnalysisMode::kTransient;
-  without_plan.dt = 1e-9;
-  without_plan.stream_tag = 8;
-  for (std::size_t round = 5; round < 9; ++round) {
-    refresh_companions(round);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = wiggle(i, round);
-    assemble_mna(bench, map, x, x_prev, with_plan, a_plan, b_plan);
-    assemble_mna(bench, map, x, x_prev, without_plan, a_ref, b_ref);
-    EXPECT_EQ(a_plan.values(), a_ref.values()) << "round " << round;
-    EXPECT_EQ(b_plan, b_ref) << "round " << round;
+  // The DC -> transient hand-off changes the stream tag, which
+  // invalidates and recaptures the plan on the new stream.
+  for (auto* stamp : {&with_kernel, &scalar}) {
+    stamp->mode = spice::AnalysisMode::kTransient;
+    stamp->dt = 1e-9;
   }
-  EXPECT_EQ(plan.tag, 8u);
+  for (std::size_t round = 5; round < 9; ++round) assemble_round(round);
+  EXPECT_TRUE(kernel.plan().ready);
+  EXPECT_NE(kernel.plan().tag, dc_tag);
+
+  // Another kernel on the same assembler never inherits the trusted
+  // stream: its first round runs the checked path.
+  spice::MosKernel other(bench, map);
+  with_kernel.mos = &other;
+  assemble_round(9);
+  EXPECT_FALSE(a_kernel.fast_path_used());
+  assemble_round(10);
+  EXPECT_TRUE(a_kernel.fast_path_used());
 }
 
 }  // namespace
