@@ -323,8 +323,8 @@ Netlist instantiate_bank_bench(const Netlist& macro_netlist,
 
 spice::TranOptions bank_tran_options() {
   spice::TranOptions opt;
-  opt.t_stop = 2.0 * kCyclePeriod;
   opt.dt = 0.5e-9;
+  opt.t_stop = kMeasEnd + opt.dt;
   opt.dt_min = 1e-13;
   opt.newton.max_iterations = 120;
   // Skip the t = 0 operating point: with every clock low the sampled
@@ -342,6 +342,7 @@ ComparatorRun extract_bank_run(const spice::TranResult& result,
   check_options(options);
   if (slice < 0 || slice >= options.size)
     throw util::InvalidInputError("bank bench: slice out of range");
+  check_measurement_horizon(result);
   ComparatorRun run;
   auto delivered = [&](double t, const std::string& src) {
     return -result.current_at(t, src);

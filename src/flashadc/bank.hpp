@@ -111,7 +111,8 @@ spice::Netlist instantiate_bank_bench(const spice::Netlist& macro_netlist,
 /// Transient settings of the bank bench (no t=0 operating point: with
 /// every clock low the sampled nodes float behind subthreshold leakage
 /// and the column-sized DC solve fails for many faulted variants, so
-/// the run integrates from the zero state). Shared by the scalar path
+/// the run integrates from the zero state). Stops one step past
+/// kMeasEnd, like comparator_tran_options(). Shared by the scalar path
 /// and the batched campaign prepass.
 spice::TranOptions bank_tran_options();
 

@@ -245,6 +245,7 @@ ComparatorRun extract_chip_run(const spice::TranResult& result,
   check_options(options);
   if (slice < 0 || slice >= options.slices)
     throw util::InvalidInputError("chip bench: slice out of range");
+  check_measurement_horizon(result);
   ComparatorRun run;
   auto delivered = [&](double t, const std::string& src) {
     return -result.current_at(t, src);

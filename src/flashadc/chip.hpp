@@ -98,8 +98,9 @@ spice::Netlist instantiate_chip_bench(const spice::Netlist& macro_netlist,
                                       const ChipOptions& options, int slice,
                                       double delta_v);
 
-/// Identical to bank_tran_options(): same two-cycle window, same
-/// zero-state start (the chip DC has the same floating-node problem).
+/// Identical to bank_tran_options(): same window (to one step past
+/// kMeasEnd), same zero-state start (the chip DC has the same
+/// floating-node problem).
 spice::TranOptions chip_tran_options();
 
 /// Run record: decisions from slice `slice`'s flipflop; ivdd is the

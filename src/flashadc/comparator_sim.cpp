@@ -83,14 +83,21 @@ Netlist instantiate_comparator_bench(const Netlist& macro, double delta_v) {
 
 spice::TranOptions comparator_tran_options() {
   spice::TranOptions opt;
-  opt.t_stop = 2.0 * kCyclePeriod;
   opt.dt = 0.5e-9;
+  opt.t_stop = kMeasEnd + opt.dt;
   opt.dt_min = 1e-13;
   opt.newton.max_iterations = 120;
   return opt;
 }
 
+void check_measurement_horizon(const spice::TranResult& result) {
+  if (result.steps() == 0 || result.times().back() < kMeasEnd)
+    throw util::InvalidInputError(
+        "run record: waveform ends before the last measurement instant");
+}
+
 ComparatorRun extract_comparator_run(const spice::TranResult& result) {
+  check_measurement_horizon(result);
   ComparatorRun run;
   auto delivered = [&](double t, const std::string& src) {
     return -result.current_at(t, src);

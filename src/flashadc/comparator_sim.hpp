@@ -44,11 +44,19 @@ spice::Netlist instantiate_comparator_bench(const spice::Netlist& macro,
 
 /// Transient settings of the two-cycle comparator bench (shared by the
 /// scalar path and the batched campaign prepass, which simulates many
-/// benches together and extracts each record afterwards).
+/// benches together and extracts each record afterwards). The run stops
+/// one step past kMeasEnd: nothing later in cycle 2 is ever read.
 spice::TranOptions comparator_tran_options();
+
+/// Throws util::InvalidInputError when `result` ends before kMeasEnd,
+/// the last instant the extractors read (past its last sample,
+/// TranResult::voltage_at would silently return that sample).
+void check_measurement_horizon(const spice::TranResult& result);
 
 /// Extracts the run record from a finished two-cycle transient
 /// (decisions, phase-midpoint currents, clock levels; converged=true).
+/// Throws util::InvalidInputError when the waveform ends before
+/// kMeasEnd (as do the bank and chip extractors).
 ComparatorRun extract_comparator_run(const spice::TranResult& result);
 
 /// Runs the two-cycle transient and extracts the run record. Throws

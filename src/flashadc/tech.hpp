@@ -28,6 +28,9 @@ inline constexpr double kLatchStart = 75e-9, kLatchEnd = 95e-9;
 inline constexpr double kMeasSample = kCyclePeriod + 20e-9;
 inline constexpr double kMeasAmp = kCyclePeriod + 57e-9;
 inline constexpr double kMeasLatch = kCyclePeriod + 85e-9;
+/// The last instant any extractor reads: transients stop one step past
+/// it, and extractors reject waveforms that end before it.
+inline constexpr double kMeasEnd = kMeasLatch;
 
 /// Clock edges.
 inline constexpr double kClockEdge = 2e-9;

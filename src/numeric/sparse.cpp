@@ -182,7 +182,6 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
     }
   }
 
-  sym->topo_ptr.assign(1, 0);
   sym->l_ptr.assign(1, 0);
   sym->u_ptr.assign(1, 0);
 
@@ -274,7 +273,6 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
     // Record the column structure (topological order for determinism).
     for (auto it = post.rbegin(); it != post.rend(); ++it) {
       const std::int32_t r = *it;
-      sym->topo_rows.push_back(r);
       if (r == piv) continue;
       const std::int32_t k = sym->pinv[r];
       if (k >= 0 && k < j) {
@@ -285,7 +283,6 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
         l_vals.push_back(x[r] * inv_piv);
       }
     }
-    sym->topo_ptr.push_back(static_cast<std::int32_t>(sym->topo_rows.size()));
     sym->l_ptr.push_back(static_cast<std::int32_t>(sym->l_rows.size()));
     sym->u_ptr.push_back(static_cast<std::int32_t>(sym->u_rows.size()));
   }
@@ -312,18 +309,24 @@ bool SparseFactorsT<Scalar>::refactor(
   z_.resize(n);
   min_abs_pivot_ = n > 0 ? std::numeric_limits<double>::infinity() : 0.0;
 
+  // Column j's nonzeros are its U entries (pivot positions < j), the
+  // pivot and its L entries, all inside the column's reach. The U
+  // entries are stored in topological order, so they drive the
+  // elimination directly: by the time an entry is read, every update
+  // that targets it has landed, and the value read is final. Each
+  // touched entry is cleared as it is consumed, leaving x_ zero for the
+  // next column.
   for (std::int32_t j = 0; j < n; ++j) {
     const std::int32_t col = s.qperm[j];
-    for (std::int32_t t = s.topo_ptr[j]; t < s.topo_ptr[j + 1]; ++t)
-      x_[s.topo_rows[t]] = Scalar(0);
     for (std::int32_t idx = s.csc_ptr[col]; idx < s.csc_ptr[col + 1]; ++idx)
       x_[s.csc_rows[idx]] = csr_values[s.csc_csr[idx]];
-    for (std::int32_t t = s.topo_ptr[j]; t < s.topo_ptr[j + 1]; ++t) {
-      const std::int32_t r = s.topo_rows[t];
-      const std::int32_t k = s.pinv[r];
-      if (k >= j) continue;
+    for (std::int32_t ui = s.u_ptr[j]; ui < s.u_ptr[j + 1]; ++ui) {
+      const std::int32_t r = s.u_rows[ui];
       const Scalar xr = x_[r];
+      u_vals_[ui] = xr;
+      x_[r] = Scalar(0);
       if (xr == Scalar(0)) continue;
+      const std::int32_t k = s.u_pos[ui];
       for (std::int32_t li = s.l_ptr[k]; li < s.l_ptr[k + 1]; ++li)
         x_[s.l_rows[li]] -= l_vals_[li] * xr;
     }
@@ -336,11 +339,13 @@ bool SparseFactorsT<Scalar>::refactor(
     }
     min_abs_pivot_ = std::min(min_abs_pivot_, mag);
     udiag_[j] = piv;
+    x_[s.pivrow[j]] = Scalar(0);
     const Scalar inv_piv = Scalar(1) / piv;
-    for (std::int32_t ui = s.u_ptr[j]; ui < s.u_ptr[j + 1]; ++ui)
-      u_vals_[ui] = x_[s.u_rows[ui]];
-    for (std::int32_t li = s.l_ptr[j]; li < s.l_ptr[j + 1]; ++li)
-      l_vals_[li] = x_[s.l_rows[li]] * inv_piv;
+    for (std::int32_t li = s.l_ptr[j]; li < s.l_ptr[j + 1]; ++li) {
+      const std::int32_t r = s.l_rows[li];
+      l_vals_[li] = x_[r] * inv_piv;
+      x_[r] = Scalar(0);
+    }
   }
   symbolic_ = std::move(symbolic);
   return true;

@@ -77,25 +77,20 @@ class SparseAssemblerT {
   }
   void finish();
 
-  /// Number of add() calls so far this round (device bracketing for
-  /// the stamp-plan capture in assemble_mna).
-  std::size_t cursor() const { return fast_ ? fast_index_ : vals_.size(); }
   /// Whether this round runs the trusted (slot-scatter) path.
   bool fast_active() const { return fast_; }
   /// CSR value slot of stream position `pos` (valid once frozen; the
-  /// stamp-plan capture reads the slots its device occupied).
-  std::int32_t slot_at(std::size_t pos) const { return slot_[pos]; }
-  /// Precompiled stamp segment (see spice::MosStampPlan): applies
-  /// `count` adds as values_[slots[i]] += signs[i] * fields[srcs[i]],
-  /// advancing the trusted-stream cursor. Bit-identical to the add()
-  /// calls it replaces: the slots are the exact stream positions and
-  /// +/-1.0 multiplies are exact in IEEE arithmetic.
-  void apply_plan(const std::int32_t* slots, const double* signs,
-                  const std::int32_t* srcs, std::size_t count,
-                  const Scalar* fields) {
+  /// stamp-program capture reads the slot of every add it records).
+  std::int32_t slot_at(std::size_t pos) const { return slot_.at(pos); }
+  /// Replays a precompiled stamp program (see spice::StampProgram) on
+  /// the trusted path: `count` adds values_[slots[i]] += fields[srcs[i]]
+  /// in stream order, advancing the stream cursor. Bit-identical to the
+  /// add() calls it replaces: the slots are their exact stream
+  /// positions and the fields hold the values they add.
+  void replay(const std::int32_t* slots, const std::int32_t* srcs,
+              std::size_t count, const Scalar* fields) {
     for (std::size_t i = 0; i < count; ++i)
-      values_[static_cast<std::size_t>(slots[i])] +=
-          signs[i] * fields[static_cast<std::size_t>(srcs[i])];
+      values_[static_cast<std::size_t>(slots[i])] += fields[srcs[i]];
     fast_index_ += count;
   }
 
@@ -162,13 +157,12 @@ class SparseSymbolic {
   std::vector<std::int32_t> pivrow;  ///< pivot position -> original row.
   /// CSC view of `pattern` plus the map back into CSR value slots.
   std::vector<std::int32_t> csc_ptr, csc_rows, csc_csr;
-  /// Per factor column j: the reach (nonzero set) in topological order,
-  /// original row indices.
-  std::vector<std::int32_t> topo_ptr, topo_rows;
   /// L columns: rows strictly below the pivot (original indices), unit
   /// diagonal implicit.
   std::vector<std::int32_t> l_ptr, l_rows;
-  /// U columns excluding the diagonal: original row and pivot position.
+  /// U columns excluding the diagonal: original row and pivot position,
+  /// in the topological order of the column's reach (refactor() runs
+  /// its elimination in this order).
   std::vector<std::int32_t> u_ptr, u_rows, u_pos;
 };
 

@@ -41,11 +41,13 @@ inline MosOperatingPoint eval_mos_region(const double beta,
   // Leakage component: exponential below threshold, saturating to its
   // vov = 0 value above it, so the total current stays continuous
   // through the threshold (no dead zone for fault leakage paths).
-  const double expo = safe_exp(std::min(vov, 0.0) / n_vt);
-  const double sat = 1.0 - safe_exp(-vds / kThermalVoltage);
+  // Above threshold the exponent is 0 and exp(0) = 1 exactly.
+  const double expo = vov >= 0.0 ? 1.0 : safe_exp(vov / n_vt);
+  const double e_vds = safe_exp(-vds / kThermalVoltage);
+  const double sat = 1.0 - e_vds;
   MosOperatingPoint op;
   op.ids = i0 * expo * sat;
-  op.gds = i0 * expo * safe_exp(-vds / kThermalVoltage) / kThermalVoltage;
+  op.gds = i0 * expo * e_vds / kThermalVoltage;
   if (vov <= 0.0) {
     op.gm = op.ids / n_vt;
     op.gmb = -op.gm * dvt_dvbs;

@@ -4,6 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <numeric>
 #include <stdexcept>
 #include <type_traits>
 
@@ -58,6 +61,9 @@ MosKernel::MosKernel(const Netlist& netlist, const MnaMap& map)
   static std::atomic<std::uint32_t> next_id{0};
   id_ = next_id.fetch_add(1);
   for (const auto& device : netlist.devices()) {
+    if (std::holds_alternative<Diode>(device) ||
+        std::holds_alternative<Switch>(device))
+      replayable_ = false;
     const auto* mos = std::get_if<Mosfet>(&device);
     if (mos == nullptr) continue;
     drain_.push_back(map.node_index(mos->drain));
@@ -67,7 +73,7 @@ MosKernel::MosKernel(const Netlist& netlist, const MnaMap& map)
     sign_.push_back(mos->type == MosType::kNmos ? 1.0 : -1.0);
     batch_.push_device(mos->model, mos->w / mos->l);
   }
-  companions_.resize(sign_.size());
+  program_.fields.assign(8 * sign_.size(), 0.0);
 }
 
 void MosKernel::evaluate(const std::vector<double>& x) {
@@ -85,13 +91,18 @@ void MosKernel::evaluate(const std::vector<double>& x) {
     batch_.vbs[i] = sign_[i] * (at(bulk_[i]) - vs);
   }
   eval_mos_batch(batch_);
+  double* const c = program_.fields.data();
   for (std::size_t i = 0; i < count; ++i) {
     const double gm = batch_.gm[i];
     const double gds = batch_.gds[i];
     const double gmb = batch_.gmb[i];
     const double ieq = batch_.ids[i] - gm * batch_.vgs[i] -
                        gds * batch_.vds[i] - gmb * batch_.vbs[i];
-    companions_[i] = MosCompanion{gm, gds, gmb, sign_[i] * ieq};
+    const double fields[4] = {gm, gds, gmb, sign_[i] * ieq};
+    for (std::size_t k = 0; k < 4; ++k) {
+      c[8 * i + k] = fields[k];
+      c[8 * i + 4 + k] = -fields[k];
+    }
   }
   if (phase_times_ != nullptr)
     phase_times_->device_eval_seconds +=
@@ -123,22 +134,62 @@ double switch_conductance(const Switch& sw, double vctrl) {
 }
 
 /// Matrix-entry sinks for the templated stamper: the dense target adds
-/// into an n*n numeric::Matrix, the sparse one records CSR triplets.
+/// into an n*n numeric::Matrix, the sparse one records CSR triplets;
+/// both add RHS entries into b.
 struct DenseTarget {
   numeric::Matrix& a;
+  std::vector<double>& b;
   void add(std::size_t r, std::size_t c, double v) { a(r, c) += v; }
+  void rhs(std::size_t i, double v) { b[i] += v; }
 };
 
 struct SparseTarget {
   numeric::SparseAssembler& a;
+  std::vector<double>& b;
   void add(std::size_t r, std::size_t c, double v) { a.add(r, c, v); }
+  void rhs(std::size_t i, double v) { b[i] += v; }
+};
+
+/// Stamp target of the StampProgram. A capture round records every add
+/// as an op: a MOSFET's adds carry probe values +/-(field + 1) that
+/// decode to their companion field or its negation, every other add
+/// gets the next static field. A refresh round (capture == null) skips
+/// the MOSFETs and rewrites only the static fields, which arrive in the
+/// same stream order.
+struct ProgramTarget {
+  StampProgram& p;
+  const numeric::SparseAssembler* capture;
+  std::size_t next_static;
+  bool mos = false;  ///< Stamping a MOSFET's probes.
+
+  void add(std::size_t, std::size_t, double v) {
+    op(v, p.matrix,
+       capture != nullptr ? capture->slot_at(p.matrix.at.size()) : 0);
+  }
+  void rhs(std::size_t i, double v) {
+    op(v, p.rhs, static_cast<std::int32_t>(i));
+  }
+  void op(double v, StampOps& ops, std::int32_t target) {
+    std::int32_t field;
+    if (mos) {
+      field = static_cast<std::int32_t>(std::fabs(v)) - 1 + (v < 0.0 ? 4 : 0);
+    } else {
+      if (capture != nullptr)
+        p.fields.push_back(v);
+      else
+        p.fields[next_static] = v;
+      field = static_cast<std::int32_t>(next_static++);
+    }
+    if (capture == nullptr) return;
+    ops.at.push_back(target);
+    ops.src.push_back(field);
+  }
 };
 
 template <typename Target>
 class Stamper {
  public:
-  Stamper(const MnaMap& map, Target a, std::vector<double>& b)
-      : map_(map), a_(a), b_(b) {}
+  Stamper(const MnaMap& map, Target& a) : map_(map), a_(a) {}
 
   void conductance(NodeId na, NodeId nb, double g) {
     const int i = map_.node_index(na);
@@ -226,122 +277,25 @@ class Stamper {
     if (cn >= 0) a_.add(k, idx(cn), e.gain);
   }
 
-  void rhs_add(std::size_t i, double delta) { b_[i] += delta; }
+  void rhs_add(std::size_t i, double delta) { a_.rhs(i, delta); }
 
  private:
   static std::size_t idx(int i) { return static_cast<std::size_t>(i); }
 
   const MnaMap& map_;
-  Target a_;
-  std::vector<double>& b_;
+  Target& a_;
 };
 
-// MosStampPlan reads the companions as a flat array of 4 doubles per
-// occurrence (field index = declaration order gm, gds, gmb, ieq).
-static_assert(sizeof(MosCompanion) == 4 * sizeof(double),
-              "MosCompanion must stay a flat struct of 4 doubles");
-
-/// Appends one MOSFET's stamp segment to the plan by mirroring the
-/// Stamper emission order of the companion path (three
-/// transconductance calls then the ieq current), validating the
-/// predicted matrix-add count against the assembler's actual cursor
-/// advance over this device.
-void append_mos_plan(MosStampPlan& plan, const numeric::SparseAssembler& a,
-                     std::size_t mat0, const MnaMap& map, const Mosfet& d,
-                     std::size_t mos) {
-  const int dn = map.node_index(d.drain);
-  const int sn = map.node_index(d.source);
-  const int gn = map.node_index(d.gate);
-  const int bn = map.node_index(d.bulk);
-  const auto base = static_cast<std::int32_t>(4 * mos);
-  const std::size_t first = plan.sign.size();
-  // transconductance(drain, source, cp, cn, g) emits, guarded on
-  // non-ground terminals: (d,cp)+g, (d,cn)-g, (s,cp)-g, (s,cn)+g.
-  auto tc = [&](int cp, int cn, std::int32_t field) {
-    if (dn >= 0 && cp >= 0) {
-      plan.sign.push_back(1.0);
-      plan.src.push_back(base + field);
-    }
-    if (dn >= 0 && cn >= 0) {
-      plan.sign.push_back(-1.0);
-      plan.src.push_back(base + field);
-    }
-    if (sn >= 0 && cp >= 0) {
-      plan.sign.push_back(-1.0);
-      plan.src.push_back(base + field);
-    }
-    if (sn >= 0 && cn >= 0) {
-      plan.sign.push_back(1.0);
-      plan.src.push_back(base + field);
-    }
-  };
-  tc(gn, sn, 0);  // gm:  controlled by v(gate) - v(source).
-  tc(dn, sn, 1);  // gds: controlled by v(drain) - v(source).
-  tc(bn, sn, 2);  // gmb: controlled by v(bulk) - v(source).
-  const std::size_t count = plan.sign.size() - first;
-  if (a.cursor() - mat0 != count)
-    throw std::logic_error("assemble_mna: MOS stamp-plan count mismatch");
-  for (std::size_t k = 0; k < count; ++k)
-    plan.slot.push_back(a.slot_at(mat0 + k));
-  plan.mat_ptr.push_back(static_cast<std::int32_t>(plan.sign.size()));
-  // current(drain, source, ieq): b[drain] -= ieq, b[source] += ieq.
-  if (dn >= 0) {
-    plan.b_node.push_back(dn);
-    plan.b_sign.push_back(-1.0);
-    plan.b_src.push_back(base + 3);
-  }
-  if (sn >= 0) {
-    plan.b_node.push_back(sn);
-    plan.b_sign.push_back(1.0);
-    plan.b_src.push_back(base + 3);
-  }
-  plan.b_ptr.push_back(static_cast<std::int32_t>(plan.b_node.size()));
-}
-
+/// Stamps gshunt and every device. `mos_fields` holds 8 companion
+/// doubles per MOSFET, gm gds gmb ieq first (see MosKernel::evaluate);
+/// null evaluates each MOSFET with the scalar eval_mos.
 template <typename Target>
 void assemble_into(const Netlist& netlist, const MnaMap& map,
                    const std::vector<double>& x,
                    const std::vector<double>& x_prev_step,
                    const StampOptions& options, Target target,
-                   std::vector<double>& b) {
-  constexpr bool kSparse = std::is_same_v<Target, SparseTarget>;
-  Stamper<Target> stamp(map, target, b);
-
-  MosKernel* const kernel = options.mos;
-  if (kernel != nullptr) {
-    if (&kernel->netlist() != &netlist)
-      throw std::logic_error("assemble_mna: MOS kernel of another netlist");
-    kernel->evaluate(x);
-  }
-
-  // MOS stamp-plan disposition (see MosStampPlan). Apply rounds replace
-  // each MOSFET's Stamper walk with a precompiled flat loop; the first
-  // trusted round after a freeze (or a stream-tag change) runs the full
-  // walk once and captures the plan from the frozen slots.
-  MosStampPlan* plan = nullptr;
-  bool plan_apply = false;
-  bool plan_capture = false;
-  const double* comp_flat = nullptr;
-  if constexpr (kSparse) {
-    if (kernel != nullptr && target.a.fast_active()) {
-      plan = &kernel->plan();
-      comp_flat = reinterpret_cast<const double*>(kernel->companions().data());
-      if (plan->ready && plan->tag == stream_tag(options)) {
-        plan_apply = true;
-      } else {
-        plan_capture = true;
-        plan->ready = false;
-        plan->slot.clear();
-        plan->sign.clear();
-        plan->src.clear();
-        plan->b_node.clear();
-        plan->b_sign.clear();
-        plan->b_src.clear();
-        plan->mat_ptr.assign(1, 0);
-        plan->b_ptr.assign(1, 0);
-      }
-    }
-  }
+                   const double* mos_fields) {
+  Stamper<Target> stamp(map, target);
 
   // Node-to-ground shunts keep otherwise-floating nodes solvable and
   // implement gmin stepping.
@@ -353,25 +307,10 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
   std::size_t branch_seq = 0;  // branch_at occurrence counter
 
   for (const auto& device : netlist.devices()) {
-    std::size_t mat0 = 0;
-    if constexpr (kSparse) {
-      if (plan_apply && std::holds_alternative<Mosfet>(device)) {
-        const std::size_t m = mos_index++;
-        const auto p0 = static_cast<std::size_t>(plan->mat_ptr[m]);
-        const auto p1 = static_cast<std::size_t>(plan->mat_ptr[m + 1]);
-        target.a.apply_plan(plan->slot.data() + p0, plan->sign.data() + p0,
-                            plan->src.data() + p0, p1 - p0, comp_flat);
-        const auto q1 = static_cast<std::size_t>(plan->b_ptr[m + 1]);
-        for (auto k = static_cast<std::size_t>(plan->b_ptr[m]); k < q1; ++k)
-          b[static_cast<std::size_t>(plan->b_node[k])] +=
-              plan->b_sign[k] * comp_flat[static_cast<std::size_t>(
-                                    plan->b_src[k])];
-        continue;
-      }
-      if (plan_capture && std::holds_alternative<Mosfet>(device))
-        mat0 = target.a.cursor();
+    if constexpr (std::is_same_v<Target, ProgramTarget>) {
+      target.mos = std::holds_alternative<Mosfet>(device);
+      if (target.mos && target.capture == nullptr) continue;
     }
-    const std::size_t mos_before = mos_index;
     std::visit(
         [&](const auto& d) {
           using T = std::decay_t<decltype(d)>;
@@ -439,17 +378,18 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
                 map.voltage(x, d.ctrl_p) - map.voltage(x, d.ctrl_n);
             stamp.conductance(d.a, d.b, switch_conductance(d, vctrl));
           } else if constexpr (std::is_same_v<T, Mosfet>) {
-            if (kernel != nullptr) {
-              // The SoA kernel already evaluated this occurrence for
-              // the current iterate; stamp its companion directly.
-              const MosCompanion& c = kernel->companions()[mos_index++];
+            if (mos_fields != nullptr) {
+              // Companion fields gm, gds, gmb, ieq of this occurrence
+              // (the kernel's evaluation of the current iterate, or the
+              // program capture's probes); ieq carries the polarity.
+              const double* c = mos_fields + 8 * mos_index++;
               stamp.transconductance(d.drain, d.source, d.gate, d.source,
-                                     c.gm);
+                                     c[0]);
               stamp.transconductance(d.drain, d.source, d.drain, d.source,
-                                     c.gds);
+                                     c[1]);
               stamp.transconductance(d.drain, d.source, d.bulk, d.source,
-                                     c.gmb);
-              stamp.current(d.drain, d.source, c.ieq);
+                                     c[2]);
+              stamp.current(d.drain, d.source, c[3]);
               return;
             }
             // NMOS-normalized terminal voltages around the candidate.
@@ -481,18 +421,85 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
           }
         },
         device);
-    if constexpr (kSparse) {
-      if (plan_capture && std::holds_alternative<Mosfet>(device))
-        append_mos_plan(*plan, target.a, mat0, map, std::get<Mosfet>(device),
-                        mos_before);
-    }
   }
-  if constexpr (kSparse) {
-    if (plan_capture) {
-      plan->ready = true;
-      plan->tag = stream_tag(options);
+}
+
+// The static inputs of a program's static fields: seven scalars, then
+// the bytes of x_prev_step and *cap_i_prev. Returns whether `key`
+// already holds them; stores them otherwise.
+bool same_static_inputs(std::vector<double>& key, const StampOptions& o,
+                        const std::vector<double>& x_prev_step) {
+  const double scalars[] = {o.time,
+                            o.dt,
+                            o.gshunt,
+                            o.source_scale,
+                            static_cast<double>(o.mode),
+                            static_cast<double>(o.integrator),
+                            o.cap_i_prev != nullptr ? 1.0 : 0.0};
+  const std::vector<double> none;
+  const std::vector<double>& cap = o.cap_i_prev ? *o.cap_i_prev : none;
+  const std::size_t ns = std::size(scalars), nx = x_prev_step.size();
+  auto same = [&key](std::size_t at, const double* v, std::size_t count) {
+    return count == 0 ||
+           std::memcmp(key.data() + at, v, count * sizeof(double)) == 0;
+  };
+  if (key.size() == ns + nx + cap.size() && same(0, scalars, ns) &&
+      same(ns, x_prev_step.data(), nx) && same(ns + nx, cap.data(), cap.size()))
+    return true;
+  key.assign(scalars, scalars + ns);
+  key.insert(key.end(), x_prev_step.begin(), x_prev_step.end());
+  key.insert(key.end(), cap.begin(), cap.end());
+  return false;
+}
+
+/// A trusted round through the kernel's StampProgram: capture it (first
+/// round of this stream tag) or refresh its static fields (new static
+/// inputs) with one walk, then evaluate the MOSFETs and replay.
+void replay_program(const Netlist& netlist, const MnaMap& map,
+                    const std::vector<double>& x,
+                    const std::vector<double>& x_prev_step,
+                    const StampOptions& options, MosKernel& kernel,
+                    numeric::SparseAssembler& a, std::vector<double>& b) {
+  StampProgram& p = kernel.program();
+  const std::size_t companions = 8 * kernel.mos_count();
+  const bool capture = !p.ready || p.tag != stream_tag(options);
+  const bool fresh_inputs = !same_static_inputs(p.key, options, x_prev_step);
+  if (capture || fresh_inputs) {
+    std::vector<double> probes;
+    p.ready = false;  // A throwing walk leaves the program to recapture.
+    if (capture) {
+      p.matrix = {};
+      p.rhs = {};
+      p.fields.resize(companions);
+      probes.resize(companions);
+      std::iota(probes.begin(), probes.end(), 1.0);
     }
+    assemble_into(netlist, map, x, x_prev_step, options,
+                  ProgramTarget{p, capture ? &a : nullptr, companions},
+                  probes.data());
+    p.ready = true;
+    p.tag = stream_tag(options);
   }
+  kernel.evaluate(x);
+  const double* const fields = p.fields.data();
+  a.replay(p.matrix.at.data(), p.matrix.src.data(), p.matrix.at.size(),
+           fields);
+  for (std::size_t k = 0; k < p.rhs.at.size(); ++k)
+    b[static_cast<std::size_t>(p.rhs.at[k])] += fields[p.rhs.src[k]];
+}
+
+MosKernel* checked_kernel(const Netlist& netlist, const StampOptions& options) {
+  MosKernel* const kernel = options.mos;
+  if (kernel != nullptr && &kernel->netlist() != &netlist)
+    throw std::logic_error("assemble_mna: MOS kernel of another netlist");
+  return kernel;
+}
+
+/// Companion fields for a walk: the kernel's, evaluated at `x`.
+const double* walk_fields(MosKernel* kernel, const std::vector<double>& x) {
+  if (kernel == nullptr) return nullptr;
+  kernel->evaluate(x);
+  return kernel->program().fields.data();
 }
 
 }  // namespace
@@ -506,7 +513,9 @@ void assemble_mna(const Netlist& netlist, const MnaMap& map,
   if (a.rows() != n || a.cols() != n) a = numeric::Matrix(n, n);
   a.fill(0.0);
   b.assign(n, 0.0);
-  assemble_into(netlist, map, x, x_prev_step, options, DenseTarget{a}, b);
+  MosKernel* const kernel = checked_kernel(netlist, options);
+  assemble_into(netlist, map, x, x_prev_step, options, DenseTarget{a, b},
+                walk_fields(kernel, x));
 }
 
 void assemble_mna(const Netlist& netlist, const MnaMap& map,
@@ -517,7 +526,12 @@ void assemble_mna(const Netlist& netlist, const MnaMap& map,
   const std::size_t n = map.size();
   a.begin(n, stream_tag(options));
   b.assign(n, 0.0);
-  assemble_into(netlist, map, x, x_prev_step, options, SparseTarget{a}, b);
+  MosKernel* const kernel = checked_kernel(netlist, options);
+  if (kernel != nullptr && kernel->replayable() && a.fast_active())
+    replay_program(netlist, map, x, x_prev_step, options, *kernel, a, b);
+  else
+    assemble_into(netlist, map, x, x_prev_step, options, SparseTarget{a, b},
+                  walk_fields(kernel, x));
   a.finish();
 }
 

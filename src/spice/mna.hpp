@@ -34,62 +34,55 @@ enum class Integrator {
                    ///< currents (supplied via StampOptions::cap_i_prev).
 };
 
-/// Precomputed Newton companion model for one MOSFET occurrence, in the
-/// device's NMOS-normalized convention; `ieq` already carries the
-/// polarity sign, so it stamps as-is (see the MOSFET branch in
-/// assemble_into).
-struct MosCompanion {
-  double gm = 0.0;
-  double gds = 0.0;
-  double gmb = 0.0;
-  double ieq = 0.0;  ///< sign * (ids - gm*vgs - gds*vds - gmb*vbs).
+/// Ops of a StampProgram in stream order: entry at[k] (CSR slot or
+/// unknown) += fields[src[k]].
+struct StampOps {
+  std::vector<std::int32_t> at;
+  std::vector<std::int32_t> src;
 };
 
-/// Precompiled MOSFET stamp segments (part of MosKernel).
+/// The trusted stream's stamp program (part of MosKernel).
 ///
-/// Stamping a MOSFET companion walks four Stamper calls per device:
-/// node-index lookups, grounded-terminal guards and sign branches that
-/// are identical every Newton iteration -- only the four companion
-/// values change. Once the assembler's trusted stream is frozen, the
-/// slot each add() lands in is fixed, so the whole per-device stamp
-/// collapses to a table of (CSR slot, +/-1 sign, companion field):
+/// Once the assembler's trusted stream is frozen, every add() of an
+/// assembly lands in a fixed CSR slot (or RHS entry), and its value is
+/// either one of a MOSFET's four companion doubles or its negation, or
+/// a value that only changes when a new solve starts (gshunt,
+/// resistors, capacitor and inductor companions, sources). The program
+/// records the whole stream -- gshunt, then every device, matrix and
+/// RHS -- as (slot or node, field) ops over one array
 ///
-///   values[slot[i]] += sign[i] * companions_flat[src[i]]
+///   fields = [gm gds gmb ieq -gm -gds -gmb -ieq per MOSFET | statics]
 ///
-/// applied in the exact stream positions the Stamper calls occupied.
-/// Per CSR slot the contributions land in the same order with the same
-/// values (+/-1.0 multiplies are exact), so the assembled system is
-/// bit-identical to full stamping.
+/// so a Newton iteration is kernel.evaluate(x) plus one flat replay of
+/// the ops. The static values are recomputed by the Stamper walk
+/// (MOSFETs skipped) only when their inputs change: mode, time, dt,
+/// gshunt, source_scale, integrator and the bytes of x_prev_step and
+/// *cap_i_prev, compared by value (`key`), so no caller has to
+/// invalidate anything. Every entry receives the same doubles (the
+/// walk's -g is the stored negation) in the same order, so the
+/// assembled system is bit-identical.
 ///
-/// The plan is captured on the first trusted-stream round after the
-/// pattern freezes, keyed by the stream tag: a tag change (DC ->
-/// transient stream) discards and recaptures. assemble_mna validates
-/// the predicted add count against the assembler cursor at capture and
-/// throws on mismatch, so a desynchronized plan cannot ship values.
-struct MosStampPlan {
+/// Captured on the first trusted round of a stream tag; a tag change
+/// (DC -> transient, another kernel) recaptures. Netlists with
+/// iterate-dependent non-MOS devices (diodes, switches) keep the walk.
+struct StampProgram {
   bool ready = false;
-  std::uint32_t tag = 0;  ///< Stream tag the plan was captured under.
-  /// Matrix entries, all MOSFETs concatenated in device order;
-  /// mat_ptr[m] .. mat_ptr[m+1] is the m-th MOSFET's slice.
-  std::vector<std::int32_t> slot;  ///< CSR value slot.
-  std::vector<double> sign;        ///< +/-1.0.
-  std::vector<std::int32_t> src;   ///< 4*mos + field (gm,gds,gmb,ieq).
-  std::vector<std::int32_t> mat_ptr;
-  /// RHS entries (the ieq injection), sliced by b_ptr like mat_ptr.
-  std::vector<std::int32_t> b_node;  ///< Unknown index in b.
-  std::vector<double> b_sign;
-  std::vector<std::int32_t> b_src;
-  std::vector<std::int32_t> b_ptr;
+  std::uint32_t tag = 0;  ///< Stream tag the program was captured under.
+  std::vector<double> fields;
+  StampOps matrix;  ///< Targets are CSR value slots.
+  StampOps rhs;     ///< Targets are unknowns.
+  /// Static inputs the static fields were computed from.
+  std::vector<double> key;
 };
 
 /// The transient kernel's MOSFET stage for one circuit: one SoA lane
-/// per MOSFET occurrence (device order), the companion sink assembly
-/// consumes, and the precompiled stamp plan. Attached through
-/// StampOptions::mos, it replaces the per-device scalar eval_mos call:
-/// every assembly gathers the terminal voltages of the candidate
-/// iterate, runs eval_mos_batch over all lanes and stamps the
-/// companions -- the same arithmetic, in the same order, as the scalar
-/// MOSFET branch, so the assembled values are bit-identical.
+/// per MOSFET occurrence (device order) and the stamp program whose
+/// field array holds the companions. Attached through StampOptions::mos,
+/// it replaces the per-device scalar eval_mos call: every assembly
+/// gathers the terminal voltages of the candidate iterate, runs
+/// eval_mos_batch over all lanes and stamps the companions -- the same
+/// arithmetic, in the same order, as the scalar MOSFET branch, so the
+/// assembled values are bit-identical.
 class MosKernel {
  public:
   MosKernel(const Netlist& netlist, const MnaMap& map);
@@ -98,21 +91,27 @@ class MosKernel {
   const Netlist& netlist() const { return *netlist_; }
   /// Process-unique serial; keys the kernel's trusted stamp streams.
   std::uint32_t id() const { return id_; }
-  /// Refreshes every companion for candidate iterate `x`.
+  std::size_t mos_count() const { return sign_.size(); }
+  /// Whether every non-MOSFET stamp is independent of the iterate (no
+  /// diodes or switches), so trusted rounds can replay the program.
+  bool replayable() const { return replayable_; }
+  /// Refreshes every companion for candidate iterate `x`: fields 8m ..
+  /// 8m+3 of the program become the m-th MOSFET's gm, gds, gmb (in its
+  /// NMOS-normalized convention) and sign * (ids - gm*vgs - gds*vds -
+  /// gmb*vbs), which stamps as-is; fields 8m+4 .. 8m+7 their negations.
   void evaluate(const std::vector<double>& x);
-  const std::vector<MosCompanion>& companions() const { return companions_; }
-  MosStampPlan& plan() { return plan_; }
+  StampProgram& program() { return program_; }
   /// Sink for the device-evaluation wall time (null: no clock reads).
   void set_phase_times(PhaseTimes* sink) { phase_times_ = sink; }
 
  private:
   const Netlist* netlist_;
   std::uint32_t id_ = 0;
+  bool replayable_ = true;
   std::vector<int> drain_, gate_, source_, bulk_;
   std::vector<double> sign_;
   DeviceBatch batch_;
-  std::vector<MosCompanion> companions_;
-  MosStampPlan plan_;
+  StampProgram program_;
   PhaseTimes* phase_times_ = nullptr;
 };
 
@@ -130,8 +129,9 @@ struct StampOptions {
   /// The circuit's MOSFET kernel (built for the netlist being
   /// assembled). When set, MOSFETs stamp the kernel's SoA companions,
   /// and the sparse assembly declares a trusted stream per kernel and
-  /// analysis mode (see numeric::SparseAssemblerT) and runs the stamp
-  /// plan. Null evaluates each MOSFET with the scalar eval_mos.
+  /// analysis mode (see numeric::SparseAssemblerT) and replays the
+  /// kernel's stamp program. Null evaluates each MOSFET with the scalar
+  /// eval_mos.
   MosKernel* mos = nullptr;
 };
 

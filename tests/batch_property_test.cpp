@@ -128,6 +128,23 @@ TEST(TransientKernel, BankScalarEqualsOneMemberBatchWithBridge) {
   expect_same_waveforms(run_one_member(bench, options), scalar, "bank-8");
 }
 
+// With phase times collected, device evaluation (run inside the stamp
+// program replay) and assembly are reported as separate, nonzero
+// phases: assembly is the stamping wall time minus the evaluation.
+TEST(TransientKernel, PhaseTimesReportDeviceEvalAndAssembly) {
+  const auto macro = flashadc::build_comparator_netlist();
+  auto options = flashadc::comparator_tran_options();
+  options.collect_phase_times = true;
+  const auto run = spice::transient(
+      flashadc::instantiate_comparator_bench(macro, 0.009), options);
+  const spice::PhaseTimes& pt = run.stats().phases;
+  EXPECT_GT(pt.device_eval_seconds, 0.0);
+  EXPECT_GT(pt.assembly_seconds, 0.0);
+  EXPECT_GT(pt.factor_seconds, 0.0);
+  EXPECT_GT(pt.solve_seconds, 0.0);
+  EXPECT_LT(pt.device_eval_seconds, pt.total_seconds());
+}
+
 // ---------------------------------------------------------------------
 // Campaign level: identical verdicts at every batch size.
 

@@ -1,8 +1,8 @@
 // Transient-kernel building blocks: the SoA level-1 MOSFET kernel, the
 // multi-RHS triangular solve, the trusted-stream assembler fast path
-// and the precompiled MOSFET stamp plan. Every case here asserts *bit*
-// identity against the scalar code path it replaces -- the verdict
-// equality of the scalar and batched campaign paths rests on these.
+// and the stamp program. Every case here asserts *bit* identity against
+// the scalar code path it replaces -- the verdict equality of the
+// scalar and batched campaign paths rests on these.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -152,72 +152,136 @@ TEST(MnaMap, BranchAtMatchesBranchIndex) {
 }
 
 // ---------------------------------------------------------------------
-// Precompiled MOSFET stamp plan (MosStampPlan).
+// The trusted stream's stamp program (StampProgram).
 
-// Assembles the comparator bench through the MOSFET kernel (SoA lanes,
-// trusted stream, stamp plan) and through the scalar per-device
-// eval_mos walk over several rounds of changing iterates, asserting
-// bit-identical matrices and right-hand sides. Rounds 0/1 exercise the
-// freeze and capture paths, later rounds the flat apply loop.
-TEST(MosStampPlan, AssembliesBitIdenticalToStamperWalk) {
+// Assembles through a MOSFET kernel (trusted stream, stamp program)
+// and through an untrusted full walk with the scalar eval_mos, asserting
+// bit-identical CSR values and right-hand sides on every round.
+struct ProgramHarness {
+  const spice::Netlist& netlist;
+  spice::MnaMap map;
+  spice::StampOptions prog;
+  spice::StampOptions walk;
+  numeric::SparseAssembler a_prog, a_walk;
+  std::vector<double> b_prog, b_walk;
+  std::vector<double> x;
+  std::vector<double> x_prev;
+
+  explicit ProgramHarness(const spice::Netlist& n)
+      : netlist(n), map(n), x(map.size()), x_prev(map.size(), 0.1) {}
+
+  // One Newton iteration at a fresh iterate.
+  void round(std::size_t r) {
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = 1.5 * wiggle(i, r);
+    assemble_mna(netlist, map, x, x_prev, prog, a_prog, b_prog);
+    assemble_mna(netlist, map, x, x_prev, walk, a_walk, b_walk);
+    EXPECT_FALSE(a_walk.fast_path_used());
+    EXPECT_EQ(a_prog.values(), a_walk.values()) << "round " << r;
+    EXPECT_EQ(b_prog, b_walk) << "round " << r;
+  }
+  // Both sides see the same static inputs.
+  template <typename F>
+  void set(F&& f) {
+    f(prog);
+    f(walk);
+  }
+};
+
+TEST(StampProgram, AssembliesBitIdenticalToUntrustedWalk) {
   const auto macro = flashadc::build_comparator_netlist();
   const auto bench = flashadc::instantiate_comparator_bench(macro, 0.02);
-  const spice::MnaMap map(bench);
+  ProgramHarness h(bench);
+  spice::MosKernel kernel(bench, h.map);
+  ASSERT_GT(kernel.mos_count(), 0u);
+  ASSERT_TRUE(kernel.replayable());
+  h.prog.mos = &kernel;
 
-  std::size_t n_mos = 0;
+  // Repeated iterations of one DC solve: round 0 freezes the pattern,
+  // round 1 captures the program, later rounds replay it.
+  std::size_t r = 0;
+  for (; r < 4; ++r) {
+    h.round(r);
+    EXPECT_EQ(kernel.program().ready, r >= 1) << "round " << r;
+    EXPECT_EQ(h.a_prog.fast_path_used(), r >= 1) << "round " << r;
+  }
+  const std::uint32_t dc_tag = kernel.program().tag;
+  // A continuation rung: new gshunt and source scale.
+  h.set([](spice::StampOptions& o) {
+    o.gshunt = 1e-6;
+    o.source_scale = 0.5;
+  });
+  for (; r < 6; ++r) h.round(r);
+
+  // DC -> transient switches the stream tag: refreeze, recapture.
+  std::size_t caps = 0;
   for (const auto& device : bench.devices())
-    if (std::holds_alternative<spice::Mosfet>(device)) ++n_mos;
-  ASSERT_GT(n_mos, 0u);
+    caps += std::holds_alternative<spice::Capacitor>(device) ? 1u : 0u;
+  ASSERT_GT(caps, 0u);
+  std::vector<double> cap_i(caps, 0.0);
+  h.set([&cap_i](spice::StampOptions& o) {
+    o.gshunt = 1e-12;
+    o.source_scale = 1.0;
+    o.mode = spice::AnalysisMode::kTransient;
+    o.time = 1e-9;
+    o.dt = 1e-9;
+    o.integrator = spice::Integrator::kTrapezoidal;
+    o.cap_i_prev = &cap_i;
+  });
+  for (; r < 9; ++r) h.round(r);
+  EXPECT_TRUE(kernel.program().ready);
+  EXPECT_NE(kernel.program().tag, dc_tag);
+  EXPECT_TRUE(h.a_prog.fast_path_used());
 
-  spice::MosKernel kernel(bench, map);
-  spice::StampOptions with_kernel;
-  with_kernel.mos = &kernel;
-  spice::StampOptions scalar = with_kernel;
-  scalar.mos = nullptr;
-
-  numeric::SparseAssembler a_kernel;
-  numeric::SparseAssembler a_ref;
-  std::vector<double> b_kernel;
-  std::vector<double> b_ref;
-  std::vector<double> x(map.size(), 0.0);
-  const std::vector<double> x_prev(map.size(), 0.1);
-  auto assemble_round = [&](std::size_t round) {
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = 1.5 * wiggle(i, round);
-    assemble_mna(bench, map, x, x_prev, with_kernel, a_kernel, b_kernel);
-    assemble_mna(bench, map, x, x_prev, scalar, a_ref, b_ref);
-    EXPECT_EQ(a_kernel.values(), a_ref.values()) << "round " << round;
-    EXPECT_EQ(b_kernel, b_ref) << "round " << round;
-  };
-
-  for (std::size_t round = 0; round < 5; ++round) {
-    assemble_round(round);
-    // Round 0 freezes the pattern, round 1 captures the plan, round 2+
-    // run the flat apply loop.
-    EXPECT_EQ(kernel.plan().ready, round >= 1) << "round " << round;
-    EXPECT_EQ(a_kernel.fast_path_used(), round >= 1) << "round " << round;
+  // New steps, each changing one static input: x_prev, cap_i_prev
+  // (mutated in place), time, dt. The static fields must follow without
+  // any invalidation.
+  for (std::size_t input = 0; input < 4; ++input) {
+    if (input == 0)
+      for (std::size_t i = 0; i < h.x_prev.size(); ++i)
+        h.x_prev[i] = wiggle(i, 100);
+    if (input == 1)
+      for (std::size_t i = 0; i < cap_i.size(); ++i)
+        cap_i[i] = 1e-6 * wiggle(i, 200);
+    h.set([input](spice::StampOptions& o) {
+      if (input == 2) o.time += o.dt;
+      if (input == 3) o.dt = 0.5e-9;
+    });
+    for (std::size_t it = 0; it < 3; ++it, ++r) h.round(r);
   }
-  EXPECT_EQ(kernel.plan().mat_ptr.size(), n_mos + 1);
-  EXPECT_EQ(kernel.plan().b_ptr.size(), n_mos + 1);
-  const std::uint32_t dc_tag = kernel.plan().tag;
-
-  // The DC -> transient hand-off changes the stream tag, which
-  // invalidates and recaptures the plan on the new stream.
-  for (auto* stamp : {&with_kernel, &scalar}) {
-    stamp->mode = spice::AnalysisMode::kTransient;
-    stamp->dt = 1e-9;
-  }
-  for (std::size_t round = 5; round < 9; ++round) assemble_round(round);
-  EXPECT_TRUE(kernel.plan().ready);
-  EXPECT_NE(kernel.plan().tag, dc_tag);
 
   // Another kernel on the same assembler never inherits the trusted
-  // stream: its first round runs the checked path.
-  spice::MosKernel other(bench, map);
-  with_kernel.mos = &other;
-  assemble_round(9);
-  EXPECT_FALSE(a_kernel.fast_path_used());
-  assemble_round(10);
-  EXPECT_TRUE(a_kernel.fast_path_used());
+  // stream: its first round runs the checked walk, then it captures.
+  spice::MosKernel other(bench, h.map);
+  h.prog.mos = &other;
+  h.round(r++);
+  EXPECT_FALSE(h.a_prog.fast_path_used());
+  EXPECT_FALSE(other.program().ready);
+  h.round(r++);
+  EXPECT_TRUE(h.a_prog.fast_path_used());
+  EXPECT_TRUE(other.program().ready);
+  h.round(r++);
+}
+
+// Diodes and switches depend on the iterate, so netlists holding them
+// keep the Stamper walk (still on the trusted stream).
+TEST(StampProgram, DiodeAndSwitchNetlistsTakeTheWalk) {
+  const auto macro = flashadc::build_comparator_netlist();
+  for (const bool diode : {true, false}) {
+    auto bench = flashadc::instantiate_comparator_bench(macro, 0.02);
+    if (diode)
+      bench.add_diode("dx", "q", "0");
+    else
+      bench.add_switch(spice::Switch{}, "sx", "q", "0", "qb", "0");
+    ProgramHarness h(bench);
+    spice::MosKernel kernel(bench, h.map);
+    EXPECT_FALSE(kernel.replayable());
+    h.prog.mos = &kernel;
+    for (std::size_t r = 0; r < 4; ++r) {
+      h.round(r);
+      EXPECT_EQ(h.a_prog.fast_path_used(), r >= 1);
+      EXPECT_FALSE(kernel.program().ready);
+    }
+  }
 }
 
 }  // namespace

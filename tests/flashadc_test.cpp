@@ -2,8 +2,10 @@
 
 #include <cmath>
 
+#include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
 #include "flashadc/biasgen.hpp"
+#include "flashadc/chip.hpp"
 #include "flashadc/clockgen.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
@@ -11,6 +13,8 @@
 #include "flashadc/ladder.hpp"
 #include "flashadc/tech.hpp"
 #include "fault/model.hpp"
+#include "spice/transient.hpp"
+#include "util/error.hpp"
 
 namespace dot::flashadc {
 namespace {
@@ -418,6 +422,72 @@ TEST(Behavioral, StuckDecoderRowCausesMissingCode) {
 
 TEST(Behavioral, TestTimeMatchesSampleCount) {
   EXPECT_NEAR(missing_code_test_time(), 1000 * kCyclePeriod, 1e-12);
+}
+
+// ------------------------------------------------- measurement horizon
+
+// Transients stop one step past kMeasEnd, the last instant any extractor
+// reads; the records must equal those of a full two-cycle run bit for
+// bit.
+void expect_same_run(const ComparatorRun& a, const ComparatorRun& b,
+                     double dv) {
+  EXPECT_EQ(a.decision, b.decision) << "dv " << dv;
+  EXPECT_EQ(a.ivdd, b.ivdd) << "dv " << dv;
+  EXPECT_EQ(a.iddq, b.iddq) << "dv " << dv;
+  EXPECT_EQ(a.iin, b.iin) << "dv " << dv;
+  EXPECT_EQ(a.iref, b.iref) << "dv " << dv;
+  EXPECT_EQ(a.clock_levels, b.clock_levels) << "dv " << dv;
+  EXPECT_EQ(a.converged, b.converged) << "dv " << dv;
+}
+
+TEST(MeasurementHorizon, ComparatorRunsMatchTwoCycleRun) {
+  const auto macro = build_comparator_netlist();
+  const auto horizon = comparator_tran_options();
+  auto two_cycles = horizon;
+  two_cycles.t_stop = 2.0 * kCyclePeriod;
+  ASSERT_LT(horizon.t_stop, two_cycles.t_stop);
+  for (const double dv : kDecisionGrid) {
+    const auto bench = instantiate_comparator_bench(macro, dv);
+    const auto run = spice::transient(bench, horizon);
+    EXPECT_GE(run.times().back(), kMeasEnd);
+    expect_same_run(extract_comparator_run(run),
+                    extract_comparator_run(spice::transient(bench, two_cycles)),
+                    dv);
+  }
+}
+
+TEST(MeasurementHorizon, Bank8RunsMatchTwoCycleRun) {
+  BankOptions bank;
+  bank.size = 8;
+  const auto macro = build_bank_netlist(bank);
+  const auto horizon = bank_tran_options();
+  auto two_cycles = horizon;
+  two_cycles.t_stop = 2.0 * kCyclePeriod;
+  for (const double dv : kDecisionGrid) {
+    const auto bench = instantiate_bank_bench(macro, bank, 5, dv);
+    expect_same_run(
+        extract_bank_run(spice::transient(bench, horizon), bank, 5),
+        extract_bank_run(spice::transient(bench, two_cycles), bank, 5), dv);
+  }
+}
+
+// A waveform that ends before kMeasEnd is an error, not a silent hold
+// of its last sample.
+TEST(MeasurementHorizon, ExtractorsRejectShortWaveforms) {
+  const auto macro = build_comparator_netlist();
+  auto tran = comparator_tran_options();
+  tran.t_stop = kMeasEnd - 5e-9;
+  const auto short_run =
+      spice::transient(instantiate_comparator_bench(macro, 0.3), tran);
+  EXPECT_THROW(extract_comparator_run(short_run), util::InvalidInputError);
+  const spice::TranResult empty(spice::MnaMap(), {});
+  EXPECT_THROW(extract_comparator_run(empty), util::InvalidInputError);
+  BankOptions bank;
+  bank.size = 8;
+  EXPECT_THROW(extract_bank_run(short_run, bank, 0), util::InvalidInputError);
+  ChipOptions chip;
+  chip.slices = 8;
+  EXPECT_THROW(extract_chip_run(short_run, chip, 0), util::InvalidInputError);
 }
 
 }  // namespace
