@@ -9,7 +9,7 @@
 //   --seed=N       master seed
 //   --threads=N    worker threads (default: hardware concurrency)
 //   --solver=M     linear solver: auto (default; sparse at >= 18
-//                  unknowns) | dense | sparse | schur
+//                  unknowns) | dense | sparse
 //   --shamanskii=N Newton iterations per numeric refactor (default 1)
 //   --class-timeout-ms=T  wall-clock budget per fault-class attempt
 //                  (0 = unlimited, the default); expired classes are
@@ -62,7 +62,7 @@ struct BenchArgs {
   static void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--defects=N] [--envelope=N] [--classes=N] "
-                 "[--seed=N] [--threads=N] [--solver=auto|dense|sparse|schur] "
+                 "[--seed=N] [--threads=N] [--solver=auto|dense|sparse] "
                  "[--shamanskii=N] [--class-timeout-ms=T] [--max-retries=N] "
                  "[--batch=N|auto] [--phase-times] "
                  "[--json=FILE] [--json-root] [--quick] [--smoke]\n",

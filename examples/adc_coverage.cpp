@@ -32,9 +32,7 @@
 //                         must divide 256 and be a multiple of 4;
 //                         default 256)
 //   --solver=MODE         linear solver for every simulation: auto |
-//                         dense | sparse | schur (default auto; schur
-//                         is the block-arrowhead path built for the
-//                         bank/chip macros)
+//                         dense | sparse (default auto)
 //   --equivalence         with --macro=bank or --macro=chip: diff the
 //                         flat result against the per-comparator
 //                         decomposition

@@ -36,8 +36,8 @@ inline const char* campaign_usage() {
   return "          [--defects=N] [--envelope=N] [--classes=N] [--seed=N]\n"
          "          [--threads=N] [--class-timeout-ms=T] [--max-retries=N]\n"
          "          [--batch=N|auto] [--phase-times] [--macro=NAME]\n"
-         "          [--bank-size=N] [--chip-slices=N] [--solver=MODE]\n"
-         "          [--quick] [--smoke]\n";
+         "          [--bank-size=N] [--chip-slices=N]\n"
+         "          [--solver=auto|dense|sparse] [--quick] [--smoke]\n";
 }
 
 /// Offers `arg` to the shared campaign-knob parser. `threads` receives

@@ -38,13 +38,12 @@ namespace dot::flashadc {
 struct BankOptions {
   /// Comparators in the column. Must divide kLevels (256) and lie in
   /// 2..256; build_bank_netlist throws util::InvalidInputError
-  /// otherwise. (The historical 64 cap fell with the Schur solver: the
-  /// paper-scale 256-slice column is the chip macro's backbone.)
+  /// otherwise. The paper-scale 256-slice column is the chip macro's
+  /// backbone.
   int size = 64;
   ComparatorDft dft;
   /// Linear-solver selection for every bank transient (run_bank_bench
-  /// and everything layered on it). kSchur engages the block-arrowhead
-  /// path with the slice partition derived from the bench netlist.
+  /// and everything layered on it).
   spice::SolverOptions solver;
 };
 

@@ -311,9 +311,6 @@ PrecomputedEvals batch_prepass(
   struct ChunkEvals {
     std::vector<std::pair<std::size_t, ClassEval>> evals;
     spice::PhaseTimes phase_times;
-    std::size_t block_refreshes = 0;
-    std::size_t block_reuses = 0;
-    std::size_t lowrank_updates = 0;
   };
 
   auto skip_pass = [&](const FaultClass& cls, bool noncat) {
@@ -378,11 +375,7 @@ PrecomputedEvals batch_prepass(
             if (outcomes[j].converged) {
               runs[key.grid] =
                   extract_run(*outcomes[j].result, cls.representative);
-              const spice::TranStats& stats = outcomes[j].result->stats();
-              part.phase_times += stats.phases;
-              part.block_refreshes += stats.block_refreshes;
-              part.block_reuses += stats.block_reuses;
-              part.lowrank_updates += stats.lowrank_updates;
+              part.phase_times += outcomes[j].result->stats().phases;
             }
             // else: default-constructed run, converged == false -- the
             // same record simulate_comparator's catch produces.
@@ -406,9 +399,6 @@ PrecomputedEvals batch_prepass(
     for (auto& [c, eval] : part.evals) out.emplace(c, std::move(eval));
     result.batch_evaluated += part.evals.size();
     result.phase_times += part.phase_times;
-    result.block_refreshes += part.block_refreshes;
-    result.block_reuses += part.block_reuses;
-    result.lowrank_updates += part.lowrank_updates;
   }
   return out;
 }

@@ -148,23 +148,6 @@ struct MacroCampaignResult {
   /// Solver wall-time breakdown summed over the batched evaluations;
   /// all zero unless CampaignConfig::collect_phase_times was set.
   spice::PhaseTimes phase_times;
-  /// Schur block-factor accounting summed over the batched
-  /// evaluations (zero on the flat solver paths): full block
-  /// refactorizations, bit-identical block reuses, exact low-rank
-  /// updates.
-  std::size_t block_refreshes = 0;
-  std::size_t block_reuses = 0;
-  std::size_t lowrank_updates = 0;
-
-  /// Fraction of per-block factor decisions resolved without a full
-  /// block refactorization.
-  double block_reuse_rate() const {
-    const std::size_t total = block_refreshes + block_reuses + lowrank_updates;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(block_reuses + lowrank_updates) /
-                     static_cast<double>(total);
-  }
 
   /// Weighted outcomes for the global compilation.
   macro::MacroContribution contribution(bool non_catastrophic) const;
@@ -205,8 +188,7 @@ MacroCampaignResult run_bank_campaign(const CampaignConfig& config,
 /// bias generator, clock generator and thermometer decoder as ONE flat
 /// netlist): the first coverage number with no decomposition
 /// assumptions at all. Same pipeline, same resilience semantics
-/// (macro name "chip"). Sized for the Schur solver -- run it with
-/// config.solver.mode == kSchur unless you enjoy waiting.
+/// (macro name "chip").
 MacroCampaignResult run_chip_campaign(const CampaignConfig& config,
                                       CampaignJournal* journal = nullptr);
 

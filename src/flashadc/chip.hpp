@@ -10,12 +10,13 @@
 // chip campaign produces the first coverage number with no
 // decomposition assumptions at all.
 //
-// Naming (this is what the Schur partition builder keys on):
+// Naming (chip_slice_mapper and chip_observed_slice key on it):
 //  - comparator slice k: nets "s<k>_*", devices "S<k>_*" (bank rules);
 //  - decoder slice j:    nets "dec<j>_*", devices "DEC<j>_*";
 //  - clock generator:    nets "ckg_*", devices "CKG_*";
 //  - bias generator:     nets "bg_*", devices "BG_*";
-//  - everything else (trunks, taps, supplies) is interface.
+//  - taps "ref<k>" / "in<k>" belong to slice k (bank rules);
+//  - everything else (trunks, supplies) belongs to no slice.
 //
 // The clock generator is driven by the chip clock but its phase
 // outputs land on dedicated capacitively-loaded nets (ckg_clk1..3)
@@ -49,8 +50,7 @@ struct ChipOptions {
   int slices = 256;
   ComparatorDft dft;
   /// Linear-solver selection for every chip transient (run_chip_bench
-  /// and everything layered on it). The chip is sized for kSchur; the
-  /// flat solvers remain available as the equivalence baseline.
+  /// and everything layered on it).
   spice::SolverOptions solver;
 };
 

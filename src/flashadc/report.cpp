@@ -82,31 +82,14 @@ void write_macro(util::JsonWriter& w, const MacroCampaignResult& r) {
     w.value(r.phase_times.assembly_seconds);
     w.key("factor_seconds");
     w.value(r.phase_times.factor_seconds);
-    // Sub-buckets of factor_seconds: from-scratch symbolic analyses,
-    // numeric (re)factorizations, and the Schur path's reuse scans /
-    // low-rank updates.
+    // Sub-buckets of factor_seconds: from-scratch symbolic analyses and
+    // numeric (re)factorizations.
     w.key("factor_symbolic_seconds");
     w.value(r.phase_times.factor_symbolic_seconds);
     w.key("factor_numeric_seconds");
     w.value(r.phase_times.factor_numeric_seconds);
-    w.key("factor_reuse_seconds");
-    w.value(r.phase_times.factor_reuse_seconds);
     w.key("solve_seconds");
     w.value(r.phase_times.solve_seconds);
-    w.end_object();
-  }
-  if (r.block_refreshes + r.block_reuses + r.lowrank_updates > 0) {
-    // Schur block-factor accounting of the batched evaluations.
-    w.key("block_factor");
-    w.begin_object();
-    w.key("refreshes");
-    w.value(r.block_refreshes);
-    w.key("reuses");
-    w.value(r.block_reuses);
-    w.key("lowrank_updates");
-    w.value(r.lowrank_updates);
-    w.key("reuse_rate");
-    w.value(r.block_reuse_rate());
     w.end_object();
   }
   w.key("catastrophic");

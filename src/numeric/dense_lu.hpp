@@ -118,50 +118,6 @@ class DenseLuT {
     return x;
   }
 
-  /// Solves A X = B for a row-major n x k right-hand block in place:
-  /// xb[r*k + j] holds B(r, j) on entry and X(r, j) on return.
-  /// `scratch` is resized to n*k; callers reuse one buffer across calls
-  /// to avoid allocation. The substitutions sweep all k columns per
-  /// pivot row, so the inner loops stream contiguous memory instead of
-  /// re-walking L and U once per column.
-  void solve_multi_into(std::vector<Scalar>& xb, std::size_t k,
-                        std::vector<Scalar>& scratch) const {
-    if (singular_)
-      throw util::ConvergenceError("LU solve on singular matrix");
-    const std::size_t n = lu_.rows();
-    if (xb.size() != n * k)
-      throw std::invalid_argument("DenseLu::solve_multi: size mismatch");
-    scratch.resize(n * k);
-    for (std::size_t r = 0; r < n; ++r) {
-      const Scalar* src = xb.data() + perm_[r] * k;
-      Scalar* dst = scratch.data() + r * k;
-      for (std::size_t j = 0; j < k; ++j) dst[j] = src[j];
-    }
-    // Forward substitution (L has implicit unit diagonal).
-    for (std::size_t r = 0; r < n; ++r) {
-      Scalar* xr = scratch.data() + r * k;
-      for (std::size_t c = 0; c < r; ++c) {
-        const Scalar l = lu_(r, c);
-        if (l == Scalar(0.0)) continue;
-        const Scalar* xc = scratch.data() + c * k;
-        for (std::size_t j = 0; j < k; ++j) xr[j] -= l * xc[j];
-      }
-    }
-    // Back substitution.
-    for (std::size_t ri = n; ri-- > 0;) {
-      Scalar* xr = scratch.data() + ri * k;
-      for (std::size_t c = ri + 1; c < n; ++c) {
-        const Scalar u = lu_(ri, c);
-        if (u == Scalar(0.0)) continue;
-        const Scalar* xc = scratch.data() + c * k;
-        for (std::size_t j = 0; j < k; ++j) xr[j] -= u * xc[j];
-      }
-      const Scalar inv = Scalar(1.0) / lu_(ri, ri);
-      for (std::size_t j = 0; j < k; ++j) xr[j] *= inv;
-    }
-    xb.swap(scratch);
-  }
-
  private:
   MatrixT lu_;
   std::vector<std::size_t> perm_;

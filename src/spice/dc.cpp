@@ -35,12 +35,7 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
   SolverContext local_solver;
   SolverContext& ctx = solver != nullptr ? *solver : local_solver;
   const bool sparse_path = ctx.use_sparse(n);
-  // The Schur path diffs assembled values per block to decide what to
-  // refactor, which requires seeing every iteration's values: force
-  // classic Newton and let the block solver do its own (finer-grained,
-  // still exact) factor reuse.
-  const int depth =
-      ctx.schur_enabled() ? 1 : std::max(1, ctx.options().shamanskii_depth);
+  const int depth = std::max(1, ctx.options().shamanskii_depth);
 
   std::vector<double> b;
   std::vector<double> x_new;

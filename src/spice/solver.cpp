@@ -26,9 +26,8 @@ SolverMode parse_solver_mode(const std::string& name) {
   if (name == "auto") return SolverMode::kAuto;
   if (name == "dense") return SolverMode::kDense;
   if (name == "sparse") return SolverMode::kSparse;
-  if (name == "schur") return SolverMode::kSchur;
   throw util::InvalidInputError("unknown solver mode: " + name +
-                                " (expected auto|dense|sparse|schur)");
+                                " (expected auto|dense|sparse)");
 }
 
 const char* solver_mode_name(SolverMode mode) {
@@ -37,8 +36,6 @@ const char* solver_mode_name(SolverMode mode) {
       return "dense";
     case SolverMode::kSparse:
       return "sparse";
-    case SolverMode::kSchur:
-      return "schur";
     default:
       return "auto";
   }
@@ -110,57 +107,12 @@ bool SolverContext::factor_sparse(std::size_t n) {
   return dense_.factor(options_.pivot_epsilon);
 }
 
-bool SolverContext::factor_schur() {
-  const numeric::CsrPattern& pattern = assembler_.pattern();
-  const std::vector<double>& values = assembler_.values();
-  if (pattern.n != partition_->n) {
-    // The assembled system does not match the partition (e.g. an open
-    // fault split a net after the partition was derived, and the caller
-    // did not re-partition). Stay flat for this context.
-    schur_disabled_ = true;
-    return false;
-  }
-  if (!schur_.analyzed() || !(schur_.pattern() == pattern)) {
-    const double t0 = phase_times_ ? now_seconds() : 0.0;
-    schur_.set_pivot_epsilon(options_.pivot_epsilon);
-    const bool ok = schur_.analyze(pattern, *partition_);
-    if (phase_times_)
-      phase_times_->factor_symbolic_seconds += now_seconds() - t0;
-    ++symbolic_analyses_;
-    if (!ok) {
-      schur_disabled_ = true;
-      return false;
-    }
-  }
-  numeric::SchurPhaseSplit split;
-  if (!schur_.factor(values, phase_times_ ? &split : nullptr)) {
-    // A numeric failure (singular interface complement at this iterate)
-    // is recoverable: the flat factor below may succeed outright, or
-    // Newton rejects the step and retries at a smaller dt where the
-    // capacitor companion conductances stiffen every diagonal -- so the
-    // schur path stays enabled for the next factor call. Only a
-    // structural collapse (the demotion ladder ran out of blocks and
-    // dropped the analysis) disables it for good.
-    if (!schur_.analyzed()) schur_disabled_ = true;
-    return false;
-  }
-  if (phase_times_) {
-    phase_times_->factor_numeric_seconds += split.numeric_seconds;
-    phase_times_->factor_reuse_seconds += split.reuse_seconds;
-  }
-  schur_active_ = true;
-  sparse_active_ = false;
-  return true;
-}
-
 bool SolverContext::factor(std::size_t n) {
   // Resilience hooks: per-class wall-clock deadline plus the test-only
   // fault-injection point (both no-ops outside a campaign EvalScope).
   EvalScope::check_deadline();
   injection_point();
   ++factorizations_;
-  schur_active_ = false;
-  if (schur_enabled() && factor_schur()) return true;
   if (use_sparse(n)) return factor_sparse(n);
   sparse_active_ = false;
   const double t0 = phase_times_ ? now_seconds() : 0.0;
@@ -171,9 +123,7 @@ bool SolverContext::factor(std::size_t n) {
 
 void SolverContext::solve(const std::vector<double>& b,
                           std::vector<double>& x) {
-  if (schur_active_)
-    schur_.solve(b, x);
-  else if (sparse_active_)
+  if (sparse_active_)
     factors_.solve_into(b, x);
   else
     dense_.solve_into(b, x);

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "numeric/lu.hpp"
-#include "numeric/schur.hpp"
 #include "numeric/sparse.hpp"
 
 namespace dot::spice {
@@ -36,13 +35,9 @@ enum class SolverMode {
   kAuto,    ///< Sparse at/above SolverOptions::sparse_threshold unknowns.
   kDense,   ///< Always dense partial-pivoting LU.
   kSparse,  ///< Always sparse (dense only as singular-pattern fallback).
-  kSchur,   ///< Block-arrowhead Schur solve over a slice partition
-            ///< (numeric/schur.hpp); flat sparse when no partition is
-            ///< attached or the netlist has no slice structure.
 };
 
-/// Parses "auto" / "dense" / "sparse" / "schur"; throws
-/// util::InvalidInputError.
+/// Parses "auto" / "dense" / "sparse"; throws util::InvalidInputError.
 SolverMode parse_solver_mode(const std::string& name);
 const char* solver_mode_name(SolverMode mode);
 
@@ -81,13 +76,11 @@ struct PhaseTimes {
   double factor_seconds = 0.0;
   double solve_seconds = 0.0;
   // Attribution of factor_seconds (filled inside SolverContext::factor;
-  // the three sub-buckets sum to at most factor_seconds, the remainder
-  // being dispatch overhead): from-scratch symbolic analysis, numeric
-  // (re)factorization, and factor-reuse bookkeeping (the Schur solver's
-  // value diff scans + low-rank updates).
+  // the two sub-buckets sum to at most factor_seconds, the remainder
+  // being dispatch overhead): from-scratch symbolic analysis and
+  // numeric (re)factorization.
   double factor_symbolic_seconds = 0.0;
   double factor_numeric_seconds = 0.0;
-  double factor_reuse_seconds = 0.0;
 
   double total_seconds() const {
     return device_eval_seconds + assembly_seconds + factor_seconds +
@@ -100,7 +93,6 @@ struct PhaseTimes {
     solve_seconds += o.solve_seconds;
     factor_symbolic_seconds += o.factor_symbolic_seconds;
     factor_numeric_seconds += o.factor_numeric_seconds;
-    factor_reuse_seconds += o.factor_reuse_seconds;
     return *this;
   }
 };
@@ -118,45 +110,16 @@ class SolverContext {
 
   const SolverOptions& options() const { return options_; }
 
-  /// Whether an n-unknown system should take the sparse path. kSchur
-  /// always assembles sparse: the block solver consumes the CSR system,
-  /// and its flat fallback is the sparse LU.
+  /// Whether an n-unknown system should take the sparse path.
   bool use_sparse(std::size_t n) const {
     switch (options_.mode) {
       case SolverMode::kDense:
         return false;
       case SolverMode::kSparse:
-      case SolverMode::kSchur:
         return true;
       default:
         return n >= options_.sparse_threshold;
     }
-  }
-
-  /// Attaches the slice partition the Schur path solves over (see
-  /// spice/partition.hpp). A null or trivial partition leaves kSchur
-  /// behaving exactly like kSparse.
-  void set_partition(std::shared_ptr<const numeric::BlockPartition> p) {
-    partition_ = std::move(p);
-    schur_disabled_ = false;
-  }
-  const std::shared_ptr<const numeric::BlockPartition>& partition() const {
-    return partition_;
-  }
-
-  /// Whether factor() will attempt the block-arrowhead path. Newton
-  /// drivers force shamanskii depth 1 under schur: the solver's own
-  /// per-block value diffing subsumes factor reuse, and every factor()
-  /// must see the freshly assembled values for the diff to be exact.
-  bool schur_enabled() const {
-    return options_.mode == SolverMode::kSchur && partition_ &&
-           !partition_->trivial() && !schur_disabled_;
-  }
-  /// Whether the last successful factor() used the Schur solver.
-  bool schur_active() const { return schur_active_; }
-  /// Block reuse/refresh/low-rank counters (zeros unless schur ran).
-  const numeric::SchurSolver::Stats& schur_stats() const {
-    return schur_.stats();
   }
 
   /// Dense assembly/factorization workspace (assemble into
@@ -212,18 +175,11 @@ class SolverContext {
 
  private:
   bool factor_sparse(std::size_t n);
-  bool factor_schur();
 
   SolverOptions options_;
   numeric::DenseLu dense_;
   numeric::SparseAssembler assembler_;
   numeric::SparseFactors factors_;
-  std::shared_ptr<const numeric::BlockPartition> partition_;
-  numeric::SchurSolver schur_;
-  bool schur_active_ = false;
-  /// Set when the pattern/values defeated the block path (cross-block
-  /// coupling, singular block): the context stays flat from then on.
-  bool schur_disabled_ = false;
   /// Pattern-keyed symbolic cache, front = golden/seed entry.
   std::vector<std::shared_ptr<const numeric::SparseSymbolic>> cache_;
   std::size_t symbolic_analyses_ = 0;

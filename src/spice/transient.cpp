@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cmath>
 
-#include "spice/partition.hpp"
 #include "util/error.hpp"
 
 namespace dot::spice {
@@ -79,10 +78,7 @@ TranStepper::TranStepper(const Netlist& netlist, const TranOptions& options)
       dt_(options.dt) {
   // One solver context for the whole run: the matrix pattern is fixed,
   // so every time step after the first refactors against the cached
-  // symbolic analysis. Each netlist derives its own slice partition (a
-  // bridge fault's nets demote to the interface of that circuit only).
-  if (options.solver.mode == SolverMode::kSchur)
-    solver_.set_partition(make_slice_partition(netlist, map_));
+  // symbolic analysis.
   if (options.collect_phase_times) {
     solver_.set_phase_times(&phases_);
     mos_.set_phase_times(&phases_);
@@ -199,10 +195,6 @@ TranResult TranStepper::finish(std::size_t dc_iterations) {
   stats.factorizations = solver_.factorizations();
   stats.symbolic_analyses = solver_.symbolic_analyses();
   stats.sparse = solver_.sparse_active();
-  stats.schur = solver_.schur_active();
-  stats.block_refreshes = solver_.schur_stats().block_refreshes;
-  stats.block_reuses = solver_.schur_stats().block_reuses;
-  stats.lowrank_updates = solver_.schur_stats().lowrank_updates;
   stats.phases = phases_;
   result_->set_stats(stats);
   TranResult out = std::move(*result_);

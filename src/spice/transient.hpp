@@ -42,13 +42,6 @@ struct TranStats {
   std::size_t factorizations = 0;     ///< Numeric factor() calls.
   std::size_t symbolic_analyses = 0;  ///< From-scratch sparse analyses.
   bool sparse = false;  ///< Sparse path active on the last factor.
-  bool schur = false;   ///< Block-arrowhead path active on the last factor.
-  /// Schur block-factor accounting (zero on the flat paths): full block
-  /// refactorizations, bit-identical block reuses, and exact low-rank
-  /// (SMW) updates across all factor() calls of the run.
-  std::size_t block_refreshes = 0;
-  std::size_t block_reuses = 0;
-  std::size_t lowrank_updates = 0;
   /// Wall-time breakdown by phase (device eval / assembly / factor /
   /// solve); all zero unless TranOptions::collect_phase_times was set.
   PhaseTimes phases;
@@ -59,16 +52,6 @@ struct TranStats {
                ? 0.0
                : 1.0 - static_cast<double>(factorizations) /
                            static_cast<double>(newton_iterations);
-  }
-
-  /// Fraction of per-block factor decisions resolved without a full
-  /// block refactorization (bit-identical reuse or low-rank update).
-  double block_reuse_rate() const {
-    const std::size_t total = block_refreshes + block_reuses + lowrank_updates;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(block_reuses + lowrank_updates) /
-                     static_cast<double>(total);
   }
 };
 
@@ -126,9 +109,8 @@ class TranResult {
 /// every point into the TranResult that finish() hands over.
 class TranStepper {
  public:
-  /// `netlist` must outlive the stepper. kSchur options attach the
-  /// netlist's slice partition; collect_phase_times attaches the phase
-  /// sink reported in TranStats::phases.
+  /// `netlist` must outlive the stepper. collect_phase_times attaches
+  /// the phase sink reported in TranStats::phases.
   TranStepper(const Netlist& netlist, const TranOptions& options);
   TranStepper(const TranStepper&) = delete;
   TranStepper& operator=(const TranStepper&) = delete;

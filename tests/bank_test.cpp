@@ -18,6 +18,7 @@
 #include "fault/fault.hpp"
 #include "flashadc/bank.hpp"
 #include "flashadc/campaign.hpp"
+#include "flashadc/chip.hpp"
 #include "macro/equivalence.hpp"
 #include "util/parallel.hpp"
 
@@ -201,3 +202,36 @@ TEST(BankMapperTest, ProjectionsClassifyLocality) {
 }
 
 }  // namespace
+
+namespace dot {
+namespace {
+
+// Equivalence-bucket contract at the mapper level: an inter-slice
+// bridge class projects to FaultLocality::kInterSlice -- its own
+// bucket, never mixed into the slice-local or shared weight -- and chip
+// support-macro hardware stays unmappable.
+TEST(BankEquivalence, InterSliceClassesKeepTheirOwnBucket) {
+  BankOptions opt;
+  opt.size = 8;
+  const macro::SliceMapper mapper = flashadc::bank_slice_mapper(opt);
+
+  fault::CircuitFault bridge;
+  bridge.kind = fault::FaultKind::kShort;
+  bridge.nets = {"s0_outp", "s1_outp"};
+  const auto projected = macro::project_fault(bridge, mapper);
+  EXPECT_EQ(projected.locality, macro::FaultLocality::kInterSlice);
+  EXPECT_FALSE(projected.fault.has_value());
+
+  // Chip support-macro hardware: unmappable, also its own bucket.
+  flashadc::ChipOptions chip_opt;
+  chip_opt.slices = 8;
+  fault::CircuitFault dec_bridge;
+  dec_bridge.kind = fault::FaultKind::kShort;
+  dec_bridge.nets = {"dec0_r0", "dec0_r1"};
+  const auto dec_projected = macro::project_fault(
+      dec_bridge, flashadc::chip_slice_mapper(chip_opt));
+  EXPECT_EQ(dec_projected.locality, macro::FaultLocality::kUnmappable);
+}
+
+}  // namespace
+}  // namespace dot

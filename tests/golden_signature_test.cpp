@@ -49,14 +49,13 @@ dot::flashadc::CampaignConfig golden_config() {
 }
 
 /// The pinned full-chip campaign: the smallest legal chip (8 slices
-/// plus biasgen / clockgen / decoder) on the Schur path, few classes --
-/// enough to pin the chip macro's composition, fault projection and
-/// block-solver verdicts without a minutes-long corpus run.
+/// plus biasgen / clockgen / decoder) on the default solver, few
+/// classes -- enough to pin the chip macro's composition, fault
+/// projection and verdicts without a minutes-long corpus run.
 dot::flashadc::CampaignConfig chip_golden_config() {
   dot::flashadc::CampaignConfig config;
   config.macro_selection = "chip";
   config.chip_slices = 8;
-  config.solver.mode = dot::spice::SolverMode::kSchur;
   config.defect_count = 20000;
   config.envelope_samples = 2;
   config.max_classes = 6;
