@@ -66,15 +66,6 @@ std::vector<Rect> subtract(const Rect& r, const Rect& cut) {
   return out;
 }
 
-bool cut_connects(Layer cut, Layer conductor) {
-  if (cut == Layer::kContact)
-    return conductor == Layer::kMetal1 || conductor == Layer::kPoly ||
-           conductor == Layer::kActive;
-  if (cut == Layer::kVia1)
-    return conductor == Layer::kMetal1 || conductor == Layer::kMetal2;
-  return false;
-}
-
 }  // namespace
 
 DefectAnalyzer::DefectAnalyzer(const CellLayout& cell,
@@ -83,39 +74,9 @@ DefectAnalyzer::DefectAnalyzer(const CellLayout& cell,
   bbox_ = cell.bounding_box().expanded(1.0);
   bins_x_ = std::max(1, static_cast<int>(bbox_.width() / options_.bin_size));
   bins_y_ = std::max(1, static_cast<int>(bbox_.height() / options_.bin_size));
-  grid_.assign(layout::kLayerCount, {});
-  for (auto& layer_bins : grid_)
-    layer_bins.assign(static_cast<std::size_t>(bins_x_ * bins_y_), {});
-
-  const auto& shapes = cell.shapes();
-  auto bin_range = [&](const Rect& r, int& x0, int& x1, int& y0, int& y1) {
-    auto clampi = [](int v, int lo, int hi) {
-      return std::max(lo, std::min(v, hi));
-    };
-    x0 = clampi(static_cast<int>((r.x_lo - bbox_.x_lo) / bbox_.width() *
-                                 bins_x_),
-                0, bins_x_ - 1);
-    x1 = clampi(static_cast<int>((r.x_hi - bbox_.x_lo) / bbox_.width() *
-                                 bins_x_),
-                0, bins_x_ - 1);
-    y0 = clampi(static_cast<int>((r.y_lo - bbox_.y_lo) / bbox_.height() *
-                                 bins_y_),
-                0, bins_y_ - 1);
-    y1 = clampi(static_cast<int>((r.y_hi - bbox_.y_lo) / bbox_.height() *
-                                 bins_y_),
-                0, bins_y_ - 1);
-  };
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    int x0, x1, y0, y1;
-    bin_range(shapes[i].rect, x0, x1, y0, y1);
-    for (int by = y0; by <= y1; ++by)
-      for (int bx = x0; bx <= x1; ++bx)
-        grid_[static_cast<std::size_t>(shapes[i].layer)]
-             [static_cast<std::size_t>(by * bins_x_ + bx)]
-                 .push_back(i);
-  }
 
   // Per-net shape and tap indexes.
+  const auto& shapes = cell.shapes();
   std::map<std::string, int> net_of;
   auto net_slot = [&](const std::string& net) {
     auto [it, inserted] =
@@ -134,45 +95,100 @@ DefectAnalyzer::DefectAnalyzer(const CellLayout& cell,
   for (std::size_t t = 0; t < cell.taps().size(); ++t)
     net_taps_[static_cast<std::size_t>(net_slot(cell.taps()[t].net))]
         .push_back(t);
+  shape_net_.reserve(shapes.size());
+  for (const Shape& shape : shapes) {
+    const auto it = net_of.find(shape.net);
+    shape_net_.push_back(it == net_of.end() ? -1 : it->second);
+  }
+
+  // Spatial grid: each shape is entered, in shape order, into every bin
+  // of its layer that its rectangle overlaps.
+  const std::size_t bins = static_cast<std::size_t>(bins_x_) *
+                           static_cast<std::size_t>(bins_y_);
+  auto for_each_slot = [&](std::size_t i, auto&& visit) {
+    const BinRange r = bins_of(shapes[i].rect);
+    for (int by = r.y0; by <= r.y1; ++by)
+      for (int bx = r.x0; bx <= r.x1; ++bx)
+        visit(slot(shapes[i].layer, bx, by));
+  };
+  bin_start_.assign(layout::kLayerCount * bins + 1, 0);
+  for (std::size_t i = 0; i < shapes.size(); ++i)
+    for_each_slot(i, [&](std::size_t slot) { ++bin_start_[slot + 1]; });
+  for (std::size_t b = 1; b < bin_start_.size(); ++b)
+    bin_start_[b] += bin_start_[b - 1];
+  bin_entries_.resize(bin_start_.back());
+  std::vector<std::size_t> fill(bin_start_.begin(), bin_start_.end() - 1);
+  for (std::size_t i = 0; i < shapes.size(); ++i)
+    for_each_slot(i, [&](std::size_t slot) {
+      bin_entries_[fill[slot]++] = {shapes[i].rect, i, shape_net_[i]};
+    });
 }
 
-int DefectAnalyzer::net_index(const std::string& net) const {
-  for (std::size_t i = 0; i < net_names_.size(); ++i)
-    if (net_names_[i] == net) return static_cast<int>(i);
-  return -1;
+std::size_t DefectAnalyzer::slot(Layer layer, int bx, int by) const {
+  return (static_cast<std::size_t>(layer) * static_cast<std::size_t>(bins_y_) +
+          static_cast<std::size_t>(by)) *
+             static_cast<std::size_t>(bins_x_) +
+         static_cast<std::size_t>(bx);
+}
+
+DefectAnalyzer::BinRange DefectAnalyzer::bins_of(const Rect& r) const {
+  auto clampi = [](int v, int lo, int hi) {
+    return std::max(lo, std::min(v, hi));
+  };
+  BinRange out;
+  out.x0 = clampi(
+      static_cast<int>((r.x_lo - bbox_.x_lo) / bbox_.width() * bins_x_), 0,
+      bins_x_ - 1);
+  out.x1 = clampi(
+      static_cast<int>((r.x_hi - bbox_.x_lo) / bbox_.width() * bins_x_), 0,
+      bins_x_ - 1);
+  out.y0 = clampi(
+      static_cast<int>((r.y_lo - bbox_.y_lo) / bbox_.height() * bins_y_), 0,
+      bins_y_ - 1);
+  out.y1 = clampi(
+      static_cast<int>((r.y_hi - bbox_.y_lo) / bbox_.height() * bins_y_), 0,
+      bins_y_ - 1);
+  return out;
 }
 
 std::vector<std::size_t> DefectAnalyzer::shapes_hit(Layer layer,
                                                     const Rect& probe) const {
-  const auto& shapes = cell_.shapes();
   std::vector<std::size_t> out;
-  auto clampi = [](int v, int lo, int hi) {
-    return std::max(lo, std::min(v, hi));
-  };
-  const int x0 = clampi(
-      static_cast<int>((probe.x_lo - bbox_.x_lo) / bbox_.width() * bins_x_),
-      0, bins_x_ - 1);
-  const int x1 = clampi(
-      static_cast<int>((probe.x_hi - bbox_.x_lo) / bbox_.width() * bins_x_),
-      0, bins_x_ - 1);
-  const int y0 = clampi(
-      static_cast<int>((probe.y_lo - bbox_.y_lo) / bbox_.height() * bins_y_),
-      0, bins_y_ - 1);
-  const int y1 = clampi(
-      static_cast<int>((probe.y_hi - bbox_.y_lo) / bbox_.height() * bins_y_),
-      0, bins_y_ - 1);
-  const auto& layer_bins = grid_[static_cast<std::size_t>(layer)];
-  for (int by = y0; by <= y1; ++by) {
-    for (int bx = x0; bx <= x1; ++bx) {
-      for (std::size_t i :
-           layer_bins[static_cast<std::size_t>(by * bins_x_ + bx)]) {
-        if (shapes[i].rect.intersects(probe) &&
-            std::find(out.begin(), out.end(), i) == out.end())
-          out.push_back(i);
+  const BinRange r = bins_of(probe);
+  for (int by = r.y0; by <= r.y1; ++by) {
+    for (int bx = r.x0; bx <= r.x1; ++bx) {
+      const std::size_t b = slot(layer, bx, by);
+      for (std::size_t k = bin_start_[b]; k < bin_start_[b + 1]; ++k) {
+        const BinEntry& e = bin_entries_[k];
+        if (e.rect.intersects(probe) &&
+            std::find(out.begin(), out.end(), e.shape) == out.end())
+          out.push_back(e.shape);
       }
     }
   }
   return out;
+}
+
+bool DefectAnalyzer::touches_two_nets(Layer layer, const Rect& probe) const {
+  const BinRange r = bins_of(probe);
+  bool seen = false;
+  int first = 0;
+  for (int by = r.y0; by <= r.y1; ++by) {
+    for (int bx = r.x0; bx <= r.x1; ++bx) {
+      const std::size_t b = slot(layer, bx, by);
+      for (std::size_t k = bin_start_[b]; k < bin_start_[b + 1]; ++k) {
+        const BinEntry& e = bin_entries_[k];
+        if (!e.rect.intersects(probe)) continue;
+        if (!seen) {
+          seen = true;
+          first = e.net;
+        } else if (e.net != first) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
 }
 
 std::optional<CircuitFault> DefectAnalyzer::analyze(
@@ -215,6 +231,8 @@ std::optional<CircuitFault> DefectAnalyzer::analyze(
 std::optional<CircuitFault> DefectAnalyzer::analyze_extra_material(
     const Defect& defect, Layer layer) const {
   const Rect foot = Rect::square(defect.center, defect.size);
+  // Most spots bridge nothing; settle those without collecting hits.
+  if (!touches_two_nets(layer, foot)) return std::nullopt;
   const auto hits = shapes_hit(layer, foot);
   std::vector<std::string> nets;
   for (std::size_t i : hits) {
@@ -222,7 +240,6 @@ std::optional<CircuitFault> DefectAnalyzer::analyze_extra_material(
     if (std::find(nets.begin(), nets.end(), net) == nets.end())
       nets.push_back(net);
   }
-  if (nets.size() < 2) return std::nullopt;
   std::sort(nets.begin(), nets.end());
 
   if (layer == Layer::kActive) {
@@ -263,21 +280,17 @@ std::optional<CircuitFault> DefectAnalyzer::analyze_extra_material(
 }
 
 std::optional<CircuitFault> DefectAnalyzer::open_fault_for(
-    const std::string& net, const std::vector<std::size_t>& removed,
+    int net, const std::vector<std::size_t>& removed,
     const Rect& footprint) const {
-  const int ni = net_index(net);
-  if (ni < 0) return std::nullopt;
+  if (net < 0) return std::nullopt;
+  const auto ni = static_cast<std::size_t>(net);
   const auto& shapes = cell_.shapes();
 
   // Build remnant geometry for this net: unaffected shapes stay whole,
   // affected conducting shapes shrink to their remnants, removed cuts
   // vanish entirely.
-  struct Piece {
-    Rect rect;
-    Layer layer;
-  };
-  std::vector<Piece> pieces;
-  for (std::size_t i : net_shapes_[static_cast<std::size_t>(ni)]) {
+  std::vector<layout::Piece> pieces;
+  for (std::size_t i : net_shapes_[ni]) {
     const Shape& s = shapes[i];
     const bool is_removed =
         std::find(removed.begin(), removed.end(), i) != removed.end();
@@ -289,27 +302,12 @@ std::optional<CircuitFault> DefectAnalyzer::open_fault_for(
     for (const Rect& remnant : subtract(s.rect, footprint))
       pieces.push_back({remnant, s.layer});
   }
-
-  // Union-find over pieces with the electrical connection rules.
-  layout::UnionFind uf(pieces.size());
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    for (std::size_t j = i + 1; j < pieces.size(); ++j) {
-      if (!pieces[i].rect.intersects(pieces[j].rect)) continue;
-      const bool same_layer = pieces[i].layer == pieces[j].layer &&
-                              layout::is_conducting(pieces[i].layer);
-      const bool via_pair =
-          (layout::is_cut(pieces[i].layer) &&
-           cut_connects(pieces[i].layer, pieces[j].layer)) ||
-          (layout::is_cut(pieces[j].layer) &&
-           cut_connects(pieces[j].layer, pieces[i].layer));
-      if (same_layer || via_pair) uf.unite(i, j);
-    }
-  }
+  layout::UnionFind uf = layout::connect_pieces(pieces);
 
   // Group taps by the component of a piece containing them.
   const auto& taps = cell_.taps();
   std::map<long, std::vector<std::size_t>> groups;
-  for (std::size_t t : net_taps_[static_cast<std::size_t>(ni)]) {
+  for (std::size_t t : net_taps_[ni]) {
     long key = -1 - static_cast<long>(t);
     for (std::size_t p = 0; p < pieces.size(); ++p) {
       if (pieces[p].layer != taps[t].layer) continue;
@@ -348,7 +346,7 @@ std::optional<CircuitFault> DefectAnalyzer::open_fault_for(
 
   CircuitFault f;
   f.kind = FaultKind::kOpen;
-  f.nets = {net};
+  f.nets = {net_names_[ni]};
   for (const auto& [key, tap_list] : groups) {
     if (key == keep_key) continue;
     for (std::size_t t : tap_list)
@@ -371,16 +369,14 @@ std::optional<CircuitFault> DefectAnalyzer::analyze_missing_material(
   if (hits.empty()) return std::nullopt;
 
   // Collect affected nets; try each for a split, report the first.
-  std::vector<std::string> nets;
-  for (std::size_t i : hits) {
-    const auto& net = cell_.shapes()[i].net;
-    if (std::find(nets.begin(), nets.end(), net) == nets.end())
-      nets.push_back(net);
-  }
-  for (const auto& net : nets) {
+  std::vector<int> nets;
+  for (std::size_t i : hits)
+    if (std::find(nets.begin(), nets.end(), shape_net_[i]) == nets.end())
+      nets.push_back(shape_net_[i]);
+  for (int net : nets) {
     std::vector<std::size_t> removed;
     for (std::size_t i : hits)
-      if (cell_.shapes()[i].net == net) removed.push_back(i);
+      if (shape_net_[i] == net) removed.push_back(i);
     if (auto f = open_fault_for(net, removed, foot)) return f;
   }
   return std::nullopt;
@@ -391,19 +387,18 @@ std::optional<CircuitFault> DefectAnalyzer::analyze_missing_cut(
   const Rect foot = Rect::square(defect.center, defect.size);
   const auto hits = shapes_hit(layer, foot);
   std::vector<std::size_t> removed;
-  std::vector<std::string> nets;
+  std::vector<int> nets;
   for (std::size_t i : hits) {
     // A cut is destroyed when the defect blankets its centre.
     if (!foot.contains(cell_.shapes()[i].rect.center())) continue;
     removed.push_back(i);
-    const auto& net = cell_.shapes()[i].net;
-    if (std::find(nets.begin(), nets.end(), net) == nets.end())
-      nets.push_back(net);
+    if (std::find(nets.begin(), nets.end(), shape_net_[i]) == nets.end())
+      nets.push_back(shape_net_[i]);
   }
-  for (const auto& net : nets) {
+  for (int net : nets) {
     std::vector<std::size_t> net_removed;
     for (std::size_t i : removed)
-      if (cell_.shapes()[i].net == net) net_removed.push_back(i);
+      if (shape_net_[i] == net) net_removed.push_back(i);
     if (auto f = open_fault_for(net, net_removed, foot)) return f;
   }
   return std::nullopt;
@@ -431,8 +426,8 @@ std::optional<CircuitFault> DefectAnalyzer::analyze_extra_cut(
     const Shape& u = cell_.shapes()[ui];
     for (Layer lower : lowers) {
       for (std::size_t li : shapes_hit(lower, foot)) {
+        if (shape_net_[li] == shape_net_[ui]) continue;
         const Shape& l = cell_.shapes()[li];
-        if (l.net == u.net) continue;
         // The spurious cut must land where the two layers overlap.
         const Rect overlap =
             u.rect.intersection(l.rect).intersection(foot);
@@ -481,9 +476,9 @@ std::optional<CircuitFault> DefectAnalyzer::analyze_thick_oxide(
     const auto lowers = shapes_hit(pair.lower, probe);
     for (std::size_t ui : uppers) {
       for (std::size_t li : lowers) {
+        if (shape_net_[ui] == shape_net_[li]) continue;
         const Shape& u = cell_.shapes()[ui];
         const Shape& l = cell_.shapes()[li];
-        if (u.net == l.net) continue;
         CircuitFault f;
         f.kind = FaultKind::kThickOxidePinhole;
         f.nets = {std::min(u.net, l.net), std::max(u.net, l.net)};

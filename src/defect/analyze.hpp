@@ -47,10 +47,20 @@ class DefectAnalyzer {
   const layout::CellLayout& cell() const { return cell_; }
 
  private:
-  struct NetGraph;  // per-net shape adjacency for open analysis
 
+  /// Inclusive range of grid bins a rectangle overlaps.
+  struct BinRange {
+    int x0 = 0, x1 = 0, y0 = 0, y1 = 0;
+  };
+  BinRange bins_of(const layout::Rect& r) const;
+
+  /// Shapes on `layer` intersecting `probe`, in bin-visit order.
   std::vector<std::size_t> shapes_hit(layout::Layer layer,
                                       const layout::Rect& probe) const;
+  /// True when shapes on `layer` intersecting `probe` carry at least two
+  /// distinct nets (the precondition of any bridge).
+  bool touches_two_nets(layout::Layer layer,
+                        const layout::Rect& probe) const;
 
   std::optional<fault::CircuitFault> analyze_extra_material(
       const Defect& defect, layout::Layer layer) const;
@@ -67,25 +77,38 @@ class DefectAnalyzer {
   std::optional<fault::CircuitFault> analyze_junction(
       const Defect& defect) const;
 
-  /// Open extraction on one net after deleting/shrinking material.
+  /// Open extraction on net id `net` (no fault for -1) after
+  /// deleting/shrinking material.
   std::optional<fault::CircuitFault> open_fault_for(
-      const std::string& net, const std::vector<std::size_t>& removed,
+      int net, const std::vector<std::size_t>& removed,
       const layout::Rect& footprint) const;
 
   const layout::CellLayout& cell_;
   AnalyzerOptions options_;
 
-  // Spatial grid: per layer, bin -> shape indices.
+  // Spatial grid over bbox_, compressed: the entries of one (layer,
+  // bin) slot are bin_entries_[bin_start_[slot], bin_start_[slot + 1]),
+  // in shape order. Entries carry the rect and net id, so a query reads
+  // one contiguous run per bin.
+  struct BinEntry {
+    layout::Rect rect;
+    std::size_t shape = 0;
+    int net = -1;
+  };
+  std::size_t slot(layout::Layer layer, int bx, int by) const;
   layout::Rect bbox_;
   int bins_x_ = 1;
   int bins_y_ = 1;
-  std::vector<std::vector<std::vector<std::size_t>>> grid_;  // [layer][bin]
+  std::vector<std::size_t> bin_start_;
+  std::vector<BinEntry> bin_entries_;
 
-  // Per-net shape lists and tap lists for open analysis.
+  // Per-net shape lists and tap lists for open analysis; nets are
+  // numbered in first-seen order, and shape_net_ holds each shape's net
+  // id (-1 for a label no index holds) so queries compare ints.
   std::vector<std::string> net_names_;
   std::vector<std::vector<std::size_t>> net_shapes_;
   std::vector<std::vector<std::size_t>> net_taps_;
-  int net_index(const std::string& net) const;
+  std::vector<int> shape_net_;
 };
 
 }  // namespace dot::defect

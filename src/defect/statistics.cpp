@@ -1,7 +1,7 @@
 #include "defect/statistics.hpp"
 
 #include <array>
-#include <vector>
+#include <optional>
 
 namespace dot::defect {
 
@@ -41,12 +41,24 @@ DefectStatistics::DefectStatistics() {
 }
 
 DefectType DefectStatistics::sample_type(util::Rng& rng) const {
-  const std::vector<double> w(weights.begin(), weights.end());
-  return static_cast<DefectType>(rng.weighted(w));
+  return static_cast<DefectType>(rng.weighted(weights));
 }
 
 double DefectStatistics::sample_size(util::Rng& rng) const {
-  return rng.power_law(size_min, size_max, size_exponent);
+  // The power law's constant terms depend only on the three size
+  // fields, and a sprinkle draws thousands of sizes from one set of
+  // them, so each thread keeps the distribution of the last fields it
+  // saw. A cache miss rebuilds it, range check included.
+  struct Memo {
+    double size_min, size_max, size_exponent;
+    util::PowerLaw law;
+  };
+  thread_local std::optional<Memo> memo;
+  if (!memo || memo->size_min != size_min || memo->size_max != size_max ||
+      memo->size_exponent != size_exponent)
+    memo.emplace(Memo{size_min, size_max, size_exponent,
+                      util::PowerLaw(size_min, size_max, size_exponent)});
+  return memo->law(rng);
 }
 
 }  // namespace dot::defect

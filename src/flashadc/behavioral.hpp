@@ -13,6 +13,8 @@
 // signature is missing-code detectable).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "flashadc/tech.hpp"
@@ -45,13 +47,31 @@ class FlashAdcModel {
 
   /// Comparator outputs for one input sample.
   std::vector<bool> thermometer(double vin) const;
-  /// One conversion through the edge-detect + wired-OR decoder.
+  /// One conversion through the edge-detect + wired-OR decoder,
+  /// word-parallel: the thermometer and the decoder rows are bit masks.
   int convert(double vin) const;
 
  private:
+  using Bits = std::array<std::uint64_t, 4>;  // bit i of word i / 64
+
+  /// Builds sorted_taps_ and below_ from taps_.
+  void index_taps();
+  /// Output of comparator i, its behavior applied.
+  bool decision(std::size_t i, double vin) const;
+
   std::vector<double> taps_;
+  /// The non-NaN taps in ascending order, and below_[r]: the comparators
+  /// owning the r lowest of them. A normal comparator is high exactly
+  /// when its tap is below vin, so the normal thermometer for vin is
+  /// below_[number of sorted taps < vin].
+  std::vector<double> sorted_taps_;
+  std::vector<Bits> below_;
   std::vector<ComparatorBehavior> behaviors_;
-  std::vector<int> row_stuck_;  // -1 free, 0 stuck off, 1 stuck on
+  /// Comparators whose mode is not kNormal, ascending.
+  std::vector<std::size_t> abnormal_;
+  /// Decoder rows 0..256 stuck inactive / active, bit k of word k / 64.
+  std::array<std::uint64_t, 5> row_off_{};
+  std::array<std::uint64_t, 5> row_on_{};
 };
 
 struct MissingCodeTestConfig {

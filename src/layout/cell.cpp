@@ -1,12 +1,25 @@
 #include "layout/cell.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
 namespace dot::layout {
+namespace {
+
+bool finite(Point p) { return std::isfinite(p.x) && std::isfinite(p.y); }
+
+bool finite(const Rect& r) {
+  return finite(Point{r.x_lo, r.y_lo}) && finite(Point{r.x_hi, r.y_hi});
+}
+
+}  // namespace
 
 void CellLayout::add_shape(Shape shape) {
+  if (!finite(shape.rect))
+    throw util::InvalidInputError(
+        "CellLayout::add_shape: non-finite coordinate");
   if (shape.rect.empty())
     throw util::InvalidInputError("CellLayout::add_shape: empty rect");
   if (is_conducting(shape.layer) && shape.net.empty())
@@ -16,13 +29,23 @@ void CellLayout::add_shape(Shape shape) {
   bbox_cache_.reset();
 }
 
-void CellLayout::add_tap(Tap tap) { taps_.push_back(std::move(tap)); }
+void CellLayout::add_tap(Tap tap) {
+  if (!finite(tap.at))
+    throw util::InvalidInputError("CellLayout::add_tap: non-finite point");
+  taps_.push_back(std::move(tap));
+}
 
 void CellLayout::add_mos_region(MosRegion region) {
+  if (!finite(region.channel))
+    throw util::InvalidInputError(
+        "CellLayout::add_mos_region: non-finite coordinate");
   mos_regions_.push_back(std::move(region));
 }
 
 void CellLayout::add_nwell(Rect rect) {
+  if (!finite(rect))
+    throw util::InvalidInputError(
+        "CellLayout::add_nwell: non-finite coordinate");
   nwells_.push_back(rect);
   bbox_cache_.reset();
 }

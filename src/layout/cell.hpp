@@ -50,6 +50,9 @@ class CellLayout {
 
   const std::string& name() const { return name_; }
 
+  /// Each add_* throws util::InvalidInputError on a non-finite
+  /// coordinate; add_shape also on an empty rect or an unlabelled
+  /// conductor.
   void add_shape(Shape shape);
   void add_tap(Tap tap);
   void add_mos_region(MosRegion region);

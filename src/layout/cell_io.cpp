@@ -1,6 +1,7 @@
 #include "layout/cell_io.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -102,6 +103,15 @@ CellLayout parse_text(const std::string& text) {
                                       token + "'");
       }
     };
+    auto integer = [&](const std::string& token) {
+      const double v = number(token);
+      if (!(v >= std::numeric_limits<int>::min() &&
+            v <= std::numeric_limits<int>::max()))
+        throw util::InvalidInputError("cell text line " +
+                                      std::to_string(ln) +
+                                      ": bad integer '" + token + "'");
+      return static_cast<int>(v);
+    };
     if (t[0] == "shape") {
       need(6);
       Shape shape;
@@ -119,7 +129,7 @@ CellLayout parse_text(const std::string& text) {
       Tap tap;
       tap.net = t[1];
       tap.device = t[2];
-      tap.terminal = static_cast<int>(number(t[3]));
+      tap.terminal = integer(t[3]);
       tap.at = {number(t[4]), number(t[5])};
       tap.layer = layer_by_name(t[6], ln);
       cell.add_tap(std::move(tap));

@@ -1,6 +1,7 @@
 #include "layout/extract.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -40,31 +41,104 @@ bool cut_connects(Layer cut, Layer conductor) {
   return false;
 }
 
+/// The pair rule for two intersecting pieces.
+bool layers_connect(Layer a, Layer b) {
+  return (a == b && is_conducting(a)) || (is_cut(a) && cut_connects(a, b)) ||
+         (is_cut(b) && cut_connects(b, a));
+}
+
 /// Unions shapes that are electrically continuous, honouring a removal
 /// mask (removed shapes connect to nothing).
 UnionFind build_union(const CellLayout& cell,
                       const std::vector<char>& removed) {
-  const auto& shapes = cell.shapes();
-  UnionFind uf(shapes.size());
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    if (removed[i]) continue;
-    const auto& a = shapes[i];
-    for (std::size_t j = i + 1; j < shapes.size(); ++j) {
-      if (removed[j]) continue;
-      const auto& b = shapes[j];
-      if (!a.rect.intersects(b.rect)) continue;
-      const bool same_layer_conductors =
-          a.layer == b.layer && is_conducting(a.layer);
-      const bool cut_pair =
-          (is_cut(a.layer) && cut_connects(a.layer, b.layer)) ||
-          (is_cut(b.layer) && cut_connects(b.layer, a.layer));
-      if (same_layer_conductors || cut_pair) uf.unite(i, j);
-    }
-  }
-  return uf;
+  std::vector<Piece> pieces;
+  pieces.reserve(cell.shapes().size());
+  for (const auto& shape : cell.shapes())
+    pieces.push_back({shape.rect, shape.layer});
+  return connect_pieces(pieces, removed);
 }
 
 }  // namespace
+
+UnionFind connect_pieces(const std::vector<Piece>& pieces,
+                         const std::vector<char>& removed) {
+  const std::size_t n = pieces.size();
+  UnionFind uf(n);
+  // Wells connect to nothing, so only conductors and cuts are binned.
+  std::vector<std::size_t> live;
+  Rect box;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!removed.empty() && removed[i]) continue;
+    if (!is_conducting(pieces[i].layer) && !is_cut(pieces[i].layer)) continue;
+    live.push_back(i);
+    const Rect& r = pieces[i].rect;
+    box = live.size() == 1
+              ? r
+              : Rect{std::min(box.x_lo, r.x_lo), std::min(box.y_lo, r.y_lo),
+                     std::max(box.x_hi, r.x_hi), std::max(box.y_hi, r.y_hi)};
+  }
+  if (live.size() < 2) return uf;
+
+  // Square bins sized for about one piece per bin, at most 4096 a side.
+  // Bin indices are monotone in the coordinate, so two pieces whose
+  // closed extents overlap share at least one bin.
+  constexpr double kMaxBinsPerAxis = 4096.0;
+  const double side = std::max(
+      {std::sqrt(box.area() / static_cast<double>(live.size())),
+       box.width() / kMaxBinsPerAxis, box.height() / kMaxBinsPerAxis, 1e-9});
+  const int bins_x = static_cast<int>(box.width() / side) + 1;
+  const int bins_y = static_cast<int>(box.height() / side) + 1;
+  auto bin_x = [&](double x) {
+    return std::clamp(static_cast<int>((x - box.x_lo) / side), 0, bins_x - 1);
+  };
+  auto bin_y = [&](double y) {
+    return std::clamp(static_cast<int>((y - box.y_lo) / side), 0, bins_y - 1);
+  };
+  auto for_each_bin = [&](const Rect& r, auto&& visit) {
+    const int x1 = bin_x(r.x_hi), y1 = bin_y(r.y_hi);
+    for (int by = bin_y(r.y_lo); by <= y1; ++by)
+      for (int bx = bin_x(r.x_lo); bx <= x1; ++bx)
+        visit(static_cast<std::size_t>(by) * static_cast<std::size_t>(bins_x) +
+              static_cast<std::size_t>(bx));
+  };
+
+  // Compressed bin -> piece lists, each in ascending piece order.
+  const std::size_t bin_count =
+      static_cast<std::size_t>(bins_x) * static_cast<std::size_t>(bins_y);
+  std::vector<std::size_t> start(bin_count + 1, 0);
+  for (std::size_t i : live)
+    for_each_bin(pieces[i].rect, [&](std::size_t b) { ++start[b + 1]; });
+  for (std::size_t b = 0; b < bin_count; ++b) start[b + 1] += start[b];
+  std::vector<std::size_t> members(start[bin_count]);
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  for (std::size_t i : live)
+    for_each_bin(pieces[i].rect,
+                 [&](std::size_t b) { members[fill[b]++] = i; });
+
+  // For each piece, its connected partners j > i from the bins it
+  // covers, deduplicated by a visit stamp and united in ascending order.
+  std::vector<std::size_t> stamp(n, n);
+  std::vector<std::size_t> partners;
+  for (std::size_t i : live) {
+    partners.clear();
+    for_each_bin(pieces[i].rect, [&](std::size_t b) {
+      const auto end = members.begin() + static_cast<long>(start[b + 1]);
+      for (auto it = std::upper_bound(
+               members.begin() + static_cast<long>(start[b]), end, i);
+           it != end; ++it) {
+        const std::size_t j = *it;
+        if (stamp[j] == i) continue;
+        stamp[j] = i;
+        if (pieces[i].rect.intersects(pieces[j].rect) &&
+            layers_connect(pieces[i].layer, pieces[j].layer))
+          partners.push_back(j);
+      }
+    });
+    std::sort(partners.begin(), partners.end());
+    for (std::size_t j : partners) uf.unite(i, j);
+  }
+  return uf;
+}
 
 ExtractionResult extract_connectivity(const CellLayout& cell) {
   const auto& shapes = cell.shapes();

@@ -29,6 +29,23 @@ class UnionFind {
   std::vector<std::size_t> rank_;
 };
 
+/// A rectangle of material on one layer: a whole shape, or the remnant
+/// of one that a missing-material defect left behind.
+struct Piece {
+  Rect rect;
+  Layer layer = Layer::kMetal1;
+};
+
+/// Electrical connectivity of a set of pieces: unites every pair that
+/// intersects and is electrically continuous -- two pieces of one
+/// conducting layer, or a cut over a layer it connects -- skipping the
+/// pieces flagged in `removed` (empty, or one flag per piece). A
+/// uniform grid finds the candidate pairs, which are then united in the
+/// order of the all-pairs scan (ascending i, then ascending j > i), so
+/// the forest, root indices included, is the one that scan builds.
+UnionFind connect_pieces(const std::vector<Piece>& pieces,
+                         const std::vector<char>& removed = {});
+
 struct ExtractionResult {
   /// Component id per shape; -1 for non-conducting shapes (wells).
   std::vector<int> component_of_shape;

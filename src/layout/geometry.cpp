@@ -10,20 +10,6 @@ Rect Rect::spanning(double x0, double y0, double x1, double y1) {
               std::max(y0, y1)};
 }
 
-Rect Rect::square(Point p, double size) {
-  const double half = size / 2.0;
-  return Rect{p.x - half, p.y - half, p.x + half, p.y + half};
-}
-
-bool Rect::contains(Point p) const {
-  return p.x >= x_lo && p.x <= x_hi && p.y >= y_lo && p.y <= y_hi;
-}
-
-bool Rect::intersects(const Rect& other) const {
-  return x_lo < other.x_hi && other.x_lo < x_hi && y_lo < other.y_hi &&
-         other.y_lo < y_hi;
-}
-
 Rect Rect::intersection(const Rect& other) const {
   return Rect{std::max(x_lo, other.x_lo), std::max(y_lo, other.y_lo),
               std::min(x_hi, other.x_hi), std::min(y_hi, other.y_hi)};

@@ -78,7 +78,7 @@ double Rng::normal(double mean, double sigma) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
-std::size_t Rng::weighted(const std::vector<double>& weights) {
+std::size_t Rng::weighted(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {
     if (w < 0.0) throw std::invalid_argument("Rng::weighted: negative weight");
@@ -95,17 +95,29 @@ std::size_t Rng::weighted(const std::vector<double>& weights) {
 }
 
 double Rng::power_law(double x_min, double x_max, double exponent) {
+  return PowerLaw(x_min, x_max, exponent)(*this);
+}
+
+PowerLaw::PowerLaw(double x_min, double x_max, double exponent)
+    : x_min_(x_min), exponent_(exponent) {
   if (!(x_min > 0.0) || !(x_max >= x_min))
     throw std::invalid_argument("Rng::power_law: bad range");
-  const double u = uniform();
   if (exponent == 1.0) {
     // Density ~ 1/x: log-uniform.
-    return x_min * std::exp(u * std::log(x_max / x_min));
+    a_ = std::log(x_max / x_min);
+    b_minus_a_ = 0.0;
+    return;
   }
   const double one_minus = 1.0 - exponent;
-  const double a = std::pow(x_min, one_minus);
-  const double b = std::pow(x_max, one_minus);
-  return std::pow(a + u * (b - a), 1.0 / one_minus);
+  a_ = std::pow(x_min, one_minus);
+  b_minus_a_ = std::pow(x_max, one_minus) - a_;
+}
+
+double PowerLaw::operator()(Rng& rng) const {
+  const double u = rng.uniform();
+  if (exponent_ == 1.0) return x_min_ * std::exp(u * a_);
+  const double one_minus = 1.0 - exponent_;
+  return std::pow(a_ + u * b_minus_a_, 1.0 / one_minus);
 }
 
 Rng Rng::split(std::uint64_t stream_id) const {

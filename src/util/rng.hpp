@@ -7,9 +7,30 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace dot::util {
+
+class Rng;
+
+/// Power-law distribution with density ~ 1/x^exponent on [x_min,
+/// x_max] (the classic spot-defect size distribution has exponent 3).
+/// The constant terms of the inverse CDF are computed once, at
+/// construction, so each draw costs one uniform and one pow; the
+/// samples are the same doubles Rng::power_law returns.
+class PowerLaw {
+ public:
+  /// Throws std::invalid_argument unless 0 < x_min <= x_max.
+  PowerLaw(double x_min, double x_max, double exponent);
+
+  double operator()(Rng& rng) const;
+
+ private:
+  double x_min_ = 0.0;
+  double exponent_ = 0.0;
+  double a_ = 0.0;          // x_min^(1-exponent), or log(x_max/x_min) at 1
+  double b_minus_a_ = 0.0;  // x_max^(1-exponent) - a_
+};
 
 /// xoshiro256** 1.0 by Blackman & Vigna: small, fast, and high quality.
 /// Used instead of std::mt19937 so that streams are bit-identical across
@@ -46,7 +67,7 @@ class Rng {
 
   /// Draws an index according to the (unnormalized) weights.
   /// Requires at least one strictly positive weight.
-  std::size_t weighted(const std::vector<double>& weights);
+  std::size_t weighted(std::span<const double> weights);
 
   /// Power-law sample with density ~ 1/x^exponent on [x_min, x_max].
   /// The classic spot-defect size distribution uses exponent = 3.

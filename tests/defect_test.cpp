@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
+
 #include "defect/analyze.hpp"
 #include "defect/simulate.hpp"
 #include "defect/statistics.hpp"
+#include "flashadc/bank.hpp"
+#include "flashadc/biasgen.hpp"
+#include "flashadc/clockgen.hpp"
+#include "flashadc/comparator.hpp"
+#include "flashadc/decoder.hpp"
+#include "flashadc/ladder.hpp"
 #include "layout/synth.hpp"
 #include "spice/netlist.hpp"
 
@@ -31,6 +41,37 @@ TEST(Statistics, SampleTypeFollowsWeights) {
   util::Rng rng(1);
   for (int i = 0; i < 100; ++i)
     EXPECT_EQ(stats.sample_type(rng), DefectType::kExtraPoly);
+}
+
+TEST(Statistics, SampleSizeFollowsFieldChanges) {
+  // sample_size caches the power law of the last size fields it saw; a
+  // change to any field must reach the very next draw, and the draws
+  // stay those of Rng::power_law.
+  DefectStatistics stats;
+  util::Rng rng(3), reference(3);
+  const struct {
+    double min, max, exponent;
+  } kFields[] = {{0.5, 20.0, 3.0}, {0.5, 40.0, 3.0}, {1.0, 40.0, 3.0},
+                 {1.0, 40.0, 1.0}, {1.0, 40.0, 2.5}, {0.5, 20.0, 3.0}};
+  for (const auto& f : kFields) {
+    stats.size_min = f.min;
+    stats.size_max = f.max;
+    stats.size_exponent = f.exponent;
+    for (int i = 0; i < 5; ++i)
+      EXPECT_EQ(stats.sample_size(rng),
+                reference.power_law(f.min, f.max, f.exponent));
+  }
+  stats.size_min = 0.0;
+  EXPECT_THROW(stats.sample_size(rng), std::invalid_argument);
+}
+
+TEST(Statistics, SampleTypeKeepsWeightChecks) {
+  DefectStatistics stats;
+  util::Rng rng(5);
+  stats.weight(DefectType::kExtraVia) = -1.0;
+  EXPECT_THROW(stats.sample_type(rng), std::invalid_argument);
+  stats.weights = {};
+  EXPECT_THROW(stats.sample_type(rng), std::invalid_argument);
 }
 
 TEST(SampleDefect, UniformOverArea) {
@@ -338,6 +379,78 @@ TEST(Campaign, OpensRareInFaultsButRicherInClasses) {
       static_cast<double>(r.classes_by_kind[open_idx]) /
       static_cast<double>(r.classes.size());
   EXPECT_GT(class_share, fault_share);
+}
+
+/// FNV-1a over a byte string, chained through `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct PinnedCampaign {
+  const char* macro;
+  std::function<CellLayout()> build;
+  std::uint64_t seed;
+  const char* vdd_net;
+  /// (key, count) of every class, in class order.
+  std::uint64_t classes_digest;
+  std::size_t faults_extracted;
+  /// defects_by_type, in DefectType order.
+  std::uint64_t types_digest;
+};
+
+// Oracle for the whole defect layer (sampling, spatial query, fault
+// extraction, open analysis, collapsing, class order): digests of
+// 60k-defect campaigns pinned from an independent earlier
+// implementation. Any change to a draw, a fault, a class key, a count
+// or the order of classes shows up here, not only a change between two
+// runs of the same code.
+TEST(Campaign, PinnedClassesOnEveryMacro) {
+  const std::vector<PinnedCampaign> pinned = {
+      {"comparator", [] { return flashadc::build_comparator_layout(); }, 101,
+       "vdda", 0x95f193650d507bc6ull, 668,
+       0x2f2d949b9846325full},
+      {"ladder", [] { return flashadc::build_ladder_layout(); }, 102, "vdda",
+       0x310a1062fe48cd56ull, 643,
+       0x4eb16f4e32fd93c5ull},
+      {"biasgen", [] { return flashadc::build_biasgen_layout(); }, 103,
+       "vdda", 0x5462effa3de4acb6ull, 290,
+       0x7429b3abab83df19ull},
+      {"clockgen", [] { return flashadc::build_clockgen_layout(); }, 104,
+       "vddd", 0x08d6cb1d08abb53full, 582,
+       0xfdf13d4c0fc97f75ull},
+      {"decoder", [] { return flashadc::build_decoder_layout(); }, 105,
+       "vddd", 0x91ebe705b39cf2f2ull, 749,
+       0x1320512ce8a11eceull},
+      {"bank-8",
+       [] {
+         flashadc::BankOptions bank;
+         bank.size = 8;
+         return flashadc::build_bank_layout(bank);
+       },
+       106, "vdda", 0x4f7c6e6dbd8701ebull, 870,
+       0x7f235452560ccd63ull},
+  };
+  for (const auto& p : pinned) {
+    CampaignOptions opt;
+    opt.defect_count = 60000;
+    opt.seed = p.seed;
+    opt.vdd_net = p.vdd_net;
+    const auto r = run_campaign(p.build(), opt);
+    std::uint64_t classes = 0xcbf29ce484222325ull;
+    for (const auto& cls : r.classes)
+      classes = fnv1a(classes, cls.representative.key() + '\n' +
+                                   std::to_string(cls.count) + '\n');
+    std::uint64_t types = 0xcbf29ce484222325ull;
+    for (std::size_t n : r.defects_by_type)
+      types = fnv1a(types, std::to_string(n) + ',');
+    EXPECT_EQ(classes, p.classes_digest) << p.macro;
+    EXPECT_EQ(r.faults_extracted, p.faults_extracted) << p.macro;
+    EXPECT_EQ(types, p.types_digest) << p.macro;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 // generated netlists the synthesized layout must always be geometrically
 // consistent with its net labels, every device terminal must carry a
 // tap sitting on material of its own net and layer, and the extractor's
-// component count must equal the number of distinct nets.
+// component count must equal the number of distinct nets. The binned
+// pair enumerator must build the same union-find forest as the all-pairs
+// scan, on synthesized cells and on random rectangle soups with shapes
+// removed.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <set>
 
 #include "layout/drc.hpp"
@@ -142,6 +147,161 @@ TEST_P(SynthPropertyTest, PinTrunksSpanFullWidth) {
     spans = spans || (shape.net == pin && shape.layer == Layer::kMetal1 &&
                       shape.rect.width() > 0.9 * width);
   EXPECT_TRUE(spans);
+}
+
+/// The all-pairs union the binned enumerator replaced, kept as the
+/// reference: every pair i < j, in order, united when the two pieces
+/// intersect and connect electrically.
+UnionFind brute_force_union(const std::vector<Piece>& pieces,
+                            const std::vector<char>& removed) {
+  auto cut_connects = [](Layer cut, Layer conductor) {
+    if (cut == Layer::kContact)
+      return conductor == Layer::kMetal1 || conductor == Layer::kPoly ||
+             conductor == Layer::kActive;
+    if (cut == Layer::kVia1)
+      return conductor == Layer::kMetal1 || conductor == Layer::kMetal2;
+    return false;
+  };
+  UnionFind uf(pieces.size());
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    if (!removed.empty() && removed[i]) continue;
+    for (std::size_t j = i + 1; j < pieces.size(); ++j) {
+      if (!removed.empty() && removed[j]) continue;
+      const Piece& a = pieces[i];
+      const Piece& b = pieces[j];
+      if (!a.rect.intersects(b.rect)) continue;
+      if ((a.layer == b.layer && is_conducting(a.layer)) ||
+          (is_cut(a.layer) && cut_connects(a.layer, b.layer)) ||
+          (is_cut(b.layer) && cut_connects(b.layer, a.layer)))
+        uf.unite(i, j);
+    }
+  }
+  return uf;
+}
+
+std::vector<Piece> pieces_of(const CellLayout& cell) {
+  std::vector<Piece> pieces;
+  for (const auto& shape : cell.shapes())
+    pieces.push_back({shape.rect, shape.layer});
+  return pieces;
+}
+
+/// Every piece has the same root in both forests: the same partition,
+/// and the same root of each part.
+void expect_same_forest(UnionFind& a, UnionFind& b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(a.find(i), b.find(i)) << "piece " << i;
+}
+
+TEST_P(SynthPropertyTest, BinnedExtractionMatchesAllPairs) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 4093ull + 5);
+  const CellLayout cell =
+      synthesize_layout(random_netlist(rng), "rand", SynthOptions{});
+  const auto pieces = pieces_of(cell);
+  UnionFind binned = connect_pieces(pieces);
+  UnionFind reference = brute_force_union(pieces, {});
+  expect_same_forest(binned, reference, pieces.size());
+
+  // Component numbering follows shape order, so it must agree too.
+  const auto extraction = extract_connectivity(cell);
+  std::map<std::size_t, int> number_of_root;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    if (!is_conducting(pieces[i].layer) && !is_cut(pieces[i].layer)) {
+      EXPECT_EQ(extraction.component_of_shape[i], -1);
+      continue;
+    }
+    const auto [it, inserted] = number_of_root.emplace(
+        reference.find(i), static_cast<int>(number_of_root.size()));
+    EXPECT_EQ(extraction.component_of_shape[i], it->second) << "shape " << i;
+  }
+  EXPECT_EQ(static_cast<std::size_t>(extraction.component_count),
+            number_of_root.size());
+}
+
+/// Random rectangles on every layer over a 0.5 um grid, so touching
+/// edges, shared corners and stacked cuts all occur; a few long wires
+/// span many bins.
+CellLayout random_soup(util::Rng& rng) {
+  CellLayout cell("soup");
+  constexpr Layer kLayers[] = {Layer::kNWell,   Layer::kActive,
+                               Layer::kPoly,    Layer::kContact,
+                               Layer::kMetal1,  Layer::kVia1,
+                               Layer::kMetal2};
+  const int nets = 1 + static_cast<int>(rng.below(4));
+  const int count = 20 + static_cast<int>(rng.below(180));
+  auto grid = [&](double extent) {
+    return 0.5 * static_cast<double>(
+                     rng.below(static_cast<std::uint64_t>(extent * 2)));
+  };
+  for (int k = 0; k < count; ++k) {
+    const Layer layer = kLayers[rng.below(std::size(kLayers))];
+    const double x = grid(60.0), y = grid(60.0);
+    const bool wire = rng.chance(0.1);
+    const double w = wire ? 10.0 + grid(50.0) : 0.5 + grid(4.0);
+    const double h = wire ? 0.5 + grid(1.0) : 0.5 + grid(4.0);
+    const bool vertical = rng.chance(0.5);
+    const Rect rect{x, y, x + (vertical ? h : w), y + (vertical ? w : h)};
+    const std::string net =
+        layer == Layer::kNWell
+            ? ""
+            : "n" + std::to_string(rng.below(static_cast<std::uint64_t>(nets)));
+    cell.add_shape({layer, rect, net});
+  }
+  // Taps sit on random shapes of net n0 (and a few on empty ground).
+  for (std::size_t i = 0; i < cell.shapes().size(); ++i) {
+    const Shape& s = cell.shapes()[i];
+    if (s.net != "n0" || !rng.chance(0.5)) continue;
+    cell.add_tap({"n0", "D" + std::to_string(i), 0, s.rect.center(), s.layer});
+  }
+  cell.add_tap({"n0", "pin", 0, {-5.0, -5.0}, Layer::kMetal1});
+  return cell;
+}
+
+/// tap_groups_after_removal, restated over the reference union.
+std::vector<std::vector<std::size_t>> reference_tap_groups(
+    const CellLayout& cell, const std::string& net,
+    const std::vector<char>& removed) {
+  const auto& shapes = cell.shapes();
+  UnionFind uf = brute_force_union(pieces_of(cell), removed);
+  std::map<long, std::vector<std::size_t>> groups;
+  for (std::size_t t = 0; t < cell.taps().size(); ++t) {
+    const Tap& tap = cell.taps()[t];
+    if (tap.net != net) continue;
+    long key = -1 - static_cast<long>(t);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      if (removed[i] || shapes[i].net != net || shapes[i].layer != tap.layer)
+        continue;
+      if (shapes[i].rect.contains(tap.at)) {
+        key = static_cast<long>(uf.find(i));
+        break;
+      }
+    }
+    groups[key].push_back(t);
+  }
+  std::vector<std::vector<std::size_t>> out;
+  for (auto& [key, taps] : groups) out.push_back(std::move(taps));
+  return out;
+}
+
+TEST_P(SynthPropertyTest, BinnedRemovalMatchesAllPairs) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151ull + 3);
+  for (int round = 0; round < 8; ++round) {
+    const CellLayout cell = random_soup(rng);
+    const auto pieces = pieces_of(cell);
+    std::vector<char> removed(pieces.size(), 0);
+    std::vector<std::size_t> removed_list;
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      if (rng.chance(0.15)) {
+        removed[i] = 1;
+        removed_list.push_back(i);
+      }
+    }
+    UnionFind binned = connect_pieces(pieces, removed);
+    UnionFind reference = brute_force_union(pieces, removed);
+    expect_same_forest(binned, reference, pieces.size());
+    EXPECT_EQ(tap_groups_after_removal(cell, "n0", removed_list),
+              reference_tap_groups(cell, "n0", removed));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SynthPropertyTest, ::testing::Range(1, 26));
