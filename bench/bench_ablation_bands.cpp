@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     auto config = args.config;
     config.band_policy.ivdd_dilution = access.scale;
     config.band_policy.iinput_dilution = access.scale;
-    const auto r = flashadc::run_comparator_campaign(config);
+    const auto r = flashadc::run_macro_campaign(config, "comparator");
     dilution_table.add_row({access.name, util::pct(r.coverage(false)),
                             util::pct(r.current_coverage(false))});
   }
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   for (double k : {1.0, 3.0, 6.0}) {
     auto config = args.config;
     config.band_policy.k_sigma = k;
-    const auto r = flashadc::run_comparator_campaign(config);
+    const auto r = flashadc::run_macro_campaign(config, "comparator");
     table.add_row({util::fmt(k, 1), util::si(config.band_policy.abs_floor,
                                              "A", 0),
                    util::pct(r.coverage(false)),
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   for (double floor : {2e-7, 2e-5, 2e-4}) {
     auto config = args.config;
     config.band_policy.abs_floor = floor;
-    const auto r = flashadc::run_comparator_campaign(config);
+    const auto r = flashadc::run_macro_campaign(config, "comparator");
     table.add_row({util::fmt(config.band_policy.k_sigma, 1),
                    util::si(floor, "A", 0), util::pct(r.coverage(false)),
                    util::pct(r.current_coverage(false))});

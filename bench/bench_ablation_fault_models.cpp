@@ -14,28 +14,28 @@ int main(int argc, char** argv) {
   util::TextTable table({"variant", "cat coverage %", "noncat coverage %"});
 
   {
-    const auto r = flashadc::run_comparator_campaign(args.config);
+    const auto r = flashadc::run_macro_campaign(args.config, "comparator");
     table.add_row({"baseline (0.2R metal, 2k pinhole, 500R near-miss)",
                    util::pct(r.coverage(false)), util::pct(r.coverage(true))});
   }
   {
     auto config = args.config;
     config.fault_models.metal_short_ohms = 20.0;
-    const auto r = flashadc::run_comparator_campaign(config);
+    const auto r = flashadc::run_macro_campaign(config, "comparator");
     table.add_row({"metal shorts 20 Ohm", util::pct(r.coverage(false)),
                    util::pct(r.coverage(true))});
   }
   {
     auto config = args.config;
     config.fault_models.pinhole_ohms = 20e3;
-    const auto r = flashadc::run_comparator_campaign(config);
+    const auto r = flashadc::run_macro_campaign(config, "comparator");
     table.add_row({"pinholes 20 kOhm", util::pct(r.coverage(false)),
                    util::pct(r.coverage(true))});
   }
   {
     auto config = args.config;
     config.fault_models.noncat_ohms = 5e3;
-    const auto r = flashadc::run_comparator_campaign(config);
+    const auto r = flashadc::run_macro_campaign(config, "comparator");
     table.add_row({"near-miss 5 kOhm", util::pct(r.coverage(false)),
                    util::pct(r.coverage(true))});
   }

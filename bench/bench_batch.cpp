@@ -39,7 +39,7 @@ using dot::flashadc::CampaignConfig;
 using dot::flashadc::EvalStatus;
 using dot::flashadc::FaultOutcome;
 using dot::flashadc::MacroCampaignResult;
-using dot::flashadc::run_comparator_campaign;
+using dot::flashadc::run_macro_campaign;
 
 /// Stable identity of an evaluated (class, pass) pair.
 std::string class_key(const FaultOutcome& o) {
@@ -108,7 +108,7 @@ double timed_run(CampaignConfig config, std::size_t max_classes,
   config.batch = batch;
   config.collect_phase_times = false;  // timed arms stay clock-free
   const dot::bench::WallTimer timer;
-  auto result = run_comparator_campaign(config);
+  auto result = run_macro_campaign(config, "comparator");
   const double seconds = timer.seconds();
   if (out != nullptr) *out = std::move(result);
   return seconds;

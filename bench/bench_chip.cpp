@@ -37,7 +37,7 @@ using dot::flashadc::CampaignConfig;
 using dot::flashadc::EvalStatus;
 using dot::flashadc::FaultOutcome;
 using dot::flashadc::MacroCampaignResult;
-using dot::flashadc::run_chip_campaign;
+using dot::flashadc::run_macro_campaign;
 
 /// Stable identity of an evaluated (class, pass) pair.
 std::string class_key(const FaultOutcome& o) {
@@ -109,7 +109,7 @@ double timed_run(CampaignConfig config, std::size_t max_classes,
   const unsigned threads = dot::util::ThreadPool::global_thread_count();
   dot::util::ThreadPool::set_global_thread_count(1);
   const dot::bench::WallTimer timer;
-  MacroCampaignResult result = run_chip_campaign(config);
+  MacroCampaignResult result = run_macro_campaign(config, "chip");
   const double seconds = timer.seconds();
   dot::util::ThreadPool::set_global_thread_count(threads);
   if (out != nullptr) *out = std::move(result);

@@ -29,9 +29,12 @@
 //                  bench can shrink its own sweep, e.g. bench_bank's
 //                  size list)
 //
-// Unknown flags are rejected with a usage message (a typo'd --defect=
-// must not silently run the 500k default). Results are bit-identical at
-// any --threads value; the knob only changes wall time.
+// The shared campaign knobs are parsed by flashadc/campaign_args.hpp,
+// the same parser the example CLIs use; every numeric value is strict.
+// Unknown flags and malformed values are rejected with a usage message
+// and exit 2 (a typo'd --defect= must not silently run the 500k
+// default). Results are bit-identical at any --threads value; the knob
+// only changes wall time.
 //
 // JSON reports follow the "dot-bench-v1" schema: every file carries
 // {"schema": "dot-bench-v1", "bench": <name>, "wall_seconds", "threads",
@@ -47,6 +50,7 @@
 #include <string>
 
 #include "flashadc/campaign.hpp"
+#include "flashadc/campaign_args.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -61,12 +65,8 @@ struct BenchArgs {
 
   static void usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--defects=N] [--envelope=N] [--classes=N] "
-                 "[--seed=N] [--threads=N] [--solver=auto|dense|sparse] "
-                 "[--shamanskii=N] [--class-timeout-ms=T] [--max-retries=N] "
-                 "[--batch=N|auto] [--phase-times] "
-                 "[--json=FILE] [--json-root] [--quick] [--smoke]\n",
-                 argv0);
+                 "usage: %s [--shamanskii=N] [--json=FILE] [--json-root]\n%s",
+                 argv0, flashadc::campaign_usage());
   }
 
   static std::string basename_of(const char* argv0) {
@@ -90,60 +90,23 @@ struct BenchArgs {
     unsigned threads = 0;  // 0 = hardware_concurrency
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      auto value = [&](const char* prefix) -> const char* {
-        const std::size_t n = std::strlen(prefix);
-        return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-      };
-      if (const char* v = value("--defects=")) {
-        args.config.defect_count = std::strtoull(v, nullptr, 10);
-      } else if (const char* v = value("--envelope=")) {
-        args.config.envelope_samples = std::atoi(v);
-      } else if (const char* v = value("--classes=")) {
-        args.config.max_classes = std::strtoull(v, nullptr, 10);
-      } else if (const char* v = value("--seed=")) {
-        args.config.seed = std::strtoull(v, nullptr, 10);
-      } else if (const char* v = value("--threads=")) {
-        threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      } else if (const char* v = value("--solver=")) {
-        try {
-          args.config.solver.mode = spice::parse_solver_mode(v);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      switch (flashadc::parse_campaign_arg(argv[0], arg, args.config,
+                                           threads)) {
+        case flashadc::ArgParse::kConsumed:
+          if (arg == "--smoke") args.smoke = true;
+          continue;
+        case flashadc::ArgParse::kBad:
           usage(argv[0]);
           std::exit(2);
-        }
-      } else if (const char* v = value("--shamanskii=")) {
+        case flashadc::ArgParse::kUnknown:
+          break;
+      }
+      if (const char* v = flashadc::arg_value(arg, "--shamanskii=")) {
         args.config.solver.shamanskii_depth = std::atoi(v);
-      } else if (const char* v = value("--class-timeout-ms=")) {
-        args.config.resilience.class_timeout_ms = std::atof(v);
-      } else if (const char* v = value("--max-retries=")) {
-        args.config.resilience.max_retries = std::atoi(v);
-      } else if (const char* v = value("--batch=")) {
-        // "auto" maps to the sentinel 0; anything else must be a whole
-        // number, or garbage would silently select auto via strtoull.
-        char* end = nullptr;
-        args.config.batch =
-            std::strcmp(v, "auto") == 0 ? 0 : std::strtoull(v, &end, 10);
-        if (std::strcmp(v, "auto") != 0 && (end == v || *end != '\0')) {
-          std::fprintf(stderr, "%s: bad --batch value '%s'\n", argv[0], v);
-          usage(argv[0]);
-          std::exit(2);
-        }
-      } else if (arg == "--phase-times") {
-        args.config.collect_phase_times = true;
-      } else if (const char* v = value("--json=")) {
+      } else if (const char* v = flashadc::arg_value(arg, "--json=")) {
         args.json_path = v;
       } else if (arg == "--json-root") {
         args.json_path = "BENCH_" + args.bench + ".json";
-      } else if (arg == "--quick") {
-        args.config.defect_count = 60000;
-        args.config.envelope_samples = 10;
-        args.config.max_classes = 40;
-      } else if (arg == "--smoke") {
-        args.smoke = true;
-        args.config.defect_count = 8000;
-        args.config.envelope_samples = 4;
-        args.config.max_classes = 8;
       } else if (arg == "--help") {
         usage(argv[0]);
         std::exit(0);

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Figure 3 -- detectability of catastrophic comparator faults");
-  const auto r = flashadc::run_comparator_campaign(args.config);
+  const auto r = flashadc::run_macro_campaign(args.config, "comparator");
   const auto contribution = r.contribution(false);
   const auto matrix = macro::compile_matrix(contribution.outcomes);
 

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Defect-oriented simple test vs specification-oriented test");
-  const auto r = flashadc::run_comparator_campaign(args.config);
+  const auto r = flashadc::run_macro_campaign(args.config, "comparator");
 
   // Defect-oriented: the paper's simple test set.
   const auto outcomes = r.contribution(false).outcomes;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const bench::WallTimer timer;
 
   bench::print_header("Table 2 -- voltage fault signatures (comparator)");
-  const auto r = flashadc::run_comparator_campaign(args.config);
+  const auto r = flashadc::run_macro_campaign(args.config, "comparator");
   std::printf("defects=%zu faults=%zu classes=%zu (evaluated %zu)\n\n",
               r.defects.defects_sprinkled, r.defects.faults_extracted,
               r.defects.classes.size(), r.catastrophic.size());

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   const bench::WallTimer timer;
 
   bench::print_header("Table 3 -- current fault signatures (comparator)");
-  const auto r = flashadc::run_comparator_campaign(args.config);
+  const auto r = flashadc::run_macro_campaign(args.config, "comparator");
   std::printf("defects=%zu classes evaluated=%zu\n\n",
               r.defects.defects_sprinkled, r.catastrophic.size());
 

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.str().c_str());
 
   // Greedy optimization against the comparator campaign outcomes.
-  const auto r = flashadc::run_comparator_campaign(args.config);
+  const auto r = flashadc::run_macro_campaign(args.config, "comparator");
   const auto set = testgen::optimize_test_set(r.contribution(false).outcomes,
                                               timing);
   std::printf("optimized set for comparator faults:");

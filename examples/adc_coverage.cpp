@@ -201,11 +201,7 @@ int main(int argc, char** argv) {
                 config.macro_selection.c_str());
     macro::EquivalenceReport eq;
     try {
-      eq = config.macro_selection == "chip"
-               ? flashadc::compare_chip_decomposition(config,
-                                                      global.macros.at(0))
-               : flashadc::compare_bank_decomposition(config,
-                                                      global.macros.at(0));
+      eq = flashadc::compare_decomposition(config, global.macros.at(0));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
       return 1;

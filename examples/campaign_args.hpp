@@ -1,112 +1,58 @@
-// Shared campaign-knob parsing for the example CLIs.
-//
-// The dispatch tools (dispatch_daemon / dispatch_worker) must agree
-// with adc_coverage on every knob that shapes the campaign identity --
-// seed, defect budget, macro selection, solver mode, ... -- because the
-// dispatcher validates worker hellos field-by-field against its own
-// meta record. Keeping one parser guarantees a worker launched with the
+// Campaign-knob parsing for the example CLIs: the knobs every tool
+// shares (flashadc/campaign_args.hpp) plus the macro-selection flags
+// only the examples take. The dispatch tools (dispatch_daemon /
+// dispatch_worker) parse with it too, so a worker launched with the
 // same flags as the daemon passes the handshake interlock.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "flashadc/campaign.hpp"
-#include "spice/solver.hpp"
+#include "flashadc/campaign_args.hpp"
 
 namespace dot::examples {
 
-/// Returns the value part when `arg` is "<prefix><value>", else nullptr.
-inline const char* arg_value(const std::string& arg, const char* prefix) {
-  const std::size_t n = std::strlen(prefix);
-  return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-}
+using flashadc::arg_value;
+using flashadc::ArgParse;
 
-/// Result of offering one argv entry to the shared parser.
-enum class ArgParse {
-  kConsumed,  ///< Recognized and applied.
-  kUnknown,   ///< Not a shared campaign knob; try the tool's own flags.
-  kBad,       ///< Recognized but malformed (diagnostic already printed).
-};
-
-/// The usage fragment for the shared knobs (one indented line each).
+/// The usage fragment for the campaign knobs (one indented line each).
 inline const char* campaign_usage() {
-  return "          [--defects=N] [--envelope=N] [--classes=N] [--seed=N]\n"
-         "          [--threads=N] [--class-timeout-ms=T] [--max-retries=N]\n"
-         "          [--batch=N|auto] [--phase-times] [--macro=NAME]\n"
-         "          [--bank-size=N] [--chip-slices=N]\n"
-         "          [--solver=auto|dense|sparse] [--quick] [--smoke]\n";
+  static const std::string usage =
+      std::string(flashadc::campaign_usage()) +
+      "          [--macro=NAME] [--bank-size=N] [--chip-slices=N]\n";
+  return usage.c_str();
 }
 
-/// Offers `arg` to the shared campaign-knob parser. `threads` receives
-/// --threads (0 = hardware concurrency). On kBad a diagnostic naming
-/// `argv0` was already printed to stderr.
+/// Offers `arg` to the shared campaign-knob parser, then to the
+/// example-only --macro / --bank-size / --chip-slices flags. `threads`
+/// receives --threads (0 = hardware concurrency). On kBad a diagnostic
+/// naming `argv0` was already printed to stderr.
 inline ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
                                    flashadc::CampaignConfig& config,
                                    unsigned& threads) {
-  if (const char* v = arg_value(arg, "--defects=")) {
-    config.defect_count = std::strtoull(v, nullptr, 10);
-  } else if (const char* v = arg_value(arg, "--envelope=")) {
-    config.envelope_samples = std::atoi(v);
-  } else if (const char* v = arg_value(arg, "--classes=")) {
-    config.max_classes = std::strtoull(v, nullptr, 10);
-  } else if (const char* v = arg_value(arg, "--seed=")) {
-    config.seed = std::strtoull(v, nullptr, 10);
-  } else if (const char* v = arg_value(arg, "--threads=")) {
-    threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-  } else if (const char* v = arg_value(arg, "--class-timeout-ms=")) {
-    config.resilience.class_timeout_ms = std::atof(v);
-  } else if (const char* v = arg_value(arg, "--max-retries=")) {
-    config.resilience.max_retries = std::atoi(v);
-  } else if (const char* v = arg_value(arg, "--batch=")) {
-    // "auto" maps to the sentinel 0; anything else must be a whole
-    // number, or garbage would silently select auto via strtoull.
-    char* end = nullptr;
-    config.batch =
-        std::strcmp(v, "auto") == 0 ? 0 : std::strtoull(v, &end, 10);
-    if (std::strcmp(v, "auto") != 0 && (end == v || *end != '\0')) {
-      std::fprintf(stderr, "%s: bad --batch value '%s'\n", argv0, v);
+  const ArgParse shared =
+      flashadc::parse_campaign_arg(argv0, arg, config, threads);
+  if (shared != ArgParse::kUnknown) return shared;
+  // Column heights: 2..256 bank slices, 4..256 chip comparators (the
+  // divisibility rules are checked when the netlist is built).
+  auto column = [&](const char* flag, const char* v, std::uint64_t min,
+                    int& out) {
+    std::uint64_t n = 0;
+    if (!flashadc::parse_whole(v, 256, n) || n < min) {
+      std::fprintf(stderr, "%s: bad %s value '%s'\n", argv0, flag, v);
       return ArgParse::kBad;
     }
-  } else if (arg == "--phase-times") {
-    config.collect_phase_times = true;
-  } else if (const char* v = arg_value(arg, "--macro=")) {
+    out = static_cast<int>(n);
+    return ArgParse::kConsumed;
+  };
+  if (const char* v = arg_value(arg, "--macro=")) {
     config.macro_selection = v;
   } else if (const char* v = arg_value(arg, "--bank-size=")) {
-    // Strict whole-number parse: atoi would silently turn garbage
-    // into 0 and surface as a confusing bank-size error much later.
-    char* end = nullptr;
-    const long size = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || size < 2 || size > 256) {
-      std::fprintf(stderr, "%s: bad --bank-size value '%s'\n", argv0, v);
-      return ArgParse::kBad;
-    }
-    config.bank_size = static_cast<int>(size);
+    return column("--bank-size", v, 2, config.bank_size);
   } else if (const char* v = arg_value(arg, "--chip-slices=")) {
-    char* end = nullptr;
-    const long slices = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || slices < 4 || slices > 256) {
-      std::fprintf(stderr, "%s: bad --chip-slices value '%s'\n", argv0, v);
-      return ArgParse::kBad;
-    }
-    config.chip_slices = static_cast<int>(slices);
-  } else if (const char* v = arg_value(arg, "--solver=")) {
-    try {
-      config.solver.mode = spice::parse_solver_mode(v);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-      return ArgParse::kBad;
-    }
-  } else if (arg == "--quick") {
-    config.defect_count = 50000;
-    config.envelope_samples = 8;
-    config.max_classes = 30;
-  } else if (arg == "--smoke") {
-    config.defect_count = 8000;
-    config.envelope_samples = 4;
-    config.max_classes = 8;
+    return column("--chip-slices", v, 4, config.chip_slices);
   } else {
     return ArgParse::kUnknown;
   }

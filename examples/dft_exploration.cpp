@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     auto config = base;
     config.dft.leakage_free_flipflop = variant.ff;
     config.dft.separated_bias_lines = variant.bias;
-    const auto r = flashadc::run_comparator_campaign(config);
+    const auto r = flashadc::run_macro_campaign(config, "comparator");
     std::size_t undetected = 0;
     for (const auto& o : r.catastrophic)
       undetected += o.detection.detected() ? 0 : 1;

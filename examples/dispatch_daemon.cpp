@@ -134,11 +134,13 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  flashadc::fill_dispatcher_identity(config, dconfig);
   util::arm_shutdown_handler();
 
   int rc = 1;
   try {
+    // Resolves the macro selection: an unknown name fails here, before
+    // any shard is issued.
+    flashadc::fill_dispatcher_identity(config, dconfig);
     dispatch::Dispatcher dispatcher(dconfig,
                                     static_cast<std::uint16_t>(port),
                                     any_interface);

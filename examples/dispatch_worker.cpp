@@ -101,12 +101,12 @@ int main(int argc, char** argv) {
   dispatch::WorkerOptions options;
   options.host = host;
   options.port = port;
-  options.meta = flashadc::campaign_meta_record(config);
   options.runner =
       flashadc::make_campaign_runner(config, journal_dir, journal_sync);
 
   dispatch::WorkerReport report;
   try {
+    options.meta = flashadc::campaign_meta_record(config);
     report = dispatch::run_worker(options);
   } catch (const util::ShardError& e) {
     std::fprintf(stderr, "%s: rejected by dispatcher: %s\n", argv[0],

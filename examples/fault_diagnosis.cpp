@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   std::printf("building the fault dictionary from a comparator campaign "
               "(%zu defects)...\n",
               config.defect_count);
-  const auto campaign = flashadc::run_comparator_campaign(config);
+  const auto campaign = flashadc::run_macro_campaign(config, "comparator");
 
   macro::FaultDictionary dictionary;
   for (const auto& outcome : campaign.catastrophic)

@@ -321,6 +321,20 @@ Netlist instantiate_bank_bench(const Netlist& macro_netlist,
   return n;
 }
 
+DecisionGridBench bank_grid_bench(const BankOptions& options) {
+  return {[options](const Netlist& macro_netlist, int slice, double delta_v) {
+            return instantiate_bank_bench(macro_netlist, options, slice,
+                                          delta_v);
+          },
+          [options](const spice::TranResult& result, int slice) {
+            return extract_bank_run(result, options, slice);
+          },
+          [options](const fault::CircuitFault& fault) {
+            return bank_observed_slice(options, fault);
+          },
+          options.size / 2, bank_tran_options()};
+}
+
 spice::TranOptions bank_tran_options() {
   spice::TranOptions opt;
   opt.dt = 0.5e-9;
@@ -378,37 +392,6 @@ ComparatorRun extract_bank_run(const spice::TranResult& result,
     run.decision = 0;
   run.converged = true;
   return run;
-}
-
-ComparatorRun run_bank_bench(const Netlist& full_bench,
-                             const BankOptions& options, int slice) {
-  spice::TranOptions tran = bank_tran_options();
-  tran.solver = options.solver;
-  return extract_bank_run(spice::transient(full_bench, tran), options, slice);
-}
-
-ComparatorRun simulate_bank_slice(const Netlist& macro_netlist,
-                                  const BankOptions& options, int slice,
-                                  double delta_v) {
-  const Netlist bench =
-      instantiate_bank_bench(macro_netlist, options, slice, delta_v);
-  try {
-    return run_bank_bench(bench, options, slice);
-  } catch (const util::ConvergenceError&) {
-    ComparatorRun failed;
-    failed.converged = false;
-    return failed;
-  }
-}
-
-std::array<ComparatorRun, 4> simulate_bank_grid(const Netlist& macro_netlist,
-                                                const BankOptions& options,
-                                                int slice) {
-  std::array<ComparatorRun, 4> runs;
-  for (std::size_t i = 0; i < kDecisionGrid.size(); ++i)
-    runs[i] =
-        simulate_bank_slice(macro_netlist, options, slice, kDecisionGrid[i]);
-  return runs;
 }
 
 }  // namespace dot::flashadc

@@ -42,8 +42,8 @@ struct BankOptions {
   /// backbone.
   int size = 64;
   ComparatorDft dft;
-  /// Linear-solver selection for every bank transient (run_bank_bench
-  /// and everything layered on it).
+  /// Linear-solver selection for bank transients. The campaign's
+  /// decision-grid bench takes CampaignConfig::solver instead.
   spice::SolverOptions solver;
 };
 
@@ -115,30 +115,16 @@ spice::Netlist instantiate_bank_bench(const spice::Netlist& macro_netlist,
 /// and the batched campaign prepass.
 spice::TranOptions bank_tran_options();
 
+/// The bank's decision-grid bench: bank_tran_options(), faults observed
+/// at bank_observed_slice, fault-free runs at the middle slice.
+DecisionGridBench bank_grid_bench(const BankOptions& options);
+
 /// Extracts the run record from a finished bank transient: decisions
 /// from slice `slice`'s flipflop, currents from the shared supplies
-/// (converged=true).
+/// (whole-column measurements; converged=true). Field-compatible with
+/// the single-comparator record, so its classification and envelope
+/// machinery apply verbatim.
 ComparatorRun extract_bank_run(const spice::TranResult& result,
                                const BankOptions& options, int slice);
-
-/// Two-cycle transient on an already-instantiated bench; decisions read
-/// from slice `slice`'s flipflop, currents from the shared supplies/pins
-/// (whole-column measurements). Field-compatible with the
-/// single-comparator run record, so the existing classification and
-/// envelope machinery applies verbatim. Convergence failures throw
-/// (callers decide the policy, like run_comparator).
-ComparatorRun run_bank_bench(const spice::Netlist& full_bench,
-                             const BankOptions& options, int slice);
-
-/// Bench + run for a macro netlist at one input level; a convergence
-/// failure returns converged = false instead of throwing.
-ComparatorRun simulate_bank_slice(const spice::Netlist& macro_netlist,
-                                  const BankOptions& options, int slice,
-                                  double delta_v);
-
-/// All four decision-grid points for one observed slice.
-std::array<ComparatorRun, 4> simulate_bank_grid(
-    const spice::Netlist& macro_netlist, const BankOptions& options,
-    int slice);
 
 }  // namespace dot::flashadc

@@ -1,5 +1,8 @@
 #include "flashadc/biasgen.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "flashadc/tech.hpp"
 #include "layout/synth.hpp"
 #include "spice/dc.hpp"
@@ -102,6 +105,26 @@ BiasgenSolution solve_biasgen(const Netlist& macro_netlist,
     out.converged = false;
   }
   return out;
+}
+
+macro::MeasurementLayout biasgen_measurement_layout() {
+  macro::MeasurementLayout layout;
+  layout.add("ivdd", macro::MeasurementKind::kIVdd);
+  return layout;
+}
+
+std::vector<double> biasgen_measurements(const BiasgenSolution& solution) {
+  return {solution.ivdd};
+}
+
+macro::VoltageSignature classify_biasgen(const BiasgenSolution& faulty,
+                                         const BiasgenSolution& nominal) {
+  using macro::VoltageSignature;
+  const double dev = std::max(std::fabs(faulty.vbn - nominal.vbn),
+                              std::fabs(faulty.vbc - nominal.vbc));
+  if (dev > 0.15) return VoltageSignature::kOutputStuckAt;
+  return dev > 0.03 ? VoltageSignature::kMixed
+                    : VoltageSignature::kNoDeviation;
 }
 
 }  // namespace dot::flashadc

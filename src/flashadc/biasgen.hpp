@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "layout/cell.hpp"
+#include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
+#include "macro/signature.hpp"
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 #include "spice/solver.hpp"
@@ -42,5 +44,15 @@ BiasgenContext make_biasgen_context(const spice::Netlist& macro_netlist,
 
 BiasgenSolution solve_biasgen(const spice::Netlist& macro_netlist,
                               const BiasgenContext* context = nullptr);
+
+/// Envelope measurements: the supply current.
+macro::MeasurementLayout biasgen_measurement_layout();
+std::vector<double> biasgen_measurements(const BiasgenSolution& solution);
+
+/// Voltage signature of a converged faulty bias generator: a grossly
+/// wrong bias (> 150 mV) starves or floods every comparator tail, so
+/// the codes stick; a moderate shift (> 30 mV) only degrades dynamics.
+macro::VoltageSignature classify_biasgen(const BiasgenSolution& faulty,
+                                         const BiasgenSolution& nominal);
 
 }  // namespace dot::flashadc

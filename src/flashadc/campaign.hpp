@@ -100,8 +100,8 @@ struct CampaignConfig {
   /// phase_times). Off by default: the hot loops stay clock-free.
   bool collect_phase_times = false;
   /// Which macro campaign run_campaign drives: "all" (the five-macro
-  /// decomposed flow) or a single macro name -- comparator / ladder /
-  /// biasgen / clockgen / decoder / bank / chip.
+  /// decomposed flow) or a single campaign-table macro name --
+  /// comparator / ladder / biasgen / clockgen / decoder / bank / chip.
   std::string macro_selection = "all";
   /// Column height for the flat comparator-bank macro (2..256, must
   /// divide 256). Only meaningful with macro_selection == "bank".
@@ -167,30 +167,34 @@ struct MacroCampaignResult {
   std::size_t unresolved_classes() const;
 };
 
-MacroCampaignResult run_comparator_campaign(const CampaignConfig& config,
-                                            CampaignJournal* journal = nullptr);
-MacroCampaignResult run_ladder_campaign(const CampaignConfig& config,
-                                        CampaignJournal* journal = nullptr);
-MacroCampaignResult run_biasgen_campaign(const CampaignConfig& config,
-                                         CampaignJournal* journal = nullptr);
-MacroCampaignResult run_clockgen_campaign(const CampaignConfig& config,
-                                          CampaignJournal* journal = nullptr);
-MacroCampaignResult run_decoder_campaign(const CampaignConfig& config,
-                                         CampaignJournal* journal = nullptr);
-/// The flat comparator-bank campaign (config.bank_size slices as one
-/// netlist): same sprinkle -> collapse -> simulate -> signature pipeline
-/// as every other macro, with each fault class observed at the slice it
-/// touches. Sharding / journaling / resume work unchanged (macro name
-/// "bank").
-MacroCampaignResult run_bank_campaign(const CampaignConfig& config,
-                                      CampaignJournal* journal = nullptr);
-/// The full-chip campaign (config.chip_slices comparators plus the
-/// bias generator, clock generator and thermometer decoder as ONE flat
-/// netlist): the first coverage number with no decomposition
-/// assumptions at all. Same pipeline, same resilience semantics
-/// (macro name "chip").
-MacroCampaignResult run_chip_campaign(const CampaignConfig& config,
-                                      CampaignJournal* journal = nullptr);
+/// Every macro of the campaign table, in canonical order: the paper's
+/// five-macro decomposed flow (comparator, ladder, biasgen, clockgen,
+/// decoder), then the flat bank and chip. Reports and merged journals
+/// list macros in this order.
+std::vector<std::string> campaign_macros();
+
+/// config.macro_selection resolved against the campaign table: "all"
+/// (also for an empty selection) or one table macro name. Throws
+/// util::InvalidInputError on any other name.
+std::string resolve_selection(const CampaignConfig& config);
+
+/// Macro names `config` will run and journal, in campaign order: the
+/// five-macro decomposed flow for "all", else the one selected macro.
+/// Throws util::InvalidInputError on an unknown selection.
+std::vector<std::string> expected_macros(const CampaignConfig& config);
+
+/// One macro campaign of the table (paper fig. 1): sprinkle -> collapse
+/// -> golden runs -> 3-sigma good-signature envelope -> class
+/// evaluation, journaled when `journal` is set. "bank" simulates
+/// config.bank_size comparator slices as one netlist; "chip" simulates
+/// config.chip_slices comparators plus the bias generator, clock
+/// generator and thermometer decoder as one netlist, the coverage
+/// number with no decomposition assumptions at all. Both observe each
+/// fault class at the slice it touches. Throws util::InvalidInputError
+/// on a name outside the table.
+MacroCampaignResult run_macro_campaign(const CampaignConfig& config,
+                                       const std::string& name,
+                                       CampaignJournal* journal = nullptr);
 
 /// Whole-circuit results (paper figures 4 and 5).
 struct GlobalResult {
@@ -201,33 +205,27 @@ struct GlobalResult {
   macro::MechanismMatrix matrix_noncatastrophic;
 };
 
-GlobalResult run_full_campaign(const CampaignConfig& config);
+/// The five-macro decomposed flow, whatever config.macro_selection says.
+GlobalResult run_full_campaign(CampaignConfig config);
 
-/// Dispatches on config.macro_selection: the full five-macro flow for
-/// "all", or a single macro campaign (journaled when configured)
-/// compiled alone. Throws util::InvalidInputError on an unknown name.
+/// Runs expected_macros(config) (journaled when configured) and
+/// compiles them. Throws util::InvalidInputError on an unknown
+/// selection.
 GlobalResult run_campaign(const CampaignConfig& config);
 
 /// Compiles the global figures from already-run macro results.
 GlobalResult compile_global(std::vector<MacroCampaignResult> macros);
 
-/// Diffs a finished bank campaign against the paper's per-comparator
-/// decomposition: every bank fault class is projected onto the
-/// single-comparator macro (macro::project_fault with the bank's slice
-/// mapper); mapped classes are re-evaluated there under the same band
-/// policy, and genuine inter-slice / unmappable classes -- the weight
-/// the decomposition never sees -- are bucketed separately with their
-/// weight kept in every coverage denominator.
-macro::EquivalenceReport compare_bank_decomposition(
-    const CampaignConfig& config, const MacroCampaignResult& bank);
-
-/// Diffs a finished chip campaign against the per-comparator
-/// decomposition, exactly like compare_bank_decomposition -- except
-/// here the unmappable bucket additionally holds every support-macro
-/// class (decoder / clockgen / biasgen hardware and the cross-macro
-/// nets), i.e. the interface-straddling weight the paper's figure 1
-/// flow only ever models indirectly.
-macro::EquivalenceReport compare_chip_decomposition(
-    const CampaignConfig& config, const MacroCampaignResult& chip);
+/// Diffs a finished flat-column campaign (bank or chip) against the
+/// paper's per-comparator decomposition: every class is projected onto
+/// the single-comparator macro (macro::project_fault with the macro's
+/// slice mapper); mapped classes are re-evaluated there under the same
+/// band policy, and inter-slice / unmappable classes -- the weight the
+/// decomposition never sees, including the chip's decoder, clockgen and
+/// biasgen hardware -- are bucketed separately with their weight kept
+/// in every coverage denominator. Throws util::InvalidInputError for a
+/// macro without a slice mapper.
+macro::EquivalenceReport compare_decomposition(
+    const CampaignConfig& config, const MacroCampaignResult& result);
 
 }  // namespace dot::flashadc

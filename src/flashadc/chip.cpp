@@ -238,6 +238,20 @@ Netlist instantiate_chip_bench(const Netlist& macro_netlist,
   return n;
 }
 
+DecisionGridBench chip_grid_bench(const ChipOptions& options) {
+  return {[options](const Netlist& macro_netlist, int slice, double delta_v) {
+            return instantiate_chip_bench(macro_netlist, options, slice,
+                                          delta_v);
+          },
+          [options](const spice::TranResult& result, int slice) {
+            return extract_chip_run(result, options, slice);
+          },
+          [options](const fault::CircuitFault& fault) {
+            return chip_observed_slice(options, fault);
+          },
+          options.slices / 2, chip_tran_options()};
+}
+
 spice::TranOptions chip_tran_options() { return bank_tran_options(); }
 
 ComparatorRun extract_chip_run(const spice::TranResult& result,
@@ -289,30 +303,6 @@ ComparatorRun run_chip_bench(const Netlist& full_bench,
   spice::TranOptions tran = chip_tran_options();
   tran.solver = options.solver;
   return extract_chip_run(spice::transient(full_bench, tran), options, slice);
-}
-
-ComparatorRun simulate_chip_slice(const Netlist& macro_netlist,
-                                  const ChipOptions& options, int slice,
-                                  double delta_v) {
-  const Netlist bench =
-      instantiate_chip_bench(macro_netlist, options, slice, delta_v);
-  try {
-    return run_chip_bench(bench, options, slice);
-  } catch (const util::ConvergenceError&) {
-    ComparatorRun failed;
-    failed.converged = false;
-    return failed;
-  }
-}
-
-std::array<ComparatorRun, 4> simulate_chip_grid(const Netlist& macro_netlist,
-                                                const ChipOptions& options,
-                                                int slice) {
-  std::array<ComparatorRun, 4> runs;
-  for (std::size_t i = 0; i < kDecisionGrid.size(); ++i)
-    runs[i] =
-        simulate_chip_slice(macro_netlist, options, slice, kDecisionGrid[i]);
-  return runs;
 }
 
 }  // namespace dot::flashadc

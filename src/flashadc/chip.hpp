@@ -49,8 +49,8 @@ struct ChipOptions {
   /// util::InvalidInputError otherwise. 256 is the paper's converter.
   int slices = 256;
   ComparatorDft dft;
-  /// Linear-solver selection for every chip transient (run_chip_bench
-  /// and everything layered on it).
+  /// Linear-solver selection for run_chip_bench. The campaign's
+  /// decision-grid bench takes CampaignConfig::solver instead.
   spice::SolverOptions solver;
 };
 
@@ -98,6 +98,10 @@ spice::Netlist instantiate_chip_bench(const spice::Netlist& macro_netlist,
                                       const ChipOptions& options, int slice,
                                       double delta_v);
 
+/// The chip's decision-grid bench: chip_tran_options(), faults observed
+/// at chip_observed_slice, fault-free runs at the middle slice.
+DecisionGridBench chip_grid_bench(const ChipOptions& options);
+
 /// Identical to bank_tran_options(): same window (to one step past
 /// kMeasEnd), same zero-state start (the chip DC has the same
 /// floating-node problem).
@@ -109,17 +113,9 @@ spice::TranOptions chip_tran_options();
 ComparatorRun extract_chip_run(const spice::TranResult& result,
                                const ChipOptions& options, int slice);
 
+/// Two-cycle transient on an already-instantiated bench, read at
+/// slice `slice`. Convergence failures throw.
 ComparatorRun run_chip_bench(const spice::Netlist& full_bench,
                              const ChipOptions& options, int slice);
-
-/// Bench + run at one input level; convergence failures return
-/// converged = false.
-ComparatorRun simulate_chip_slice(const spice::Netlist& macro_netlist,
-                                  const ChipOptions& options, int slice,
-                                  double delta_v);
-
-std::array<ComparatorRun, 4> simulate_chip_grid(
-    const spice::Netlist& macro_netlist, const ChipOptions& options,
-    int slice);
 
 }  // namespace dot::flashadc

@@ -1,5 +1,8 @@
 #include "flashadc/clockgen.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "flashadc/tech.hpp"
 #include "layout/synth.hpp"
 #include "spice/dc.hpp"
@@ -156,6 +159,40 @@ ClockgenSolution solve_clockgen(const Netlist& macro_netlist,
   }
   out.converged = true;
   return out;
+}
+
+macro::MeasurementLayout clockgen_measurement_layout() {
+  macro::MeasurementLayout layout;
+  layout.add("iddq_low", macro::MeasurementKind::kIddq);
+  layout.add("iddq_high", macro::MeasurementKind::kIddq);
+  layout.add("iclk_low", macro::MeasurementKind::kIinput);
+  layout.add("iclk_high", macro::MeasurementKind::kIinput);
+  return layout;
+}
+
+std::vector<double> clockgen_measurements(const ClockgenSolution& solution) {
+  return {solution.iddq_low, solution.iddq_high, solution.iclk_low,
+          solution.iclk_high};
+}
+
+macro::VoltageSignature classify_clockgen(const ClockgenSolution& faulty,
+                                          const ClockgenSolution& nominal) {
+  using macro::VoltageSignature;
+  double worst = 0.0;
+  bool logic_broken = false;
+  for (int i = 0; i < 3; ++i) {
+    const double dl = std::fabs(faulty.out_low[i] - nominal.out_low[i]);
+    const double dh = std::fabs(faulty.out_high[i] - nominal.out_high[i]);
+    worst = std::max({worst, dl, dh});
+    const bool flip_low =
+        (faulty.out_low[i] > kVddd / 2) != (nominal.out_low[i] > kVddd / 2);
+    const bool flip_high =
+        (faulty.out_high[i] > kVddd / 2) != (nominal.out_high[i] > kVddd / 2);
+    logic_broken = logic_broken || flip_low || flip_high;
+  }
+  if (logic_broken) return VoltageSignature::kOutputStuckAt;  // clocks dead
+  return worst > 0.05 ? VoltageSignature::kClockValue
+                      : VoltageSignature::kNoDeviation;
 }
 
 }  // namespace dot::flashadc

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "layout/cell.hpp"
+#include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
+#include "macro/signature.hpp"
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 #include "spice/solver.hpp"
@@ -49,5 +51,16 @@ ClockgenContext make_clockgen_context(const spice::Netlist& macro_netlist,
 
 ClockgenSolution solve_clockgen(const spice::Netlist& macro_netlist,
                                 const ClockgenContext* context = nullptr);
+
+/// Envelope measurements: quiescent supply and clock-pin currents at
+/// both clock input levels.
+macro::MeasurementLayout clockgen_measurement_layout();
+std::vector<double> clockgen_measurements(const ClockgenSolution& solution);
+
+/// Voltage signature of a converged faulty clock generator: a phase
+/// output on the wrong side of VDDD/2 kills the clocks (stuck-at); a
+/// level off by more than 50 mV is a clock-value deviation.
+macro::VoltageSignature classify_clockgen(const ClockgenSolution& faulty,
+                                          const ClockgenSolution& nominal);
 
 }  // namespace dot::flashadc

@@ -157,9 +157,32 @@ ComparatorRun simulate_comparator(const Netlist& macro, double delta_v) {
 }
 
 std::array<ComparatorRun, 4> simulate_comparator_grid(const Netlist& macro) {
+  return run_decision_grid(comparator_grid_bench(), macro, 0);
+}
+
+DecisionGridBench comparator_grid_bench() {
+  return {[](const Netlist& macro, int, double delta_v) {
+            return instantiate_comparator_bench(macro, delta_v);
+          },
+          [](const spice::TranResult& result, int) {
+            return extract_comparator_run(result);
+          },
+          [](const fault::CircuitFault&) { return 0; }, 0,
+          comparator_tran_options()};
+}
+
+std::array<ComparatorRun, 4> run_decision_grid(const DecisionGridBench& bench,
+                                               const Netlist& macro,
+                                               int slice) {
   std::array<ComparatorRun, 4> runs;
-  for (std::size_t i = 0; i < kDecisionGrid.size(); ++i)
-    runs[i] = simulate_comparator(macro, kDecisionGrid[i]);
+  for (std::size_t i = 0; i < kDecisionGrid.size(); ++i) {
+    const Netlist full = bench.instantiate(macro, slice, kDecisionGrid[i]);
+    try {
+      runs[i] = bench.extract(spice::transient(full, bench.tran), slice);
+    } catch (const util::ConvergenceError&) {
+      runs[i].converged = false;
+    }
+  }
   return runs;
 }
 

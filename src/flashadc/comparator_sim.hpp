@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,10 @@
 #include "macro/signature.hpp"
 #include "spice/netlist.hpp"
 #include "spice/transient.hpp"
+
+namespace dot::fault {
+struct CircuitFault;
+}
 
 namespace dot::flashadc {
 
@@ -70,6 +75,33 @@ ComparatorRun simulate_comparator(const spice::Netlist& macro,
 /// All four grid points. Index order follows kDecisionGrid.
 std::array<ComparatorRun, 4> simulate_comparator_grid(
     const spice::Netlist& macro);
+
+/// The decision-grid bench of any comparator-style macro: the flat bank
+/// and chip columns observe one slice's flipflop, the single comparator
+/// is the one-slice case. `instantiate` wraps a macro netlist with the
+/// bench drivers, vin at `slice`'s reference + delta_v; `extract` reads
+/// `slice`'s run record from a transient run with `tran`.
+struct DecisionGridBench {
+  std::function<spice::Netlist(const spice::Netlist&, int slice,
+                               double delta_v)>
+      instantiate;
+  std::function<ComparatorRun(const spice::TranResult&, int slice)> extract;
+  /// Slice a fault class is observed at.
+  std::function<int(const fault::CircuitFault&)> observed_slice;
+  /// Slice of the fault-free runs and the good-signature envelope.
+  int mid_slice = 0;
+  spice::TranOptions tran;
+};
+
+/// The single comparator's bench (slice 0, comparator_tran_options()).
+DecisionGridBench comparator_grid_bench();
+
+/// All four decision-grid runs observed at `slice`, in kDecisionGrid
+/// order; a transient that fails to converge leaves a converged=false
+/// record.
+std::array<ComparatorRun, 4> run_decision_grid(const DecisionGridBench& bench,
+                                               const spice::Netlist& macro,
+                                               int slice);
 
 /// Measurement layout for the current envelope: the 24 current values of
 /// the two outer-grid runs (vin below / above the full reference range).

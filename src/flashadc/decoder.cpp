@@ -152,4 +152,25 @@ DecoderSolution solve_decoder(const Netlist& macro_netlist,
   return out;
 }
 
+macro::MeasurementLayout decoder_measurement_layout() {
+  macro::MeasurementLayout layout;
+  for (int v = 0; v <= kDecoderSliceInputs; ++v)
+    layout.add("iddq_v" + std::to_string(v), macro::MeasurementKind::kIddq);
+  return layout;
+}
+
+std::vector<double> decoder_measurements(const DecoderSolution& solution) {
+  return {solution.iddq.begin(), solution.iddq.end()};
+}
+
+macro::VoltageSignature classify_decoder(const DecoderSolution& faulty) {
+  for (int v = 0; v <= kDecoderSliceInputs; ++v)
+    for (int r = 0; r < 4; ++r)
+      if ((faulty.rows[static_cast<std::size_t>(v)]
+                      [static_cast<std::size_t>(r)] > kVddd / 2) !=
+          decoder_row_expected(v, r))
+        return macro::VoltageSignature::kOutputStuckAt;
+  return macro::VoltageSignature::kNoDeviation;
+}
+
 }  // namespace dot::flashadc

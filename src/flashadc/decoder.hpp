@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "layout/cell.hpp"
+#include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
+#include "macro/signature.hpp"
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 #include "spice/solver.hpp"
@@ -52,5 +54,14 @@ DecoderSolution solve_decoder(const spice::Netlist& macro_netlist,
 /// The fault-free logical row pattern for vector v (v inputs high):
 /// row i is high iff exactly i inputs are high... see implementation.
 bool decoder_row_expected(int vector, int row);
+
+/// Envelope measurements: the quiescent supply current per input
+/// vector.
+macro::MeasurementLayout decoder_measurement_layout();
+std::vector<double> decoder_measurements(const DecoderSolution& solution);
+
+/// Voltage signature of a converged faulty decoder slice: any row off
+/// its fault-free logic level for any input vector is stuck-at.
+macro::VoltageSignature classify_decoder(const DecoderSolution& faulty);
 
 }  // namespace dot::flashadc

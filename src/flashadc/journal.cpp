@@ -47,7 +47,7 @@ MetaInfo meta_of(const CampaignConfig& config) {
   m.shard_count = config.resilience.shard_count;
   m.shard_index = config.resilience.shard_index;
   m.solver_mode = spice::solver_mode_name(config.solver.mode);
-  m.campaign = config.macro_selection.empty() ? "all" : config.macro_selection;
+  m.campaign = resolve_selection(config);
   // The one column-height field does double duty: it carries the chip
   // slice count for chip campaigns (schema unchanged; the campaign
   // field disambiguates which knob it mirrors).
@@ -469,12 +469,9 @@ GlobalResult merge_shard_journals(const std::vector<std::string>& paths) {
 
   // Canonical macro order (journal record order is nondeterministic);
   // unknown macro names -- future campaigns -- follow alphabetically.
-  static const char* const kCanonicalOrder[] = {
-      "comparator", "ladder", "biasgen", "clockgen", "decoder", "bank",
-      "chip"};
   std::vector<std::string> order;
-  for (const char* name : kCanonicalOrder)
-    if (macro_meta.count(name) != 0) order.emplace_back(name);
+  for (const std::string& name : campaign_macros())
+    if (macro_meta.count(name) != 0) order.push_back(name);
   for (const auto& [name, meta] : macro_meta)
     if (std::find(order.begin(), order.end(), name) == order.end())
       order.push_back(name);

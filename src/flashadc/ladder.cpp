@@ -1,5 +1,9 @@
 #include "flashadc/ladder.hpp"
 
+#include <algorithm>
+#include <cmath>
+
+#include "flashadc/behavioral.hpp"
 #include "flashadc/tech.hpp"
 #include "layout/synth.hpp"
 #include "spice/dc.hpp"
@@ -130,6 +134,30 @@ LadderSolution solve_ladder(const Netlist& macro_netlist,
     out.converged = false;
   }
   return out;
+}
+
+macro::MeasurementLayout ladder_measurement_layout() {
+  macro::MeasurementLayout layout;
+  layout.add("iref_p", macro::MeasurementKind::kIinput);
+  layout.add("iref_m", macro::MeasurementKind::kIinput);
+  return layout;
+}
+
+std::vector<double> ladder_measurements(const LadderSolution& solution) {
+  return {solution.iref_p, solution.iref_m};
+}
+
+macro::VoltageSignature classify_ladder(const LadderSolution& faulty,
+                                        const LadderSolution& nominal) {
+  using macro::VoltageSignature;
+  double worst = 0.0;
+  for (std::size_t i = 0; i < nominal.taps.size(); ++i)
+    worst = std::max(worst, std::fabs(faulty.taps[i] - nominal.taps[i]));
+  if (has_missing_code(FlashAdcModel(faulty.taps)))
+    return worst > 10 * lsb() ? VoltageSignature::kOutputStuckAt
+                              : VoltageSignature::kOffset;
+  return worst > lsb() / 2 ? VoltageSignature::kMixed
+                           : VoltageSignature::kNoDeviation;
 }
 
 }  // namespace dot::flashadc

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "layout/cell.hpp"
+#include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
+#include "macro/signature.hpp"
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 #include "spice/solver.hpp"
@@ -61,5 +63,16 @@ LadderContext make_ladder_context(const spice::Netlist& macro_netlist,
 
 LadderSolution solve_ladder(const spice::Netlist& macro_netlist,
                             const LadderContext* context = nullptr);
+
+/// Envelope measurements: the two reference pin currents.
+macro::MeasurementLayout ladder_measurement_layout();
+std::vector<double> ladder_measurements(const LadderSolution& solution);
+
+/// Voltage signature of a converged faulty ladder: its taps drive the
+/// behavioral converter. Missing codes read as offset, or stuck-at
+/// beyond 10 LSB of tap deviation; intact codes still read as mixed
+/// when a tap moves by more than half an LSB.
+macro::VoltageSignature classify_ladder(const LadderSolution& faulty,
+                                        const LadderSolution& nominal);
 
 }  // namespace dot::flashadc

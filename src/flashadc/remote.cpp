@@ -9,11 +9,6 @@
 namespace dot::flashadc {
 namespace {
 
-// The five-macro decomposed flow, in the order run_full_campaign
-// journals them.
-const char* const kAllMacros[] = {"comparator", "ladder", "biasgen",
-                                  "clockgen", "decoder"};
-
 void seed_shard_journal(const std::string& path, const std::string& meta_line,
                         const std::vector<std::string>& completed) {
   std::ofstream out(path, std::ios::trunc);
@@ -25,14 +20,6 @@ void seed_shard_journal(const std::string& path, const std::string& meta_line,
 }
 
 }  // namespace
-
-std::vector<std::string> expected_macros(const CampaignConfig& config) {
-  if (config.macro_selection == "all") {
-    return std::vector<std::string>(std::begin(kAllMacros),
-                                    std::end(kAllMacros));
-  }
-  return {config.macro_selection};
-}
 
 void fill_dispatcher_identity(const CampaignConfig& config,
                               dispatch::DispatcherConfig& out) {

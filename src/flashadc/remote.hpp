@@ -21,10 +21,6 @@
 
 namespace dot::flashadc {
 
-/// Macro names `config` will journal, in campaign order ("all" expands
-/// to the five-macro decomposed flow).
-std::vector<std::string> expected_macros(const CampaignConfig& config);
-
 /// Dispatcher-side identity/validation/completion fields of a
 /// DispatcherConfig, derived from the campaign config. The caller
 /// still sets the transport and liveness knobs (journal path, shard

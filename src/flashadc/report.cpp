@@ -1,9 +1,26 @@
 #include "flashadc/report.hpp"
 
+#include <algorithm>
+
 #include "util/json.hpp"
 
 namespace dot::flashadc {
 namespace {
+
+/// Weight fraction (by class count) of `outcomes` satisfying `pred`.
+template <typename Pred>
+double weighted_fraction(const std::vector<FaultOutcome>& outcomes,
+                         Pred&& pred) {
+  double hit = 0.0, total = 0.0;
+  for (const auto& o : outcomes) {
+    const auto w = static_cast<double>(o.cls.count);
+    if (pred(o)) hit += w;
+    total += w;
+  }
+  return total > 0.0 ? hit / total : 0.0;
+}
+
+bool resolved(const FaultOutcome& o) { return o.status == EvalStatus::kOk; }
 
 void write_outcome(util::JsonWriter& w, const FaultOutcome& o) {
   w.begin_object();
@@ -121,6 +138,100 @@ void write_venn(util::JsonWriter& w, const macro::VennResult& venn) {
 }
 
 }  // namespace
+
+macro::MacroContribution MacroCampaignResult::contribution(
+    bool non_catastrophic) const {
+  macro::MacroContribution c;
+  c.name = macro_name;
+  c.cell_area = cell_area;
+  c.instance_count = instance_count;
+  for (const auto& o : non_catastrophic ? noncatastrophic : catastrophic)
+    c.outcomes.push_back(
+        {o.detection, static_cast<double>(o.cls.count), !resolved(o)});
+  return c;
+}
+
+std::vector<double> MacroCampaignResult::voltage_signature_fractions(
+    bool non_catastrophic) const {
+  std::vector<double> fractions(macro::kVoltageSignatureCount, 0.0);
+  double total = 0.0;
+  for (const auto& o : non_catastrophic ? noncatastrophic : catastrophic) {
+    if (!resolved(o)) continue;  // no trustworthy signature
+    fractions[static_cast<std::size_t>(o.voltage)] +=
+        static_cast<double>(o.cls.count);
+    total += static_cast<double>(o.cls.count);
+  }
+  if (total > 0.0)
+    for (auto& f : fractions) f /= total;
+  return fractions;
+}
+
+std::vector<double> MacroCampaignResult::current_signature_fractions(
+    bool non_catastrophic) const {
+  std::vector<double> fractions(4, 0.0);
+  double total = 0.0;
+  for (const auto& o : non_catastrophic ? noncatastrophic : catastrophic) {
+    if (!resolved(o)) continue;  // no trustworthy signature
+    const auto w = static_cast<double>(o.cls.count);
+    if (o.current.ivdd) fractions[0] += w;
+    if (o.current.iddq) fractions[1] += w;
+    if (o.current.iinput) fractions[2] += w;
+    if (!o.current.any()) fractions[3] += w;
+    total += w;
+  }
+  if (total > 0.0)
+    for (auto& f : fractions) f /= total;
+  return fractions;
+}
+
+double MacroCampaignResult::coverage(bool non_catastrophic) const {
+  return weighted_fraction(non_catastrophic ? noncatastrophic : catastrophic,
+                           [](const FaultOutcome& o) {
+                             return resolved(o) && o.detection.detected();
+                           });
+}
+
+double MacroCampaignResult::current_coverage(bool non_catastrophic) const {
+  return weighted_fraction(non_catastrophic ? noncatastrophic : catastrophic,
+                           [](const FaultOutcome& o) {
+                             return resolved(o) &&
+                                    o.detection.current_detected();
+                           });
+}
+
+double MacroCampaignResult::unresolved_weight(bool non_catastrophic) const {
+  return weighted_fraction(non_catastrophic ? noncatastrophic : catastrophic,
+                           [](const FaultOutcome& o) { return !resolved(o); });
+}
+
+std::size_t MacroCampaignResult::unresolved_classes() const {
+  auto unresolved = [](const FaultOutcome& o) { return !resolved(o); };
+  return static_cast<std::size_t>(
+      std::count_if(catastrophic.begin(), catastrophic.end(), unresolved) +
+      std::count_if(noncatastrophic.begin(), noncatastrophic.end(),
+                    unresolved));
+}
+
+GlobalResult compile_global(std::vector<MacroCampaignResult> macros) {
+  GlobalResult global;
+  std::vector<macro::MacroContribution> cat, noncat;
+  for (const auto& m : macros) {
+    cat.push_back(m.contribution(false));
+    noncat.push_back(m.contribution(true));
+  }
+  global.venn_catastrophic = macro::compile_global(cat);
+  global.matrix_catastrophic = macro::compile_global_matrix(cat);
+  // Macros without non-catastrophic variants contribute nothing there.
+  std::erase_if(noncat, [](const macro::MacroContribution& c) {
+    return c.outcomes.empty();
+  });
+  if (!noncat.empty()) {
+    global.venn_noncatastrophic = macro::compile_global(noncat);
+    global.matrix_noncatastrophic = macro::compile_global_matrix(noncat);
+  }
+  global.macros = std::move(macros);
+  return global;
+}
 
 std::string to_json(const MacroCampaignResult& result) {
   util::JsonWriter w;

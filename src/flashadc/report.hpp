@@ -1,6 +1,9 @@
-// JSON export of campaign results: per-class records (kind, nets,
-// signatures, detection), per-macro summaries, and the global Venn --
-// the machine-readable companion of the bench/ text tables.
+// The result side of a campaign: the per-macro summaries declared on
+// MacroCampaignResult (coverage, signature fractions, contributions),
+// the global compilation (compile_global) and their JSON export --
+// per-class records (kind, nets, signatures, detection), per-macro
+// summaries and the global Venn, the machine-readable companion of the
+// bench/ text tables.
 #pragma once
 
 #include <string>

@@ -47,8 +47,7 @@ dot::flashadc::CampaignConfig bank_config(int size) {
 EquivalenceReport run_equivalence(int size) {
   const auto config = bank_config(size);
   const auto global = dot::flashadc::run_campaign(config);
-  return dot::flashadc::compare_bank_decomposition(config,
-                                                   global.macros.at(0));
+  return dot::flashadc::compare_decomposition(config, global.macros.at(0));
 }
 
 class BankEquivalenceTest : public ::testing::TestWithParam<int> {};

@@ -176,11 +176,11 @@ void expect_same_outcomes(const std::vector<flashadc::FaultOutcome>& a,
 TEST(BatchedCampaign, ComparatorVerdictsIdenticalAcrossBatchSizes) {
   auto config = small_config();
   config.batch = 1;
-  const auto scalar = flashadc::run_comparator_campaign(config);
+  const auto scalar = flashadc::run_macro_campaign(config, "comparator");
   EXPECT_EQ(scalar.batch_evaluated, 0u);
   for (const std::size_t batch : {std::size_t{4}, std::size_t{16}}) {
     config.batch = batch;
-    const auto batched = flashadc::run_comparator_campaign(config);
+    const auto batched = flashadc::run_macro_campaign(config, "comparator");
     EXPECT_GT(batched.batch_evaluated, 0u) << "batch " << batch;
     expect_same_outcomes(scalar.catastrophic, batched.catastrophic,
                          "catastrophic b" + std::to_string(batch));
@@ -197,9 +197,9 @@ TEST(BatchedCampaign, BankVerdictsIdenticalScalarVsBatched) {
   config.bank_size = 4;
   config.max_classes = 6;
   config.batch = 1;
-  const auto scalar = flashadc::run_bank_campaign(config);
+  const auto scalar = flashadc::run_macro_campaign(config, "bank");
   config.batch = 4;
-  const auto batched = flashadc::run_bank_campaign(config);
+  const auto batched = flashadc::run_macro_campaign(config, "bank");
   EXPECT_GT(batched.batch_evaluated, 0u);
   expect_same_outcomes(scalar.catastrophic, batched.catastrophic, "bank cat");
   expect_same_outcomes(scalar.noncatastrophic, batched.noncatastrophic,
@@ -227,7 +227,7 @@ TEST(BatchedCampaign, EvictedMemberDegradesWithoutPoisoningBatch) {
   plan.class_indices = {0};
   PlanGuard guard(std::move(plan));
 
-  const auto r = flashadc::run_comparator_campaign(config);
+  const auto r = flashadc::run_macro_campaign(config, "comparator");
   ASSERT_FALSE(r.catastrophic.empty());
   // The sabotaged class left the batch, spent its scalar retry budget
   // and was recorded unresolved -- exactly the scalar path's handling.

@@ -164,7 +164,7 @@ void check_population(const JsonValue& golden,
 
 TEST(GoldenSignatureTest, ComparatorDistributionsMatchCorpus) {
   const auto result =
-      dot::flashadc::run_comparator_campaign(golden_config());
+      dot::flashadc::run_macro_campaign(golden_config(), "comparator");
 
   if (std::getenv("DOT_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(kGoldenPath);

@@ -60,7 +60,7 @@ TEST(Report, CampaignSerializes) {
   config.envelope_samples = 8;
   config.max_classes = 10;
   config.with_noncatastrophic = false;
-  const auto r = run_biasgen_campaign(config);
+  const auto r = run_macro_campaign(config, "biasgen");
   const std::string json = to_json(r);
   EXPECT_NE(json.find("\"macro\":\"biasgen\""), std::string::npos);
   EXPECT_NE(json.find("\"coverage\":"), std::string::npos);

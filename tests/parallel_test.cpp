@@ -160,9 +160,9 @@ TEST(Determinism, ComparatorCampaignIsThreadCountInvariant) {
   config.max_classes = 3;
   config.seed = 7;
   const auto serial = with_threads(
-      1, [&] { return flashadc::run_comparator_campaign(config); });
+      1, [&] { return flashadc::run_macro_campaign(config, "comparator"); });
   const auto parallel = with_threads(
-      4, [&] { return flashadc::run_comparator_campaign(config); });
+      4, [&] { return flashadc::run_macro_campaign(config, "comparator"); });
   EXPECT_TRUE(same_campaign(serial, parallel));
   ASSERT_FALSE(serial.catastrophic.empty());
 }

@@ -275,7 +275,7 @@ TEST(Injection, TimeoutClassEndsUnresolvedAfterRetryBudget) {
   plan.class_indices = {0};
   PlanGuard guard(std::move(plan));
 
-  const auto r = flashadc::run_biasgen_campaign(config);
+  const auto r = flashadc::run_macro_campaign(config, "biasgen");
   ASSERT_FALSE(r.catastrophic.empty());
   // The sabotaged class completed the campaign as a structured
   // unresolved outcome (class order is likelihood order, so class 0 is
@@ -315,7 +315,7 @@ TEST(Injection, AidEscalationRescuesClass) {
   plan.class_indices = {0};
   PlanGuard guard(std::move(plan));
 
-  const auto r = flashadc::run_biasgen_campaign(config);
+  const auto r = flashadc::run_macro_campaign(config, "biasgen");
   ASSERT_FALSE(r.catastrophic.empty());
   // Attempts at aid 0 and 1 fail; the third attempt (aid 2) resolves.
   const auto& rescued = r.catastrophic[0];
@@ -333,7 +333,7 @@ TEST(Injection, ConvergenceFailureStaysDetectedByConstruction) {
   plan.class_indices = {0};
   PlanGuard guard(std::move(plan));
 
-  const auto r = flashadc::run_biasgen_campaign(config);
+  const auto r = flashadc::run_macro_campaign(config, "biasgen");
   ASSERT_FALSE(r.catastrophic.empty());
   // ConvergenceError is a statement about the circuit, not the
   // infrastructure: the macro simulator converts it to converged=false
