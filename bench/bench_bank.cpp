@@ -2,26 +2,19 @@
 //
 // Sweeps the column height over {2, 4, 8, 16, 32, 64} slices, runs the
 // bank bench's two-cycle transient at each size, and reports how the
-// MNA solve scales: unknown count, wall-clock per Newton solve, and
-// the Shamanskii factor-reuse hit rate (iterations served by stale
-// factors instead of a fresh numeric factorization). This is the
-// measurement behind SolverOptions::sparse_threshold staying honest as
-// the flat-bank netlists grow far past the single-macro sizes.
+// MNA solve scales: unknown count and wall-clock per Newton solve. This
+// is the measurement behind SolverOptions::sparse_threshold staying
+// honest as the flat-bank netlists grow far past the single-macro
+// sizes.
 //
-//   bench_bank [--quick|--smoke] [--shamanskii=N] [--solver=M]
-//              [--json=FILE | --json-root]
+//   bench_bank [--quick|--smoke] [--solver=M] [--json=FILE | --json-root]
 //
-// --smoke shrinks the sweep to {2, 4, 8} for CI. --shamanskii sets the
-// reuse depth of the second measurement column (default 4; depth 1 --
-// classic Newton -- is always measured as the baseline).
+// --smoke shrinks the sweep to {2, 4, 8} for CI.
 //
 // JSON result payload (dot-bench-v1):
 //   {"sizes": [{"size": ..., "unknowns": ..., "sparse": ...,
 //               "newton_iterations": ..., "wall_ms": ...,
-//               "ms_per_newton": ..., "reuse_wall_ms": ...,
-//               "reuse_ms_per_newton": ..., "factor_reuse_rate": ...},
-//              ...],
-//    "shamanskii_depth": N}
+//               "ms_per_newton": ...}, ...]}
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -44,10 +37,7 @@ struct Sample {
   std::size_t unknowns = 0;
   bool sparse = false;
   std::size_t newton_iterations = 0;
-  std::size_t reuse_newton_iterations = 0;
-  double wall_ms = 0.0;        ///< Per transient run, depth 1.
-  double reuse_wall_ms = 0.0;  ///< Per transient run, reuse depth.
-  double reuse_rate = 0.0;     ///< Factor-reuse rate at reuse depth.
+  double wall_ms = 0.0;  ///< Per transient run.
 };
 
 /// One bank-bench transient (the campaign's unit of work): middle
@@ -75,9 +65,6 @@ TranStats timed_run(const dot::spice::Netlist& bench,
 int main(int argc, char** argv) {
   using namespace dot;
   bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  const int reuse_depth = args.config.solver.shamanskii_depth > 1
-                              ? args.config.solver.shamanskii_depth
-                              : 4;
 
   bench::print_header(
       "bench_bank: flat-bank transient solve scaling vs column height");
@@ -87,8 +74,7 @@ int main(int argc, char** argv) {
   const int reps = args.smoke ? 1 : 3;
 
   util::TextTable table({"slices", "unknowns", "solver", "newton iters",
-                         "ms/run", "ms/newton", "reuse ms/newton",
-                         "reuse rate %"});
+                         "ms/run", "ms/newton"});
   std::vector<Sample> samples;
   const WallTimer total;
   std::size_t total_iters = 0;
@@ -102,58 +88,39 @@ int main(int argc, char** argv) {
 
     Sample s;
     s.size = size;
-    spice::SolverOptions base = args.config.solver;
-    base.shamanskii_depth = 1;
-    const TranStats plain = timed_run(bench_netlist, base, reps, s.wall_ms);
-    s.unknowns = plain.unknowns;
-    s.sparse = plain.sparse;
-    s.newton_iterations = plain.newton_iterations;
-
-    spice::SolverOptions reuse = base;
-    reuse.shamanskii_depth = reuse_depth;
-    const TranStats reused =
-        timed_run(bench_netlist, reuse, reps, s.reuse_wall_ms);
-    s.reuse_newton_iterations = reused.newton_iterations;
-    s.reuse_rate = reused.factor_reuse_rate();
+    const TranStats stats =
+        timed_run(bench_netlist, args.config.solver, reps, s.wall_ms);
+    s.unknowns = stats.unknowns;
+    s.sparse = stats.sparse;
+    s.newton_iterations = stats.newton_iterations;
 
     samples.push_back(s);
-    total_iters += plain.newton_iterations + reused.newton_iterations;
+    total_iters += s.newton_iterations;
     const double ms_per = s.newton_iterations > 0
                               ? s.wall_ms / s.newton_iterations
                               : 0.0;
-    const double reuse_per = reused.newton_iterations > 0
-                                 ? s.reuse_wall_ms / reused.newton_iterations
-                                 : 0.0;
     table.add_row({std::to_string(size), std::to_string(s.unknowns),
                    s.sparse ? "sparse" : "dense",
                    std::to_string(s.newton_iterations),
-                   util::fmt(s.wall_ms, 1), util::fmt(ms_per * 1000.0, 1),
-                   util::fmt(reuse_per * 1000.0, 1),
-                   util::fmt(100.0 * s.reuse_rate, 1)});
+                   util::fmt(s.wall_ms, 1), util::fmt(ms_per * 1000.0, 1)});
   }
   std::printf("%s(ms/newton columns are in microseconds)\n\n",
               table.str().c_str());
 
   std::ostringstream payload;
-  payload << "{\"shamanskii_depth\": " << reuse_depth << ", \"sizes\": [";
+  payload << "{\"sizes\": [";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     if (i) payload << ", ";
-    char buf[360];
+    char buf[240];
     std::snprintf(
         buf, sizeof buf,
         "{\"size\": %d, \"unknowns\": %zu, \"sparse\": %s, "
         "\"newton_iterations\": %zu, \"wall_ms\": %.3f, "
-        "\"ms_per_newton\": %.6f, \"reuse_wall_ms\": %.3f, "
-        "\"reuse_ms_per_newton\": %.6f, \"factor_reuse_rate\": %.4f}",
+        "\"ms_per_newton\": %.6f}",
         s.size, s.unknowns, s.sparse ? "true" : "false",
         s.newton_iterations, s.wall_ms,
-        s.newton_iterations ? s.wall_ms / s.newton_iterations : 0.0,
-        s.reuse_wall_ms,
-        s.reuse_newton_iterations
-            ? s.reuse_wall_ms / s.reuse_newton_iterations
-            : 0.0,
-        s.reuse_rate);
+        s.newton_iterations ? s.wall_ms / s.newton_iterations : 0.0);
     payload << buf;
   }
   payload << "]}";

@@ -10,7 +10,6 @@
 //   --threads=N    worker threads (default: hardware concurrency)
 //   --solver=M     linear solver: auto (default; sparse at >= 18
 //                  unknowns) | dense | sparse
-//   --shamanskii=N Newton iterations per numeric refactor (default 1)
 //   --class-timeout-ms=T  wall-clock budget per fault-class attempt
 //                  (0 = unlimited, the default); expired classes are
 //                  retried under escalating solver aid and reported
@@ -65,7 +64,7 @@ struct BenchArgs {
 
   static void usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--shamanskii=N] [--json=FILE] [--json-root]\n%s",
+                 "usage: %s [--json=FILE] [--json-root]\n%s",
                  argv0, flashadc::campaign_usage());
   }
 
@@ -101,9 +100,7 @@ struct BenchArgs {
         case flashadc::ArgParse::kUnknown:
           break;
       }
-      if (const char* v = flashadc::arg_value(arg, "--shamanskii=")) {
-        args.config.solver.shamanskii_depth = std::atoi(v);
-      } else if (const char* v = flashadc::arg_value(arg, "--json=")) {
+      if (const char* v = flashadc::arg_value(arg, "--json=")) {
         args.json_path = v;
       } else if (arg == "--json-root") {
         args.json_path = "BENCH_" + args.bench + ".json";

@@ -7,7 +7,7 @@
 // the dense/sparse agreement, and the measured crossover size that
 // informs SolverOptions::sparse_threshold.
 //
-//   bench_solver [--quick] [--json=FILE | --json-root] [--shamanskii=N]
+//   bench_solver [--quick] [--json=FILE | --json-root]
 //
 // JSON result payload (dot-bench-v1):
 //   {"sizes": [{"family": "...", "n": ..., "dense_ms": ..., "sparse_ms": ...,

@@ -61,9 +61,8 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--shards=N] [--shard=K] [--journal=PATH]\n"
-      "          [--journal-sync=N] [--resume] [--equivalence]\n"
-      "          [--json=FILE]\n%s",
+      "usage: %s [--journal=PATH] [--journal-sync=N] [--resume]\n"
+      "          [--equivalence] [--json=FILE]\n%s",
       argv0, dot::examples::campaign_usage());
 }
 
@@ -89,11 +88,7 @@ int main(int argc, char** argv) {
       case examples::ArgParse::kUnknown:
         break;
     }
-    if (const char* v = examples::arg_value(arg, "--shards=")) {
-      config.resilience.shard_count = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = examples::arg_value(arg, "--shard=")) {
-      config.resilience.shard_index = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = examples::arg_value(arg, "--journal=")) {
+    if (const char* v = examples::arg_value(arg, "--journal=")) {
       config.resilience.journal_path = v;
     } else if (const char* v = examples::arg_value(arg, "--journal-sync=")) {
       char* end = nullptr;
@@ -121,8 +116,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (config.resilience.shard_count == 0 ||
-      config.resilience.shard_index >= config.resilience.shard_count) {
+  if (config.resilience.shard_index >= config.resilience.shard_count) {
     std::fprintf(stderr, "%s: --shard=%zu out of range for --shards=%zu\n",
                  argv[0], config.resilience.shard_index,
                  config.resilience.shard_count);

@@ -443,10 +443,14 @@ struct ClassLoop {
           (journal == nullptr || journal->completed(macro, c) == nullptr))
         pending.push_back(c);
 
-    // Auto chunk: 32 classes, capped at an even share per worker
-    // thread; no member's result depends on the chunking.
+    // Auto chunk: 32 classes, capped so that each worker thread of a
+    // parallel run gets about four chunks -- class costs differ by
+    // orders of magnitude, and one chunk per thread leaves threads idle
+    // behind the slowest; no member's result depends on the chunking.
     const std::size_t threads = util::ThreadPool::global_thread_count();
-    const std::size_t share = (pending.size() + threads - 1) / threads;
+    const std::size_t target_chunks = threads > 1 ? 4 * threads : 1;
+    const std::size_t share =
+        (pending.size() + target_chunks - 1) / target_chunks;
     const std::size_t chunk = std::max<std::size_t>(
         1, std::min(config.batch == 0 ? 32 : config.batch, share));
 
@@ -481,32 +485,46 @@ struct ClassLoop {
         });
         class_end.push_back(jobs.size());
       }
-      const auto outcomes = spice::run_transient_batch(jobs);
+      // Each finished run is reduced to its comparator record at once
+      // and its bench released, so a chunk holds one waveform at a time.
+      struct JobRun {
+        bool completed = false;
+        ComparatorRun run;  ///< Default (converged == false) unless set.
+        spice::PhaseTimes phases;
+      };
+      std::vector<JobRun> runs(jobs.size());
+      spice::run_transient_batch(
+          jobs, [&](std::size_t i, spice::BatchJobOutcome outcome) {
+            runs[i].completed = outcome.completed;
+            if (outcome.completed && outcome.converged) {
+              const FaultClass& cls = classes[jobs[i].scope_class];
+              runs[i].run = bench.extract(
+                  *outcome.result, bench.observed_slice(cls.representative));
+              runs[i].phases = outcome.result->stats().phases;
+            }
+            benches[i].reset();
+          });
 
       // Reassembly walks the same enumeration: each class owns the next
       // run of jobs, four grid points per (pass, variant).
-      auto next = outcomes.begin();
+      auto next = runs.begin();
       for (std::size_t p = start; p < end; ++p) {
         const auto first = next;
-        next = outcomes.begin() +
-               static_cast<std::ptrdiff_t>(class_end[p - start]);
-        if (std::any_of(first, next, [](auto& o) { return !o.completed; }))
+        next = runs.begin() + static_cast<std::ptrdiff_t>(class_end[p - start]);
+        if (std::any_of(first, next, [](auto& r) { return !r.completed; }))
           continue;  // evicted: the scalar attempt ladder takes over
         const FaultClass& cls = classes[pending[p]];
-        const int slice = bench.observed_slice(cls.representative);
         auto out = first;
         auto classify_next = [&](bool, int) {
-          std::array<ComparatorRun, 4> runs{};
-          for (ComparatorRun& run : runs) {
+          std::array<ComparatorRun, 4> grid{};
+          for (ComparatorRun& run : grid) {
             // A non-converged member keeps the default record,
             // converged == false, as in run_decision_grid.
-            if (out->converged) {
-              run = bench.extract(*out->result, slice);
-              part.phase_times += out->result->stats().phases;
-            }
+            run = out->run;
+            part.phase_times += out->phases;
             ++out;
           }
-          return classify_runs(runs, m.nominal, envelope);
+          return classify_runs(grid, m.nominal, envelope);
         };
         part.evals.emplace_back(pending[p],
                                 evaluate_class(cls, config.with_noncatastrophic,

@@ -54,10 +54,9 @@ struct ResilienceOptions {
   std::size_t checkpoint_block = 16;
   /// Optional hook invoked with every journal record line (macro and
   /// class records, never the meta record) just before it is appended
-  /// to the journal. The dispatch worker streams records to the
-  /// dispatcher through it. May be called concurrently from evaluation
-  /// workers; exceptions propagate out of the evaluation (the dispatch
-  /// layer uses this to unwind abandoned shards).
+  /// to the journal. perfbench's stage clock ends a timing stage at
+  /// each record through it. May be called concurrently from evaluation
+  /// workers; exceptions propagate out of the evaluation.
   std::function<void(const std::string& line)> journal_observer;
 };
 

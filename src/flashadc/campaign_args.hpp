@@ -1,9 +1,6 @@
 // Campaign-knob parsing shared by every command-line tool: the bench
 // harnesses and the example CLIs parse the knobs that shape a campaign
-// here, so a preset or a validation rule cannot drift between them. The
-// dispatch tools rely on it too: the dispatcher validates worker hellos
-// field by field against its own meta record, so a worker launched with
-// the same flags as the daemon must parse them to the same config.
+// here, so a preset or a validation rule cannot drift between them.
 //
 // Every numeric knob is strict: empty input, a sign, trailing
 // characters, a non-finite value and overflow are rejected (kBad), so a

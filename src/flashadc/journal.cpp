@@ -353,8 +353,6 @@ void CampaignJournal::record_macro(const MacroCampaignResult& result) {
     if (!macros_recorded_.insert(result.macro_name).second) return;
   }
   const std::string line = encode_macro(result);
-  // Observer first: a record the observer's consumer (the dispatcher)
-  // never saw must not look locally complete either.
   if (observer_) observer_(line);
   writer_.append(line);
 }
@@ -506,34 +504,6 @@ GlobalResult merge_shard_journals(const std::vector<std::string>& paths) {
     macros.push_back(std::move(result));
   }
   return compile_global(std::move(macros));
-}
-
-std::string campaign_meta_record(const CampaignConfig& config) {
-  MetaInfo m = meta_of(config);
-  m.shard_count = 1;
-  m.shard_index = 0;
-  return encode_meta(m);
-}
-
-std::string shard_meta_record(const CampaignConfig& config) {
-  return encode_meta(meta_of(config));
-}
-
-std::string campaign_identity_mismatch(const std::string& meta_a,
-                                       const std::string& meta_b) {
-  MetaInfo a, b;
-  try {
-    a = decode_meta(util::parse_json(meta_a), "<identity a>");
-    b = decode_meta(util::parse_json(meta_b), "<identity b>");
-  } catch (const std::exception&) {
-    // Unparseable / wrong-schema identity: report the coarsest field.
-    return "meta";
-  }
-  // Shard geometry is dispatcher-owned (it travels in assign messages),
-  // so two identities differing only there describe the same campaign.
-  a.shard_count = b.shard_count = 1;
-  a.shard_index = b.shard_index = 0;
-  return meta_mismatch(a, b, false);
 }
 
 }  // namespace dot::flashadc

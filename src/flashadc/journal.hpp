@@ -85,26 +85,6 @@ class CampaignJournal {
   std::mutex mutex_;
 };
 
-/// The campaign identity of `config` as a journal meta record line,
-/// normalized to the single-shard view (shard_count=1, shard_index=0)
-/// regardless of the config's own shard geometry: the identity the
-/// dispatcher writes to the master journal and validates worker hellos
-/// against (shard geometry is dispatcher-owned and travels per-assign).
-std::string campaign_meta_record(const CampaignConfig& config);
-
-/// The meta record line of `config` with its shard geometry intact --
-/// what a CampaignJournal for this config writes; used to seed a
-/// dispatched worker's local shard journal.
-std::string shard_meta_record(const CampaignConfig& config);
-
-/// Compares two meta record lines as campaign identities, ignoring
-/// shard geometry on both sides. Returns the first mismatching field
-/// name ("" when they identify the same campaign); unparseable or
-/// wrong-schema input reports "meta". This is the handshake safety
-/// interlock of the dispatch protocol.
-std::string campaign_identity_mismatch(const std::string& meta_a,
-                                       const std::string& meta_b);
-
 /// Merges the journals of a complete shard set (shard indices 0..N-1 of
 /// the same campaign, in any order) into the global coverage
 /// compilation. Also accepts a single unsharded journal. Throws

@@ -26,8 +26,7 @@ struct AcOptions {
   DcOptions dc;
   /// Linear-solver selection (shared semantics with DC/transient). On
   /// the sparse path the symbolic analysis of G + jwC is reused across
-  /// all frequency points; shamanskii_depth does not apply (each
-  /// frequency is a single linear solve).
+  /// all frequency points.
   SolverOptions solver;
 };
 

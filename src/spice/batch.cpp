@@ -1,8 +1,6 @@
 #include "spice/batch.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -25,9 +23,10 @@ struct Member {
   std::vector<double> b;  ///< DC grouping-assembly RHS.
   std::vector<double> x;
   std::size_t dc_iterations = 0;
-  bool share_dc = false;       ///< Eligible for the shared first iterate.
-  bool dc_ready = false;       ///< x holds a converged operating point.
-  bool has_first_iterate = false;
+  bool share_dc = false;  ///< Eligible for the shared first solve.
+  /// Solution of the flat-start system (DC Newton iteration 0), when
+  /// its group's multi-RHS solve provided one.
+  std::optional<std::vector<double>> first_solve;
   bool failed = false;   ///< Completed, converged=false.
   bool evicted = false;  ///< Fall back to the scalar path.
   std::string error;
@@ -39,11 +38,11 @@ class BatchEngine {
  public:
   explicit BatchEngine(const std::vector<BatchJob>& jobs) : jobs_(jobs) {}
 
-  std::vector<BatchJobOutcome> run();
+  void run(const BatchSink& sink);
 
  private:
   void dc_phase();
-  void transient_phase();
+  void transient_phase(const BatchSink& sink);
   void finalize(Member& m, BatchJobOutcome& out);
 
   /// Runs `fn` inside the member's EvalScope with the class's remaining
@@ -97,16 +96,22 @@ void BatchEngine::dc_phase() {
     });
   }
 
-  // 2) Pattern groups: sibling classes whose stamp pattern matches
-  //    share one symbolic analysis (and, where the values match too,
-  //    the iterate-0 factorization through a multi-RHS solve).
+  // 2) Groups of members whose flat-start matrices are equal, pattern
+  //    and values (the VIN sweep of one fault variant differs only in
+  //    the RHS): the leader factors its matrix, running the symbolic
+  //    analysis the scalar path's first iteration would, the others
+  //    adopt that analysis, and one multi-RHS solve gives every member
+  //    its iteration-0 solution. The refactor is deterministic, so
+  //    equal values imply bit-equal factors.
   std::vector<std::vector<Member*>> groups;
   for (auto& m : members_) {
     if (m->done() || !m->share_dc) continue;
+    const auto& assembler = m->run->solver().assembler();
     bool placed = false;
     for (auto& group : groups) {
-      if (group.front()->run->solver().assembler().pattern() ==
-          m->run->solver().assembler().pattern()) {
+      const auto& lead = group.front()->run->solver().assembler();
+      if (lead.pattern() == assembler.pattern() &&
+          lead.values() == assembler.values()) {
         group.push_back(m.get());
         placed = true;
         break;
@@ -122,91 +127,52 @@ void BatchEngine::dc_phase() {
     run_guarded(*leader, [&] {
       leader_factored = lead.factor(leader->x.size());
     });
-    if (leader_factored && lead.sparse_active()) {
-      const auto symbolic = lead.shared_symbolic();
-      std::vector<Member*> sharers;
-      std::vector<const std::vector<double>*> rhs;
-      for (Member* m : group) {
-        if (m->done()) continue;
-        if (m != leader) m->run->solver().adopt_symbolic(symbolic);
-        // Value-identical iterate-0 matrices (the VIN sweep of one
-        // fault variant differs only in the RHS) ride the leader's
-        // factors; the refactor is deterministic, so equal values
-        // imply bit-equal factors.
-        if (m->run->solver().assembler().values() ==
-            lead.assembler().values()) {
-          sharers.push_back(m);
-          rhs.push_back(&m->b);
-        }
-      }
-      if (!sharers.empty()) {
-        std::vector<std::vector<double>> solutions;
-        lead.solve_multi(rhs, solutions);
-        for (std::size_t k = 0; k < sharers.size(); ++k) {
-          Member* m = sharers[k];
-          run_guarded(*m, [&] {
-            // Replicates newton_solve's damped update for iteration 0
-            // from a flat start (x = 0), including the immediate
-            // convergence check.
-            const DcOptions& newton = m->job->options.newton;
-            const std::vector<double>& x_new = solutions[k];
-            double max_dv = 0.0;
-            for (std::size_t i = 0; i < m->run->map().node_unknowns(); ++i)
-              max_dv = std::max(max_dv, std::fabs(x_new[i] - m->x[i]));
-            const double alpha =
-                max_dv > newton.max_step_v ? newton.max_step_v / max_dv : 1.0;
-            for (std::size_t i = 0; i < m->x.size(); ++i)
-              m->x[i] += alpha * (x_new[i] - m->x[i]);
-            m->dc_iterations += 1;
-            m->has_first_iterate = true;
-            if (alpha == 1.0 && max_dv < newton.vtol) m->dc_ready = true;
-          });
-        }
-      }
+    if (!leader_factored || !lead.sparse_active()) continue;
+    const auto symbolic = lead.shared_symbolic();
+    std::vector<const std::vector<double>*> rhs;
+    for (Member* m : group) {
+      if (m != leader) m->run->solver().adopt_symbolic(symbolic);
+      rhs.push_back(&m->b);
     }
+    std::vector<std::vector<double>> solutions;
+    lead.solve_multi(rhs, solutions);
+    for (std::size_t k = 0; k < group.size(); ++k)
+      group[k]->first_solve = std::move(solutions[k]);
   }
 
-  // 3) Finish every member's operating point. With a shared first
-  //    iterate, Newton continues from there (identical trajectory to
-  //    the scalar flat start at depth 1); otherwise, or on failure,
-  //    the full scalar continuation ladder runs unchanged.
+  // 3) Every member's operating point: the scalar continuation ladder,
+  //    its plain-Newton rung starting from the shared first solve.
   for (auto& m : members_) {
-    if (m->done() || !m->job->options.start_from_dc || m->dc_ready) continue;
+    if (m->done() || !m->job->options.start_from_dc) continue;
     run_guarded(*m, [&] {
-      if (m->has_first_iterate) {
-        DcOptions dc = m->job->options.newton;
-        dc.time = 0.0;
-        const std::vector<double> no_prev_sized(m->x.size(), 0.0);
-        DcResult r =
-            newton_solve(*m->job->netlist, m->run->map(), m->x,
-                         m->run->dc_stamp(), dc, no_prev_sized,
-                         &m->run->solver());
-        m->dc_iterations += static_cast<std::size_t>(r.iterations);
-        if (r.converged) {
-          m->x = std::move(r.x);
-          m->dc_ready = true;
-          return;
-        }
-      }
-      DcResult op = m->run->solve_dc();
-      m->dc_iterations += static_cast<std::size_t>(op.iterations);
+      DcResult op =
+          m->run->solve_dc(m->first_solve ? &*m->first_solve : nullptr);
+      m->dc_iterations = static_cast<std::size_t>(op.iterations);
       m->x = std::move(op.x);
-      m->dc_ready = true;
     });
   }
 }
 
-void BatchEngine::transient_phase() {
+void BatchEngine::transient_phase(const BatchSink& sink) {
   // Each member runs to completion in turn, which keeps one member's
   // working set hot (round-robin over members only thrashed the
   // cache). Members that fail to converge (verdict: converged=false,
   // like the scalar path) or blow their budget (evicted) stop there.
-  for (auto& m : members_) {
-    if (m->done()) continue;
-    run_guarded(*m, [&] {
-      m->run->start(std::move(m->x));
-      while (!m->run->done()) m->run->step();
-    });
+  // A finished member's outcome goes straight to the sink and its
+  // stepper is released, so the batch holds one waveform at a time,
+  // as the scalar path does.
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    Member& m = *members_[i];
+    if (!m.done()) {
+      run_guarded(m, [&] {
+        m.run->start(std::move(m.x));
+        while (!m.run->done()) m.run->step();
+      });
+    }
+    BatchJobOutcome outcome;
+    finalize(m, outcome);
+    m.run.reset();
+    sink(i, std::move(outcome));
   }
 }
 
@@ -226,9 +192,8 @@ void BatchEngine::finalize(Member& m, BatchJobOutcome& out) {
   out.result = m.run->finish(m.dc_iterations);
 }
 
-std::vector<BatchJobOutcome> BatchEngine::run() {
+void BatchEngine::run(const BatchSink& sink) {
   members_.reserve(jobs_.size());
-  std::vector<BatchJobOutcome> outcomes(jobs_.size());
   for (const BatchJob& job : jobs_) {
     if (job.netlist == nullptr)
       throw util::InvalidInputError("run_transient_batch: null netlist");
@@ -236,27 +201,31 @@ std::vector<BatchJobOutcome> BatchEngine::run() {
     m->job = &job;
     m->run.emplace(*job.netlist, job.options);
     m->x.assign(m->run->map().size(), 0.0);
-    // The shared first iterate replicates exactly one classic-Newton
-    // iteration, so it is only equivalent to the scalar trajectory at
-    // shamanskii depth 1 (the default everywhere in the campaign).
+    // The shared first iterate replicates exactly one Newton iteration
+    // of the scalar trajectory.
     m->share_dc = job.options.start_from_dc &&
-                  m->run->solver().use_sparse(m->x.size()) &&
-                  std::max(1, job.options.solver.shamanskii_depth) == 1;
+                  m->run->solver().use_sparse(m->x.size());
     members_.push_back(std::move(m));
   }
 
   dc_phase();
-  transient_phase();
-  for (std::size_t i = 0; i < members_.size(); ++i)
-    finalize(*members_[i], outcomes[i]);
-  return outcomes;
+  transient_phase(sink);
 }
 
 }  // namespace
 
+void run_transient_batch(const std::vector<BatchJob>& jobs,
+                         const BatchSink& sink) {
+  BatchEngine(jobs).run(sink);
+}
+
 std::vector<BatchJobOutcome> run_transient_batch(
     const std::vector<BatchJob>& jobs) {
-  return BatchEngine(jobs).run();
+  std::vector<BatchJobOutcome> outcomes(jobs.size());
+  run_transient_batch(jobs, [&](std::size_t i, BatchJobOutcome outcome) {
+    outcomes[i] = std::move(outcome);
+  });
+  return outcomes;
 }
 
 }  // namespace dot::spice

@@ -4,17 +4,18 @@
 // same transient kernel (TranStepper) as spice::transient, so its
 // waveforms are bit-identical to a scalar run.
 //
-// What is shared across a batch:
+// What is shared across a batch: sparse-path members whose flat-start
+// DC matrices are equal, pattern and values (the VIN sweep of one fault
+// variant enters only the right-hand side), form a group. Its leader
+// factors that matrix, running the symbolic analysis each member's own
+// first Newton iteration would; the others adopt it, and one multi-RHS
+// triangular solve gives every member its first Newton step. The
+// threshold-pivoting analysis depends on the values it sees, so members
+// with other values keep their own, and every member's arithmetic stays
+// the scalar path's.
 //
-//  * one symbolic analysis per *pattern group*: sibling fault classes
-//    on the sparse path whose DC stamp produces the same CSR pattern
-//    (shorts perturb only values; opens split a node and land in their
-//    own group) adopt the group leader's analysis instead of re-running
-//    it;
-//  * the first DC Newton iterate: members whose flat-start matrix is
-//    value-identical to the leader's (the VIN sweep of one fault
-//    variant enters only the right-hand side) share the leader's
-//    factorization through one multi-RHS triangular solve.
+// Each finished member's outcome is handed to the caller's sink at once
+// and its stepper released, so a batch holds one waveform at a time.
 //
 // Divergence and drop-out: a member whose transient step fails to
 // converge even at dt_min completes with converged=false -- the same
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,9 +65,18 @@ struct BatchJobOutcome {
   std::string error;                 ///< Diagnostic for the other cases.
 };
 
-/// Evaluates all jobs and returns one outcome per job, in order.
-/// Never throws for per-member failures (see BatchJobOutcome); only
-/// programming errors (bad job descriptors) throw.
+/// Receives job `index`'s outcome as soon as that job finishes.
+using BatchSink = std::function<void(std::size_t index, BatchJobOutcome)>;
+
+/// Evaluates all jobs, handing each outcome to `sink` once, in job
+/// order. The engine no longer touches a job (or its netlist) after its
+/// outcome was handed over. Never throws for per-member failures (see
+/// BatchJobOutcome); only programming errors (bad job descriptors)
+/// throw.
+void run_transient_batch(const std::vector<BatchJob>& jobs,
+                         const BatchSink& sink);
+
+/// Same, collecting one outcome per job, in order.
 std::vector<BatchJobOutcome> run_transient_batch(
     const std::vector<BatchJob>& jobs);
 

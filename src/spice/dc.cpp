@@ -26,7 +26,8 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
                       std::vector<double> initial_guess,
                       const StampOptions& stamp, const DcOptions& options,
                       const std::vector<double>& x_prev_step,
-                      SolverContext* solver) {
+                      SolverContext* solver,
+                      const std::vector<double>* first_solve) {
   const std::size_t n = map.size();
   DcResult result;
   result.x = std::move(initial_guess);
@@ -35,135 +36,78 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
   SolverContext local_solver;
   SolverContext& ctx = solver != nullptr ? *solver : local_solver;
   const bool sparse_path = ctx.use_sparse(n);
-  const int depth = std::max(1, ctx.options().shamanskii_depth);
 
   std::vector<double> b;
   std::vector<double> x_new;
   double best_max_dv = std::numeric_limits<double>::infinity();
   std::vector<double> best_x;
-  // Shamanskii reuse state: iterations solved since the factors were
-  // last refreshed. Only the sparse path skips factorizations -- dense
-  // assembly writes into the factor workspace, so its factors cannot
-  // outlive an assembly.
-  int since_factor = 0;
-  bool have_factors = false;
-  bool force_fresh = true;
-  // A frozen Jacobian is only trustworthy near the iterate it was
-  // factored at: device models switch regions over ~100 mV, so once
-  // the iterate drifts further than that the stale solve mixes a fresh
-  // RHS with an off-region linearization and can cycle without
-  // converging (seen on from-zero transient steps, where nodes slew
-  // rail to rail). Near a fixed point -- the campaign's warm-started
-  // re-solves, where reuse pays -- drift stays below vtol and the
-  // guard never fires.
-  constexpr double kStaleDriftV = 0.1;
-  std::vector<double> x_at_factor;
-  double prev_max_dv = std::numeric_limits<double>::infinity();
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Per-iteration wall-clock budget check (campaign resilience): a
     // class whose Newton iteration never settles throws TimeoutError
     // here instead of spinning through every continuation rung.
     EvalScope::check_deadline();
-    double drift = 0.0;
-    if (have_factors && depth > 1)
-      for (std::size_t i = 0; i < map.node_unknowns(); ++i)
-        drift = std::max(drift, std::fabs(result.x[i] - x_at_factor[i]));
-    const bool refresh = force_fresh || !have_factors || !sparse_path ||
-                         since_factor >= depth || drift > kStaleDriftV;
-    // Phase-time attribution (only when a sink is attached; otherwise
-    // the hot loop stays clock-free). The MOSFET kernel's device eval
-    // self-reports into pt, so the assembly phase is the stamping wall
-    // time minus that delta.
-    PhaseTimes* const pt = ctx.phase_times();
-    PhaseClock::time_point t0;
-    double dev_before = 0.0;
-    if (pt != nullptr) {
-      t0 = PhaseClock::now();
-      dev_before = pt->device_eval_seconds;
-    }
-    if (sparse_path) {
-      assemble_mna(netlist, map, result.x, x_prev_step, stamp,
-                   ctx.assembler(), b);
+    if (iter == 0 && first_solve != nullptr) {
+      x_new = *first_solve;  // the caller already solved this system
     } else {
-      assemble_mna(netlist, map, result.x, x_prev_step, stamp,
-                   ctx.dense().matrix(), b);
-    }
-    PhaseClock::time_point t1;
-    if (pt != nullptr) {
-      t1 = PhaseClock::now();
-      pt->assembly_seconds +=
-          phase_seconds(t0, t1) - (pt->device_eval_seconds - dev_before);
-    }
-    if (refresh) {
+      // Phase-time attribution (only when a sink is attached; otherwise
+      // the hot loop stays clock-free). The MOSFET kernel's device eval
+      // self-reports into pt, so the assembly phase is the stamping wall
+      // time minus that delta.
+      PhaseTimes* const pt = ctx.phase_times();
+      PhaseClock::time_point t0;
+      double dev_before = 0.0;
+      if (pt != nullptr) {
+        t0 = PhaseClock::now();
+        dev_before = pt->device_eval_seconds;
+      }
+      if (sparse_path) {
+        assemble_mna(netlist, map, result.x, x_prev_step, stamp,
+                     ctx.assembler(), b);
+      } else {
+        assemble_mna(netlist, map, result.x, x_prev_step, stamp,
+                     ctx.dense().matrix(), b);
+      }
+      PhaseClock::time_point t1;
+      if (pt != nullptr) {
+        t1 = PhaseClock::now();
+        pt->assembly_seconds +=
+            phase_seconds(t0, t1) - (pt->device_eval_seconds - dev_before);
+      }
       if (!ctx.factor(n)) {
         result.iterations = iter;
         return result;  // converged == false
       }
-      have_factors = true;
-      force_fresh = false;
-      since_factor = 0;
-      if (depth > 1) x_at_factor = result.x;
+      PhaseClock::time_point t2;
+      if (pt != nullptr) {
+        t2 = PhaseClock::now();
+        pt->factor_seconds += phase_seconds(t1, t2);
+      }
+      ctx.solve(b, x_new);
+      if (pt != nullptr)
+        pt->solve_seconds += phase_seconds(t2, PhaseClock::now());
     }
-    PhaseClock::time_point t2;
-    if (pt != nullptr) {
-      t2 = PhaseClock::now();
-      if (refresh) pt->factor_seconds += phase_seconds(t1, t2);
-    }
-    ++since_factor;
-    const bool stale = since_factor > 1;
-    ctx.solve(b, x_new);
-    if (pt != nullptr) pt->solve_seconds += phase_seconds(t2, PhaseClock::now());
 
     // Damping: restrict the largest node-voltage move per iteration.
     double max_dv = 0.0;
     for (std::size_t i = 0; i < map.node_unknowns(); ++i)
       max_dv = std::max(max_dv, std::fabs(x_new[i] - result.x[i]));
-
-    // Safeguarded reuse: a frozen-Jacobian step whose update grows
-    // relative to the previous accepted iteration is moving away from
-    // the fixed point, not toward it (positive-feedback stages flip
-    // the step direction across a device corner). Applying it would
-    // undo the fresh iterations' progress and can lock Newton into a
-    // fresh-good / stale-bad limit cycle that exhausts the iteration
-    // budget. Discard the step and refactor at the current iterate;
-    // near convergence stale updates shrink monotonically, so the
-    // reuse win in warm re-solves is untouched.
     result.iterations = iter + 1;
-    if (stale && max_dv > prev_max_dv) {
-      force_fresh = true;
-      continue;
-    }
-
     const double alpha =
         max_dv > options.max_step_v ? options.max_step_v / max_dv : 1.0;
     for (std::size_t i = 0; i < n; ++i)
       result.x[i] += alpha * (x_new[i] - result.x[i]);
-    prev_max_dv = max_dv;
     static const bool debug = std::getenv("DOT_NEWTON_DEBUG") != nullptr;
     if (debug)
-      std::fprintf(stderr,
-                   "  iter=%d refresh=%d stale=%d alpha=%.3f max_dv=%.6g "
-                   "drift=%.6g\n",
-                   iter, refresh ? 1 : 0, stale ? 1 : 0, alpha, max_dv, drift);
-    if (alpha == 1.0 && !stale && max_dv < best_max_dv) {
+      std::fprintf(stderr, "  iter=%d alpha=%.3f max_dv=%.6g\n", iter, alpha,
+                   max_dv);
+    if (alpha == 1.0 && max_dv < best_max_dv) {
       best_max_dv = max_dv;
       best_x = result.x;
     }
     if (alpha == 1.0 && max_dv < options.vtol) {
-      // A fixed point reached under reused (stale) factors solves the
-      // frozen-Jacobian system, not necessarily the true one: confirm
-      // with one fresh-factor iteration before declaring convergence.
-      if (stale) {
-        force_fresh = true;
-        continue;
-      }
       result.converged = true;
       return result;
     }
-    // Damped steps mean the iterate is still moving fast; reusing a
-    // Jacobian from the other side of a device corner only slows
-    // convergence down, so refresh eagerly.
-    if (alpha < 1.0) force_fresh = true;
   }
   // Loose acceptance for micro limit cycles (see DcOptions::loose_vtol):
   // return the best iterate seen if its Newton step was already tiny.
@@ -177,7 +121,8 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
 DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
                             const DcOptions& base_options,
                             const std::vector<double>* warm_start,
-                            SolverContext* solver, MosKernel* mos) {
+                            SolverContext* solver, MosKernel* mos,
+                            const std::vector<double>* flat_first_solve) {
   // Continuation aid ladder (campaign resilience): a retried fault
   // class runs under an EvalScope whose aid level escalates the stock
   // strategies. Level 0 (every non-campaign caller) is byte-identical
@@ -220,8 +165,8 @@ DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
   }
 
   // 1) Plain Newton from a flat start.
-  DcResult direct =
-      newton_solve(netlist, map, {}, stamp, options, no_prev, solver);
+  DcResult direct = newton_solve(netlist, map, {}, stamp, options, no_prev,
+                                 solver, flat_first_solve);
   if (direct.converged) return direct;
   int spent = direct.iterations;
 

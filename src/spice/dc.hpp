@@ -51,19 +51,30 @@ struct DcResult {
 /// used. `mos` (optional) is the netlist's MOSFET kernel (see
 /// MosKernel); it changes how the MOSFETs are evaluated, not the
 /// result.
-DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
-                            const DcOptions& options = {},
-                            const std::vector<double>* warm_start = nullptr,
-                            SolverContext* solver = nullptr,
-                            MosKernel* mos = nullptr);
+/// `flat_first_solve` (optional) is the plain-Newton rung's
+/// `first_solve` (see newton_solve): the solution of the flat-start
+/// system, already solved by the caller in `solver`.
+DcResult dc_operating_point(
+    const Netlist& netlist, const MnaMap& map, const DcOptions& options = {},
+    const std::vector<double>* warm_start = nullptr,
+    SolverContext* solver = nullptr, MosKernel* mos = nullptr,
+    const std::vector<double>* flat_first_solve = nullptr);
 
 /// Newton loop from a given initial guess at fixed gshunt/source scale.
 /// Returns converged=false instead of throwing; building block for the
 /// continuation strategies and the transient engine.
+///
+/// `first_solve` (optional) is the solution of iteration 0's linear
+/// system, which the caller already assembled into `solver` and solved
+/// (the batch engine solves the flat-start systems of a whole VIN sweep
+/// with one factorization). Iteration 0 takes it instead of assembling,
+/// factoring and solving; every later step, and the result, is the
+/// same as without it.
 DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
                       std::vector<double> initial_guess,
                       const StampOptions& stamp, const DcOptions& options,
                       const std::vector<double>& x_prev_step,
-                      SolverContext* solver = nullptr);
+                      SolverContext* solver = nullptr,
+                      const std::vector<double>* first_solve = nullptr);
 
 }  // namespace dot::spice

@@ -48,12 +48,6 @@ struct SolverOptions {
   /// benchmark netlists (crossover_n in BENCH_bench_solver.json; see
   /// DESIGN.md). The 39-unknown comparator bench is well above it.
   std::size_t sparse_threshold = 18;
-  /// Shamanskii-style Newton: reuse the numeric factors for up to this
-  /// many consecutive iterations before refactoring. 1 = classic Newton
-  /// (factor every iteration). Convergence reached under stale factors
-  /// is always confirmed with one fresh-factor iteration, so the
-  /// converged solution satisfies the same vtol contract as depth 1.
-  int shamanskii_depth = 1;
   double pivot_epsilon = 1e-13;
 };
 
@@ -135,8 +129,7 @@ class SolverContext {
   /// numerically singular on every path.
   bool factor(std::size_t n);
 
-  /// Solves with the factors from the last successful factor() call
-  /// (which may be deliberately stale under Shamanskii reuse).
+  /// Solves with the factors from the last successful factor() call.
   void solve(const std::vector<double>& b, std::vector<double>& x);
 
   /// Multi-RHS solve against the current factors: one factor sweep,
@@ -166,9 +159,7 @@ class SolverContext {
   /// Number of from-scratch symbolic analyses this context has run
   /// (test/diagnostic hook: cache hits keep this flat).
   std::size_t symbolic_analyses() const { return symbolic_analyses_; }
-  /// Number of numeric factorizations (factor() calls). Under
-  /// Shamanskii reuse, Newton iterations exceed this; the difference is
-  /// the factor-reuse saving bench_bank reports.
+  /// Number of numeric factorizations (factor() calls).
   std::size_t factorizations() const { return factorizations_; }
   /// Whether the last successful factor() used the sparse factors.
   bool sparse_active() const { return sparse_active_; }

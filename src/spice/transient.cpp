@@ -101,10 +101,11 @@ StampOptions TranStepper::dc_stamp() {
   return stamp;
 }
 
-DcResult TranStepper::solve_dc() {
+DcResult TranStepper::solve_dc(const std::vector<double>* flat_first_solve) {
   DcOptions dc = options_.newton;
   dc.time = 0.0;
-  return dc_operating_point(netlist_, map_, dc, nullptr, &solver_, &mos_);
+  return dc_operating_point(netlist_, map_, dc, nullptr, &solver_, &mos_,
+                            flat_first_solve);
 }
 
 void TranStepper::start(std::vector<double> x0) {

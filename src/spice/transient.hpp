@@ -33,8 +33,8 @@ struct TranOptions {
 };
 
 /// Aggregate solver work of one transient run (scaling diagnostics:
-/// bench_bank plots unknowns vs per-Newton-solve wall time and the
-/// Shamanskii factor-reuse rate from these counters).
+/// bench_bank plots unknowns vs per-Newton-solve wall time from these
+/// counters).
 struct TranStats {
   std::size_t unknowns = 0;           ///< MNA system size.
   std::size_t newton_iterations = 0;  ///< Across all step attempts.
@@ -45,14 +45,6 @@ struct TranStats {
   /// Wall-time breakdown by phase (device eval / assembly / factor /
   /// solve); all zero unless TranOptions::collect_phase_times was set.
   PhaseTimes phases;
-
-  /// Fraction of Newton iterations served by reused (stale) factors.
-  double factor_reuse_rate() const {
-    return newton_iterations == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(factorizations) /
-                           static_cast<double>(newton_iterations);
-  }
 };
 
 /// Result of a transient run; indexable by node name / source name via
@@ -120,8 +112,9 @@ class TranStepper {
   /// DC stamp template at t = 0 with the MOSFET kernel attached.
   StampOptions dc_stamp();
   /// The t = 0 operating point: dc_operating_point's full continuation
-  /// ladder through this circuit's kernel and solver context.
-  DcResult solve_dc();
+  /// ladder through this circuit's kernel and solver context, with
+  /// `flat_first_solve` as its plain-Newton rung's first linear solve.
+  DcResult solve_dc(const std::vector<double>* flat_first_solve = nullptr);
 
   /// Starts integration from state `x0` at t = 0 (the post-DC
   /// operating point, or flat), recording it as the first point.

@@ -62,25 +62,6 @@ class TimeoutError : public std::runtime_error {
   std::string macro_;
 };
 
-/// Operating-system I/O failure on the dispatch transport: socket
-/// creation, bind/listen/connect, read/write, poll. The message carries
-/// errno text; campaign state is never touched by the failing call.
-class IoError : public std::runtime_error {
- public:
-  explicit IoError(const std::string& what)
-      : std::runtime_error("io error: " + what) {}
-};
-
-/// A peer violated the dispatch wire protocol: bad frame length, an
-/// unparseable or out-of-order message, a class record the sender does
-/// not own. The offending connection is dropped; the campaign degrades
-/// to re-issue instead of merging the tainted data.
-class ProtocolError : public std::runtime_error {
- public:
-  explicit ProtocolError(const std::string& what)
-      : std::runtime_error("protocol error: " + what) {}
-};
-
 /// Shard / journal infrastructure failure: inconsistent shard
 /// arguments, a journal that does not match the campaign configuration,
 /// corrupt journal records, an incomplete shard set at merge time.

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flashadc/bank.hpp"
@@ -70,10 +71,10 @@ spice::TranResult run_one_member(const spice::Netlist& netlist,
   return *outcomes.at(0).result;
 }
 
-TEST(BatchedTransient, WaveformsMatchScalarExactly) {
-  const auto variants = bench_variants();
-  const auto options = flashadc::comparator_tran_options();
-
+// One job per variant, each its own fault class.
+std::vector<spice::BatchJob> variant_jobs(
+    const std::vector<spice::Netlist>& variants,
+    const spice::TranOptions& options) {
   std::vector<spice::BatchJob> jobs;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     spice::BatchJob job;
@@ -83,6 +84,14 @@ TEST(BatchedTransient, WaveformsMatchScalarExactly) {
     job.scope_class = i;
     jobs.push_back(job);
   }
+  return jobs;
+}
+
+TEST(BatchedTransient, WaveformsMatchScalarExactly) {
+  const auto variants = bench_variants();
+  const auto options = flashadc::comparator_tran_options();
+
+  const auto jobs = variant_jobs(variants, options);
   const auto outcomes = spice::run_transient_batch(jobs);
   ASSERT_EQ(outcomes.size(), variants.size());
 
@@ -91,6 +100,32 @@ TEST(BatchedTransient, WaveformsMatchScalarExactly) {
     ASSERT_TRUE(outcomes[i].converged) << outcomes[i].error;
     expect_same_waveforms(*outcomes[i].result,
                           spice::transient(variants[i], options),
+                          "variant " + std::to_string(i));
+  }
+}
+
+// The streaming overload hands each outcome over once, in job order,
+// as soon as its job finishes: the outcome the collecting overload
+// returns.
+TEST(BatchedTransient, SinkReceivesEveryOutcomeOnceInJobOrder) {
+  const auto variants = bench_variants();
+  const auto options = flashadc::comparator_tran_options();
+  const auto jobs = variant_jobs(variants, options);
+
+  std::vector<std::size_t> order;
+  std::vector<spice::BatchJobOutcome> streamed;
+  spice::run_transient_batch(
+      jobs, [&](std::size_t i, spice::BatchJobOutcome outcome) {
+        order.push_back(i);
+        streamed.push_back(std::move(outcome));
+      });
+  ASSERT_EQ(order.size(), jobs.size());
+  const auto collected = spice::run_transient_batch(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    ASSERT_TRUE(streamed[i].completed && streamed[i].converged)
+        << streamed[i].error;
+    expect_same_waveforms(*streamed[i].result, *collected[i].result,
                           "variant " + std::to_string(i));
   }
 }

@@ -1,14 +1,16 @@
-// The shared campaign-knob parser (flashadc/campaign_args.hpp) and the
-// campaign table's macro selection: strict numeric knobs, the presets,
+// The shared campaign-knob parser (flashadc/campaign_args.hpp), the
+// example CLIs' own flags on top of it (examples/campaign_args.hpp) and
+// the campaign table's macro selection: strict numeric knobs, the presets,
 // a fixed-seed mutation fuzz over valid argv entries, and the one
-// resolution of --macro that run_campaign, the journal meta record and
-// the dispatcher all read.
+// resolution of --macro that run_campaign and the journal meta record
+// both read.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "../examples/campaign_args.hpp"
 #include "flashadc/campaign.hpp"
 #include "flashadc/campaign_args.hpp"
 #include "util/error.hpp"
@@ -103,8 +105,33 @@ TEST(CampaignArgs, PresetsAndUnknownFlags) {
   EXPECT_EQ(config.max_classes, 8u);
   // Tool-only flags are left to the tool.
   for (const char* arg : {"--defect=5", "--macro=bank", "--bank-size=8",
-                          "--shamanskii=2", "--json=x", "defects=5"})
+                          "--shards=2", "--json=x", "defects=5"})
     EXPECT_EQ(parse(arg), ArgParse::kUnknown) << arg;
+}
+
+// The shard flags are the whole multi-host interface, so a malformed
+// value must fail loudly: "-1" must not wrap to 2^64-1 shards, and
+// "abc" / "2x" must not run shard 0 / 2 shards.
+TEST(CampaignArgs, ShardFlagsAreStrict) {
+  CampaignConfig config;
+  unsigned threads = 0;
+  auto parse_tool = [&](const std::string& arg) {
+    return examples::parse_campaign_arg("campaign_args_test", arg, config,
+                                        threads);
+  };
+  for (const std::string flag : {"--shards=", "--shard="}) {
+    for (const std::string value :
+         {"", "-1", "abc", "2x", "+2", " 2", "2 ", "0x2", "1.5", "1e3",
+          "18446744073709551616"})
+      EXPECT_EQ(parse_tool(flag + value), ArgParse::kBad) << flag << value;
+  }
+  EXPECT_EQ(parse_tool("--shards=0"), ArgParse::kBad);
+  EXPECT_EQ(config.resilience.shard_count, 1u);
+  EXPECT_EQ(config.resilience.shard_index, 0u);
+  EXPECT_EQ(parse_tool("--shards=4"), ArgParse::kConsumed);
+  EXPECT_EQ(parse_tool("--shard=3"), ArgParse::kConsumed);
+  EXPECT_EQ(config.resilience.shard_count, 4u);
+  EXPECT_EQ(config.resilience.shard_index, 3u);
 }
 
 // Mutation fuzz: byte-level mutants of the value part of valid argv

@@ -49,6 +49,19 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream ss(text);
+  for (std::string line; std::getline(ss, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const auto& line : lines) out += line + "\n";
+  return out;
+}
+
 // ---------------------------------------------------------------------
 // JSON parser.
 
@@ -415,39 +428,58 @@ TEST(Resume, RejectsJournalFromDifferentCampaign) {
   EXPECT_THROW(flashadc::run_full_campaign(other), util::ShardError);
 }
 
+// A run killed mid-campaign resumes to the uninterrupted report: both
+// unsharded and as shard 1 of 2, the multi-host recovery path, where
+// the resumed shard merged with an undisturbed shard 0 must equal the
+// unsharded run byte for byte.
 TEST(Resume, KilledRunResumesToIdenticalReport) {
   auto config = tiny_full_config();
-  config.resilience.journal_path = temp_path("full.jsonl");
   config.resilience.checkpoint_block = 4;
-  const auto uninterrupted = flashadc::run_full_campaign(config);
-  const std::string reference = flashadc::to_json(uninterrupted);
+  auto unsharded = config;
+  unsharded.resilience.journal_path = temp_path("full.jsonl");
+  const std::string reference =
+      flashadc::to_json(flashadc::run_full_campaign(unsharded));
+  const std::string merged_reference = flashadc::to_json(
+      flashadc::merge_shard_journals({unsharded.resilience.journal_path}));
 
-  // Simulate a SIGKILL mid-campaign: keep a prefix of the journal and
-  // leave a torn, half-written record at the tail.
-  const std::string full = read_file(config.resilience.journal_path);
-  std::vector<std::string> lines;
-  std::istringstream ss(full);
-  for (std::string line; std::getline(ss, line);) lines.push_back(line);
-  ASSERT_GT(lines.size(), 4u);
-  std::string truncated;
-  for (std::size_t i = 0; i < lines.size() / 2; ++i)
-    truncated += lines[i] + "\n";
-  truncated += "{\"type\": \"class\", \"macro\": \"compar";  // torn record
-  auto resumed_config = config;
-  resumed_config.resilience.journal_path = temp_path("killed.jsonl");
-  resumed_config.resilience.resume = true;
-  write_file(resumed_config.resilience.journal_path, truncated);
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto killed = config;
+    killed.resilience.shard_count = shards;
+    killed.resilience.shard_index = shards - 1;
+    std::vector<std::string> journals;
+    for (std::size_t k = 0; k + 1 < shards; ++k) {
+      auto undisturbed = killed;
+      undisturbed.resilience.shard_index = k;
+      undisturbed.resilience.journal_path =
+          temp_path("undisturbed" + std::to_string(k) + ".jsonl");
+      flashadc::run_full_campaign(undisturbed);
+      journals.push_back(undisturbed.resilience.journal_path);
+    }
+    killed.resilience.journal_path =
+        temp_path("killed_of" + std::to_string(shards) + ".jsonl");
+    journals.push_back(killed.resilience.journal_path);
+    flashadc::run_full_campaign(killed);
 
-  const auto resumed = flashadc::run_full_campaign(resumed_config);
-  EXPECT_EQ(flashadc::to_json(resumed), reference);
+    // Simulate a SIGKILL mid-campaign: keep a prefix of the journal and
+    // leave a torn, half-written record at the tail.
+    std::vector<std::string> lines =
+        split_lines(read_file(killed.resilience.journal_path));
+    ASSERT_GT(lines.size(), 4u);
+    lines.resize(lines.size() / 2);
+    const std::string torn = "{\"type\": \"class\", \"macro\": \"compar";
+    write_file(killed.resilience.journal_path, join_lines(lines) + torn);
+    killed.resilience.resume = true;
+    const auto resumed = flashadc::run_full_campaign(killed);
+    if (shards == 1) {
+      EXPECT_EQ(flashadc::to_json(resumed), reference);
+    }
 
-  // After the resumed run, the repaired journal merges to the same
-  // report as the uninterrupted journal.
-  const std::string merged_resumed = flashadc::to_json(
-      flashadc::merge_shard_journals({resumed_config.resilience.journal_path}));
-  const std::string merged_full = flashadc::to_json(
-      flashadc::merge_shard_journals({config.resilience.journal_path}));
-  EXPECT_EQ(merged_resumed, merged_full);
+    // The repaired journal (with the undisturbed shards) merges to the
+    // same report as the uninterrupted unsharded journal.
+    EXPECT_EQ(flashadc::to_json(flashadc::merge_shard_journals(journals)),
+              merged_reference);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -482,19 +514,6 @@ const std::string& bank_journal_text() {
     return read_file(config.resilience.journal_path);
   }();
   return text;
-}
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream ss(text);
-  for (std::string line; std::getline(ss, line);) lines.push_back(line);
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const auto& line : lines) out += line + "\n";
-  return out;
 }
 
 std::size_t count_class_lines(const std::vector<std::string>& lines) {

@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "flashadc/chip.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
 #include "fault/model.hpp"
 #include "spice/dc.hpp"
+#include "spice/mna.hpp"
 #include "spice/montecarlo.hpp"
+#include "spice/solver.hpp"
 #include "spice/transient.hpp"
 #include "util/error.hpp"
 
@@ -92,6 +95,60 @@ TEST(Robustness, SourceSteppingRecoversHardStart) {
   const MnaMap map(n);
   const auto result = dc_operating_point(n, map);
   EXPECT_TRUE(result.converged);
+}
+
+// The batch engine solves the flat-start systems of a whole VIN sweep
+// with one factorization and hands each member its solution as the
+// plain-Newton rung's first solve. The operating point must be the
+// scalar one, bit for bit, with the same iteration count, whether plain
+// Newton converges strictly, accepts loosely, or fails and hands over
+// to the gmin ladder.
+TEST(Robustness, DcFirstSolveReproducesTheScalarOperatingPoint) {
+  fault::CircuitFault rail_short;
+  rail_short.kind = fault::FaultKind::kShort;
+  rail_short.nets = {"0", "vdda"};
+  rail_short.material = fault::BridgeMaterial::kMetal;
+  const auto macro = flashadc::build_comparator_netlist();
+  const auto shorted = fault::apply_fault(
+      macro, rail_short, fault::FaultModelOptions{.vdd_net = "vdda"});
+  const std::vector<Netlist> benches = {
+      flashadc::instantiate_comparator_bench(macro, 0.009),
+      flashadc::instantiate_comparator_bench(shorted, 0.3)};
+
+  DcOptions strict;
+  DcOptions loose = strict;
+  loose.vtol = 0.0;  // never strict: the best iterate is accepted
+  DcOptions ladder = strict;
+  ladder.max_iterations = 10;  // too few for plain Newton
+  int ladder_runs = 0;
+  for (const DcOptions& options : {strict, loose, ladder}) {
+    for (std::size_t c = 0; c < benches.size(); ++c) {
+      const Netlist& n = benches[c];
+      const MnaMap map(n);
+      StampOptions stamp;  // DC at t = 0, as dc_operating_point stamps
+      stamp.gshunt = options.gshunt;
+      const std::vector<double> zeros(map.size(), 0.0);
+      SolverContext shared;
+      ASSERT_TRUE(shared.use_sparse(map.size()));
+      std::vector<double> b, first_solve;
+      assemble_mna(n, map, zeros, zeros, stamp, shared.assembler(), b);
+      ASSERT_TRUE(shared.factor(map.size()));
+      shared.solve(b, first_solve);
+
+      SolverContext own;
+      const DcResult plain = newton_solve(n, map, {}, stamp, options, zeros);
+      const DcResult scalar =
+          dc_operating_point(n, map, options, nullptr, &own);
+      const DcResult resumed = dc_operating_point(
+          n, map, options, nullptr, &shared, nullptr, &first_solve);
+      ASSERT_TRUE(scalar.converged) << "bench " << c;
+      EXPECT_TRUE(resumed.converged) << "bench " << c;
+      EXPECT_EQ(resumed.x, scalar.x) << "bench " << c;
+      EXPECT_EQ(resumed.iterations, scalar.iterations) << "bench " << c;
+      if (!plain.converged) ++ladder_runs;
+    }
+  }
+  EXPECT_GT(ladder_runs, 0);
 }
 
 TEST(Robustness, TransientStepHalvingHandlesFastEdge) {

@@ -380,25 +380,6 @@ TEST(SolverContext, LargeNetlistConvergesSparse) {
   EXPECT_NEAR(map.voltage(result.x, *n.find_node("vdd")), 3.3, 1e-6);
 }
 
-TEST(SolverContext, ShamanskiiReuseMatchesPlainNewton) {
-  const spice::Netlist n = mos_array_netlist(16);
-  const spice::MnaMap map(n);
-  spice::SolverOptions plain;
-  plain.mode = spice::SolverMode::kSparse;
-  plain.shamanskii_depth = 1;
-  spice::SolverOptions reused = plain;
-  reused.shamanskii_depth = 3;
-  spice::SolverContext plain_ctx(plain);
-  spice::SolverContext reused_ctx(reused);
-
-  const auto a = spice::dc_operating_point(n, map, {}, nullptr, &plain_ctx);
-  const auto b = spice::dc_operating_point(n, map, {}, nullptr, &reused_ctx);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  for (std::size_t i = 0; i < a.x.size(); ++i)
-    EXPECT_NEAR(a.x[i], b.x[i], 1e-5);
-}
-
 TEST(SolverMode, ParseAndName) {
   EXPECT_EQ(spice::parse_solver_mode("auto"), spice::SolverMode::kAuto);
   EXPECT_EQ(spice::parse_solver_mode("dense"), spice::SolverMode::kDense);
