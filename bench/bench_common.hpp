@@ -1,8 +1,9 @@
-// Shared helpers for the table/figure regeneration harnesses.
+// Shared helpers for the bench harnesses.
 //
-// Each bench binary reproduces one table or figure of the paper: it runs
-// the corresponding campaign and prints the measured rows next to the
-// paper's published values. Command-line knobs:
+// The paper harnesses (bench_paper: every table and figure of one
+// campaign; bench_table1_defects; the ablations) print the measured rows
+// next to the paper's published values; results/MANIFEST records the
+// arguments behind each committed output. Command-line knobs:
 //   --defects=N    defects to sprinkle per macro (default per bench)
 //   --envelope=N   Monte-Carlo samples for the good-signature envelope
 //   --classes=N    cap on evaluated fault classes (0 = all)
@@ -83,8 +84,8 @@ struct BenchArgs {
     args.config.defect_count = default_defects;
     args.config.envelope_samples = default_envelope;
     // Default cap: classes are likelihood-sorted, so the tail carries
-    // little weight; evaluating the top 250 keeps a full bench sweep
-    // within ~15 minutes. Pass --classes=0 for the exhaustive run.
+    // little weight; evaluating the top 250 keeps default runs short.
+    // Pass --classes=0 for the exhaustive run.
     args.config.max_classes = 250;
     unsigned threads = 0;  // 0 = hardware_concurrency
     for (int i = 1; i < argc; ++i) {

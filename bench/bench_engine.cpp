@@ -1,9 +1,23 @@
-// google-benchmark microbenchmarks of the computational kernels: MNA
-// assembly + LU solve, DC operating points, clocked transients, defect
-// analysis and the behavioral missing-code test. These bound how large a
-// campaign a given time budget affords.
-#include <benchmark/benchmark.h>
+// Microbenchmarks of the computational kernels: MNA assembly + LU
+// solve, DC operating points, clocked transients, defect analysis and
+// the behavioral missing-code test. These bound how large a campaign a
+// given time budget affords.
+//
+//   bench_engine [--smoke] [--json=FILE | --json-root]
+//
+// Each kernel runs in blocks of a fixed repetition count; the reported
+// time per call is the minimum of three timed blocks after one untimed
+// warm-up block (bench_common's min_of_k_seconds). --smoke shrinks the
+// blocks to a few calls each.
+//
+// JSON result payload (dot-bench-v1): {"<kernel>": seconds per call, ...}
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "bench_common.hpp"
 #include "defect/analyze.hpp"
 #include "defect/statistics.hpp"
 #include "flashadc/behavioral.hpp"
@@ -18,69 +32,91 @@ namespace {
 
 using namespace dot;
 
-void BM_LuSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
+/// Consumes kernel results so the optimizer cannot drop the calls.
+volatile double g_sink = 0.0;
+
+struct Kernel {
+  std::string name;
+  int reps = 1;  ///< Calls per timed block (full size).
+  std::function<void()> call;
+};
+
+Kernel lu_solve(std::size_t n, int reps) {
   util::Rng rng(1);
   numeric::Matrix a(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.normal();
   for (std::size_t i = 0; i < n; ++i) a(i, i) += 10.0;
-  std::vector<double> b(n, 1.0);
-  for (auto _ : state) {
-    numeric::LuFactorization lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
+  return {"lu_solve_" + std::to_string(n), reps, [a] {
+            const numeric::LuFactorization lu(a);
+            g_sink = g_sink + lu.solve(std::vector<double>(a.rows(), 1.0))[0];
+          }};
 }
-BENCHMARK(BM_LuSolve)->Arg(16)->Arg(40)->Arg(128);
-
-void BM_ComparatorDc(benchmark::State& state) {
-  const auto macro = flashadc::build_comparator_netlist();
-  const auto bench = flashadc::instantiate_comparator_bench(macro, 0.1);
-  const spice::MnaMap map(bench);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spice::dc_operating_point(bench, map));
-  }
-}
-BENCHMARK(BM_ComparatorDc);
-
-void BM_ComparatorTransient(benchmark::State& state) {
-  const auto macro = flashadc::build_comparator_netlist();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flashadc::simulate_comparator(macro, 0.009));
-  }
-}
-BENCHMARK(BM_ComparatorTransient)->Unit(benchmark::kMillisecond);
-
-void BM_LadderDc(benchmark::State& state) {
-  const auto macro = flashadc::build_ladder_netlist();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flashadc::solve_ladder(macro));
-  }
-}
-BENCHMARK(BM_LadderDc)->Unit(benchmark::kMillisecond);
-
-void BM_DefectAnalysis(benchmark::State& state) {
-  const auto cell = flashadc::build_comparator_layout();
-  const defect::DefectAnalyzer analyzer(cell, {.vdd_net = "vdda"});
-  const defect::DefectStatistics stats;
-  util::Rng rng(7);
-  const auto area = cell.bounding_box();
-  for (auto _ : state) {
-    const auto defect = defect::sample_defect(stats, area, rng);
-    benchmark::DoNotOptimize(analyzer.analyze(defect));
-  }
-}
-BENCHMARK(BM_DefectAnalysis);
-
-void BM_MissingCodeTest(benchmark::State& state) {
-  flashadc::FlashAdcModel adc;
-  adc.set_comparator(100, {flashadc::ComparatorMode::kOffset, 0.02});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flashadc::has_missing_code(adc));
-  }
-}
-BENCHMARK(BM_MissingCodeTest);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const auto args = bench::BenchArgs::parse(argc, argv);
+  bench::print_header("bench_engine: computational kernel timings");
+  const bench::WallTimer timer;
+
+  const auto comparator = flashadc::build_comparator_netlist();
+  const auto comparator_bench =
+      flashadc::instantiate_comparator_bench(comparator, 0.1);
+  const spice::MnaMap comparator_map(comparator_bench);
+  const auto ladder = flashadc::build_ladder_netlist();
+  const auto cell = flashadc::build_comparator_layout();
+  const defect::DefectAnalyzer analyzer(cell, {.vdd_net = "vdda"});
+  const defect::DefectStatistics stats;
+  const auto area = cell.bounding_box();
+  util::Rng defect_rng(7);
+  flashadc::FlashAdcModel adc;
+  adc.set_comparator(100, {flashadc::ComparatorMode::kOffset, 0.02});
+
+  const std::vector<Kernel> kernels = {
+      lu_solve(16, 20000),
+      lu_solve(40, 2000),
+      lu_solve(128, 50),
+      {"comparator_dc", 400,
+       [&] {
+         g_sink = g_sink + spice::dc_operating_point(comparator_bench,
+                                                     comparator_map)
+                               .x[0];
+       }},
+      {"comparator_transient", 10,
+       [&] {
+         g_sink = g_sink + (flashadc::simulate_comparator(comparator, 0.009)
+                                    .converged
+                                ? 1.0
+                                : 0.0);
+       }},
+      {"ladder_dc", 100,
+       [&] { g_sink = g_sink + flashadc::solve_ladder(ladder).taps[0]; }},
+      {"defect_analysis", 100000,
+       [&] {
+         const auto defect = defect::sample_defect(stats, area, defect_rng);
+         g_sink = g_sink + (analyzer.analyze(defect) ? 1.0 : 0.0);
+       }},
+      {"missing_code_test", 20,
+       [&] { g_sink = g_sink + (flashadc::has_missing_code(adc) ? 1.0 : 0.0); }},
+  };
+
+  util::TextTable table({"kernel", "calls per block", "time per call"});
+  std::string json = "{";
+  for (const auto& k : kernels) {
+    const int reps = args.smoke ? std::max(1, k.reps / 1000) : k.reps;
+    const double seconds = bench::min_of_k_seconds([&] {
+                             for (int r = 0; r < reps; ++r) k.call();
+                           }) /
+                           reps;
+    table.add_row({k.name, std::to_string(reps), util::si(seconds, "s")});
+    char entry[96];
+    std::snprintf(entry, sizeof entry, "%s\"%s\": %.6e",
+                  json.size() > 1 ? ", " : "", k.name.c_str(), seconds);
+    json += entry;
+  }
+  json += "}";
+  std::printf("%s", table.str().c_str());
+  bench::report_run(args, timer, 0, json);
+  return 0;
+}
