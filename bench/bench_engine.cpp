@@ -48,7 +48,7 @@ Kernel lu_solve(std::size_t n, int reps) {
     for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.normal();
   for (std::size_t i = 0; i < n; ++i) a(i, i) += 10.0;
   return {"lu_solve_" + std::to_string(n), reps, [a] {
-            const numeric::LuFactorization lu(a);
+            const numeric::DenseLu lu(a);
             g_sink = g_sink + lu.solve(std::vector<double>(a.rows(), 1.0))[0];
           }};
 }

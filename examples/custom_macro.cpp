@@ -9,6 +9,7 @@
 //   - a 3-sigma good-signature envelope from Monte-Carlo samples,
 //   - per-class detection bookkeeping.
 #include <cstdio>
+#include <string>
 
 #include "defect/simulate.hpp"
 #include "fault/model.hpp"
@@ -54,12 +55,14 @@ spice::Netlist build_classab() {
 }
 
 spice::Netlist with_bench(const spice::Netlist& amp, double vin) {
-  spice::Netlist n = amp;
+  // Unity-gain feedback: inn and out are one node.
+  spice::Netlist n;
+  n.append_renamed(amp, "", [](const std::string& net) {
+    return net == "inn" ? std::string("out") : net;
+  });
   n.add_vsource("VDD", "vdd", "0", spice::SourceSpec::dc(5.0));
   n.add_vsource("VB", "vb", "0", spice::SourceSpec::dc(1.0));
   n.add_vsource("VINP", "inp", "0", spice::SourceSpec::dc(vin));
-  // Unity-gain feedback: inn follows out.
-  n.add_vcvs("EFB", "inn", "0", "out", "0", 1.0);
   return n;
 }
 

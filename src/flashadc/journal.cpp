@@ -1,6 +1,8 @@
 #include "flashadc/journal.hpp"
 
 #include <algorithm>
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 
 #include "util/error.hpp"
@@ -174,6 +176,18 @@ MacroMeta decode_macro(const JsonValue& v) {
   return m;
 }
 
+/// Rejects a record object carrying a key outside `known`: a damaged
+/// key name must not read as an absent optional field (a class record
+/// whose "non_catastrophic" key is corrupted would otherwise restore
+/// the class with that pass missing).
+void check_keys(const JsonValue& v,
+                std::initializer_list<std::string_view> known) {
+  for (const auto& member : v.members())
+    if (std::find(known.begin(), known.end(), member.first) == known.end())
+      throw util::InvalidInputError("journal: unknown key '" + member.first +
+                                    "'");
+}
+
 void encode_outcome(JsonWriter& w, const FaultOutcome& o) {
   w.begin_object();
   w.key("kind");
@@ -222,6 +236,8 @@ void encode_outcome(JsonWriter& w, const FaultOutcome& o) {
 }
 
 FaultOutcome decode_outcome(const JsonValue& v, bool non_catastrophic) {
+  check_keys(v, {"kind", "nets", "device", "count", "voltage_signature",
+                 "current", "detection", "status", "attempts", "failure"});
   FaultOutcome o;
   o.cls.representative.kind =
       fault::parse_fault_kind(v.get("kind").as_string());
@@ -279,6 +295,7 @@ std::string encode_class(const std::string& macro, std::size_t index,
 }
 
 ClassRecord decode_class(const JsonValue& v) {
+  check_keys(v, {"type", "macro", "index", "catastrophic", "non_catastrophic"});
   ClassRecord record;
   record.index = v.get("index").as_size();
   if (const JsonValue* cat = v.find("catastrophic"))

@@ -36,8 +36,8 @@ struct SynthOptions {
 };
 
 /// Builds the layout for every physical device in the netlist (MOSFETs,
-/// resistors, capacitors). Sources, VCVS and switches are considered
-/// test-bench elements and are skipped. Throws InvalidInputError if a
+/// resistors, capacitors). Sources are considered test-bench elements
+/// and are skipped. Throws InvalidInputError if a
 /// net label check fails afterwards.
 CellLayout synthesize_layout(const spice::Netlist& netlist,
                              const std::string& cell_name,

@@ -1,46 +1,57 @@
-// LU factorization with partial pivoting. This is the dense linear
+// Dense LU factorization with partial pivoting. This is the dense linear
 // solver behind small DC operating points and transient time steps;
 // systems past the sparse crossover go through numeric/sparse.hpp.
-// The pivoting kernel itself lives in numeric/dense_lu.hpp, shared
-// with the complex (AC) variant.
+//
+// The factorization is done IN PLACE in a matrix owned by this object:
+// callers that solve the same-sized system repeatedly (the Newton loop)
+// assemble straight into `matrix()` and call `factor()`, so the Newton
+// loop neither copies nor allocates a matrix per iteration.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "numeric/dense_lu.hpp"
 #include "numeric/matrix.hpp"
 
 namespace dot::numeric {
 
-/// Real dense LU with workspace reuse: assemble into matrix(), then
-/// factor() in place.
-using DenseLu = DenseLuT<Matrix, double>;
-
-/// Factorization of a square matrix A as P*A = L*U. Throws
-/// util::ConvergenceError (via solve()) when A is numerically singular.
-class LuFactorization {
+/// Factorization of a square matrix A as P*A = L*U.
+class DenseLu {
  public:
-  /// Factors `a` (moved in). `singular()` reports whether a zero (or
-  /// sub-epsilon) pivot was hit; solve() on a singular factorization
-  /// throws.
-  explicit LuFactorization(Matrix a, double pivot_epsilon = 1e-13)
-      : impl_(std::move(a), pivot_epsilon) {}
+  DenseLu() = default;
 
-  bool singular() const { return impl_.singular(); }
-  std::size_t size() const { return impl_.size(); }
+  /// One-shot path: takes the matrix and factors it. `singular()`
+  /// reports whether a zero (or sub-epsilon) pivot was hit; solving a
+  /// singular factorization throws util::ConvergenceError.
+  explicit DenseLu(Matrix a, double pivot_epsilon = 1e-13);
 
-  /// Solves A x = b.
-  std::vector<double> solve(const std::vector<double>& b) const {
-    return impl_.solve(b);
-  }
+  /// Assembly target for workspace reuse: fill this matrix (its storage
+  /// persists between factorizations), then call factor().
+  Matrix& matrix() { return lu_; }
+  const Matrix& matrix() const { return lu_; }
+
+  std::size_t size() const { return lu_.rows(); }
+  bool singular() const { return singular_; }
 
   /// Estimated reciprocal pivot growth; tiny values signal an
   /// ill-conditioned system (useful for fault-sim diagnostics).
-  double min_abs_pivot() const { return impl_.min_abs_pivot(); }
+  double min_abs_pivot() const { return min_abs_pivot_; }
+
+  /// Factors matrix() in place (P*A = L*U). Returns false (and marks
+  /// the factorization singular) when a zero / sub-epsilon pivot is hit.
+  bool factor(double pivot_epsilon = 1e-13);
+
+  /// Solves A x = b into `x` (resized as needed; reuse the same vector
+  /// across calls to avoid allocation). Throws on singular systems.
+  void solve_into(const std::vector<double>& b, std::vector<double>& x) const;
+
+  std::vector<double> solve(const std::vector<double>& b) const;
 
  private:
-  DenseLu impl_;
+  Matrix lu_;
+  std::vector<std::size_t> perm_;
+  bool singular_ = false;
+  double min_abs_pivot_ = 0.0;
 };
 
 /// One-shot convenience: solves A x = b, throwing on singular A.

@@ -11,11 +11,10 @@
 namespace dot::numeric {
 
 // ---------------------------------------------------------------------------
-// SparseAssemblerT
+// SparseAssembler
 // ---------------------------------------------------------------------------
 
-template <typename Scalar>
-void SparseAssemblerT<Scalar>::begin(std::size_t n, std::uint32_t stream_tag) {
+void SparseAssembler::begin(std::size_t n, std::uint32_t stream_tag) {
   if (n != n_) {
     frozen_ = false;
     n_ = n;
@@ -30,15 +29,14 @@ void SparseAssemblerT<Scalar>::begin(std::size_t n, std::uint32_t stream_tag) {
   fast_used_ = false;
   fast_index_ = 0;
   frozen_tag_ = stream_tag;
-  if (fast_) values_.assign(pattern_.cols.size(), Scalar(0));
+  if (fast_) values_.assign(pattern_.cols.size(), 0.0);
 }
 
-template <typename Scalar>
-void SparseAssemblerT<Scalar>::finish() {
+void SparseAssembler::finish() {
   if (fast_) {
     if (fast_index_ != frozen_codes_.size())
       throw std::logic_error(
-          "SparseAssemblerT: trusted stream length mismatch");
+          "SparseAssembler: trusted stream length mismatch");
     fast_ = false;
     fast_used_ = true;
     pattern_reused_ = true;
@@ -77,7 +75,7 @@ void SparseAssemblerT<Scalar>::finish() {
     frozen_codes_ = codes_;
     frozen_ = true;
   }
-  values_.assign(pattern_.cols.size(), Scalar(0));
+  values_.assign(pattern_.cols.size(), 0.0);
   for (std::size_t i = 0; i < m; ++i) values_[slot_[i]] += vals_[i];
 }
 
@@ -147,9 +145,8 @@ std::vector<std::int32_t> minimum_degree_order(const CsrPattern& pattern) {
 // threshold partial pivoting, recording structure and pivots.
 // ---------------------------------------------------------------------------
 
-template <typename Scalar>
 std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
-    const CsrPattern& pattern, const std::vector<Scalar>& values,
+    const CsrPattern& pattern, const std::vector<double>& values,
     double pivot_epsilon, double diag_preference) {
   const std::int32_t n = static_cast<std::int32_t>(pattern.n);
   if (values.size() != pattern.nnz())
@@ -185,8 +182,8 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
   sym->l_ptr.assign(1, 0);
   sym->u_ptr.assign(1, 0);
 
-  std::vector<Scalar> x(n, Scalar(0));
-  std::vector<Scalar> l_vals;  // numeric L, aligned with sym->l_rows
+  std::vector<double> x(n, 0.0);
+  std::vector<double> l_vals;  // numeric L, aligned with sym->l_rows
   std::vector<std::int32_t> mark(n, -1);
   std::vector<std::int32_t> post, stack, child;
 
@@ -233,7 +230,7 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
     }
 
     // Numeric column: scatter A(:,col), eliminate in topological order.
-    for (std::int32_t r : post) x[r] = Scalar(0);
+    for (std::int32_t r : post) x[r] = 0.0;
     for (std::int32_t idx = sym->csc_ptr[col]; idx < sym->csc_ptr[col + 1];
          ++idx)
       x[sym->csc_rows[idx]] = values[sym->csc_csr[idx]];
@@ -241,8 +238,8 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
       const std::int32_t r = *it;
       const std::int32_t k = sym->pinv[r];
       if (k < 0) continue;
-      const Scalar xr = x[r];
-      if (xr == Scalar(0)) continue;
+      const double xr = x[r];
+      if (xr == 0.0) continue;
       for (std::int32_t li = sym->l_ptr[k]; li < sym->l_ptr[k + 1]; ++li)
         x[sym->l_rows[li]] -= l_vals[li] * xr;
     }
@@ -268,7 +265,7 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
       piv = col;
     sym->pinv[piv] = j;
     sym->pivrow[j] = piv;
-    const Scalar inv_piv = Scalar(1) / x[piv];
+    const double inv_piv = 1.0 / x[piv];
 
     // Record the column structure (topological order for determinism).
     for (auto it = post.rbegin(); it != post.rend(); ++it) {
@@ -290,22 +287,21 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
 }
 
 // ---------------------------------------------------------------------------
-// SparseFactorsT
+// SparseFactors
 // ---------------------------------------------------------------------------
 
-template <typename Scalar>
-bool SparseFactorsT<Scalar>::refactor(
+bool SparseFactors::refactor(
     std::shared_ptr<const SparseSymbolic> symbolic,
-    const std::vector<Scalar>& csr_values, double pivot_epsilon) {
+    const std::vector<double>& csr_values, double pivot_epsilon) {
   const SparseSymbolic& s = *symbolic;
   const std::int32_t n = static_cast<std::int32_t>(s.pattern.n);
   if (csr_values.size() != s.pattern.nnz())
-    throw std::invalid_argument("SparseFactorsT::refactor: values size");
+    throw std::invalid_argument("SparseFactors::refactor: values size");
 
   l_vals_.resize(s.l_rows.size());
   u_vals_.resize(s.u_rows.size());
   udiag_.resize(n);
-  x_.assign(n, Scalar(0));
+  x_.assign(n, 0.0);
   z_.resize(n);
   min_abs_pivot_ = n > 0 ? std::numeric_limits<double>::infinity() : 0.0;
 
@@ -322,15 +318,15 @@ bool SparseFactorsT<Scalar>::refactor(
       x_[s.csc_rows[idx]] = csr_values[s.csc_csr[idx]];
     for (std::int32_t ui = s.u_ptr[j]; ui < s.u_ptr[j + 1]; ++ui) {
       const std::int32_t r = s.u_rows[ui];
-      const Scalar xr = x_[r];
+      const double xr = x_[r];
       u_vals_[ui] = xr;
-      x_[r] = Scalar(0);
-      if (xr == Scalar(0)) continue;
+      x_[r] = 0.0;
+      if (xr == 0.0) continue;
       const std::int32_t k = s.u_pos[ui];
       for (std::int32_t li = s.l_ptr[k]; li < s.l_ptr[k + 1]; ++li)
         x_[s.l_rows[li]] -= l_vals_[li] * xr;
     }
-    const Scalar piv = x_[s.pivrow[j]];
+    const double piv = x_[s.pivrow[j]];
     const double mag = std::abs(piv);
     if (mag <= pivot_epsilon) {
       symbolic_.reset();
@@ -339,43 +335,42 @@ bool SparseFactorsT<Scalar>::refactor(
     }
     min_abs_pivot_ = std::min(min_abs_pivot_, mag);
     udiag_[j] = piv;
-    x_[s.pivrow[j]] = Scalar(0);
-    const Scalar inv_piv = Scalar(1) / piv;
+    x_[s.pivrow[j]] = 0.0;
+    const double inv_piv = 1.0 / piv;
     for (std::int32_t li = s.l_ptr[j]; li < s.l_ptr[j + 1]; ++li) {
       const std::int32_t r = s.l_rows[li];
       l_vals_[li] = x_[r] * inv_piv;
-      x_[r] = Scalar(0);
+      x_[r] = 0.0;
     }
   }
   symbolic_ = std::move(symbolic);
   return true;
 }
 
-template <typename Scalar>
-void SparseFactorsT<Scalar>::solve_into(const std::vector<Scalar>& b,
-                                        std::vector<Scalar>& x) {
+void SparseFactors::solve_into(const std::vector<double>& b,
+                                        std::vector<double>& x) {
   if (!symbolic_)
     throw util::ConvergenceError(
-        "SparseFactorsT::solve_into: no valid factorization");
+        "SparseFactors::solve_into: no valid factorization");
   const SparseSymbolic& s = *symbolic_;
   const std::int32_t n = static_cast<std::int32_t>(s.pattern.n);
   if (b.size() != static_cast<std::size_t>(n))
-    throw std::invalid_argument("SparseFactorsT::solve_into: rhs size");
+    throw std::invalid_argument("SparseFactors::solve_into: rhs size");
 
   x.assign(b.begin(), b.end());
   // Forward substitution L z = P b, running in original-row space.
   for (std::int32_t j = 0; j < n; ++j) {
-    const Scalar xj = x[s.pivrow[j]];
-    if (xj == Scalar(0)) continue;
+    const double xj = x[s.pivrow[j]];
+    if (xj == 0.0) continue;
     for (std::int32_t li = s.l_ptr[j]; li < s.l_ptr[j + 1]; ++li)
       x[s.l_rows[li]] -= l_vals_[li] * xj;
   }
   // Back substitution U y = z in pivot space; U's off-diagonals are
   // stored column-wise with their pivot positions.
   for (std::int32_t j = n - 1; j >= 0; --j) {
-    const Scalar zj = x[s.pivrow[j]] / udiag_[j];
+    const double zj = x[s.pivrow[j]] / udiag_[j];
     z_[j] = zj;
-    if (zj == Scalar(0)) continue;
+    if (zj == 0.0) continue;
     for (std::int32_t ui = s.u_ptr[j]; ui < s.u_ptr[j + 1]; ++ui)
       x[s.pivrow[s.u_pos[ui]]] -= u_vals_[ui] * zj;
   }
@@ -383,20 +378,19 @@ void SparseFactorsT<Scalar>::solve_into(const std::vector<Scalar>& b,
   for (std::int32_t j = 0; j < n; ++j) x[s.qperm[j]] = z_[j];
 }
 
-template <typename Scalar>
-void SparseFactorsT<Scalar>::solve_multi(
-    const std::vector<const std::vector<Scalar>*>& rhs,
-    std::vector<std::vector<Scalar>>& x) {
+void SparseFactors::solve_multi(
+    const std::vector<const std::vector<double>*>& rhs,
+    std::vector<std::vector<double>>& x) {
   if (!symbolic_)
     throw util::ConvergenceError(
-        "SparseFactorsT::solve_multi: no valid factorization");
+        "SparseFactors::solve_multi: no valid factorization");
   const SparseSymbolic& s = *symbolic_;
   const std::int32_t n = static_cast<std::int32_t>(s.pattern.n);
   const std::size_t k = rhs.size();
   x.resize(k);
   for (std::size_t m = 0; m < k; ++m) {
     if (rhs[m]->size() != static_cast<std::size_t>(n))
-      throw std::invalid_argument("SparseFactorsT::solve_multi: rhs size");
+      throw std::invalid_argument("SparseFactors::solve_multi: rhs size");
     x[m].assign(rhs[m]->begin(), rhs[m]->end());
   }
   // One sweep over the factor columns, all right-hand sides advanced in
@@ -404,22 +398,22 @@ void SparseFactorsT<Scalar>::solve_multi(
   // once per (pivot, rhs). Each rhs still sees solve_into's exact
   // per-column operation sequence, so results are bit-identical to k
   // individual solves.
-  std::vector<std::vector<Scalar>> z(k, std::vector<Scalar>(n));
+  std::vector<std::vector<double>> z(k, std::vector<double>(n));
   for (std::int32_t j = 0; j < n; ++j) {
     for (std::size_t m = 0; m < k; ++m) {
-      std::vector<Scalar>& xm = x[m];
-      const Scalar xj = xm[s.pivrow[j]];
-      if (xj == Scalar(0)) continue;
+      std::vector<double>& xm = x[m];
+      const double xj = xm[s.pivrow[j]];
+      if (xj == 0.0) continue;
       for (std::int32_t li = s.l_ptr[j]; li < s.l_ptr[j + 1]; ++li)
         xm[s.l_rows[li]] -= l_vals_[li] * xj;
     }
   }
   for (std::int32_t j = n - 1; j >= 0; --j) {
     for (std::size_t m = 0; m < k; ++m) {
-      std::vector<Scalar>& xm = x[m];
-      const Scalar zj = xm[s.pivrow[j]] / udiag_[j];
+      std::vector<double>& xm = x[m];
+      const double zj = xm[s.pivrow[j]] / udiag_[j];
       z[m][j] = zj;
-      if (zj == Scalar(0)) continue;
+      if (zj == 0.0) continue;
       for (std::int32_t ui = s.u_ptr[j]; ui < s.u_ptr[j + 1]; ++ui)
         xm[s.pivrow[s.u_pos[ui]]] -= u_vals_[ui] * zj;
     }
@@ -427,18 +421,5 @@ void SparseFactorsT<Scalar>::solve_multi(
   for (std::size_t m = 0; m < k; ++m)
     for (std::int32_t j = 0; j < n; ++j) x[m][s.qperm[j]] = z[m][j];
 }
-
-// Explicit instantiations: the real (DC/transient) and complex (AC)
-// engines are the only scalar fields in the codebase.
-template class SparseAssemblerT<double>;
-template class SparseAssemblerT<std::complex<double>>;
-template class SparseFactorsT<double>;
-template class SparseFactorsT<std::complex<double>>;
-template std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze<double>(
-    const CsrPattern&, const std::vector<double>&, double, double);
-template std::shared_ptr<const SparseSymbolic>
-SparseSymbolic::analyze<std::complex<double>>(
-    const CsrPattern&, const std::vector<std::complex<double>>&, double,
-    double);
 
 }  // namespace dot::numeric

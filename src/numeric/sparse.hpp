@@ -4,7 +4,7 @@
 // few dozen unknowns the dense O(n^3) LU in the Newton loop dominates
 // every fault-simulation campaign. This module provides:
 //
-//  - SparseAssemblerT: triplet accumulation into CSR with *pattern
+//  - SparseAssembler: triplet accumulation into CSR with *pattern
 //    freezing* -- the stamp sequence of a fixed netlist is identical
 //    every Newton iteration, so after the first assembly the (row,col)
 //    stream is recognized and values are scattered straight into the
@@ -16,19 +16,14 @@
 //    that records the column ordering, the pivot sequence and the fill
 //    pattern of L and U. Immutable and shareable across threads: the
 //    per-macro campaign contexts cache it for the golden netlist.
-//  - SparseFactorsT: fast numeric *refactorization* over a cached
+//  - SparseFactors: fast numeric *refactorization* over a cached
 //    SparseSymbolic -- fixed pattern, fixed pivots, pure flops. This is
 //    the per-Newton-iteration hot path. A pivot that collapses below
 //    epsilon (values drifted too far from the analyzed matrix) makes
 //    refactor() fail so the caller can re-analyze or fall back to the
 //    dense partial-pivoting solver.
-//
-// Everything is templated over the scalar so the AC engine reuses the
-// same machinery over std::complex<double> (the symbolic analysis is
-// structure-plus-pivots and is shared between field types).
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -63,11 +58,10 @@ struct CsrPattern {
 /// order into slots), so the values are bit-identical to the checked
 /// path. A tag or size change refreezes from scratch; tag 0 always runs
 /// the checked path.
-template <typename Scalar>
-class SparseAssemblerT {
+class SparseAssembler {
  public:
   void begin(std::size_t n, std::uint32_t stream_tag = 0);
-  void add(std::size_t r, std::size_t c, Scalar v) {
+  void add(std::size_t r, std::size_t c, double v) {
     if (fast_) {
       values_[static_cast<std::size_t>(slot_[fast_index_++])] += v;
       return;
@@ -88,7 +82,7 @@ class SparseAssemblerT {
   /// add() calls it replaces: the slots are their exact stream
   /// positions and the fields hold the values they add.
   void replay(const std::int32_t* slots, const std::int32_t* srcs,
-              std::size_t count, const Scalar* fields) {
+              std::size_t count, const double* fields) {
     for (std::size_t i = 0; i < count; ++i)
       values_[static_cast<std::size_t>(slots[i])] += fields[srcs[i]];
     fast_index_ += count;
@@ -96,7 +90,7 @@ class SparseAssemblerT {
 
   std::size_t size() const { return n_; }
   const CsrPattern& pattern() const { return pattern_; }
-  const std::vector<Scalar>& values() const { return values_; }
+  const std::vector<double>& values() const { return values_; }
   bool pattern_reused() const { return pattern_reused_; }
   /// Whether the last finish() ran the trusted (slot-scatter) path.
   bool fast_path_used() const { return fast_used_; }
@@ -104,11 +98,11 @@ class SparseAssemblerT {
  private:
   std::size_t n_ = 0;
   std::vector<std::uint64_t> codes_;         ///< r*n+c per add() this round.
-  std::vector<Scalar> vals_;                 ///< parallel to codes_.
+  std::vector<double> vals_;                 ///< parallel to codes_.
   std::vector<std::uint64_t> frozen_codes_;  ///< add() stream of the pattern.
   std::vector<std::int32_t> slot_;           ///< add() index -> CSR slot.
   CsrPattern pattern_;
-  std::vector<Scalar> values_;
+  std::vector<double> values_;
   bool frozen_ = false;
   bool pattern_reused_ = false;
   std::uint32_t frozen_tag_ = 0;  ///< Tag the pattern was frozen under.
@@ -116,9 +110,6 @@ class SparseAssemblerT {
   bool fast_used_ = false;
   std::size_t fast_index_ = 0;    ///< add() counter on the trusted path.
 };
-
-using SparseAssembler = SparseAssemblerT<double>;
-using ComplexSparseAssembler = SparseAssemblerT<std::complex<double>>;
 
 /// Greedy minimum-degree ordering of the symmetrized pattern (graph of
 /// A + A^T). Returns the elimination order: position j is filled by
@@ -131,7 +122,7 @@ std::vector<std::int32_t> minimum_degree_order(const CsrPattern& pattern);
 /// maps used by refactorization. Immutable after analyze(); share it
 /// across threads freely.
 ///
-/// The raw index arrays are public for SparseFactorsT and the tests;
+/// The raw index arrays are public for SparseFactors and the tests;
 /// treat them as read-only.
 class SparseSymbolic {
  public:
@@ -139,9 +130,8 @@ class SparseSymbolic {
   /// preferred within `diag_preference` of the column maximum) on the
   /// given matrix and records the structural outcome. Returns nullptr
   /// when the matrix is numerically singular at `pivot_epsilon`.
-  template <typename Scalar>
   static std::shared_ptr<const SparseSymbolic> analyze(
-      const CsrPattern& pattern, const std::vector<Scalar>& values,
+      const CsrPattern& pattern, const std::vector<double>& values,
       double pivot_epsilon = 1e-13, double diag_preference = 0.1);
 
   std::size_t size() const { return pattern.n; }
@@ -169,14 +159,13 @@ class SparseSymbolic {
 /// Numeric LU factors over a cached SparseSymbolic. refactor() is the
 /// hot path: no reach, no pivot search, just sparse flops in the
 /// recorded order.
-template <typename Scalar>
-class SparseFactorsT {
+class SparseFactors {
  public:
   /// Factors the CSR values (matching symbolic->pattern) with the
   /// recorded pivot sequence. Returns false -- and invalidates the
   /// factors -- when a pivot magnitude drops to `pivot_epsilon`.
   bool refactor(std::shared_ptr<const SparseSymbolic> symbolic,
-                const std::vector<Scalar>& csr_values,
+                const std::vector<double>& csr_values,
                 double pivot_epsilon = 1e-13);
 
   bool valid() const { return symbolic_ != nullptr; }
@@ -187,25 +176,22 @@ class SparseFactorsT {
 
   /// Solves A x = b (original row/column space). Throws
   /// util::ConvergenceError when no valid factorization is held.
-  void solve_into(const std::vector<Scalar>& b, std::vector<Scalar>& x);
+  void solve_into(const std::vector<double>& b, std::vector<double>& x);
 
   /// Multi-RHS solve: one triangular sweep per right-hand side over the
   /// shared factors (the batched Newton path solves all sibling fault
   /// members against one factorization). Each column's arithmetic is
   /// exactly solve_into's, so result k is bit-identical to an
   /// individual solve of rhs[k].
-  void solve_multi(const std::vector<const std::vector<Scalar>*>& rhs,
-                   std::vector<std::vector<Scalar>>& x);
+  void solve_multi(const std::vector<const std::vector<double>*>& rhs,
+                   std::vector<std::vector<double>>& x);
 
  private:
   std::shared_ptr<const SparseSymbolic> symbolic_;
-  std::vector<Scalar> l_vals_, u_vals_, udiag_;
-  std::vector<Scalar> x_;  ///< dense scratch (factor + solve).
-  std::vector<Scalar> z_;  ///< pivot-space scratch (solve).
+  std::vector<double> l_vals_, u_vals_, udiag_;
+  std::vector<double> x_;  ///< dense scratch (factor + solve).
+  std::vector<double> z_;  ///< pivot-space scratch (solve).
   double min_abs_pivot_ = 0.0;
 };
-
-using SparseFactors = SparseFactorsT<double>;
-using ComplexSparseFactors = SparseFactorsT<std::complex<double>>;
 
 }  // namespace dot::numeric

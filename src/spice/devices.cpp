@@ -225,25 +225,6 @@ void eval_mos_batch(DeviceBatch& b) {
   batch_swapback_negate(b.swapped.data(), b.gmb.data(), n);
 }
 
-DiodeOperatingPoint eval_diode(const Diode& diode, double v) {
-  const double n_vt = diode.ideality * kThermalVoltage;
-  DiodeOperatingPoint op;
-  // Limit the exponent for Newton robustness; beyond the limit the
-  // model continues linearly with the slope at the limit.
-  const double v_lim = kMaxExpArg * n_vt;
-  if (v <= v_lim) {
-    const double e = safe_exp(v / n_vt);
-    op.id = diode.i_sat * (e - 1.0);
-    op.gd = diode.i_sat * e / n_vt;
-  } else {
-    const double e = safe_exp(kMaxExpArg);
-    const double g = diode.i_sat * e / n_vt;
-    op.id = diode.i_sat * (e - 1.0) + g * (v - v_lim);
-    op.gd = g;
-  }
-  return op;
-}
-
 const std::string& device_name(const Device& device) {
   return std::visit([](const auto& d) -> const std::string& { return d.name; },
                     device);

@@ -120,65 +120,8 @@ struct Mosfet {
   MosModel model;
 };
 
-/// Voltage-controlled voltage source: v(p) - v(n) = gain * (v(cp) - v(cn)).
-struct Vcvs {
-  std::string name;
-  NodeId p = kGround;
-  NodeId n = kGround;
-  NodeId cp = kGround;
-  NodeId cn = kGround;
-  double gain = 1.0;
-};
-
-/// Voltage-controlled current source: i(p -> n) = gm * (v(cp) - v(cn)).
-struct Vccs {
-  std::string name;
-  NodeId p = kGround;
-  NodeId n = kGround;
-  NodeId cp = kGround;
-  NodeId cn = kGround;
-  double gm = 1e-3;
-};
-
-/// Inductor; carries a branch-current unknown like a voltage source.
-struct Inductor {
-  std::string name;
-  NodeId a = kGround;
-  NodeId b = kGround;
-  double henries = 1e-6;
-};
-
-/// Junction diode: I = Is * (exp(V/(n*VT)) - 1), anode -> cathode.
-struct Diode {
-  std::string name;
-  NodeId anode = kGround;
-  NodeId cathode = kGround;
-  double i_sat = 1e-14;
-  double ideality = 1.0;
-};
-
-/// Large-signal diode evaluation (current and conductance at a bias).
-struct DiodeOperatingPoint {
-  double id = 0.0;
-  double gd = 0.0;
-};
-DiodeOperatingPoint eval_diode(const Diode& diode, double v_anode_cathode);
-
-/// Voltage-controlled resistive switch (smooth ron/roff interpolation).
-struct Switch {
-  std::string name;
-  NodeId a = kGround;
-  NodeId b = kGround;
-  NodeId ctrl_p = kGround;
-  NodeId ctrl_n = kGround;
-  double v_on = 2.5;
-  double v_off = 2.0;
-  double r_on = 1.0;
-  double r_off = 1e9;
-};
-
-using Device = std::variant<Resistor, Capacitor, VoltageSource, CurrentSource,
-                            Mosfet, Vcvs, Switch, Vccs, Inductor, Diode>;
+using Device =
+    std::variant<Resistor, Capacitor, VoltageSource, CurrentSource, Mosfet>;
 
 /// Name accessor shared by all alternatives.
 const std::string& device_name(const Device& device);

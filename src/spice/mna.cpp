@@ -1,6 +1,5 @@
 #include "spice/mna.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -19,9 +18,7 @@ MnaMap::MnaMap(const Netlist& netlist) {
   node_unknowns_ = netlist.node_count() - 1;  // Ground is not an unknown.
   std::size_t next = node_unknowns_;
   for (const auto& device : netlist.devices()) {
-    if (std::holds_alternative<VoltageSource>(device) ||
-        std::holds_alternative<Vcvs>(device) ||
-        std::holds_alternative<Inductor>(device)) {
+    if (std::holds_alternative<VoltageSource>(device)) {
       branch_order_.push_back(next);
       branch_.emplace(device_name(device), next++);
     }
@@ -61,9 +58,6 @@ MosKernel::MosKernel(const Netlist& netlist, const MnaMap& map)
   static std::atomic<std::uint32_t> next_id{0};
   id_ = next_id.fetch_add(1);
   for (const auto& device : netlist.devices()) {
-    if (std::holds_alternative<Diode>(device) ||
-        std::holds_alternative<Switch>(device))
-      replayable_ = false;
     const auto* mos = std::get_if<Mosfet>(&device);
     if (mos == nullptr) continue;
     drain_.push_back(map.node_index(mos->drain));
@@ -113,24 +107,12 @@ namespace {
 
 // Trusted-stream tag of a kernel-attached assembly: unique per kernel
 // (hence per netlist) and per analysis mode -- the DC and transient
-// stamp streams of one netlist differ (capacitors and inductors stamp
-// differently), so a mode switch or another kernel refreezes once.
+// stamp streams of one netlist differ (capacitors stamp only in
+// transient), so a mode switch or another kernel refreezes once.
 std::uint32_t stream_tag(const StampOptions& options) {
   if (options.mos == nullptr) return 0;
   const std::uint32_t mode = options.mode == AnalysisMode::kDc ? 1 : 2;
   return (options.mos->id() << 2) | mode;
-}
-
-/// Smooth switch conductance between r_off and r_on as a function of the
-/// control voltage, using a cubic smoothstep over [v_off, v_on] in
-/// log-conductance so both extremes are well-conditioned.
-double switch_conductance(const Switch& sw, double vctrl) {
-  const double g_on = 1.0 / sw.r_on;
-  const double g_off = 1.0 / sw.r_off;
-  double t = (vctrl - sw.v_off) / (sw.v_on - sw.v_off);
-  t = std::clamp(t, 0.0, 1.0);
-  const double smooth = t * t * (3.0 - 2.0 * t);
-  return g_off * std::pow(g_on / g_off, smooth);
 }
 
 /// Matrix-entry sinks for the templated stamper: the dense target adds
@@ -241,42 +223,6 @@ class Stamper {
     rhs_add(k, volts);
   }
 
-  /// Inductor branch: KCL couplings plus the row
-  ///   v(a) - v(b) - l_over_dt * i = rhs
-  /// (l_over_dt = 0 and rhs = 0 makes it a DC short).
-  void inductor_rows(std::size_t k, NodeId na, NodeId nb,
-                     double l_over_dt, double rhs) {
-    const int i = map_.node_index(na);
-    const int j = map_.node_index(nb);
-    if (i >= 0) {
-      a_.add(idx(i), k, 1.0);
-      a_.add(k, idx(i), 1.0);
-    }
-    if (j >= 0) {
-      a_.add(idx(j), k, -1.0);
-      a_.add(k, idx(j), -1.0);
-    }
-    a_.add(k, k, -l_over_dt);
-    rhs_add(k, rhs);
-  }
-
-  void vcvs_rows(std::size_t k, const Vcvs& e) {
-    const int p = map_.node_index(e.p);
-    const int n = map_.node_index(e.n);
-    const int cp = map_.node_index(e.cp);
-    const int cn = map_.node_index(e.cn);
-    if (p >= 0) {
-      a_.add(idx(p), k, 1.0);
-      a_.add(k, idx(p), 1.0);
-    }
-    if (n >= 0) {
-      a_.add(idx(n), k, -1.0);
-      a_.add(k, idx(n), -1.0);
-    }
-    if (cp >= 0) a_.add(k, idx(cp), -e.gain);
-    if (cn >= 0) a_.add(k, idx(cn), e.gain);
-  }
-
   void rhs_add(std::size_t i, double delta) { a_.rhs(i, delta); }
 
  private:
@@ -343,40 +289,6 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
           } else if constexpr (std::is_same_v<T, CurrentSource>) {
             stamp.current(d.pos, d.neg,
                           options.source_scale * d.spec.eval(options.time));
-          } else if constexpr (std::is_same_v<T, Vcvs>) {
-            stamp.vcvs_rows(map.branch_at(branch_seq++), d);
-          } else if constexpr (std::is_same_v<T, Vccs>) {
-            stamp.transconductance(d.p, d.n, d.cp, d.cn, d.gm);
-          } else if constexpr (std::is_same_v<T, Inductor>) {
-            const std::size_t k = map.branch_at(branch_seq++);
-            if (options.mode == AnalysisMode::kDc) {
-              stamp.inductor_rows(k, d.a, d.b, 0.0, 0.0);
-            } else {
-              const double i_prev = x_prev_step[k];
-              const double v_prev =
-                  map.voltage(x_prev_step, d.a) - map.voltage(x_prev_step, d.b);
-              if (options.integrator == Integrator::kTrapezoidal &&
-                  options.cap_i_prev != nullptr) {
-                // v + v_prev = (2L/dt) (i - i_prev)
-                const double l2 = 2.0 * d.henries / options.dt;
-                stamp.inductor_rows(k, d.a, d.b, l2,
-                                    -v_prev - l2 * i_prev);
-              } else {
-                // Backward Euler: v = (L/dt) (i - i_prev)
-                const double l1 = d.henries / options.dt;
-                stamp.inductor_rows(k, d.a, d.b, l1, -l1 * i_prev);
-              }
-            }
-          } else if constexpr (std::is_same_v<T, Diode>) {
-            const double v =
-                map.voltage(x, d.anode) - map.voltage(x, d.cathode);
-            const auto op = eval_diode(d, v);
-            stamp.conductance(d.anode, d.cathode, op.gd);
-            stamp.current(d.anode, d.cathode, op.id - op.gd * v);
-          } else if constexpr (std::is_same_v<T, Switch>) {
-            const double vctrl =
-                map.voltage(x, d.ctrl_p) - map.voltage(x, d.ctrl_n);
-            stamp.conductance(d.a, d.b, switch_conductance(d, vctrl));
           } else if constexpr (std::is_same_v<T, Mosfet>) {
             if (mos_fields != nullptr) {
               // Companion fields gm, gds, gmb, ieq of this occurrence
@@ -527,7 +439,7 @@ void assemble_mna(const Netlist& netlist, const MnaMap& map,
   a.begin(n, stream_tag(options));
   b.assign(n, 0.0);
   MosKernel* const kernel = checked_kernel(netlist, options);
-  if (kernel != nullptr && kernel->replayable() && a.fast_active())
+  if (kernel != nullptr && a.fast_active())
     replay_program(netlist, map, x, x_prev_step, options, *kernel, a, b);
   else
     assemble_into(netlist, map, x, x_prev_step, options, SparseTarget{a, b},

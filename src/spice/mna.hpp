@@ -1,8 +1,8 @@
 // Modified nodal analysis: maps a netlist onto the linear(ized) system
-// A*x = b, where x holds node voltages plus branch currents of voltage
-// sources and VCVS elements.
+// A*x = b, where x holds node voltages plus the branch currents of
+// voltage sources.
 //
-// Nonlinear devices (MOSFETs, switches) are stamped as Newton companion
+// MOSFETs, the only nonlinear devices, are stamped as Newton companion
 // models linearized around a candidate solution; the DC and transient
 // engines iterate assemble/solve to convergence.
 #pragma once
@@ -47,9 +47,9 @@ struct StampOps {
 /// assembly lands in a fixed CSR slot (or RHS entry), and its value is
 /// either one of a MOSFET's four companion doubles or its negation, or
 /// a value that only changes when a new solve starts (gshunt,
-/// resistors, capacitor and inductor companions, sources). The program
-/// records the whole stream -- gshunt, then every device, matrix and
-/// RHS -- as (slot or node, field) ops over one array
+/// resistors, capacitor companions, sources). The program records the
+/// whole stream -- gshunt, then every device, matrix and RHS -- as
+/// (slot or node, field) ops over one array
 ///
 ///   fields = [gm gds gmb ieq -gm -gds -gmb -ieq per MOSFET | statics]
 ///
@@ -63,8 +63,7 @@ struct StampOps {
 /// assembled system is bit-identical.
 ///
 /// Captured on the first trusted round of a stream tag; a tag change
-/// (DC -> transient, another kernel) recaptures. Netlists with
-/// iterate-dependent non-MOS devices (diodes, switches) keep the walk.
+/// (DC -> transient, another kernel) recaptures.
 struct StampProgram {
   bool ready = false;
   std::uint32_t tag = 0;  ///< Stream tag the program was captured under.
@@ -92,9 +91,6 @@ class MosKernel {
   /// Process-unique serial; keys the kernel's trusted stamp streams.
   std::uint32_t id() const { return id_; }
   std::size_t mos_count() const { return sign_.size(); }
-  /// Whether every non-MOSFET stamp is independent of the iterate (no
-  /// diodes or switches), so trusted rounds can replay the program.
-  bool replayable() const { return replayable_; }
   /// Refreshes every companion for candidate iterate `x`: fields 8m ..
   /// 8m+3 of the program become the m-th MOSFET's gm, gds, gmb (in its
   /// NMOS-normalized convention) and sign * (ids - gm*vgs - gds*vds -
@@ -107,7 +103,6 @@ class MosKernel {
  private:
   const Netlist* netlist_;
   std::uint32_t id_ = 0;
-  bool replayable_ = true;
   std::vector<int> drain_, gate_, source_, bulk_;
   std::vector<double> sign_;
   DeviceBatch batch_;
@@ -129,7 +124,7 @@ struct StampOptions {
   /// The circuit's MOSFET kernel (built for the netlist being
   /// assembled). When set, MOSFETs stamp the kernel's SoA companions,
   /// and the sparse assembly declares a trusted stream per kernel and
-  /// analysis mode (see numeric::SparseAssemblerT) and replays the
+  /// analysis mode (see numeric::SparseAssembler) and replays the
   /// kernel's stamp program. Null evaluates each MOSFET with the scalar
   /// eval_mos.
   MosKernel* mos = nullptr;
@@ -148,15 +143,15 @@ class MnaMap {
   /// Unknown index of a node voltage; -1 for ground.
   int node_index(NodeId node) const;
 
-  /// Unknown index of the branch current of a voltage source / VCVS;
-  /// throws for unknown names.
+  /// Unknown index of the branch current of a voltage source; throws
+  /// for unknown names.
   std::size_t branch_index(const std::string& source_name) const;
   bool has_branch(const std::string& source_name) const;
 
-  /// Branch-current index of the k-th branch device (voltage source,
-  /// VCVS or inductor) in device-list order. Assembly walks devices in
-  /// that same order, so this replaces a per-stamp string hash lookup
-  /// with an array read on the Newton-loop hot path.
+  /// Branch-current index of the k-th voltage source in device-list
+  /// order. Assembly walks devices in that same order, so this replaces
+  /// a per-stamp string hash lookup with an array read on the
+  /// Newton-loop hot path.
   std::size_t branch_at(std::size_t occurrence) const {
     return branch_order_[occurrence];
   }

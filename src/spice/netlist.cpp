@@ -85,46 +85,6 @@ void Netlist::add_mosfet(const std::string& name, MosType type,
                     node(bulk), w, l, model});
 }
 
-void Netlist::add_vcvs(const std::string& name, const std::string& p,
-                       const std::string& n, const std::string& cp,
-                       const std::string& cn, double gain) {
-  add_device(Vcvs{name, node(p), node(n), node(cp), node(cn), gain});
-}
-
-void Netlist::add_vccs(const std::string& name, const std::string& p,
-                       const std::string& n, const std::string& cp,
-                       const std::string& cn, double gm) {
-  add_device(Vccs{name, node(p), node(n), node(cp), node(cn), gm});
-}
-
-void Netlist::add_inductor(const std::string& name, const std::string& a,
-                           const std::string& b, double henries) {
-  if (henries <= 0.0)
-    throw util::InvalidInputError("inductor " + name +
-                                  ": inductance must be positive");
-  add_device(Inductor{name, node(a), node(b), henries});
-}
-
-void Netlist::add_diode(const std::string& name, const std::string& anode,
-                        const std::string& cathode, double i_sat,
-                        double ideality) {
-  if (i_sat <= 0.0 || ideality <= 0.0)
-    throw util::InvalidInputError("diode " + name + ": bad parameters");
-  add_device(Diode{name, node(anode), node(cathode), i_sat, ideality});
-}
-
-void Netlist::add_switch(const Switch& sw_template, const std::string& name,
-                         const std::string& a, const std::string& b,
-                         const std::string& ctrl_p, const std::string& ctrl_n) {
-  Switch sw = sw_template;
-  sw.name = name;
-  sw.a = node(a);
-  sw.b = node(b);
-  sw.ctrl_p = node(ctrl_p);
-  sw.ctrl_n = node(ctrl_n);
-  add_device(sw);
-}
-
 void Netlist::add_device(Device device) {
   const std::string& name = device_name(device);
   check_fresh_name(name);
@@ -201,21 +161,6 @@ std::vector<NodeId> Netlist::terminal_nodes(const Device& device) {
     std::vector<NodeId> operator()(const Mosfet& d) const {
       return {d.drain, d.gate, d.source, d.bulk};
     }
-    std::vector<NodeId> operator()(const Vcvs& d) const {
-      return {d.p, d.n, d.cp, d.cn};
-    }
-    std::vector<NodeId> operator()(const Switch& d) const {
-      return {d.a, d.b, d.ctrl_p, d.ctrl_n};
-    }
-    std::vector<NodeId> operator()(const Vccs& d) const {
-      return {d.p, d.n, d.cp, d.cn};
-    }
-    std::vector<NodeId> operator()(const Inductor& d) const {
-      return {d.a, d.b};
-    }
-    std::vector<NodeId> operator()(const Diode& d) const {
-      return {d.anode, d.cathode};
-    }
   };
   return std::visit(Visitor{}, device);
 }
@@ -235,17 +180,9 @@ void Netlist::set_terminal_node(Device& device, int index, NodeId node) {
         } else if constexpr (std::is_same_v<T, VoltageSource> ||
                              std::is_same_v<T, CurrentSource>) {
           assign({&d.pos, &d.neg});
-        } else if constexpr (std::is_same_v<T, Mosfet>) {
-          assign({&d.drain, &d.gate, &d.source, &d.bulk});
-        } else if constexpr (std::is_same_v<T, Vcvs> ||
-                             std::is_same_v<T, Vccs>) {
-          assign({&d.p, &d.n, &d.cp, &d.cn});
-        } else if constexpr (std::is_same_v<T, Inductor>) {
-          assign({&d.a, &d.b});
-        } else if constexpr (std::is_same_v<T, Diode>) {
-          assign({&d.anode, &d.cathode});
         } else {
-          assign({&d.a, &d.b, &d.ctrl_p, &d.ctrl_n});
+          static_assert(std::is_same_v<T, Mosfet>);
+          assign({&d.drain, &d.gate, &d.source, &d.bulk});
         }
       },
       device);

@@ -48,20 +48,6 @@ class Netlist {
                   const std::string& drain, const std::string& gate,
                   const std::string& source, const std::string& bulk,
                   double w, double l, const MosModel& model);
-  void add_vcvs(const std::string& name, const std::string& p,
-                const std::string& n, const std::string& cp,
-                const std::string& cn, double gain);
-  void add_vccs(const std::string& name, const std::string& p,
-                const std::string& n, const std::string& cp,
-                const std::string& cn, double gm);
-  void add_inductor(const std::string& name, const std::string& a,
-                    const std::string& b, double henries);
-  void add_diode(const std::string& name, const std::string& anode,
-                 const std::string& cathode, double i_sat = 1e-14,
-                 double ideality = 1.0);
-  void add_switch(const Switch& sw_template, const std::string& name,
-                  const std::string& a, const std::string& b,
-                  const std::string& ctrl_p, const std::string& ctrl_n);
 
   /// Adds an already-built device; checks name uniqueness and node ids.
   void add_device(Device device);

@@ -100,41 +100,6 @@ double SourceSpec::eval(double t) const {
   return 0.0;
 }
 
-std::string SourceSpec::deck_text() const {
-  char buf[256];
-  switch (shape_) {
-    case SourceShape::kDc:
-      std::snprintf(buf, sizeof buf, "DC %.9g", dc_);
-      return buf;
-    case SourceShape::kPulse:
-      std::snprintf(buf, sizeof buf,
-                    "PULSE(%.9g %.9g %.9g %.9g %.9g %.9g %.9g)",
-                    pulse_.initial, pulse_.pulsed, pulse_.delay, pulse_.rise,
-                    pulse_.fall, pulse_.width, pulse_.period);
-      return buf;
-    case SourceShape::kSine:
-      std::snprintf(buf, sizeof buf, "SIN(%.9g %.9g %.9g %.9g)",
-                    sine_.offset, sine_.amplitude, sine_.freq_hz,
-                    sine_.delay);
-      return buf;
-    case SourceShape::kTriangle:
-      std::snprintf(buf, sizeof buf, "TRI(%.9g %.9g %.9g %.9g)",
-                    triangle_.low, triangle_.high, triangle_.period,
-                    triangle_.delay);
-      return buf;
-    case SourceShape::kPwl: {
-      std::string out = "PWL(";
-      for (std::size_t i = 0; i < pwl_.size(); ++i) {
-        std::snprintf(buf, sizeof buf, "%s%.9g %.9g", i == 0 ? "" : " ",
-                      pwl_[i].time, pwl_[i].value);
-        out += buf;
-      }
-      return out + ")";
-    }
-  }
-  return "DC 0";
-}
-
 void SourceSpec::scale(double factor) {
   dc_ *= factor;
   pulse_.initial *= factor;

@@ -5,7 +5,6 @@
 // stimuli, so those are the supported shapes.
 #pragma once
 
-#include <string>
 #include <vector>
 
 namespace dot::spice {
@@ -69,10 +68,6 @@ class SourceSpec {
   /// Uniformly scales the waveform (used by source-stepping homotopy
   /// and supply-spread Monte Carlo).
   void scale(double factor);
-
-  /// Deck-format text of this waveform, e.g. "DC 5" or
-  /// "PULSE(0 5 1e-08 1e-09 1e-09 2e-08 1e-07)" (see netlist_io.hpp).
-  std::string deck_text() const;
 
  private:
   SourceShape shape_;

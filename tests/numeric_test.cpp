@@ -71,7 +71,7 @@ TEST(Lu, DetectsSingularity) {
   a(0, 1) = 2.0;
   a(1, 0) = 2.0;
   a(1, 1) = 4.0;
-  LuFactorization lu(a);
+  DenseLu lu(a);
   EXPECT_TRUE(lu.singular());
   EXPECT_THROW(lu.solve({1.0, 1.0}), dot::util::ConvergenceError);
 }
@@ -95,11 +95,11 @@ TEST(Lu, RandomRoundTrip) {
 
 TEST(Lu, NonSquareThrows) {
   Matrix a(2, 3);
-  EXPECT_THROW(LuFactorization{a}, std::invalid_argument);
+  EXPECT_THROW(DenseLu{a}, std::invalid_argument);
 }
 
 TEST(Lu, SolveSizeMismatchThrows) {
-  LuFactorization lu(Matrix::identity(3));
+  DenseLu lu(Matrix::identity(3));
   EXPECT_THROW(lu.solve({1.0}), std::invalid_argument);
 }
 

@@ -22,6 +22,7 @@
 #include "util/journal.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace dot {
 namespace {
@@ -724,6 +725,126 @@ TEST(JournalFuzz, MergeRejectsOverlappingClassOwnershipNamingBothShards) {
       << message;
   EXPECT_NE(message.find("shard 0"), std::string::npos) << message;
   EXPECT_NE(message.find("shard 1"), std::string::npos) << message;
+}
+
+// Fixed-seed mutation loops over a real comparator --smoke journal:
+// 600 byte flips, 250 duplicated lines, 75 truncation points and 75
+// swapped lines. Most flips and duplicates are refused before any
+// simulation; a truncation re-simulates the classes it cut off and a
+// swap resumes in full, so those cost five to ten times as much, and
+// 75 cover the 10-line journal's tear points and 45 line pairs well. A resume from each mutant must reproduce the unmutated
+// report byte for byte (the mutation dropped or reordered only what the
+// resume recomputes or re-sorts) or refuse with a structured
+// InvalidInputError/ShardError; anything else is a silently different
+// coverage report.
+flashadc::CampaignConfig smoke_comparator_config() {
+  flashadc::CampaignConfig config;  // adc_coverage --macro=comparator --smoke
+  config.macro_selection = "comparator";
+  config.defect_count = 8000;
+  config.envelope_samples = 4;
+  config.max_classes = 8;
+  return config;
+}
+
+struct MutationBase {
+  std::string report;  ///< JSON report of the unmutated campaign.
+  std::string text;    ///< Its journal.
+  std::vector<std::string> lines;
+};
+
+const MutationBase& mutation_base() {
+  static const MutationBase base = [] {
+    auto config = smoke_comparator_config();
+    config.resilience.journal_path = temp_path("fuzz_mutant_base.jsonl");
+    // One thread writes the class records in class order, so the base
+    // text, and with it every mutant, is the same on every run.
+    util::ThreadPool::set_global_thread_count(1);
+    struct Restore {
+      ~Restore() { util::ThreadPool::set_global_thread_count(0); }
+    } restore;
+    MutationBase b;
+    b.report = flashadc::to_json(flashadc::run_campaign(config));
+    b.text = read_file(config.resilience.journal_path);
+    b.lines = split_lines(b.text);
+    return b;
+  }();
+  return base;
+}
+
+/// Resumes from `count` mutants drawn by `mutate` (which returns the
+/// mutant and describes it in `what`).
+template <typename Mutate>
+void expect_mutants_resume_exactly_or_throw(int count, std::uint64_t seed,
+                                            Mutate&& mutate) {
+  const MutationBase& base = mutation_base();
+  ASSERT_GT(base.lines.size(), 4u);
+  auto config = smoke_comparator_config();
+  config.resilience.journal_path = temp_path("fuzz_mutant.jsonl");
+  config.resilience.resume = true;
+  util::Rng rng(seed);
+  int identical = 0, rejected = 0;
+  for (int m = 0; m < count; ++m) {
+    std::string what;
+    write_file(config.resilience.journal_path, mutate(rng, base, what));
+    try {
+      const std::string report =
+          flashadc::to_json(flashadc::run_campaign(config));
+      EXPECT_EQ(report, base.report) << "mutant " << m << ": " << what;
+      identical += report == base.report ? 1 : 0;
+    } catch (const util::InvalidInputError&) {
+      ++rejected;
+    } catch (const util::ShardError&) {
+      ++rejected;
+    }
+  }
+  std::printf("%d mutants: %d resumed to the reference report, %d refused\n",
+              count, identical, rejected);
+}
+
+TEST(JournalFuzz, ByteFlipsResumeExactlyOrThrow) {
+  expect_mutants_resume_exactly_or_throw(
+      600, 1, [](util::Rng& rng, const MutationBase& base, std::string& what) {
+        std::string mutant = base.text;
+        const std::size_t at = rng.below(mutant.size());
+        mutant[at] = static_cast<char>(mutant[at] ^ (1 + rng.below(255)));
+        what = "flip byte " + std::to_string(at);
+        return mutant;
+      });
+}
+
+TEST(JournalFuzz, TruncationsResumeExactlyOrThrow) {
+  expect_mutants_resume_exactly_or_throw(
+      75, 2, [](util::Rng& rng, const MutationBase& base, std::string& what) {
+        const std::size_t at = rng.below(base.text.size());
+        what = "truncate at " + std::to_string(at);
+        return base.text.substr(0, at);
+      });
+}
+
+TEST(JournalFuzz, DuplicatedLinesResumeExactlyOrThrow) {
+  expect_mutants_resume_exactly_or_throw(
+      250, 3, [](util::Rng& rng, const MutationBase& base, std::string& what) {
+        auto lines = base.lines;
+        const std::size_t from = rng.below(lines.size());
+        const std::size_t to = rng.below(lines.size() + 1);
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(to),
+                     lines[from]);
+        what = "duplicate line " + std::to_string(from) + " at " +
+               std::to_string(to);
+        return join_lines(lines);
+      });
+}
+
+TEST(JournalFuzz, SwappedLinesResumeExactlyOrThrow) {
+  expect_mutants_resume_exactly_or_throw(
+      75, 4, [](util::Rng& rng, const MutationBase& base, std::string& what) {
+        auto lines = base.lines;
+        const std::size_t a = rng.below(lines.size());
+        const std::size_t b = rng.below(lines.size());
+        std::swap(lines[a], lines[b]);
+        what = "swap lines " + std::to_string(a) + " and " + std::to_string(b);
+        return join_lines(lines);
+      });
 }
 
 }  // namespace

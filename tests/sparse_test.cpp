@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 #include <string>
 #include <vector>
 
-#include "numeric/complex_lu.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
 #include "numeric/sparse.hpp"
@@ -196,45 +194,6 @@ TEST(SparseFactorization, RefactorTracksChangedValues) {
   lu.solve_into(b, x_dense);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(x_sparse[i], x_dense[i], 1e-10);
-}
-
-TEST(SparseFactorization, ComplexMatchesDenseLu) {
-  using Complex = std::complex<double>;
-  util::Rng rng(55);
-  const std::size_t n = 24;
-  numeric::ComplexSparseAssembler a;
-  numeric::ComplexMatrix dense(n, n);
-  std::vector<double> diag(n, 1e-3);
-  a.begin(n);
-  for (int e = 0; e < static_cast<int>(4 * n); ++e) {
-    const auto r = rng.below(n);
-    const auto c = rng.below(n);
-    if (r == c) continue;
-    const Complex v(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-    a.add(r, c, v);
-    dense(r, c) += v;
-    diag[r] += std::abs(v) + 0.1;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const Complex v(diag[i], 0.2);
-    a.add(i, i, v);
-    dense(i, i) += v;
-  }
-  a.finish();
-
-  const auto sym = SparseSymbolic::analyze(a.pattern(), a.values());
-  ASSERT_NE(sym, nullptr);
-  numeric::ComplexSparseFactors factors;
-  ASSERT_TRUE(factors.refactor(sym, a.values()));
-
-  std::vector<Complex> b(n), x_sparse, x_dense;
-  for (std::size_t i = 0; i < n; ++i)
-    b[i] = Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-  factors.solve_into(b, x_sparse);
-  numeric::ComplexDenseLu lu(dense);
-  lu.solve_into(b, x_dense);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(x_sparse[i] - x_dense[i]), 0.0, 1e-10);
 }
 
 TEST(SparseFactorization, SingularMatrixRejectedAtAnalysis) {

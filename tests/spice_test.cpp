@@ -198,16 +198,6 @@ TEST(Dc, CurrentSourceIntoResistor) {
   EXPECT_NEAR(map.voltage(result.x, n.node("out")), 2.0, 1e-6);
 }
 
-TEST(Dc, VcvsGain) {
-  Netlist n;
-  n.add_vsource("V1", "in", "0", SourceSpec::dc(0.25));
-  n.add_vcvs("E1", "out", "0", "in", "0", 8.0);
-  n.add_resistor("RL", "out", "0", 1e4);
-  const MnaMap map(n);
-  const auto result = dc_operating_point(n, map);
-  EXPECT_NEAR(map.voltage(result.x, n.node("out")), 2.0, 1e-9);
-}
-
 TEST(Dc, NmosSaturationOperatingPoint) {
   // Common-source NMOS with drain resistor: solve the quadratic by hand
   // and compare.
@@ -246,26 +236,6 @@ TEST(Dc, CmosInverterTransfersLogicLevels) {
   std::get<VoltageSource>(*vin).spec = SourceSpec::dc(5.0);
   auto high = dc_operating_point(n, map);
   EXPECT_NEAR(map.voltage(high.x, n.node("out")), 0.0, 0.05);
-}
-
-TEST(Dc, SwitchConductsWhenOn) {
-  Netlist n;
-  n.add_vsource("V1", "in", "0", SourceSpec::dc(3.0));
-  n.add_vsource("VC", "ctrl", "0", SourceSpec::dc(5.0));
-  Switch sw;
-  sw.v_on = 2.5;
-  sw.v_off = 2.0;
-  sw.r_on = 10.0;
-  sw.r_off = 1e9;
-  n.add_switch(sw, "S1", "in", "out", "ctrl", "0");
-  n.add_resistor("RL", "out", "0", 1e4);
-  const MnaMap map(n);
-  auto on = dc_operating_point(n, map);
-  EXPECT_NEAR(map.voltage(on.x, n.node("out")), 3.0 * 1e4 / (1e4 + 10.0),
-              1e-3);
-  std::get<VoltageSource>(*n.find_device("VC")).spec = SourceSpec::dc(0.0);
-  auto off = dc_operating_point(n, map);
-  EXPECT_LT(map.voltage(off.x, n.node("out")), 0.1);
 }
 
 TEST(Transient, RcChargingMatchesAnalytic) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "testgen/spec_test.hpp"
 #include "testgen/testset.hpp"
 
 namespace dot::testgen {
@@ -84,6 +85,32 @@ TEST(Optimize, PrefersCheapMechanismFirst) {
 TEST(MechanismName, AllNamed) {
   EXPECT_EQ(mechanism_name(Mechanism::kMissingCode), "missing code");
   EXPECT_EQ(mechanism_name(Mechanism::kIddq), "IDDQ");
+}
+
+TEST(SpecTest, TimeAccountsAllComponents) {
+  SpecTestTiming timing;
+  const double t = spec_test_time(timing);
+  // Dominated by per-measurement setup: 6 x 20 ms.
+  EXPECT_GT(t, 0.12);
+  EXPECT_LT(t, 0.2);
+  timing.setup_per_measurement = 0.0;
+  const double acquisition = spec_test_time(timing);
+  EXPECT_NEAR(acquisition,
+              256.0 * 64 * 100e-9 + 4096.0 * 8 * 100e-9, 1e-9);
+}
+
+TEST(SpecTest, CoverageFollowsSignatureMix) {
+  using macro::VoltageSignature;
+  std::vector<SignatureWeight> sigs = {
+      {VoltageSignature::kOutputStuckAt, 50.0},
+      {VoltageSignature::kClockValue, 30.0},
+      {VoltageSignature::kNoDeviation, 20.0},
+  };
+  SpecCoverageModel model;
+  model.clock_value_catch = 0.5;
+  const double cov = spec_test_coverage(sigs, model);
+  EXPECT_NEAR(cov, (50.0 + 15.0) / 100.0, 1e-12);
+  EXPECT_DOUBLE_EQ(spec_test_coverage({}), 0.0);
 }
 
 }  // namespace
