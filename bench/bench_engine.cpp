@@ -1,6 +1,7 @@
 // Microbenchmarks of the computational kernels: MNA assembly + LU
-// solve, DC operating points, clocked transients, defect analysis and
-// the behavioral missing-code test. These bound how large a campaign a
+// solve, one transient Newton iteration and one transient step, DC
+// operating points, clocked transients, defect analysis and the
+// behavioral missing-code test. These bound how large a campaign a
 // given time budget affords.
 //
 //   bench_engine [--smoke] [--json=FILE | --json-root]
@@ -14,18 +15,22 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "defect/analyze.hpp"
 #include "defect/statistics.hpp"
+#include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
 #include "flashadc/ladder.hpp"
 #include "numeric/lu.hpp"
 #include "spice/dc.hpp"
+#include "spice/transient.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -53,6 +58,63 @@ Kernel lu_solve(std::size_t n, int reps) {
           }};
 }
 
+/// One Newton iteration of a transient at its mid-run state: assemble
+/// (MOSFET evaluation + stamp-program replay), refactor against the
+/// cached symbolic, solve. The iterate and the previous time point stay
+/// fixed, so every call after the first is a steady-state iteration.
+struct NewtonIteration {
+  spice::Netlist netlist;
+  spice::MnaMap map;
+  spice::MosKernel mos;
+  spice::SolverContext solver;
+  spice::StampOptions stamp;
+  std::vector<double> x, x_prev, b, dx;
+
+  NewtonIteration(spice::Netlist bench, const spice::TranOptions& tran)
+      : netlist(std::move(bench)),
+        map(netlist),
+        mos(netlist, map),
+        solver(tran.solver) {
+    const spice::TranResult run = spice::transient(netlist, tran);
+    const std::size_t mid = run.steps() / 2;
+    x = run.state(mid);
+    x_prev = run.state(mid - 1);
+    stamp.mode = spice::AnalysisMode::kTransient;
+    stamp.time = run.time(mid);
+    stamp.dt = run.time(mid) - run.time(mid - 1);
+    stamp.gshunt = tran.newton.gshunt;
+    stamp.mos = &mos;
+  }
+  double operator()() {
+    spice::assemble_mna(netlist, map, x, x_prev, stamp, solver.assembler(),
+                        b);
+    if (!solver.factor(map.size())) return 0.0;
+    solver.solve(b, dx);
+    return dx[0];
+  }
+};
+
+/// One accepted transient step; a finished run restarts from the same
+/// t = 0 state on a fresh stepper (its set-up amortized over the run).
+struct TransientStep {
+  spice::Netlist netlist;
+  spice::TranOptions tran;
+  std::optional<spice::TranStepper> stepper;
+  std::vector<double> x0;
+
+  TransientStep(spice::Netlist bench, const spice::TranOptions& options)
+      : netlist(std::move(bench)), tran(options) {
+    x0 = spice::TranStepper(netlist, tran).solve_dc().x;
+  }
+  void operator()() {
+    if (!stepper || stepper->done()) {
+      stepper.emplace(netlist, tran);
+      stepper->start(x0);
+    }
+    stepper->step();
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,15 +130,30 @@ int main(int argc, char** argv) {
   const auto cell = flashadc::build_comparator_layout();
   const defect::DefectAnalyzer analyzer(cell, {.vdd_net = "vdda"});
   const defect::DefectStatistics stats;
-  const auto area = cell.bounding_box();
+  const defect::DefectSampler sample_defect(stats, cell.bounding_box());
   util::Rng defect_rng(7);
   flashadc::FlashAdcModel adc;
   adc.set_comparator(100, {flashadc::ComparatorMode::kOffset, 0.02});
+  flashadc::BankOptions bank8;
+  bank8.size = 8;
+  const auto newton_comparator = std::make_shared<NewtonIteration>(
+      comparator_bench, flashadc::comparator_tran_options());
+  const auto newton_bank8 = std::make_shared<NewtonIteration>(
+      flashadc::instantiate_bank_bench(flashadc::build_bank_netlist(bank8),
+                                       bank8, bank8.size / 2, 0.01),
+      flashadc::bank_tran_options());
+  const auto step_comparator = std::make_shared<TransientStep>(
+      comparator_bench, flashadc::comparator_tran_options());
 
   const std::vector<Kernel> kernels = {
       lu_solve(16, 20000),
       lu_solve(40, 2000),
       lu_solve(128, 50),
+      {"newton_iteration_comparator", 20000,
+       [&] { g_sink = g_sink + (*newton_comparator)(); }},
+      {"newton_iteration_bank8", 4000,
+       [&] { g_sink = g_sink + (*newton_bank8)(); }},
+      {"transient_step_comparator", 5000, [&] { (*step_comparator)(); }},
       {"comparator_dc", 400,
        [&] {
          g_sink = g_sink + spice::dc_operating_point(comparator_bench,
@@ -94,7 +171,7 @@ int main(int argc, char** argv) {
        [&] { g_sink = g_sink + flashadc::solve_ladder(ladder).taps[0]; }},
       {"defect_analysis", 100000,
        [&] {
-         const auto defect = defect::sample_defect(stats, area, defect_rng);
+         const auto defect = sample_defect(defect_rng);
          g_sink = g_sink + (analyzer.analyze(defect) ? 1.0 : 0.0);
        }},
       {"missing_code_test", 20,

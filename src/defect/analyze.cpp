@@ -21,11 +21,20 @@ using layout::Shape;
 
 Defect sample_defect(const DefectStatistics& stats, const Rect& area,
                      util::Rng& rng) {
+  return DefectSampler(stats, area)(rng);
+}
+
+DefectSampler::DefectSampler(const DefectStatistics& stats, const Rect& area)
+    : type_(stats.weights),
+      area_(area),
+      size_(stats.size_min, stats.size_max, stats.size_exponent) {}
+
+Defect DefectSampler::operator()(util::Rng& rng) const {
   Defect d;
-  d.type = stats.sample_type(rng);
-  d.center = {rng.uniform(area.x_lo, area.x_hi),
-              rng.uniform(area.y_lo, area.y_hi)};
-  d.size = stats.sample_size(rng);
+  d.type = static_cast<DefectType>(type_(rng));
+  d.center = {rng.uniform(area_.x_lo, area_.x_hi),
+              rng.uniform(area_.y_lo, area_.y_hi)};
+  d.size = size_(rng);
   return d;
 }
 

@@ -26,6 +26,23 @@ struct Defect {
 Defect sample_defect(const DefectStatistics& stats, const layout::Rect& area,
                      util::Rng& rng);
 
+/// sample_defect for many draws from one statistics set and area: the
+/// type weights are checked and summed, and the size law's constant
+/// terms computed, once, at construction (a sprinkle block makes one).
+/// Every draw is the one sample_defect makes from the same stream.
+/// Keeps a view of stats.weights; `stats` must outlive the sampler.
+class DefectSampler {
+ public:
+  DefectSampler(const DefectStatistics& stats, const layout::Rect& area);
+
+  Defect operator()(util::Rng& rng) const;
+
+ private:
+  util::WeightedPick type_;
+  layout::Rect area_;
+  util::PowerLaw size_;
+};
+
 struct AnalyzerOptions {
   std::string vdd_net = "vdd";
   /// Grid bin size for the spatial index (um).

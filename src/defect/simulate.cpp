@@ -33,6 +33,7 @@ BlockResult sprinkle_block(const DefectAnalyzer& analyzer,
                            std::size_t block_index, std::size_t budget) {
   util::Rng rng = util::Rng(options.seed).split(block_index);
   const layout::Rect area = analyzer.cell().bounding_box();
+  const DefectSampler sample(options.statistics, area);
   const auto& clustering = options.statistics.clustering;
 
   BlockResult result;
@@ -47,7 +48,7 @@ BlockResult sprinkle_block(const DefectAnalyzer& analyzer,
   };
   std::vector<PendingMember> pending_cluster;
   for (std::size_t n = 0; n < budget; ++n) {
-    Defect defect = sample_defect(options.statistics, area, rng);
+    Defect defect = sample(rng);
     if (!pending_cluster.empty()) {
       defect.center = pending_cluster.back().at;
       defect.type = pending_cluster.back().type;

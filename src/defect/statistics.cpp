@@ -1,7 +1,6 @@
 #include "defect/statistics.hpp"
 
 #include <array>
-#include <optional>
 
 namespace dot::defect {
 
@@ -45,20 +44,7 @@ DefectType DefectStatistics::sample_type(util::Rng& rng) const {
 }
 
 double DefectStatistics::sample_size(util::Rng& rng) const {
-  // The power law's constant terms depend only on the three size
-  // fields, and a sprinkle draws thousands of sizes from one set of
-  // them, so each thread keeps the distribution of the last fields it
-  // saw. A cache miss rebuilds it, range check included.
-  struct Memo {
-    double size_min, size_max, size_exponent;
-    util::PowerLaw law;
-  };
-  thread_local std::optional<Memo> memo;
-  if (!memo || memo->size_min != size_min || memo->size_max != size_max ||
-      memo->size_exponent != size_exponent)
-    memo.emplace(Memo{size_min, size_max, size_exponent,
-                      util::PowerLaw(size_min, size_max, size_exponent)});
-  return memo->law(rng);
+  return rng.power_law(size_min, size_max, size_exponent);
 }
 
 }  // namespace dot::defect

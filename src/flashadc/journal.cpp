@@ -1,6 +1,8 @@
 #include "flashadc/journal.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <initializer_list>
 #include <string_view>
 #include <utility>
@@ -17,8 +19,42 @@ namespace {
 
 // Schema 2 added the campaign selection + bank size to the meta record
 // (a bank journal must never resume into a comparator campaign or into
-// a bank of a different height).
-constexpr int kJournalSchema = 2;
+// a bank of a different height). Schema 3 added the checksum of every
+// macro and class record (see with_checksum).
+constexpr int kJournalSchema = 3;
+
+/// FNV-1a (64 bit) of `bytes` as 16 lowercase hex digits.
+std::string checksum(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+/// Appends the checksum of a record's canonical encoding (a JSON object
+/// without the checksum) as its last key, "sum". A reader re-encodes the
+/// decoded record and compares (verify_checksum), so a corruption that
+/// still parses -- a flipped digit in a count or an attempt number -- is
+/// refused instead of resumed or merged into a different report.
+std::string with_checksum(std::string record) {
+  const std::string sum = checksum(record);
+  record.pop_back();
+  return record + ",\"sum\":\"" + sum + "\"}";
+}
+
+/// Throws ShardError unless `record`'s "sum" is the checksum of
+/// `canonical`, its values re-encoded.
+void verify_checksum(const JsonValue& record, const std::string& canonical,
+                     const std::string& path, std::size_t index,
+                     const std::string& macro) {
+  if (record.get("sum").as_string() != checksum(canonical))
+    throw util::ShardError("journal " + path + ": record checksum mismatch",
+                           index, macro);
+}
 
 /// Campaign identity stored in the journal's meta record; a resumed or
 /// merged journal must agree with the live configuration on every field
@@ -145,34 +181,43 @@ struct MacroMeta {
   bool operator==(const MacroMeta&) const = default;
 };
 
-std::string encode_macro(const MacroCampaignResult& r) {
+MacroMeta macro_meta_of(const MacroCampaignResult& r) {
+  return {r.cell_area, r.instance_count, r.defects.defects_sprinkled,
+          r.defects.faults_extracted, r.defects.classes.size()};
+}
+
+/// Canonical macro record (without its checksum).
+std::string encode_macro(const std::string& name, const MacroMeta& m) {
   JsonWriter w;
   w.begin_object();
   w.key("type");
   w.value("macro");
   w.key("macro");
-  w.value(r.macro_name);
+  w.value(name);
   w.key("cell_area_um2");
-  w.value(r.cell_area);
+  w.value(m.cell_area);
   w.key("instances");
-  w.value(r.instance_count);
+  w.value(m.instances);
   w.key("defects_sprinkled");
-  w.value(r.defects.defects_sprinkled);
+  w.value(m.defects_sprinkled);
   w.key("faults_extracted");
-  w.value(r.defects.faults_extracted);
+  w.value(m.faults_extracted);
   w.key("fault_classes");
-  w.value(r.defects.classes.size());
+  w.value(m.fault_classes);
   w.end_object();
   return w.str();
 }
 
-MacroMeta decode_macro(const JsonValue& v) {
+/// Decodes a macro record and checks its checksum.
+MacroMeta decode_macro(const JsonValue& v, const std::string& path) {
   MacroMeta m;
   m.cell_area = v.get("cell_area_um2").as_number();
   m.instances = v.get("instances").as_size();
   m.defects_sprinkled = v.get("defects_sprinkled").as_size();
   m.faults_extracted = v.get("faults_extracted").as_size();
   m.fault_classes = v.get("fault_classes").as_size();
+  const std::string& name = v.get("macro").as_string();
+  verify_checksum(v, encode_macro(name, m), path, util::kNoClassIndex, name);
   return m;
 }
 
@@ -271,6 +316,7 @@ FaultOutcome decode_outcome(const JsonValue& v, bool non_catastrophic) {
   return o;
 }
 
+/// Canonical class record (without its checksum).
 std::string encode_class(const std::string& macro, std::size_t index,
                          const std::optional<FaultOutcome>& cat,
                          const std::optional<FaultOutcome>& noncat) {
@@ -294,14 +340,21 @@ std::string encode_class(const std::string& macro, std::size_t index,
   return w.str();
 }
 
-ClassRecord decode_class(const JsonValue& v) {
-  check_keys(v, {"type", "macro", "index", "catastrophic", "non_catastrophic"});
+/// Decodes a class record and checks its checksum.
+ClassRecord decode_class(const JsonValue& v, const std::string& path) {
+  check_keys(v, {"type", "macro", "index", "catastrophic", "non_catastrophic",
+                 "sum"});
   ClassRecord record;
   record.index = v.get("index").as_size();
   if (const JsonValue* cat = v.find("catastrophic"))
     record.catastrophic = decode_outcome(*cat, false);
   if (const JsonValue* noncat = v.find("non_catastrophic"))
     record.noncatastrophic = decode_outcome(*noncat, true);
+  const std::string& macro = v.get("macro").as_string();
+  verify_checksum(v,
+                  encode_class(macro, record.index, record.catastrophic,
+                               record.noncatastrophic),
+                  path, record.index, macro);
   return record;
 }
 
@@ -338,9 +391,10 @@ CampaignJournal::CampaignJournal(const CampaignConfig& config)
                                  mismatch + "); refusing to resume");
         meta_seen = true;
       } else if (type == "macro") {
+        decode_macro(record, writer_.path());
         macros_recorded_.insert(record.get("macro").as_string());
       } else if (type == "class") {
-        ClassRecord decoded = decode_class(record);
+        ClassRecord decoded = decode_class(record, writer_.path());
         const std::size_t index = decoded.index;
         const std::string& macro = record.get("macro").as_string();
         // A duplicated class id means the journal was corrupted or
@@ -369,7 +423,8 @@ void CampaignJournal::record_macro(const MacroCampaignResult& result) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!macros_recorded_.insert(result.macro_name).second) return;
   }
-  const std::string line = encode_macro(result);
+  const std::string line =
+      with_checksum(encode_macro(result.macro_name, macro_meta_of(result)));
   if (observer_) observer_(line);
   writer_.append(line);
 }
@@ -377,7 +432,8 @@ void CampaignJournal::record_macro(const MacroCampaignResult& result) {
 void CampaignJournal::record_class(const std::string& macro, std::size_t index,
                                    const std::optional<FaultOutcome>& cat,
                                    const std::optional<FaultOutcome>& noncat) {
-  const std::string line = encode_class(macro, index, cat, noncat);
+  const std::string line =
+      with_checksum(encode_class(macro, index, cat, noncat));
   if (observer_) observer_(line);
   writer_.append(line);
 }
@@ -450,7 +506,7 @@ GlobalResult merge_shard_journals(const std::vector<std::string>& paths) {
         continue;  // consumed by pass 1
       } else if (type == "macro") {
         const std::string& name = record.get("macro").as_string();
-        const MacroMeta meta = decode_macro(record);
+        const MacroMeta meta = decode_macro(record, path);
         const auto [it, inserted] = macro_meta.emplace(name, meta);
         if (!inserted && !(it->second == meta))
           throw util::ShardError(
@@ -458,7 +514,7 @@ GlobalResult merge_shard_journals(const std::vector<std::string>& paths) {
               name);
       } else if (type == "class") {
         const std::string& name = record.get("macro").as_string();
-        ClassRecord decoded = decode_class(record);
+        ClassRecord decoded = decode_class(record, path);
         const std::size_t index = decoded.index;
         if (!classes[name].emplace(index, std::move(decoded)).second) {
           const std::size_t other = class_shard[name][index];

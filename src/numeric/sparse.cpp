@@ -74,6 +74,7 @@ void SparseAssembler::finish() {
       pattern_.row_ptr[r + 1] += pattern_.row_ptr[r];
     frozen_codes_ = codes_;
     frozen_ = true;
+    ++generation_;
   }
   values_.assign(pattern_.cols.size(), 0.0);
   for (std::size_t i = 0; i < m; ++i) values_[slot_[i]] += vals_[i];
@@ -291,7 +292,7 @@ std::shared_ptr<const SparseSymbolic> SparseSymbolic::analyze(
 // ---------------------------------------------------------------------------
 
 bool SparseFactors::refactor(
-    std::shared_ptr<const SparseSymbolic> symbolic,
+    const std::shared_ptr<const SparseSymbolic>& symbolic,
     const std::vector<double>& csr_values, double pivot_epsilon) {
   const SparseSymbolic& s = *symbolic;
   const std::int32_t n = static_cast<std::int32_t>(s.pattern.n);
@@ -343,7 +344,7 @@ bool SparseFactors::refactor(
       x_[r] = 0.0;
     }
   }
-  symbolic_ = std::move(symbolic);
+  if (symbolic_ != symbolic) symbolic_ = symbolic;
   return true;
 }
 

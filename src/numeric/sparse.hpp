@@ -94,6 +94,9 @@ class SparseAssembler {
   bool pattern_reused() const { return pattern_reused_; }
   /// Whether the last finish() ran the trusted (slot-scatter) path.
   bool fast_path_used() const { return fast_used_; }
+  /// Bumped by every finish() that builds a new pattern: equal values
+  /// mean pattern() has not changed in between.
+  std::uint64_t pattern_generation() const { return generation_; }
 
  private:
   std::size_t n_ = 0;
@@ -104,6 +107,7 @@ class SparseAssembler {
   CsrPattern pattern_;
   std::vector<double> values_;
   bool frozen_ = false;
+  std::uint64_t generation_ = 0;
   bool pattern_reused_ = false;
   std::uint32_t frozen_tag_ = 0;  ///< Tag the pattern was frozen under.
   bool fast_ = false;             ///< Trusted scatter active this round.
@@ -164,7 +168,7 @@ class SparseFactors {
   /// Factors the CSR values (matching symbolic->pattern) with the
   /// recorded pivot sequence. Returns false -- and invalidates the
   /// factors -- when a pivot magnitude drops to `pivot_epsilon`.
-  bool refactor(std::shared_ptr<const SparseSymbolic> symbolic,
+  bool refactor(const std::shared_ptr<const SparseSymbolic>& symbolic,
                 const std::vector<double>& csr_values,
                 double pivot_epsilon = 1e-13);
 

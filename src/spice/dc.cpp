@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "spice/resilience.hpp"
 #include "util/error.hpp"
@@ -27,20 +26,22 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
                       const StampOptions& stamp, const DcOptions& options,
                       const std::vector<double>& x_prev_step,
                       SolverContext* solver,
-                      const std::vector<double>* first_solve) {
+                      const std::vector<double>* first_solve,
+                      NewtonBuffers* buffers) {
   const std::size_t n = map.size();
   DcResult result;
   result.x = std::move(initial_guess);
   if (result.x.size() != n) result.x.assign(n, 0.0);
 
-  SolverContext local_solver;
-  SolverContext& ctx = solver != nullptr ? *solver : local_solver;
+  std::optional<SolverContext> local_solver;
+  SolverContext& ctx = solver != nullptr ? *solver : local_solver.emplace();
   const bool sparse_path = ctx.use_sparse(n);
 
-  std::vector<double> b;
-  std::vector<double> x_new;
+  std::optional<NewtonBuffers> local_buffers;
+  NewtonBuffers& buf = buffers != nullptr ? *buffers : local_buffers.emplace();
+  std::vector<double>& b = buf.b;
+  std::vector<double>& x_new = buf.step;
   double best_max_dv = std::numeric_limits<double>::infinity();
-  std::vector<double> best_x;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Per-iteration wall-clock budget check (campaign resilience): a
     // class whose Newton iteration never settles throws TimeoutError
@@ -96,13 +97,9 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
         max_dv > options.max_step_v ? options.max_step_v / max_dv : 1.0;
     for (std::size_t i = 0; i < n; ++i)
       result.x[i] += alpha * (x_new[i] - result.x[i]);
-    static const bool debug = std::getenv("DOT_NEWTON_DEBUG") != nullptr;
-    if (debug)
-      std::fprintf(stderr, "  iter=%d alpha=%.3f max_dv=%.6g\n", iter, alpha,
-                   max_dv);
     if (alpha == 1.0 && max_dv < best_max_dv) {
       best_max_dv = max_dv;
-      best_x = result.x;
+      buf.best = result.x;
     }
     if (alpha == 1.0 && max_dv < options.vtol) {
       result.converged = true;
@@ -112,7 +109,7 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
   // Loose acceptance for micro limit cycles (see DcOptions::loose_vtol):
   // return the best iterate seen if its Newton step was already tiny.
   if (best_max_dv < options.loose_vtol) {
-    result.x = std::move(best_x);
+    result.x.swap(buf.best);
     result.converged = true;
   }
   return result;

@@ -60,6 +60,16 @@ DcResult dc_operating_point(
     SolverContext* solver = nullptr, MosKernel* mos = nullptr,
     const std::vector<double>* flat_first_solve = nullptr);
 
+/// Work buffers of newton_solve: the right-hand side, the linear
+/// solve's result and the best iterate. A caller that keeps one across
+/// solves (TranStepper) runs the iteration loop without allocating
+/// once the buffers have grown to the system size.
+struct NewtonBuffers {
+  std::vector<double> b;
+  std::vector<double> step;
+  std::vector<double> best;
+};
+
 /// Newton loop from a given initial guess at fixed gshunt/source scale.
 /// Returns converged=false instead of throwing; building block for the
 /// continuation strategies and the transient engine.
@@ -70,11 +80,15 @@ DcResult dc_operating_point(
 /// with one factorization). Iteration 0 takes it instead of assembling,
 /// factoring and solving; every later step, and the result, is the
 /// same as without it.
+///
+/// `buffers` (optional) lends the loop its work vectors; without them
+/// it uses its own.
 DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
                       std::vector<double> initial_guess,
                       const StampOptions& stamp, const DcOptions& options,
                       const std::vector<double>& x_prev_step,
                       SolverContext* solver = nullptr,
-                      const std::vector<double>* first_solve = nullptr);
+                      const std::vector<double>* first_solve = nullptr,
+                      NewtonBuffers* buffers = nullptr);
 
 }  // namespace dot::spice

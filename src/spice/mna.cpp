@@ -1,6 +1,8 @@
 #include "spice/mna.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -54,16 +56,17 @@ double MnaMap::branch_current(const std::vector<double>& x,
 }
 
 MosKernel::MosKernel(const Netlist& netlist, const MnaMap& map)
-    : netlist_(&netlist) {
+    : netlist_(&netlist), xpad_(map.node_unknowns() + 1, 0.0) {
   static std::atomic<std::uint32_t> next_id{0};
   id_ = next_id.fetch_add(1);
+  auto slot = [&map](NodeId node) { return map.node_index(node) + 1; };
   for (const auto& device : netlist.devices()) {
     const auto* mos = std::get_if<Mosfet>(&device);
     if (mos == nullptr) continue;
-    drain_.push_back(map.node_index(mos->drain));
-    gate_.push_back(map.node_index(mos->gate));
-    source_.push_back(map.node_index(mos->source));
-    bulk_.push_back(map.node_index(mos->bulk));
+    drain_.push_back(slot(mos->drain));
+    gate_.push_back(slot(mos->gate));
+    source_.push_back(slot(mos->source));
+    bulk_.push_back(slot(mos->bulk));
     sign_.push_back(mos->type == MosType::kNmos ? 1.0 : -1.0);
     batch_.push_device(mos->model, mos->w / mos->l);
   }
@@ -74,29 +77,36 @@ void MosKernel::evaluate(const std::vector<double>& x) {
   using Clock = std::chrono::steady_clock;
   Clock::time_point t0;
   if (phase_times_ != nullptr) t0 = Clock::now();
-  auto at = [&x](int i) {
-    return i < 0 ? 0.0 : x[static_cast<std::size_t>(i)];
-  };
+  std::copy_n(x.begin(), xpad_.size() - 1, xpad_.begin() + 1);
+  const double* const v = xpad_.data();
   const std::size_t count = sign_.size();
+  const double* __restrict sign = sign_.data();
+  double* __restrict vgs = batch_.vgs.data();
+  double* __restrict vds = batch_.vds.data();
+  double* __restrict vbs = batch_.vbs.data();
   for (std::size_t i = 0; i < count; ++i) {
-    const double vs = at(source_[i]);
-    batch_.vgs[i] = sign_[i] * (at(gate_[i]) - vs);
-    batch_.vds[i] = sign_[i] * (at(drain_[i]) - vs);
-    batch_.vbs[i] = sign_[i] * (at(bulk_[i]) - vs);
+    const double vs = v[source_[i]];
+    vgs[i] = sign[i] * (v[gate_[i]] - vs);
+    vds[i] = sign[i] * (v[drain_[i]] - vs);
+    vbs[i] = sign[i] * (v[bulk_[i]] - vs);
   }
   eval_mos_batch(batch_);
-  double* const c = program_.fields.data();
+  const double* __restrict ids = batch_.ids.data();
+  const double* __restrict gm = batch_.gm.data();
+  const double* __restrict gds = batch_.gds.data();
+  const double* __restrict gmb = batch_.gmb.data();
+  double* __restrict c = program_.fields.data();
   for (std::size_t i = 0; i < count; ++i) {
-    const double gm = batch_.gm[i];
-    const double gds = batch_.gds[i];
-    const double gmb = batch_.gmb[i];
-    const double ieq = batch_.ids[i] - gm * batch_.vgs[i] -
-                       gds * batch_.vds[i] - gmb * batch_.vbs[i];
-    const double fields[4] = {gm, gds, gmb, sign_[i] * ieq};
-    for (std::size_t k = 0; k < 4; ++k) {
-      c[8 * i + k] = fields[k];
-      c[8 * i + 4 + k] = -fields[k];
-    }
+    const double ieq = sign[i] * (ids[i] - gm[i] * vgs[i] - gds[i] * vds[i] -
+                                  gmb[i] * vbs[i]);
+    c[8 * i + 0] = gm[i];
+    c[8 * i + 1] = gds[i];
+    c[8 * i + 2] = gmb[i];
+    c[8 * i + 3] = ieq;
+    c[8 * i + 4] = -gm[i];
+    c[8 * i + 5] = -gds[i];
+    c[8 * i + 6] = -gmb[i];
+    c[8 * i + 7] = -ieq;
   }
   if (phase_times_ != nullptr)
     phase_times_->device_eval_seconds +=
@@ -132,21 +142,21 @@ struct SparseTarget {
   void rhs(std::size_t i, double v) { b[i] += v; }
 };
 
-/// Stamp target of the StampProgram. A capture round records every add
-/// as an op: a MOSFET's adds carry probe values +/-(field + 1) that
-/// decode to their companion field or its negation, every other add
-/// gets the next static field. A refresh round (capture == null) skips
-/// the MOSFETs and rewrites only the static fields, which arrive in the
-/// same stream order.
+/// Stamp target of the StampProgram capture: records every add as an
+/// op. A MOSFET's adds carry probe values +/-(field + 1) that decode to
+/// their companion field or its negation; every other add gets the
+/// next static field, holding the walk's value, and -- when the walk
+/// named the quantity it stamps (see next_quantity) -- a recipe that
+/// recomputes it.
 struct ProgramTarget {
   StampProgram& p;
-  const numeric::SparseAssembler* capture;
-  std::size_t next_static;
-  bool mos = false;  ///< Stamping a MOSFET's probes.
+  const numeric::SparseAssembler& a;
+  bool mos = false;            ///< Stamping a MOSFET's probes.
+  std::int32_t quantity = -1;  ///< Quantity of the next static adds.
+  double value = 0.0;          ///< Its value in this walk.
 
   void add(std::size_t, std::size_t, double v) {
-    op(v, p.matrix,
-       capture != nullptr ? capture->slot_at(p.matrix.at.size()) : 0);
+    op(v, p.matrix, a.slot_at(p.matrix.at.size()));
   }
   void rhs(std::size_t i, double v) {
     op(v, p.rhs, static_cast<std::int32_t>(i));
@@ -156,17 +166,65 @@ struct ProgramTarget {
     if (mos) {
       field = static_cast<std::int32_t>(std::fabs(v)) - 1 + (v < 0.0 ? 4 : 0);
     } else {
-      if (capture != nullptr)
-        p.fields.push_back(v);
-      else
-        p.fields[next_static] = v;
-      field = static_cast<std::int32_t>(next_static++);
+      field = static_cast<std::int32_t>(p.fields.size());
+      p.fields.push_back(v);
+      if (quantity >= 0) p.recipes.push_back({field, quantity, negated(v)});
     }
-    if (capture == nullptr) return;
     ops.at.push_back(target);
     ops.src.push_back(field);
   }
+  /// Whether `v` is the negation of the quantity's value (compared by
+  /// bits, so a recipe reproduces signed zeros too).
+  bool negated(double v) const {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    const auto q = std::bit_cast<std::uint64_t>(value);
+    if (bits != q && bits != (q ^ (std::uint64_t{1} << 63)))
+      throw std::logic_error("stamp capture: add is not +/- its quantity");
+    return bits != q;
+  }
 };
+
+/// Names the quantity the next static adds of the walk stamp (with its
+/// value in this walk); only the program capture records it.
+template <typename Target>
+void next_quantity(Target& target, StampQuantity q, double value) {
+  if constexpr (std::is_same_v<Target, ProgramTarget>) {
+    target.quantity = static_cast<std::int32_t>(target.p.quantities.size());
+    target.value = value;
+    target.p.quantities.push_back(q);
+  }
+}
+
+/// Marks the next static adds of the walk as constants.
+template <typename Target>
+void next_constant(Target& target) {
+  if constexpr (std::is_same_v<Target, ProgramTarget>) target.quantity = -1;
+}
+
+bool trapezoidal(const StampOptions& o) {
+  return o.integrator == Integrator::kTrapezoidal && o.cap_i_prev != nullptr;
+}
+
+/// The walk's expressions for the static quantities (the program's
+/// refresh calls the same functions).
+double cap_conductance(const Capacitor& d, const StampOptions& o) {
+  // Trapezoidal companion: i = (2C/dt)(v - v_prev) - i_prev; backward
+  // Euler: geq = C/dt, ieq carries the previous-step voltage.
+  return trapezoidal(o) ? 2.0 * d.farads / o.dt : d.farads / o.dt;
+}
+
+double cap_current(const Capacitor& d, std::size_t cap_index, double geq,
+                   const MnaMap& map, const std::vector<double>& x_prev_step,
+                   const StampOptions& o) {
+  const double v_prev =
+      map.voltage(x_prev_step, d.a) - map.voltage(x_prev_step, d.b);
+  return trapezoidal(o) ? geq * v_prev + (*o.cap_i_prev)[cap_index]
+                        : geq * v_prev;
+}
+
+double source_value(const SourceSpec& spec, const StampOptions& o) {
+  return o.source_scale * spec.eval(o.time);
+}
 
 template <typename Target>
 class Stamper {
@@ -208,8 +266,9 @@ class Stamper {
     if (s >= 0 && cn >= 0) a_.add(idx(s), idx(cn), g);
   }
 
-  void voltage_source_rows(std::size_t k, NodeId pos, NodeId neg,
-                           double volts) {
+  /// The +/-1 entries of a voltage source's branch row and column
+  /// (its value goes to rhs_add(k, volts)).
+  void voltage_source_rows(std::size_t k, NodeId pos, NodeId neg) {
     const int p = map_.node_index(pos);
     const int n = map_.node_index(neg);
     if (p >= 0) {
@@ -220,7 +279,6 @@ class Stamper {
       a_.add(idx(n), k, -1.0);
       a_.add(k, idx(n), -1.0);
     }
-    rhs_add(k, volts);
   }
 
   void rhs_add(std::size_t i, double delta) { a_.rhs(i, delta); }
@@ -245,6 +303,7 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
 
   // Node-to-ground shunts keep otherwise-floating nodes solvable and
   // implement gmin stepping.
+  next_quantity(target, {StampQuantity::Kind::kGshunt}, options.gshunt);
   for (std::size_t i = 0; i < map.node_unknowns(); ++i)
     target.add(i, i, options.gshunt);
 
@@ -252,43 +311,42 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
   std::size_t mos_index = 0;
   std::size_t branch_seq = 0;  // branch_at occurrence counter
 
-  for (const auto& device : netlist.devices()) {
-    if constexpr (std::is_same_v<Target, ProgramTarget>) {
-      target.mos = std::holds_alternative<Mosfet>(device);
-      if (target.mos && target.capture == nullptr) continue;
-    }
+  const auto& devices = netlist.devices();
+  for (std::size_t k = 0; k < devices.size(); ++k) {
+    const auto device_index = static_cast<std::int32_t>(k);
+    if constexpr (std::is_same_v<Target, ProgramTarget>)
+      target.mos = std::holds_alternative<Mosfet>(devices[k]);
+    next_constant(target);
     std::visit(
         [&](const auto& d) {
           using T = std::decay_t<decltype(d)>;
+          using Kind = StampQuantity::Kind;
           if constexpr (std::is_same_v<T, Resistor>) {
             stamp.conductance(d.a, d.b, 1.0 / d.ohms);
           } else if constexpr (std::is_same_v<T, Capacitor>) {
             if (options.mode == AnalysisMode::kTransient) {
-              const double v_prev =
-                  map.voltage(x_prev_step, d.a) - map.voltage(x_prev_step, d.b);
-              if (options.integrator == Integrator::kTrapezoidal &&
-                  options.cap_i_prev != nullptr) {
-                // Trapezoidal companion: i = (2C/dt)(v - v_prev) - i_prev.
-                const double geq = 2.0 * d.farads / options.dt;
-                const double i_prev = (*options.cap_i_prev)[cap_index];
-                stamp.conductance(d.a, d.b, geq);
-                stamp.current(d.b, d.a, geq * v_prev + i_prev);
-              } else {
-                // Backward Euler companion: geq = C/dt, ieq carries the
-                // previous-step voltage.
-                const double geq = d.farads / options.dt;
-                stamp.conductance(d.a, d.b, geq);
-                stamp.current(d.b, d.a, geq * v_prev);
-              }
+              const auto cap = static_cast<std::int32_t>(cap_index);
+              const double geq = cap_conductance(d, options);
+              next_quantity(target, {Kind::kCapConductance, device_index, cap},
+                            geq);
+              stamp.conductance(d.a, d.b, geq);
+              const double amps =
+                  cap_current(d, cap_index, geq, map, x_prev_step, options);
+              next_quantity(target, {Kind::kCapCurrent, device_index, cap},
+                            amps);
+              stamp.current(d.b, d.a, amps);
             }
             ++cap_index;
           } else if constexpr (std::is_same_v<T, VoltageSource>) {
-            stamp.voltage_source_rows(
-                map.branch_at(branch_seq++), d.pos, d.neg,
-                options.source_scale * d.spec.eval(options.time));
+            const std::size_t branch = map.branch_at(branch_seq++);
+            stamp.voltage_source_rows(branch, d.pos, d.neg);
+            const double volts = source_value(d.spec, options);
+            next_quantity(target, {Kind::kSource, device_index}, volts);
+            stamp.rhs_add(branch, volts);
           } else if constexpr (std::is_same_v<T, CurrentSource>) {
-            stamp.current(d.pos, d.neg,
-                          options.source_scale * d.spec.eval(options.time));
+            const double amps = source_value(d.spec, options);
+            next_quantity(target, {Kind::kSource, device_index}, amps);
+            stamp.current(d.pos, d.neg, amps);
           } else if constexpr (std::is_same_v<T, Mosfet>) {
             if (mos_fields != nullptr) {
               // Companion fields gm, gds, gmb, ieq of this occurrence
@@ -332,7 +390,7 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
             stamp.current(d.drain, d.source, sign * ieq);
           }
         },
-        device);
+        devices[k]);
   }
 }
 
@@ -364,33 +422,76 @@ bool same_static_inputs(std::vector<double>& key, const StampOptions& o,
   return false;
 }
 
-/// A trusted round through the kernel's StampProgram: capture it (first
-/// round of this stream tag) or refresh its static fields (new static
-/// inputs) with one walk, then evaluate the MOSFETs and replay.
+const SourceSpec& source_spec(const Device& device) {
+  if (const auto* v = std::get_if<VoltageSource>(&device)) return v->spec;
+  return std::get<CurrentSource>(device).spec;
+}
+
+/// Recomputes every static quantity of the program for new static
+/// inputs and scatters it through the recipes (constants keep their
+/// captured values).
+void refresh_statics(StampProgram& p, const Netlist& netlist,
+                     const MnaMap& map, const std::vector<double>& x_prev_step,
+                     const StampOptions& options) {
+  const auto& devices = netlist.devices();
+  double* const q = p.values.data();
+  for (std::size_t k = 0; k < p.quantities.size(); ++k) {
+    const StampQuantity& s = p.quantities[k];
+    const auto at = static_cast<std::size_t>(s.device);
+    switch (s.kind) {
+      case StampQuantity::Kind::kGshunt:
+        q[k] = options.gshunt;
+        break;
+      case StampQuantity::Kind::kCapConductance:
+        q[k] = cap_conductance(std::get<Capacitor>(devices[at]), options);
+        break;
+      case StampQuantity::Kind::kCapCurrent:
+        q[k] = cap_current(std::get<Capacitor>(devices[at]),
+                           static_cast<std::size_t>(s.cap), q[k - 1], map,
+                           x_prev_step, options);
+        break;
+      case StampQuantity::Kind::kSource:
+        q[k] = source_value(source_spec(devices[at]), options);
+        break;
+    }
+  }
+  double* const fields = p.fields.data();
+  for (const StampRecipe& r : p.recipes)
+    fields[r.field] = r.negate ? -q[r.quantity] : q[r.quantity];
+}
+
+/// A trusted round through the kernel's StampProgram: capture it with
+/// one walk (first round of this stream tag) or refresh its static
+/// fields from the recipes (new static inputs), then evaluate the
+/// MOSFETs and replay.
 void replay_program(const Netlist& netlist, const MnaMap& map,
                     const std::vector<double>& x,
                     const std::vector<double>& x_prev_step,
                     const StampOptions& options, MosKernel& kernel,
                     numeric::SparseAssembler& a, std::vector<double>& b) {
   StampProgram& p = kernel.program();
-  const std::size_t companions = 8 * kernel.mos_count();
   const bool capture = !p.ready || p.tag != stream_tag(options);
   const bool fresh_inputs = !same_static_inputs(p.key, options, x_prev_step);
   if (capture || fresh_inputs) {
-    std::vector<double> probes;
-    p.ready = false;  // A throwing walk leaves the program to recapture.
+    p.ready = false;  // A throwing round leaves the program to recapture.
     if (capture) {
+      const std::size_t companions = 8 * kernel.mos_count();
       p.matrix = {};
       p.rhs = {};
+      p.quantities.clear();
+      p.recipes.clear();
       p.fields.resize(companions);
-      probes.resize(companions);
+      std::vector<double> probes(companions);
       std::iota(probes.begin(), probes.end(), 1.0);
+      ++p.walks;
+      assemble_into(netlist, map, x, x_prev_step, options,
+                    ProgramTarget{p, a}, probes.data());
+      p.values.resize(p.quantities.size());
+      p.tag = stream_tag(options);
+    } else {
+      refresh_statics(p, netlist, map, x_prev_step, options);
     }
-    assemble_into(netlist, map, x, x_prev_step, options,
-                  ProgramTarget{p, capture ? &a : nullptr, companions},
-                  probes.data());
     p.ready = true;
-    p.tag = stream_tag(options);
   }
   kernel.evaluate(x);
   const double* const fields = p.fields.data();
@@ -447,12 +548,15 @@ void assemble_mna(const Netlist& netlist, const MnaMap& map,
   a.finish();
 }
 
-std::vector<double> capacitor_currents(const Netlist& netlist,
-                                       const MnaMap& map,
-                                       const std::vector<double>& x,
-                                       const std::vector<double>& x_prev,
-                                       const StampOptions& options) {
-  std::vector<double> currents;
+void capacitor_currents(const Netlist& netlist, const MnaMap& map,
+                        const std::vector<double>& x,
+                        const std::vector<double>& x_prev,
+                        const StampOptions& options,
+                        std::vector<double>& currents) {
+  std::size_t count = 0;
+  for (const auto& device : netlist.devices())
+    count += std::holds_alternative<Capacitor>(device) ? 1u : 0u;
+  currents.resize(count);
   std::size_t cap_index = 0;
   for (const auto& device : netlist.devices()) {
     const auto* cap = std::get_if<Capacitor>(&device);
@@ -462,18 +566,15 @@ std::vector<double> capacitor_currents(const Netlist& netlist,
         map.voltage(x_prev, cap->a) - map.voltage(x_prev, cap->b);
     double i = 0.0;
     if (options.dt > 0.0) {
-      if (options.integrator == Integrator::kTrapezoidal &&
-          options.cap_i_prev != nullptr) {
+      if (trapezoidal(options)) {
         i = 2.0 * cap->farads / options.dt * (v - v_prev) -
             (*options.cap_i_prev)[cap_index];
       } else {
         i = cap->farads / options.dt * (v - v_prev);
       }
     }
-    currents.push_back(i);
-    ++cap_index;
+    currents[cap_index++] = i;
   }
-  return currents;
 }
 
 }  // namespace dot::spice

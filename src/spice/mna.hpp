@@ -41,6 +41,29 @@ struct StampOps {
   std::vector<std::int32_t> src;
 };
 
+/// A static value of the stamp stream that changes between solves:
+/// recomputed from the netlist and the StampOptions with the same
+/// expression the Stamper walk stamps.
+struct StampQuantity {
+  enum class Kind : std::uint8_t {
+    kGshunt,          ///< StampOptions::gshunt.
+    kCapConductance,  ///< A capacitor's companion conductance.
+    kCapCurrent,      ///< Its companion current; directly follows the
+                      ///< capacitor's kCapConductance quantity.
+    kSource,          ///< A V or I source's value at the stamp time.
+  };
+  Kind kind = Kind::kGshunt;
+  std::int32_t device = -1;  ///< Index into Netlist::devices().
+  std::int32_t cap = -1;     ///< Capacitor occurrence (cap_i_prev index).
+};
+
+/// Recipe of one static field: fields[field] = +/- value of quantity.
+struct StampRecipe {
+  std::int32_t field = 0;
+  std::int32_t quantity = 0;
+  bool negate = false;
+};
+
 /// The trusted stream's stamp program (part of MosKernel).
 ///
 /// Once the assembler's trusted stream is frozen, every add() of an
@@ -54,12 +77,20 @@ struct StampOps {
 ///   fields = [gm gds gmb ieq -gm -gds -gmb -ieq per MOSFET | statics]
 ///
 /// so a Newton iteration is kernel.evaluate(x) plus one flat replay of
-/// the ops. The static values are recomputed by the Stamper walk
-/// (MOSFETs skipped) only when their inputs change: mode, time, dt,
-/// gshunt, source_scale, integrator and the bytes of x_prev_step and
+/// the ops.
+///
+/// The Stamper walk runs once per capture. It records, next to every
+/// static field, where its value comes from: a constant (resistor
+/// conductances, the +/-1 of a source's branch rows) keeps the captured
+/// double, every other field gets a signed recipe over a StampQuantity
+/// (gshunt, a capacitor's geq or companion current, a source value).
+/// When the static inputs change -- mode, time, dt, gshunt,
+/// source_scale, integrator and the bytes of x_prev_step and
 /// *cap_i_prev, compared by value (`key`), so no caller has to
-/// invalidate anything. Every entry receives the same doubles (the
-/// walk's -g is the stored negation) in the same order, so the
+/// invalidate anything -- the quantities are recomputed with the
+/// walk's own expressions and scattered through the recipes; no device
+/// walk runs. Every entry receives the same doubles (a negated recipe
+/// stores the exact negation the walk stamps) in the same order, so the
 /// assembled system is bit-identical.
 ///
 /// Captured on the first trusted round of a stream tag; a tag change
@@ -70,18 +101,23 @@ struct StampProgram {
   std::vector<double> fields;
   StampOps matrix;  ///< Targets are CSR value slots.
   StampOps rhs;     ///< Targets are unknowns.
+  std::vector<StampQuantity> quantities;
+  std::vector<double> values;  ///< Quantity values of the last refresh.
+  std::vector<StampRecipe> recipes;
   /// Static inputs the static fields were computed from.
   std::vector<double> key;
+  std::size_t walks = 0;  ///< Stamper walks run (one per capture).
 };
 
 /// The transient kernel's MOSFET stage for one circuit: one SoA lane
 /// per MOSFET occurrence (device order) and the stamp program whose
 /// field array holds the companions. Attached through StampOptions::mos,
 /// it replaces the per-device scalar eval_mos call: every assembly
-/// gathers the terminal voltages of the candidate iterate, runs
-/// eval_mos_batch over all lanes and stamps the companions -- the same
-/// arithmetic, in the same order, as the scalar MOSFET branch, so the
-/// assembled values are bit-identical.
+/// gathers the terminal voltages of the candidate iterate (from a copy
+/// padded with ground at slot 0, so the gather has no ground branch),
+/// runs eval_mos_batch over all lanes and writes the companions into
+/// the program's fields -- the same arithmetic, in the same order, as
+/// the scalar MOSFET branch, so the assembled values are bit-identical.
 class MosKernel {
  public:
   MosKernel(const Netlist& netlist, const MnaMap& map);
@@ -103,8 +139,10 @@ class MosKernel {
  private:
   const Netlist* netlist_;
   std::uint32_t id_ = 0;
-  std::vector<int> drain_, gate_, source_, bulk_;
+  /// Terminal unknown index + 1 (0 = ground) into xpad_.
+  std::vector<std::int32_t> drain_, gate_, source_, bulk_;
   std::vector<double> sign_;
+  std::vector<double> xpad_;  ///< [0, node voltages of the iterate].
   DeviceBatch batch_;
   StampProgram program_;
   PhaseTimes* phase_times_ = nullptr;
@@ -192,11 +230,13 @@ void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   std::vector<double>& b);
 
 /// Capacitor currents at a solved time point (same order as the
-/// capacitors appear in the device list), for trapezoidal state.
-std::vector<double> capacitor_currents(const Netlist& netlist,
-                                       const MnaMap& map,
-                                       const std::vector<double>& x,
-                                       const std::vector<double>& x_prev,
-                                       const StampOptions& options);
+/// capacitors appear in the device list), for trapezoidal state,
+/// written into `currents` (resized to the capacitor count; it may be
+/// *options.cap_i_prev itself).
+void capacitor_currents(const Netlist& netlist, const MnaMap& map,
+                        const std::vector<double>& x,
+                        const std::vector<double>& x_prev,
+                        const StampOptions& options,
+                        std::vector<double>& currents);
 
 }  // namespace dot::spice

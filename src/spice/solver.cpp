@@ -1,5 +1,6 @@
 #include "spice/solver.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -45,49 +46,47 @@ bool SolverContext::factor_sparse(std::size_t n) {
   const numeric::CsrPattern& pattern = assembler_.pattern();
   const std::vector<double>& values = assembler_.values();
 
-  std::shared_ptr<const numeric::SparseSymbolic> symbolic;
-  for (const auto& cached : cache_) {
-    if (cached->pattern == pattern) {
-      symbolic = cached;
-      break;
+  // The cache holds at most one entry per pattern, so the entry matched
+  // for this pattern generation stays the match until the assembler
+  // builds a new pattern or the cache changes.
+  const std::uint64_t generation = assembler_.pattern_generation();
+  if (!matched_ || matched_generation_ != generation) {
+    matched_.reset();
+    for (const auto& cached : cache_) {
+      if (cached->pattern == pattern) {
+        matched_ = cached;
+        break;
+      }
     }
-  }
-  if (!symbolic) {
-    const double t0 = phase_times_ ? now_seconds() : 0.0;
-    symbolic = numeric::SparseSymbolic::analyze(pattern, values,
-                                                options_.pivot_epsilon);
-    if (phase_times_)
-      phase_times_->factor_symbolic_seconds += now_seconds() - t0;
-    ++symbolic_analyses_;
-    if (symbolic) {
-      cache_.push_back(symbolic);
-      if (cache_.size() > kMaxSymbolicCache) cache_.erase(cache_.begin() + 1);
+    if (!matched_) {
+      const double t0 = phase_times_ ? now_seconds() : 0.0;
+      auto symbolic = numeric::SparseSymbolic::analyze(pattern, values,
+                                                       options_.pivot_epsilon);
+      if (phase_times_)
+        phase_times_->factor_symbolic_seconds += now_seconds() - t0;
+      ++symbolic_analyses_;
+      if (symbolic) cache_insert(symbolic);
+      matched_ = std::move(symbolic);
     }
+    matched_generation_ = generation;
   }
-  if (symbolic) {
+  if (matched_) {
     const double t0 = phase_times_ ? now_seconds() : 0.0;
-    const bool ok =
-        factors_.refactor(symbolic, values, options_.pivot_epsilon);
+    const bool ok = factors_.refactor(matched_, values, options_.pivot_epsilon);
     if (phase_times_)
       phase_times_->factor_numeric_seconds += now_seconds() - t0;
     if (ok) {
       sparse_active_ = true;
       return true;
     }
-  }
-  if (symbolic) {
     // The cached pivot sequence collapsed on these values (the matrix
     // drifted too far from the analyzed one): analyze afresh.
     auto fresh = numeric::SparseSymbolic::analyze(pattern, values,
                                                   options_.pivot_epsilon);
     ++symbolic_analyses_;
     if (fresh && factors_.refactor(fresh, values, options_.pivot_epsilon)) {
-      for (auto& cached : cache_) {
-        if (cached->pattern == pattern) {
-          cached = fresh;
-          break;
-        }
-      }
+      std::replace(cache_.begin(), cache_.end(), matched_, fresh);
+      matched_ = std::move(fresh);
       sparse_active_ = true;
       return true;
     }
@@ -143,6 +142,12 @@ void SolverContext::adopt_symbolic(
   if (!symbolic) return;
   for (const auto& cached : cache_)
     if (cached->pattern == symbolic->pattern) return;
+  cache_insert(std::move(symbolic));
+  matched_.reset();  // the insert may have evicted it
+}
+
+void SolverContext::cache_insert(
+    std::shared_ptr<const numeric::SparseSymbolic> symbolic) {
   cache_.push_back(std::move(symbolic));
   if (cache_.size() > kMaxSymbolicCache) cache_.erase(cache_.begin() + 1);
 }

@@ -166,13 +166,22 @@ class SolverContext {
 
  private:
   bool factor_sparse(std::size_t n);
+  /// Appends to the symbolic cache, evicting the oldest non-seed entry
+  /// past kMaxSymbolicCache.
+  void cache_insert(std::shared_ptr<const numeric::SparseSymbolic> symbolic);
 
   SolverOptions options_;
   numeric::DenseLu dense_;
   numeric::SparseAssembler assembler_;
   numeric::SparseFactors factors_;
-  /// Pattern-keyed symbolic cache, front = golden/seed entry.
+  /// Pattern-keyed symbolic cache, front = golden/seed entry; at most
+  /// one entry per pattern.
   std::vector<std::shared_ptr<const numeric::SparseSymbolic>> cache_;
+  /// Cache entry of the assembler's pattern at matched_generation_
+  /// (null: look it up again), so a Newton iteration does not compare
+  /// patterns.
+  std::shared_ptr<const numeric::SparseSymbolic> matched_;
+  std::uint64_t matched_generation_ = 0;
   std::size_t symbolic_analyses_ = 0;
   std::size_t factorizations_ = 0;
   bool sparse_active_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -14,6 +15,11 @@ TranResult::TranResult(MnaMap map, std::vector<std::string> node_names)
 void TranResult::append(double time, std::vector<double> state) {
   times_.push_back(time);
   states_.push_back(std::move(state));
+}
+
+void TranResult::reserve(std::size_t points) {
+  times_.reserve(points);
+  states_.reserve(points);
 }
 
 NodeId TranResult::node_id(const std::string& node) const {
@@ -114,6 +120,9 @@ void TranStepper::start(std::vector<double> x0) {
   for (std::size_t i = 0; i < netlist_.node_count(); ++i)
     node_names.push_back(netlist_.node_name(static_cast<NodeId>(i)));
   result_.emplace(map_, std::move(node_names));
+  // Fixed-step point count; dt halvings may grow the record past it.
+  result_->reserve(
+      static_cast<std::size_t>(std::ceil(options_.t_stop / options_.dt)) + 1);
   x_ = std::move(x0);
   result_->append(0.0, x_);
 }
@@ -130,10 +139,13 @@ void TranStepper::step() {
     stamp_.integrator = options_.integrator;
     stamp_.cap_i_prev = &cap_i_;
 
+    guess_ = x_;
     DcResult step =
-        newton_solve(netlist_, map_, x_, stamp_, options_.newton, x_, &solver_);
+        newton_solve(netlist_, map_, std::move(guess_), stamp_,
+                     options_.newton, x_, &solver_, nullptr, &newton_buffers_);
     newton_iterations_ += static_cast<std::size_t>(step.iterations);
     if (!step.converged) {
+      guess_ = std::move(step.x);
       dt_ /= 2.0;
       if (dt_ < options_.dt_min) {
         // Seen on column-sized perturbed netlists starting from the
@@ -149,15 +161,20 @@ void TranStepper::step() {
       }
       continue;
     }
-    if (options_.integrator == Integrator::kTrapezoidal)
-      cap_i_ = capacitor_currents(netlist_, map_, step.x, x_, stamp_);
-    x_ = std::move(step.x);
-    t_ = t_next;
-    result_->append(t_, x_);
+    accept(std::move(step.x), t_next);
     // Recover the step size after successful steps.
     if (dt_ < options_.dt) dt_ = std::min(options_.dt, dt_ * 2.0);
     return;
   }
+}
+
+void TranStepper::accept(std::vector<double> x, double t) {
+  if (options_.integrator == Integrator::kTrapezoidal)
+    capacitor_currents(netlist_, map_, x, x_, stamp_, cap_i_);
+  guess_ = std::move(x_);  // the old state's buffer becomes the next guess
+  x_ = std::move(x);
+  t_ = t;
+  result_->append(t_, x_);
 }
 
 bool TranStepper::gshunt_rescue() {
@@ -167,22 +184,19 @@ bool TranStepper::gshunt_rescue() {
   stamp_.time = t_ + dt;
   stamp_.integrator = options_.integrator;
   stamp_.cap_i_prev = &cap_i_;
-  std::vector<double> guess = x_;
+  guess_ = x_;
   for (double g = options_.newton.gshunt_start;; g /= 10.0) {
     const bool last = g <= options_.newton.gshunt;
     stamp_.gshunt = last ? options_.newton.gshunt : g;
-    DcResult rung = newton_solve(netlist_, map_, std::move(guess), stamp_,
-                                 options_.newton, x_, &solver_);
+    DcResult rung =
+        newton_solve(netlist_, map_, std::move(guess_), stamp_,
+                     options_.newton, x_, &solver_, nullptr, &newton_buffers_);
     newton_iterations_ += static_cast<std::size_t>(rung.iterations);
+    guess_ = std::move(rung.x);
     if (!rung.converged) return false;
-    guess = std::move(rung.x);
     if (last) break;
   }
-  if (options_.integrator == Integrator::kTrapezoidal)
-    cap_i_ = capacitor_currents(netlist_, map_, guess, x_, stamp_);
-  x_ = std::move(guess);
-  t_ += dt;
-  result_->append(t_, x_);
+  accept(std::exchange(guess_, {}), t_ + dt);
   dt_ = dt;  // the normal per-step recovery doubles it back up
   ++gshunt_rescues_;
   return true;

@@ -54,6 +54,9 @@ class TranResult {
   TranResult(MnaMap map, std::vector<std::string> node_names);
 
   void append(double time, std::vector<double> state);
+  /// Reserves room for `points` time points (avoids regrowth while
+  /// recording).
+  void reserve(std::size_t points);
 
   std::size_t steps() const { return times_.size(); }
   double time(std::size_t step) const { return times_[step]; }
@@ -98,7 +101,9 @@ class TranResult {
 /// its trusted stamp streams and precompiled stamp plan), and advances
 /// the circuit from a t = 0 state one *accepted* time point per step()
 /// call (internal dt halving retries failed Newton solves), recording
-/// every point into the TranResult that finish() hands over.
+/// every point into the TranResult that finish() hands over. The
+/// stepper owns the Newton loop's work vectors and recycles its state
+/// buffers, so an accepted step allocates only the recorded state.
 class TranStepper {
  public:
   /// `netlist` must outlive the stepper. collect_phase_times attaches
@@ -138,6 +143,8 @@ class TranStepper {
   /// supplies warm starts. Returns false (leaving the state untouched)
   /// when even the ladder fails.
   bool gshunt_rescue();
+  /// Records the converged point `x` at time t as the new state.
+  void accept(std::vector<double> x, double t);
 
   const Netlist& netlist_;
   TranOptions options_;
@@ -148,6 +155,8 @@ class TranStepper {
   StampOptions stamp_;
   std::optional<TranResult> result_;
   std::vector<double> x_;
+  std::vector<double> guess_;  ///< Newton's initial guess (recycled).
+  NewtonBuffers newton_buffers_;
   std::vector<double> cap_i_;
   double t_ = 0.0;
   double dt_ = 0.0;

@@ -79,19 +79,26 @@ double Rng::normal(double mean, double sigma) {
 bool Rng::chance(double p) { return uniform() < p; }
 
 std::size_t Rng::weighted(std::span<const double> weights) {
-  double total = 0.0;
+  return WeightedPick(weights)(*this);
+}
+
+WeightedPick::WeightedPick(std::span<const double> weights)
+    : weights_(weights) {
   for (double w : weights) {
     if (w < 0.0) throw std::invalid_argument("Rng::weighted: negative weight");
-    total += w;
+    total_ += w;
   }
-  if (total <= 0.0)
+  if (total_ <= 0.0)
     throw std::invalid_argument("Rng::weighted: no positive weight");
-  double pick = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    pick -= weights[i];
+}
+
+std::size_t WeightedPick::operator()(Rng& rng) const {
+  double pick = rng.uniform() * total_;
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    pick -= weights_[i];
     if (pick < 0.0) return i;
   }
-  return weights.size() - 1;  // Guard against floating-point round-off.
+  return weights_.size() - 1;  // Guard against floating-point round-off.
 }
 
 double Rng::power_law(double x_min, double x_max, double exponent) {

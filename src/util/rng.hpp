@@ -32,6 +32,24 @@ class PowerLaw {
   double b_minus_a_ = 0.0;  // x_max^(1-exponent) - a_
 };
 
+/// Discrete distribution over the indices of (unnormalized) weights.
+/// The weights are checked and summed once, at construction, so each
+/// draw costs one uniform and a linear scan; the picks are the ones
+/// Rng::weighted returns. Keeps a view of `weights`, which must outlive
+/// it.
+class WeightedPick {
+ public:
+  /// Throws std::invalid_argument on a negative weight or when no
+  /// weight is positive.
+  explicit WeightedPick(std::span<const double> weights);
+
+  std::size_t operator()(Rng& rng) const;
+
+ private:
+  std::span<const double> weights_;
+  double total_ = 0.0;
+};
+
 /// xoshiro256** 1.0 by Blackman & Vigna: small, fast, and high quality.
 /// Used instead of std::mt19937 so that streams are bit-identical across
 /// standard-library implementations.

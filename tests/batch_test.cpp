@@ -7,11 +7,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <variant>
 #include <vector>
 
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
+#include "flashadc/tech.hpp"
 #include "numeric/sparse.hpp"
 #include "spice/devices.hpp"
 #include "spice/mna.hpp"
@@ -257,6 +259,121 @@ TEST(StampProgram, AssembliesBitIdenticalToUntrustedWalk) {
   EXPECT_TRUE(h.a_prog.fast_path_used());
   EXPECT_TRUE(other.program().ready);
   h.round(r++);
+}
+
+// The recipe refresh of the static fields against the walk, on a
+// netlist holding every device kind: R, C (grounded and floating), a
+// pulse V source, a DC V source, an I source and N/PMOS. Each round
+// assembles through the kernel (trusted stream, stamp program) and
+// through the tag-0 scalar walk; the CSR values and b must be equal
+// byte for byte.
+TEST(StampProgram, RecipeRefreshEqualsTheWalk) {
+  spice::Netlist n;
+  spice::PulseParams clk;
+  clk.pulsed = 3.3;
+  clk.delay = 1e-9;
+  clk.rise = 0.5e-9;
+  clk.fall = 0.5e-9;
+  clk.width = 3e-9;
+  clk.period = 8e-9;
+  n.add_vsource("vdd", "vdd", "0", spice::SourceSpec::dc(3.3));
+  n.add_vsource("vclk", "clk", "0", spice::SourceSpec::pulse(clk));
+  n.add_isource("ibias", "vdd", "bias", spice::SourceSpec::dc(5e-6));
+  n.add_resistor("r1", "vdd", "n1", 10e3);
+  n.add_resistor("r2", "n1", "out", 5e3);
+  n.add_resistor("r3", "n2", "0", 100e3);
+  n.add_resistor("rb", "bias", "0", 200e3);
+  n.add_capacitor("c1", "out", "0", 50e-15);
+  n.add_capacitor("c2", "n1", "out", 20e-15);
+  n.add_capacitor("c3", "clk", "n2", 5e-15);
+  n.add_mosfet("m1", spice::MosType::kNmos, "out", "clk", "n2", "0", 2e-6,
+               1e-6, flashadc::nmos_model());
+  n.add_mosfet("m2", spice::MosType::kPmos, "out", "n1", "vdd", "vdd", 4e-6,
+               1e-6, flashadc::pmos_model());
+  n.add_mosfet("m3", spice::MosType::kNmos, "n2", "bias", "0", "0", 1e-6,
+               1e-6, flashadc::nmos_model());
+  ProgramHarness h(n);
+  spice::MosKernel kernel(n, h.map);
+  h.prog.mos = &kernel;
+  const std::size_t caps = 3;
+  std::vector<double> cap_i(caps, 0.0);
+
+  std::size_t r = 0;
+  auto rounds = [&](std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k, ++r) {
+      h.round(r);
+      ASSERT_EQ(h.a_prog.values().size(), h.a_walk.values().size());
+      EXPECT_EQ(std::memcmp(h.a_prog.values().data(), h.a_walk.values().data(),
+                            h.a_prog.values().size() * sizeof(double)),
+                0)
+          << "round " << r;
+      ASSERT_EQ(h.b_prog.size(), h.b_walk.size());
+      EXPECT_EQ(std::memcmp(h.b_prog.data(), h.b_walk.data(),
+                            h.b_prog.size() * sizeof(double)),
+                0)
+          << "round " << r;
+    }
+  };
+
+  // DC: round 0 freezes the pattern, round 1 captures, then replays.
+  rounds(3);
+  EXPECT_TRUE(kernel.program().ready);
+  EXPECT_TRUE(h.a_prog.fast_path_used());
+  // A gshunt ladder, then source-stepping rungs.
+  for (double g = 1e-3; g > 1e-12; g /= 10.0) {
+    h.set([g](spice::StampOptions& o) { o.gshunt = g; });
+    rounds(2);
+  }
+  for (int s = 1; s <= 8; ++s) {
+    h.set([s](spice::StampOptions& o) {
+      o.gshunt = 1e-12;
+      o.source_scale = s / 8.0;
+    });
+    rounds(2);
+  }
+
+  // Backward-Euler steps: time and x_prev_step move every step.
+  h.set([](spice::StampOptions& o) {
+    o.mode = spice::AnalysisMode::kTransient;
+    o.dt = 0.5e-9;
+    o.time = 0.0;
+  });
+  auto advance = [&](std::size_t step) {
+    for (std::size_t i = 0; i < h.x_prev.size(); ++i)
+      h.x_prev[i] = 2.0 * wiggle(i, 50 + step);
+    h.set([](spice::StampOptions& o) { o.time += o.dt; });
+  };
+  for (std::size_t step = 0; step < 6; ++step) {
+    advance(step);
+    rounds(2);
+  }
+  // A dt halving: the failed step's time point is retried at dt / 2.
+  h.set([](spice::StampOptions& o) {
+    o.time -= o.dt / 2.0;
+    o.dt /= 2.0;
+  });
+  rounds(2);
+  // Trapezoidal steps with moving capacitor currents.
+  h.set([&cap_i](spice::StampOptions& o) {
+    o.integrator = spice::Integrator::kTrapezoidal;
+    o.cap_i_prev = &cap_i;
+  });
+  for (std::size_t step = 0; step < 4; ++step) {
+    for (std::size_t i = 0; i < caps; ++i)
+      cap_i[i] = 1e-6 * wiggle(i, 300 + step);
+    advance(10 + step);
+    rounds(2);
+  }
+  // The transient gshunt rescue ladder.
+  for (double g = 1e-3; g >= 1e-12; g /= 10.0) {
+    h.set([g](spice::StampOptions& o) { o.gshunt = g; });
+    rounds(2);
+  }
+
+  // One capture walk per stream tag (DC, transient); every other change
+  // of the static inputs was a recipe refresh.
+  EXPECT_EQ(kernel.program().walks, 2u);
+  EXPECT_FALSE(kernel.program().recipes.empty());
 }
 
 }  // namespace

@@ -44,9 +44,8 @@ TEST(Statistics, SampleTypeFollowsWeights) {
 }
 
 TEST(Statistics, SampleSizeFollowsFieldChanges) {
-  // sample_size caches the power law of the last size fields it saw; a
-  // change to any field must reach the very next draw, and the draws
-  // stay those of Rng::power_law.
+  // A change to any size field must reach the very next draw, and the
+  // draws stay those of Rng::power_law.
   DefectStatistics stats;
   util::Rng rng(3), reference(3);
   const struct {
@@ -84,6 +83,26 @@ TEST(SampleDefect, UniformOverArea) {
     EXPECT_GE(d.size, stats.size_min);
     EXPECT_LE(d.size, stats.size_max);
   }
+}
+
+TEST(SampleDefect, SamplerDrawsWhatSampleDefectDraws) {
+  // The sampler fixes the weights' sum and the size law's constants at
+  // construction; its draws match one-shot sample_defect calls on the
+  // same stream, bit for bit.
+  DefectStatistics stats;
+  const Rect area{-3.5, 2.0, 120.25, 77.0};
+  const DefectSampler sample(stats, area);
+  util::Rng a(11), b(11);
+  for (int i = 0; i < 5000; ++i) {
+    const Defect x = sample(a);
+    const Defect y = sample_defect(stats, area, b);
+    ASSERT_EQ(x.type, y.type) << i;
+    ASSERT_EQ(x.center.x, y.center.x) << i;
+    ASSERT_EQ(x.center.y, y.center.y) << i;
+    ASSERT_EQ(x.size, y.size) << i;
+  }
+  stats.size_min = 0.0;
+  EXPECT_THROW(DefectSampler(stats, area), std::invalid_argument);
 }
 
 /// Hand-built two-trunk cell: nets "a" and "b" as parallel metal1 wires

@@ -617,15 +617,63 @@ TEST(JournalFuzz, CampaignSelectionMismatchRefusesResume) {
 
 TEST(JournalFuzz, WrongSchemaVersionIsRejected) {
   auto lines = split_lines(bank_journal_text());
-  const std::size_t at = lines[0].find("\"schema\":2");
+  const std::size_t at = lines[0].find("\"schema\":3");
   ASSERT_NE(at, std::string::npos) << lines[0];
-  lines[0].replace(at, 10, "\"schema\":1");
+  // Schema 2 is the last one without record checksums.
+  lines[0].replace(at, 10, "\"schema\":2");
   const std::string path = temp_path("fuzz_schema.jsonl");
   write_file(path, join_lines(lines));
   const std::string message = shard_error_message([&] {
     flashadc::CampaignJournal journal(bank_resume_config(path));
   });
-  EXPECT_NE(message.find("schema 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("schema 2"), std::string::npos) << message;
+  const std::string merge_message = shard_error_message(
+      [&] { flashadc::merge_shard_journals({path}); });
+  EXPECT_NE(merge_message.find("schema 2"), std::string::npos)
+      << merge_message;
+}
+
+TEST(JournalFuzz, FlippedAttemptsDigitIsRefused) {
+  // A value-level corruption that still parses: one class record's
+  // attempt count changes by one digit. Its checksum no longer matches,
+  // so neither a resume nor a merge may restore the record.
+  auto lines = split_lines(bank_journal_text());
+  std::size_t line = lines.size();
+  std::size_t at = std::string::npos;
+  for (std::size_t i = 0; i < lines.size() && line == lines.size(); ++i) {
+    at = lines[i].find("\"attempts\":1");
+    if (at != std::string::npos) line = i;
+  }
+  ASSERT_LT(line, lines.size());
+  lines[line][at + 11] = '2';
+  const std::string path = temp_path("fuzz_attempts_digit.jsonl");
+  write_file(path, join_lines(lines));
+  const std::string message = shard_error_message([&] {
+    flashadc::CampaignJournal journal(bank_resume_config(path));
+  });
+  EXPECT_NE(message.find("checksum"), std::string::npos) << message;
+  const std::string merge_message = shard_error_message(
+      [&] { flashadc::merge_shard_journals({path}); });
+  EXPECT_NE(merge_message.find("checksum"), std::string::npos)
+      << merge_message;
+}
+
+TEST(JournalFuzz, FlippedMacroStatisticIsRefused) {
+  auto lines = split_lines(bank_journal_text());
+  std::size_t line = lines.size();
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (lines[i].find("\"type\":\"macro\"") != std::string::npos) line = i;
+  ASSERT_LT(line, lines.size());
+  const std::size_t at = lines[line].find("\"defects_sprinkled\":");
+  ASSERT_NE(at, std::string::npos);
+  char& digit = lines[line][at + 20];
+  digit = digit == '9' ? '8' : static_cast<char>(digit + 1);
+  const std::string path = temp_path("fuzz_macro_digit.jsonl");
+  write_file(path, join_lines(lines));
+  const std::string message = shard_error_message([&] {
+    flashadc::CampaignJournal journal(bank_resume_config(path));
+  });
+  EXPECT_NE(message.find("checksum"), std::string::npos) << message;
 }
 
 TEST(JournalFuzz, UnknownRecordTypeIsRejected) {

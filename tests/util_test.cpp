@@ -83,6 +83,30 @@ TEST(Rng, WeightedRespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.3);
 }
 
+TEST(Rng, WeightedPickMatchesAPerDrawSum) {
+  // The pick sums its weights once; every draw must still be the one of
+  // a draw that sums them itself, in the same order.
+  const std::vector<double> weights = {40.0, 30.0, 13.0, 7.0,  0.2,
+                                       0.16, 0.1,  0.06, 0.7,  0.5,
+                                       0.08, 0.06, 1.2,  0.8,  1.0};
+  auto reference = [&weights](Rng& rng) {
+    double total = 0.0;
+    for (double w : weights) total += w;
+    double pick = rng.uniform() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      pick -= weights[i];
+      if (pick < 0.0) return i;
+    }
+    return weights.size() - 1;
+  };
+  const WeightedPick pick(weights);
+  Rng a(37), b(37);
+  for (int i = 0; i < 20000; ++i) ASSERT_EQ(pick(a), reference(b)) << i;
+  EXPECT_EQ(a(), b());
+  EXPECT_THROW(WeightedPick(std::vector<double>{1.0, -1.0}),
+               std::invalid_argument);
+}
+
 TEST(Rng, WeightedRejectsAllZero) {
   Rng rng(29);
   std::vector<double> weights = {0.0, 0.0};
