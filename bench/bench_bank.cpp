@@ -7,7 +7,7 @@
 // honest as the flat-bank netlists grow far past the single-macro
 // sizes.
 //
-//   bench_bank [--quick|--smoke] [--solver=M] [--json=FILE | --json-root]
+//   bench_bank [--quick|--smoke] [--json=FILE | --json-root]
 //
 // --smoke shrinks the sweep to {2, 4, 8} for CI.
 //

@@ -1,10 +1,10 @@
 // Full-chip campaign throughput on the flat solver.
 //
 // Runs the chip campaign (N comparator slices + bias generator + clock
-// generator + thermometer decoder as ONE netlist) on the solver chosen
-// by --solver (default auto, which is flat sparse at chip size) and
-// reports classes/sec with the per-run setup cost (defect sprinkle,
-// collapsing, envelope, nominal solve) subtracted:
+// generator + thermometer decoder as ONE netlist) on the flat sparse
+// solver (system size picks it at chip size) and reports classes/sec
+// with the per-run setup cost (defect sprinkle, collapsing, envelope,
+// nominal solve) subtracted:
 //
 //   rate = (N - 1) / (wall_N - wall_1)
 //

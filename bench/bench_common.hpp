@@ -9,8 +9,6 @@
 //   --classes=N    cap on evaluated fault classes (0 = all)
 //   --seed=N       master seed
 //   --threads=N    worker threads (default: hardware concurrency)
-//   --solver=M     linear solver: auto (default; sparse at >= 18
-//                  unknowns) | dense | sparse
 //   --class-timeout-ms=T  wall-clock budget per fault-class attempt
 //                  (0 = unlimited, the default); expired classes are
 //                  retried under escalating solver aid and reported
@@ -20,7 +18,8 @@
 //                  transient prepass on the comparator/bank/chip
 //                  campaigns (1 = scalar path, the default; auto = 32)
 //   --phase-times  collect the device-eval/assembly/factor/solve
-//                  wall-time breakdown from batched evaluations
+//                  wall-time breakdown of the transient class
+//                  evaluations
 //   --json=FILE    machine-readable result + run metadata
 //   --json-root    shorthand for --json=BENCH_<bench>.json (the
 //                  trajectory files tracked at the repo root)
@@ -38,8 +37,10 @@
 //
 // JSON reports follow the "dot-bench-v1" schema: every file carries
 // {"schema": "dot-bench-v1", "bench": <name>, "wall_seconds", "threads",
-//  "solver", "classes_evaluated", "classes_per_sec"} plus an optional
-// bench-specific "result" payload.
+//  "classes_evaluated", "classes_per_sec"} plus an optional
+// bench-specific "result" payload. System size alone picks the linear
+// solver (sparse at >= spice::SolverOptions::sparse_threshold unknowns),
+// so the envelope names none.
 #pragma once
 
 #include <chrono>
@@ -184,11 +185,9 @@ inline void report_run(const BenchArgs& args, const WallTimer& timer,
   std::snprintf(head, sizeof head,
                 "{\"schema\": \"dot-bench-v1\", \"bench\": \"%s\", "
                 "\"wall_seconds\": %.6f, \"threads\": %u, "
-                "\"solver\": \"%s\", "
                 "\"classes_evaluated\": %zu, \"classes_per_sec\": %.3f",
-                args.bench.c_str(), wall, args.threads,
-                spice::solver_mode_name(args.config.solver.mode),
-                classes_evaluated, rate);
+                args.bench.c_str(), wall, args.threads, classes_evaluated,
+                rate);
   out << head;
   if (!payload_json.empty()) out << ", \"result\": " << payload_json;
   out << "}\n";

@@ -3,9 +3,10 @@
 // Sweeps MNA system size over two netlist families shaped like the
 // case-study macros -- a resistive reference ladder and a MOS-loaded
 // comparator-bank-style array -- and times warm-started operating-point
-// solves in both forced solver modes. Reports the per-solve wall time,
-// the dense/sparse agreement, and the measured crossover size that
-// informs SolverOptions::sparse_threshold.
+// solves on each LU, forced through SolverOptions::sparse_threshold
+// (SIZE_MAX: dense, 0: sparse; both assemble the same CSR system).
+// Reports the per-solve wall time, the dense/sparse agreement, and the
+// measured crossover size that informs SolverOptions::sparse_threshold.
 //
 //   bench_solver [--quick] [--json=FILE | --json-root]
 //
@@ -15,6 +16,7 @@
 //    "crossover_n": <smallest n where sparse wins on both families>}
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -31,7 +33,6 @@ namespace {
 using dot::spice::MnaMap;
 using dot::spice::Netlist;
 using dot::spice::SolverContext;
-using dot::spice::SolverMode;
 using dot::spice::SolverOptions;
 using dot::spice::SourceSpec;
 
@@ -110,9 +111,9 @@ Sample run_case(const char* family, const Netlist& netlist,
   s.n = map.size();
 
   SolverOptions dense_opts = base;
-  dense_opts.mode = SolverMode::kDense;
+  dense_opts.sparse_threshold = SIZE_MAX;
   SolverOptions sparse_opts = base;
-  sparse_opts.mode = SolverMode::kSparse;
+  sparse_opts.sparse_threshold = 0;
 
   // Golden solve (establishes the warm start, like a campaign context).
   SolverContext golden_ctx(dense_opts);

@@ -27,7 +27,7 @@ file(READ ${OUT} report)
 
 # string(JSON) parses the document; any syntax error or missing key
 # lands in `err`.
-foreach(field schema bench wall_seconds threads solver classes_evaluated
+foreach(field schema bench wall_seconds threads classes_evaluated
         classes_per_sec)
   string(JSON value ERROR_VARIABLE err GET "${report}" ${field})
   if(err)

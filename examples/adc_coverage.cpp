@@ -20,8 +20,8 @@
 //                         transient prepass on the comparator/bank/chip
 //                         campaigns (1 = scalar path, the default)
 //   --phase-times         collect the device-eval/assembly/factor/solve
-//                         wall-time breakdown from batched evaluations
-//                         (reported in the --json output)
+//                         wall-time breakdown of the transient class
+//                         evaluations (reported in the --json output)
 //   --macro=NAME          run a single macro campaign instead of the
 //                         five-macro flow: comparator | ladder | biasgen
 //                         | clockgen | decoder | bank | chip
@@ -31,8 +31,6 @@
 //   --chip-slices=N       comparator count for --macro=chip (4..256,
 //                         must divide 256 and be a multiple of 4;
 //                         default 256)
-//   --solver=MODE         linear solver for every simulation: auto |
-//                         dense | sparse (default auto)
 //   --equivalence         with --macro=bank or --macro=chip: diff the
 //                         flat result against the per-comparator
 //                         decomposition

@@ -42,7 +42,7 @@ struct BankOptions {
   /// backbone.
   int size = 64;
   ComparatorDft dft;
-  /// Linear-solver selection for bank transients. The campaign's
+  /// Linear-solver options for bank transients. The campaign's
   /// decision-grid bench takes CampaignConfig::solver instead.
   spice::SolverOptions solver;
 };

@@ -44,10 +44,13 @@ macro::DetectionOutcome make_outcome(VoltageSignature voltage,
           current.ivdd, current.iddq, current.iinput};
 }
 
-/// Catastrophic / non-catastrophic outcome pair of one fault class.
+/// Catastrophic / non-catastrophic outcome pair of one fault class,
+/// with the solver phase times of its transients (zero unless
+/// CampaignConfig::collect_phase_times).
 struct ClassEval {
   std::optional<FaultOutcome> cat;
   std::optional<FaultOutcome> noncat;
+  spice::PhaseTimes phases;
 };
 
 /// Class index -> evaluation the batched prepass already finished.
@@ -93,7 +96,8 @@ ClassEval evaluate_class(const FaultClass& cls, bool with_noncat,
 /// A macro ready for its class loop: the cell with its golden state,
 /// the netlists each Monte-Carlo envelope sample perturbs, `measure`
 /// for the envelope (nullopt drops a sample without operating point)
-/// and `evaluate` for the verdict on a faulty macro netlist. Transient
+/// and `evaluate` for the verdict on a faulty macro netlist (adding the
+/// phase times of its transients to the optional sink). Transient
 /// macros also carry their bench and fault-free grid, for the lockstep
 /// prepass.
 struct PreparedMacro {
@@ -105,7 +109,7 @@ struct PreparedMacro {
   std::function<std::optional<std::vector<double>>(const std::vector<Netlist>&)>
       measure;
   std::function<FaultOutcome(const Netlist&, const CircuitFault&,
-                             const GoodEnvelope&)>
+                             const GoodEnvelope&, spice::PhaseTimes*)>
       evaluate;
   std::shared_ptr<const DecisionGridBench> bench;
   std::array<ComparatorRun, 4> nominal{};
@@ -132,6 +136,7 @@ FaultOutcome classify_runs(const std::array<ComparatorRun, 4>& runs,
 PreparedMacro prepare_transient(macro::MacroCell cell, DecisionGridBench grid,
                                 const CampaignConfig& config) {
   grid.tran.solver = config.solver;
+  grid.tran.collect_phase_times = config.collect_phase_times;
   auto b = std::make_shared<const DecisionGridBench>(std::move(grid));
   PreparedMacro m(std::move(cell), comparator_measurement_layout());
   m.bench = b;
@@ -153,9 +158,11 @@ PreparedMacro prepare_transient(macro::MacroCell cell, DecisionGridBench grid,
   };
   m.evaluate = [b, nominal = m.nominal](const Netlist& faulty,
                                         const CircuitFault& rep,
-                                        const GoodEnvelope& envelope) {
-    return classify_runs(run_decision_grid(*b, faulty, b->observed_slice(rep)),
-                         nominal, envelope);
+                                        const GoodEnvelope& envelope,
+                                        spice::PhaseTimes* phases) {
+    return classify_runs(
+        run_decision_grid(*b, faulty, b->observed_slice(rep), phases),
+        nominal, envelope);
   };
   return m;
 }
@@ -192,7 +199,7 @@ std::function<PreparedMacro(const CampaignConfig&)> dc_macro(
       return sol.converged ? std::optional{currents(sol)} : std::nullopt;
     };
     m.evaluate = [=](const Netlist& faulty, const CircuitFault&,
-                     const GoodEnvelope& envelope) {
+                     const GoodEnvelope& envelope, spice::PhaseTimes*) {
       FaultOutcome outcome;
       const Solution sol = solve(faulty, ctx.get());
       if (!sol.converged) {
@@ -356,13 +363,15 @@ struct ClassLoop {
       budget.timeout_ms = config.resilience.class_timeout_ms;
       budget.aid_level = attempt - 1;
       spice::EvalScope scope(macro, c, budget);
+      spice::PhaseTimes phases;
       try {
         auto eval = evaluate_class(
             classes[c], config.with_noncatastrophic, [&](bool nc, int v) {
               return m.evaluate(
                   fault::apply_fault(m.cell.netlist, rep, model_opt, v, nc),
-                  rep, envelope);
+                  rep, envelope, &phases);
             });
+        eval.phases = phases;
         if (eval.cat) eval.cat->attempts = attempt;
         if (eval.noncat) eval.noncat->attempts = attempt;
         return eval;
@@ -432,8 +441,6 @@ struct ClassLoop {
   /// accounting is untouched.
   PrecomputedEvals batch_prepass(MacroCampaignResult& result) const {
     const DecisionGridBench& bench = *m.bench;
-    spice::TranOptions options = bench.tran;
-    options.collect_phase_times = config.collect_phase_times;
     // Classes this process still has to evaluate: its shard, minus what
     // a resumed journal already holds.
     const ResilienceOptions& res = config.resilience;
@@ -454,11 +461,8 @@ struct ClassLoop {
     const std::size_t chunk = std::max<std::size_t>(
         1, std::min(config.batch == 0 ? 32 : config.batch, share));
 
-    /// One chunk's finished classes (in class order) and its telemetry.
-    struct ChunkEvals {
-      std::vector<std::pair<std::size_t, ClassEval>> evals;
-      spice::PhaseTimes phase_times;
-    };
+    /// One chunk's finished classes, in class order.
+    using ChunkEvals = std::vector<std::pair<std::size_t, ClassEval>>;
     auto run_chunk = [&](std::size_t k) {
       ChunkEvals part;
       if (util::shutdown_requested()) return part;  // graceful drain
@@ -477,7 +481,7 @@ struct ClassLoop {
                 bench.instantiate(faulty, bench.observed_slice(rep), dv)));
             spice::BatchJob& job = jobs.emplace_back();
             job.netlist = benches.back().get();
-            job.options = options;
+            job.options = bench.tran;
             job.scope_macro = macro;
             job.scope_class = pending[p];
             job.timeout_ms = res.class_timeout_ms;
@@ -515,20 +519,22 @@ struct ClassLoop {
           continue;  // evicted: the scalar attempt ladder takes over
         const FaultClass& cls = classes[pending[p]];
         auto out = first;
+        spice::PhaseTimes phases;
         auto classify_next = [&](bool, int) {
           std::array<ComparatorRun, 4> grid{};
           for (ComparatorRun& run : grid) {
             // A non-converged member keeps the default record,
             // converged == false, as in run_decision_grid.
             run = out->run;
-            part.phase_times += out->phases;
+            phases += out->phases;
             ++out;
           }
           return classify_runs(grid, m.nominal, envelope);
         };
-        part.evals.emplace_back(pending[p],
-                                evaluate_class(cls, config.with_noncatastrophic,
-                                               classify_next));
+        ClassEval eval =
+            evaluate_class(cls, config.with_noncatastrophic, classify_next);
+        eval.phases = phases;
+        part.emplace_back(pending[p], std::move(eval));
       }
       return part;
     };
@@ -536,9 +542,8 @@ struct ClassLoop {
     PrecomputedEvals out;
     const std::size_t chunks = (pending.size() + chunk - 1) / chunk;
     for (ChunkEvals& part : util::parallel_map(chunks, run_chunk)) {
-      for (auto& [c, eval] : part.evals) out.emplace(c, std::move(eval));
-      result.batch_evaluated += part.evals.size();
-      result.phase_times += part.phase_times;
+      for (auto& [c, eval] : part) out.emplace(c, std::move(eval));
+      result.batch_evaluated += part.size();
     }
     return out;
   }
@@ -597,7 +602,9 @@ MacroCampaignResult run_macro_campaign(const CampaignConfig& config,
   const PrecomputedEvals precomputed = config.batch != 1 && m.bench
                                            ? loop.batch_prepass(result)
                                            : PrecomputedEvals{};
+  // Phase times sum in class order, whichever path evaluated a class.
   for (ClassEval& eval : loop.evaluate(precomputed)) {
+    result.phase_times += eval.phases;
     if (eval.cat) result.catastrophic.push_back(std::move(*eval.cat));
     if (eval.noncat) result.noncatastrophic.push_back(std::move(*eval.noncat));
   }
@@ -643,7 +650,7 @@ macro::EquivalenceReport compare_decomposition(
       worst = evaluate_class({rep, o.cls.count}, false, [&](bool, int v) {
         const Netlist faulty =
             fault::apply_fault(sub.cell.netlist, rep, model_opt, v, false);
-        return sub.evaluate(faulty, rep, envelope);
+        return sub.evaluate(faulty, rep, envelope, nullptr);
       }).cat;
     } catch (const std::exception&) {
       // The projection is structurally valid but the comparator-side

@@ -79,11 +79,10 @@ struct CampaignConfig {
   fault::FaultModelOptions fault_models;
   /// Defect statistics used for sprinkling.
   defect::DefectStatistics statistics;
-  /// Linear-solver selection for every DC solve in the campaign. The
-  /// golden symbolic factorization is cached per macro context and
-  /// shared across workers (results are solver-mode independent to
-  /// within Newton's vtol, and bit-identical at any thread count for a
-  /// fixed mode).
+  /// Linear-solver options for every solve in the campaign (the
+  /// dense/sparse crossover). The golden symbolic factorization is
+  /// cached per macro context and shared across workers; results are
+  /// bit-identical at any thread count.
   spice::SolverOptions solver;
   /// Sharding / checkpoint-resume / degradation knobs.
   ResilienceOptions resilience;
@@ -95,8 +94,9 @@ struct CampaignConfig {
   /// ladder for its class, so resilience semantics are preserved.
   std::size_t batch = 1;
   /// Collect the device-eval / assembly / factor / solve wall-time
-  /// breakdown from batched evaluations (MacroCampaignResult::
-  /// phase_times). Off by default: the hot loops stay clock-free.
+  /// breakdown of the transient class evaluations, batched or scalar
+  /// (MacroCampaignResult::phase_times). Off by default: the hot loops
+  /// stay clock-free.
   bool collect_phase_times = false;
   /// Which macro campaign run_campaign drives: "all" (the five-macro
   /// decomposed flow) or a single campaign-table macro name --
@@ -144,8 +144,10 @@ struct MacroCampaignResult {
   /// Fault classes whose whole evaluation came from the batched
   /// prepass (0 on the scalar path / non-batched macros).
   std::size_t batch_evaluated = 0;
-  /// Solver wall-time breakdown summed over the batched evaluations;
-  /// all zero unless CampaignConfig::collect_phase_times was set.
+  /// Solver wall-time breakdown summed over the transient class
+  /// evaluations in class order (DC macros and journal-restored classes
+  /// add none); all zero unless CampaignConfig::collect_phase_times was
+  /// set.
   spice::PhaseTimes phase_times;
 
   /// Weighted outcomes for the global compilation.

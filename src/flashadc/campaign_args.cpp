@@ -7,8 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "spice/solver.hpp"
-
 namespace dot::flashadc {
 
 const char* arg_value(const std::string& arg, const char* prefix) {
@@ -42,8 +40,7 @@ bool parse_nonnegative(const char* text, double& out) {
 const char* campaign_usage() {
   return "          [--defects=N] [--envelope=N] [--classes=N] [--seed=N]\n"
          "          [--threads=N] [--class-timeout-ms=T] [--max-retries=N]\n"
-         "          [--batch=N|auto] [--phase-times]\n"
-         "          [--solver=auto|dense|sparse] [--quick] [--smoke]\n";
+         "          [--batch=N|auto] [--phase-times] [--quick] [--smoke]\n";
 }
 
 ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
@@ -81,13 +78,6 @@ ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
     config.batch = static_cast<std::size_t>(n);
   } else if (arg == "--phase-times") {
     config.collect_phase_times = true;
-  } else if (const char* v = arg_value(arg, "--solver=")) {
-    try {
-      config.solver.mode = spice::parse_solver_mode(v);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-      return ArgParse::kBad;
-    }
   } else if (arg == "--quick") {
     config.defect_count = 60000;
     config.envelope_samples = 10;

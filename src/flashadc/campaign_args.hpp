@@ -36,9 +36,8 @@ const char* campaign_usage();
 /// Offers `arg` to the shared campaign-knob parser: --defects,
 /// --envelope, --classes, --seed, --threads (0 = hardware concurrency,
 /// stored in `threads`), --class-timeout-ms, --max-retries,
-/// --batch=N|auto, --phase-times, --solver and the --quick / --smoke
-/// presets. On kBad a diagnostic naming `argv0` was already printed to
-/// stderr.
+/// --batch=N|auto, --phase-times and the --quick / --smoke presets. On
+/// kBad a diagnostic naming `argv0` was already printed to stderr.
 ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
                             CampaignConfig& config, unsigned& threads);
 

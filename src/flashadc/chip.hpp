@@ -49,7 +49,7 @@ struct ChipOptions {
   /// util::InvalidInputError otherwise. 256 is the paper's converter.
   int slices = 256;
   ComparatorDft dft;
-  /// Linear-solver selection for run_chip_bench. The campaign's
+  /// Linear-solver options for run_chip_bench. The campaign's
   /// decision-grid bench takes CampaignConfig::solver instead.
   spice::SolverOptions solver;
 };

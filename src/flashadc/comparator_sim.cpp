@@ -171,14 +171,16 @@ DecisionGridBench comparator_grid_bench() {
           comparator_tran_options()};
 }
 
-std::array<ComparatorRun, 4> run_decision_grid(const DecisionGridBench& bench,
-                                               const Netlist& macro,
-                                               int slice) {
+std::array<ComparatorRun, 4> run_decision_grid(
+    const DecisionGridBench& bench, const Netlist& macro, int slice,
+    spice::PhaseTimes* phases) {
   std::array<ComparatorRun, 4> runs;
   for (std::size_t i = 0; i < kDecisionGrid.size(); ++i) {
     const Netlist full = bench.instantiate(macro, slice, kDecisionGrid[i]);
     try {
-      runs[i] = bench.extract(spice::transient(full, bench.tran), slice);
+      const spice::TranResult result = spice::transient(full, bench.tran);
+      if (phases != nullptr) *phases += result.stats().phases;
+      runs[i] = bench.extract(result, slice);
     } catch (const util::ConvergenceError&) {
       runs[i].converged = false;
     }

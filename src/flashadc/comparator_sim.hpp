@@ -98,10 +98,11 @@ DecisionGridBench comparator_grid_bench();
 
 /// All four decision-grid runs observed at `slice`, in kDecisionGrid
 /// order; a transient that fails to converge leaves a converged=false
-/// record.
-std::array<ComparatorRun, 4> run_decision_grid(const DecisionGridBench& bench,
-                                               const spice::Netlist& macro,
-                                               int slice);
+/// record. `phases` (optional) accumulates the TranStats::phases of
+/// every completed run (zero unless bench.tran.collect_phase_times).
+std::array<ComparatorRun, 4> run_decision_grid(
+    const DecisionGridBench& bench, const spice::Netlist& macro, int slice,
+    spice::PhaseTimes* phases = nullptr);
 
 /// Measurement layout for the current envelope: the 24 current values of
 /// the two outer-grid runs (vin below / above the full reference range).

@@ -20,8 +20,9 @@ namespace {
 // Schema 2 added the campaign selection + bank size to the meta record
 // (a bank journal must never resume into a comparator campaign or into
 // a bank of a different height). Schema 3 added the checksum of every
-// macro and class record (see with_checksum).
-constexpr int kJournalSchema = 3;
+// macro and class record (see with_checksum). Schema 4 dropped the
+// solver mode with its knob: system size alone picks the LU.
+constexpr int kJournalSchema = 4;
 
 /// FNV-1a (64 bit) of `bytes` as 16 lowercase hex digits.
 std::string checksum(std::string_view bytes) {
@@ -70,7 +71,6 @@ struct MetaInfo {
   bool with_noncatastrophic = true;
   std::size_t shard_count = 1;
   std::size_t shard_index = 0;
-  std::string solver_mode;
   std::string campaign = "all";
   int bank_size = 64;
 };
@@ -84,7 +84,6 @@ MetaInfo meta_of(const CampaignConfig& config) {
   m.with_noncatastrophic = config.with_noncatastrophic;
   m.shard_count = config.resilience.shard_count;
   m.shard_index = config.resilience.shard_index;
-  m.solver_mode = spice::solver_mode_name(config.solver.mode);
   m.campaign = resolve_selection(config);
   // The one column-height field does double duty: it carries the chip
   // slice count for chip campaigns (schema unchanged; the campaign
@@ -114,8 +113,6 @@ std::string encode_meta(const MetaInfo& m) {
   w.value(m.shard_count);
   w.key("shard_index");
   w.value(m.shard_index);
-  w.key("solver_mode");
-  w.value(m.solver_mode);
   w.key("campaign");
   w.value(m.campaign);
   w.key("bank_size");
@@ -138,7 +135,6 @@ MetaInfo decode_meta(const JsonValue& v, const std::string& path) {
   m.with_noncatastrophic = v.get("with_noncatastrophic").as_bool();
   m.shard_count = v.get("shard_count").as_size();
   m.shard_index = v.get("shard_index").as_size();
-  m.solver_mode = v.get("solver_mode").as_string();
   m.campaign = v.get("campaign").as_string();
   m.bank_size = static_cast<int>(v.get("bank_size").as_size());
   if (m.shard_count == 0 || m.shard_index >= m.shard_count)
@@ -161,7 +157,6 @@ std::string meta_mismatch(const MetaInfo& a, const MetaInfo& b,
   if (a.shard_count != b.shard_count) return "shard_count";
   if (compare_shard_index && a.shard_index != b.shard_index)
     return "shard_index";
-  if (a.solver_mode != b.solver_mode) return "solver_mode";
   if (a.campaign != b.campaign) return "campaign";
   if (a.campaign == "bank" && a.bank_size != b.bank_size) return "bank_size";
   if (a.campaign == "chip" && a.bank_size != b.bank_size)

@@ -89,8 +89,8 @@ void write_macro(util::JsonWriter& w, const MacroCampaignResult& r) {
   w.key("batch_evaluated");
   w.value(r.batch_evaluated);
   if (r.phase_times.total_seconds() > 0.0) {
-    // Solver wall-time breakdown of the batched evaluations (collected
-    // only when CampaignConfig::collect_phase_times is set).
+    // Solver wall-time breakdown of the transient class evaluations
+    // (collected only when CampaignConfig::collect_phase_times is set).
     w.key("phase_times");
     w.begin_object();
     w.key("device_eval_seconds");

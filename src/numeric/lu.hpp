@@ -3,8 +3,8 @@
 // systems past the sparse crossover go through numeric/sparse.hpp.
 //
 // The factorization is done IN PLACE in a matrix owned by this object:
-// callers that solve the same-sized system repeatedly (the Newton loop)
-// assemble straight into `matrix()` and call `factor()`, so the Newton
+// callers that solve the same-sized system repeatedly (the Newton loop's
+// solver context) fill `matrix()` and call `factor()`, so the Newton
 // loop neither copies nor allocates a matrix per iteration.
 #pragma once
 

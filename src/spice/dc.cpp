@@ -35,7 +35,6 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
 
   std::optional<SolverContext> local_solver;
   SolverContext& ctx = solver != nullptr ? *solver : local_solver.emplace();
-  const bool sparse_path = ctx.use_sparse(n);
 
   std::optional<NewtonBuffers> local_buffers;
   NewtonBuffers& buf = buffers != nullptr ? *buffers : local_buffers.emplace();
@@ -61,13 +60,8 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
         t0 = PhaseClock::now();
         dev_before = pt->device_eval_seconds;
       }
-      if (sparse_path) {
-        assemble_mna(netlist, map, result.x, x_prev_step, stamp,
-                     ctx.assembler(), b);
-      } else {
-        assemble_mna(netlist, map, result.x, x_prev_step, stamp,
-                     ctx.dense().matrix(), b);
-      }
+      assemble_mna(netlist, map, result.x, x_prev_step, stamp, ctx.assembler(),
+                   b);
       PhaseClock::time_point t1;
       if (pt != nullptr) {
         t1 = PhaseClock::now();

@@ -125,16 +125,8 @@ std::uint32_t stream_tag(const StampOptions& options) {
   return (options.mos->id() << 2) | mode;
 }
 
-/// Matrix-entry sinks for the templated stamper: the dense target adds
-/// into an n*n numeric::Matrix, the sparse one records CSR triplets;
-/// both add RHS entries into b.
-struct DenseTarget {
-  numeric::Matrix& a;
-  std::vector<double>& b;
-  void add(std::size_t r, std::size_t c, double v) { a(r, c) += v; }
-  void rhs(std::size_t i, double v) { b[i] += v; }
-};
-
+/// Matrix-entry sink of a walk: records CSR triplets and adds RHS
+/// entries into b.
 struct SparseTarget {
   numeric::SparseAssembler& a;
   std::vector<double>& b;
@@ -516,20 +508,6 @@ const double* walk_fields(MosKernel* kernel, const std::vector<double>& x) {
 }
 
 }  // namespace
-
-void assemble_mna(const Netlist& netlist, const MnaMap& map,
-                  const std::vector<double>& x,
-                  const std::vector<double>& x_prev_step,
-                  const StampOptions& options, numeric::Matrix& a,
-                  std::vector<double>& b) {
-  const std::size_t n = map.size();
-  if (a.rows() != n || a.cols() != n) a = numeric::Matrix(n, n);
-  a.fill(0.0);
-  b.assign(n, 0.0);
-  MosKernel* const kernel = checked_kernel(netlist, options);
-  assemble_into(netlist, map, x, x_prev_step, options, DenseTarget{a, b},
-                walk_fields(kernel, x));
-}
 
 void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   const std::vector<double>& x,

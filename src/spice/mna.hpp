@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "numeric/matrix.hpp"
 #include "numeric/sparse.hpp"
 #include "spice/netlist.hpp"
 
@@ -211,18 +210,12 @@ class MnaMap {
 };
 
 /// Assembles the Newton-linearized MNA system around candidate solution
-/// x (same layout as the unknown vector). For transient mode,
-/// `x_prev_step` is the converged solution of the previous time point.
-void assemble_mna(const Netlist& netlist, const MnaMap& map,
-                  const std::vector<double>& x,
-                  const std::vector<double>& x_prev_step,
-                  const StampOptions& options, numeric::Matrix& a,
-                  std::vector<double>& b);
-
-/// Sparse-stamping variant: same system, assembled as CSR triplets.
-/// No dense n*n clear; for a fixed netlist the assembler recognizes the
-/// repeated stamp sequence and scatters values straight into the frozen
-/// pattern (see numeric::SparseAssembler).
+/// x (same layout as the unknown vector) as CSR triplets into `a`, and
+/// its right-hand side into `b`. For transient mode, `x_prev_step` is
+/// the converged solution of the previous time point. For a fixed
+/// netlist the assembler recognizes the repeated stamp sequence and
+/// scatters values straight into the frozen pattern (see
+/// numeric::SparseAssembler).
 void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   const std::vector<double>& x,
                   const std::vector<double>& x_prev_step,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string>
 
 #include "spice/resilience.hpp"
 #include "util/error.hpp"
@@ -22,25 +21,6 @@ double now_seconds() {
       .count();
 }
 }  // namespace
-
-SolverMode parse_solver_mode(const std::string& name) {
-  if (name == "auto") return SolverMode::kAuto;
-  if (name == "dense") return SolverMode::kDense;
-  if (name == "sparse") return SolverMode::kSparse;
-  throw util::InvalidInputError("unknown solver mode: " + name +
-                                " (expected auto|dense|sparse)");
-}
-
-const char* solver_mode_name(SolverMode mode) {
-  switch (mode) {
-    case SolverMode::kDense:
-      return "dense";
-    case SolverMode::kSparse:
-      return "sparse";
-    default:
-      return "auto";
-  }
-}
 
 bool SolverContext::factor_sparse(std::size_t n) {
   const numeric::CsrPattern& pattern = assembler_.pattern();
@@ -92,8 +72,16 @@ bool SolverContext::factor_sparse(std::size_t n) {
     }
   }
   // Sparse analysis rejected the matrix (singular at pivot_epsilon, or
-  // threshold pivoting could not stabilize it). Densify the assembled
-  // system and let full partial pivoting have the final say.
+  // threshold pivoting could not stabilize it): let full partial
+  // pivoting have the final say.
+  return factor_dense(n);
+}
+
+bool SolverContext::factor_dense(std::size_t n) {
+  // A CSR slot holds the adds of its entry in stream order; entries
+  // outside the pattern received none.
+  const numeric::CsrPattern& pattern = assembler_.pattern();
+  const std::vector<double>& values = assembler_.values();
   numeric::Matrix& m = dense_.matrix();
   if (m.rows() != n || m.cols() != n) m = numeric::Matrix(n, n);
   m.fill(0.0);
@@ -113,9 +101,8 @@ bool SolverContext::factor(std::size_t n) {
   injection_point();
   ++factorizations_;
   if (use_sparse(n)) return factor_sparse(n);
-  sparse_active_ = false;
   const double t0 = phase_times_ ? now_seconds() : 0.0;
-  const bool ok = dense_.factor(options_.pivot_epsilon);
+  const bool ok = factor_dense(n);
   if (phase_times_) phase_times_->factor_numeric_seconds += now_seconds() - t0;
   return ok;
 }

@@ -1,7 +1,7 @@
 // Linear-solver selection and factorization reuse for the MNA engines.
 //
-// SolverContext owns the per-solve workspaces (dense LU or sparse
-// assembler + factors) and a small cache of sparse symbolic analyses
+// SolverContext owns the per-solve workspaces (CSR assembler, sparse
+// factors and dense LU) and a small cache of sparse symbolic analyses
 // keyed by matrix pattern. The intended lifecycle mirrors the per-macro
 // campaign contexts from the parallel engine:
 //
@@ -16,14 +16,16 @@
 //      across all Newton iterations and continuation rungs of that
 //      solve.
 //
-// The dense path remains both the small-system fast path (below the
-// crossover an O(n^3) factor beats the sparse machinery's overhead) and
-// the robustness fallback when sparse analysis rejects the matrix.
+// Every system assembles into the same CSR workspace; system size alone
+// picks the LU. Below SolverOptions::sparse_threshold factor() densifies
+// the CSR system and runs the dense partial-pivoting LU (there an O(n^3)
+// factor beats the sparse machinery's overhead); the same densified
+// dense LU is the robustness fallback when sparse analysis rejects the
+// matrix.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "numeric/lu.hpp"
@@ -31,22 +33,13 @@
 
 namespace dot::spice {
 
-enum class SolverMode {
-  kAuto,    ///< Sparse at/above SolverOptions::sparse_threshold unknowns.
-  kDense,   ///< Always dense partial-pivoting LU.
-  kSparse,  ///< Always sparse (dense only as singular-pattern fallback).
-};
-
-/// Parses "auto" / "dense" / "sparse"; throws util::InvalidInputError.
-SolverMode parse_solver_mode(const std::string& name);
-const char* solver_mode_name(SolverMode mode);
-
 struct SolverOptions {
-  SolverMode mode = SolverMode::kAuto;
-  /// kAuto crossover: systems with at least this many unknowns go
-  /// sparse. Default measured with bench_solver on the MNA-style
-  /// benchmark netlists (crossover_n in BENCH_bench_solver.json; see
-  /// DESIGN.md). The 39-unknown comparator bench is well above it.
+  /// Dense/sparse crossover: systems with at least this many unknowns
+  /// take the sparse LU, smaller ones the dense LU. Default measured
+  /// with bench_solver on the MNA-style benchmark netlists (crossover_n
+  /// in BENCH_bench_solver.json; see DESIGN.md). The 39-unknown
+  /// comparator bench is well above it. Tests force one LU with 0
+  /// (always sparse) or SIZE_MAX (always dense).
   std::size_t sparse_threshold = 18;
   double pivot_epsilon = 1e-13;
 };
@@ -104,29 +97,19 @@ class SolverContext {
 
   const SolverOptions& options() const { return options_; }
 
-  /// Whether an n-unknown system should take the sparse path.
+  /// Whether an n-unknown system takes the sparse LU.
   bool use_sparse(std::size_t n) const {
-    switch (options_.mode) {
-      case SolverMode::kDense:
-        return false;
-      case SolverMode::kSparse:
-        return true;
-      default:
-        return n >= options_.sparse_threshold;
-    }
+    return n >= options_.sparse_threshold;
   }
 
-  /// Dense assembly/factorization workspace (assemble into
-  /// dense().matrix(), then factor(n)).
-  numeric::DenseLu& dense() { return dense_; }
-  /// Sparse assembly workspace (hand to the sparse assemble_mna
-  /// overload, then factor(n)).
+  /// Assembly workspace of every system (hand to assemble_mna, then
+  /// factor(n)).
   numeric::SparseAssembler& assembler() { return assembler_; }
 
-  /// Factors whatever was just assembled for an n-unknown system --
-  /// sparse (symbolic cache -> refactor -> re-analyze -> densified
-  /// dense fallback) or dense. Returns false when the matrix is
-  /// numerically singular on every path.
+  /// Factors what was just assembled for an n-unknown system -- sparse
+  /// (symbolic cache -> refactor -> re-analyze -> densified dense
+  /// fallback) or, below the threshold, densified dense. Returns false
+  /// when the matrix is numerically singular on every path.
   bool factor(std::size_t n);
 
   /// Solves with the factors from the last successful factor() call.
@@ -166,6 +149,9 @@ class SolverContext {
 
  private:
   bool factor_sparse(std::size_t n);
+  /// Densifies the assembled CSR system and factors it with the dense
+  /// LU.
+  bool factor_dense(std::size_t n);
   /// Appends to the symbolic cache, evicting the oldest non-seed entry
   /// past kMaxSymbolicCache.
   void cache_insert(std::shared_ptr<const numeric::SparseSymbolic> symbolic);

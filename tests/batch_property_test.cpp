@@ -132,11 +132,12 @@ TEST(BatchedTransient, SinkReceivesEveryOutcomeOnceInJobOrder) {
 
 // The scalar transient() and a one-member batch run one kernel: equal
 // waveforms on all four decision-grid points of the comparator bench.
-// The bench has 39 unknowns, so kAuto must also pick the sparse path.
+// The bench has 39 unknowns, so the default threshold must pick the
+// sparse path.
 TEST(TransientKernel, ComparatorScalarEqualsOneMemberBatch) {
   const auto macro = flashadc::build_comparator_netlist();
   const auto options = flashadc::comparator_tran_options();
-  ASSERT_EQ(options.solver.mode, spice::SolverMode::kAuto);
+  ASSERT_LT(options.solver.sparse_threshold, 39u);
   for (const double dv : flashadc::kDecisionGrid) {
     const auto bench = flashadc::instantiate_comparator_bench(macro, dv);
     const auto scalar = spice::transient(bench, options);

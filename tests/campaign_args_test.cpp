@@ -57,7 +57,6 @@ TEST(CampaignArgs, RejectsValuesOutsideTheFieldRange) {
   EXPECT_EQ(parse("--class-timeout-ms=1e999"), ArgParse::kBad);
   EXPECT_EQ(parse("--class-timeout-ms=-5"), ArgParse::kBad);
   EXPECT_EQ(parse("--batch=bogus"), ArgParse::kBad);
-  EXPECT_EQ(parse("--solver=schur"), ArgParse::kBad);
 }
 
 TEST(CampaignArgs, MalformedValueLeavesConfigUnchanged) {
@@ -75,8 +74,7 @@ TEST(CampaignArgs, AppliesValidValues) {
   for (const char* arg :
        {"--defects=12000", "--envelope=9", "--classes=0",
         "--seed=18446744073709551615", "--threads=3", "--max-retries=0",
-        "--class-timeout-ms=2.5", "--batch=auto", "--phase-times",
-        "--solver=dense"})
+        "--class-timeout-ms=2.5", "--batch=auto", "--phase-times"})
     EXPECT_EQ(parse(arg, config, threads), ArgParse::kConsumed) << arg;
   EXPECT_EQ(config.defect_count, 12000u);
   EXPECT_EQ(config.envelope_samples, 9);
@@ -87,7 +85,6 @@ TEST(CampaignArgs, AppliesValidValues) {
   EXPECT_DOUBLE_EQ(config.resilience.class_timeout_ms, 2.5);
   EXPECT_EQ(config.batch, 0u);
   EXPECT_TRUE(config.collect_phase_times);
-  EXPECT_EQ(config.solver.mode, spice::SolverMode::kDense);
   EXPECT_EQ(parse("--batch=8", config, threads), ArgParse::kConsumed);
   EXPECT_EQ(config.batch, 8u);
 }
@@ -103,9 +100,11 @@ TEST(CampaignArgs, PresetsAndUnknownFlags) {
   EXPECT_EQ(config.defect_count, 8000u);
   EXPECT_EQ(config.envelope_samples, 4);
   EXPECT_EQ(config.max_classes, 8u);
-  // Tool-only flags are left to the tool.
+  // Tool-only flags are left to the tool. System size alone picks the
+  // linear solver, so a solver flag is unknown everywhere.
   for (const char* arg : {"--defect=5", "--macro=bank", "--bank-size=8",
-                          "--shards=2", "--json=x", "defects=5"})
+                          "--shards=2", "--json=x", "defects=5",
+                          "--solver=dense"})
     EXPECT_EQ(parse(arg), ArgParse::kUnknown) << arg;
 }
 
@@ -141,8 +140,7 @@ TEST(CampaignArgs, MutatedValuesAreConsumedInRangeOrRejected) {
   const std::vector<std::string> seeds = {
       "--defects=60000",   "--envelope=10",        "--classes=40",
       "--seed=1995",       "--threads=4",          "--max-retries=3",
-      "--class-timeout-ms=250.5", "--batch=32",    "--batch=auto",
-      "--solver=sparse"};
+      "--class-timeout-ms=250.5", "--batch=32",    "--batch=auto"};
   const std::string alphabet = "0123456789.-+eExkauto \t\x01\xff";
   util::Rng rng(20261017);
   std::size_t consumed = 0, rejected = 0;

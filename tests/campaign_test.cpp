@@ -8,6 +8,7 @@
 #include <string>
 
 #include "flashadc/campaign.hpp"
+#include "flashadc/report.hpp"
 #include "testgen/testset.hpp"
 
 namespace dot::flashadc {
@@ -240,6 +241,26 @@ TEST(Campaign, PinnedVerdictsChip8) {
   EXPECT_EQ(equivalence_digest(
                 compare_decomposition(pinned_config(1, 8), chip)),
             0xd2c45a2a99eba53bull);
+}
+
+// --phase-times on the scalar class loop (batch 1): the comparator's
+// transients report their phase split, and the report differs from an
+// unclocked run only by that block.
+TEST(Campaign, PhaseTimesOnTheScalarPath) {
+  CampaignConfig config = pinned_config(1, 8);
+  const MacroCampaignResult plain = run_macro_campaign(config, "comparator");
+  config.collect_phase_times = true;
+  const MacroCampaignResult timed = run_macro_campaign(config, "comparator");
+  EXPECT_EQ(plain.phase_times.total_seconds(), 0.0);
+  EXPECT_GT(timed.phase_times.device_eval_seconds, 0.0);
+  EXPECT_GT(timed.phase_times.factor_seconds, 0.0);
+  EXPECT_EQ(timed.batch_evaluated, 0u);
+
+  std::string json = to_json(timed);
+  const std::size_t at = json.find(",\"phase_times\":{");
+  ASSERT_NE(at, std::string::npos) << json;
+  json.erase(at, json.find('}', at) + 1 - at);
+  EXPECT_EQ(json, to_json(plain));
 }
 
 }  // namespace

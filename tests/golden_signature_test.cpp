@@ -122,8 +122,6 @@ std::string render_corpus(const MacroCampaignResult& result,
   if (config.macro_selection == "chip") {
     w.key("chip_slices");
     w.value(static_cast<std::size_t>(config.chip_slices));
-    w.key("solver");
-    w.value(dot::spice::solver_mode_name(config.solver.mode));
   }
   w.end_object();
   w.key("catastrophic");
@@ -233,8 +231,6 @@ TEST(GoldenSignatureTest, ChipDistributionsMatchCorpus) {
             static_cast<std::size_t>(config.seed));
   ASSERT_EQ(gc.get("chip_slices").as_size(),
             static_cast<std::size_t>(config.chip_slices));
-  ASSERT_EQ(gc.get("solver").as_string(),
-            dot::spice::solver_mode_name(config.solver.mode));
 
   check_population(golden.get("catastrophic"), result, false,
                    "catastrophic");

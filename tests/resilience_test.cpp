@@ -617,19 +617,19 @@ TEST(JournalFuzz, CampaignSelectionMismatchRefusesResume) {
 
 TEST(JournalFuzz, WrongSchemaVersionIsRejected) {
   auto lines = split_lines(bank_journal_text());
-  const std::size_t at = lines[0].find("\"schema\":3");
+  const std::size_t at = lines[0].find("\"schema\":4");
   ASSERT_NE(at, std::string::npos) << lines[0];
-  // Schema 2 is the last one without record checksums.
-  lines[0].replace(at, 10, "\"schema\":2");
+  // Schema 3 is the last one with a solver mode in its meta record.
+  lines[0].replace(at, 10, "\"schema\":3");
   const std::string path = temp_path("fuzz_schema.jsonl");
   write_file(path, join_lines(lines));
   const std::string message = shard_error_message([&] {
     flashadc::CampaignJournal journal(bank_resume_config(path));
   });
-  EXPECT_NE(message.find("schema 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("schema 3"), std::string::npos) << message;
   const std::string merge_message = shard_error_message(
       [&] { flashadc::merge_shard_journals({path}); });
-  EXPECT_NE(merge_message.find("schema 2"), std::string::npos)
+  EXPECT_NE(merge_message.find("schema 3"), std::string::npos)
       << merge_message;
 }
 

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "flashadc/biasgen.hpp"
 #include "flashadc/chip.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
@@ -170,6 +173,70 @@ TEST(Robustness, TransientStepHalvingHandlesFastEdge) {
   const auto result = transient(n, opt);
   EXPECT_NEAR(result.voltage_at(9.9e-9, "out"), 5.0, 0.05);
   EXPECT_NEAR(result.voltage_at(19.9e-9, "out"), 0.0, 0.05);
+}
+
+TEST(Robustness, StepHalvingRecoversOffTheBaseGrid) {
+  // A 1 V ramp over one base step moves the driven node past the 0.6 V
+  // damping bound, so a 2-iteration Newton budget fails the full step
+  // and accepts the halved one. The step size then doubles back to dt
+  // from t + dt/2: every later point sits half a step off the base grid
+  // (only t_stop is clamped back onto it), so readers of such a run
+  // interpolate between points.
+  Netlist n;
+  n.add_vsource("V1", "in", "0",
+                SourceSpec::pwl({{0.0, 0.0}, {1e-9, 0.0}, {2e-9, 1.0}}));
+  n.add_resistor("R1", "in", "out", 1e3);
+  n.add_capacitor("C1", "out", "0", 1e-12);
+  TranOptions opt;
+  opt.t_stop = 5e-9;
+  opt.dt = 1e-9;
+  opt.newton.max_iterations = 2;
+  const auto result = transient(n, opt);
+  const std::vector<double> expected = {0.0,    1e-9,   1.5e-9, 2.5e-9,
+                                        3.5e-9, 4.5e-9, 5e-9};
+  ASSERT_EQ(result.steps(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_NEAR(result.time(i), expected[i], 1e-21) << "point " << i;
+  EXPECT_NEAR(result.voltage(2, "in"), 0.5, 1e-12);
+}
+
+/// FNV-1a (64 bit) of the bytes of `values`, chained through `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<double>& values) {
+  for (const double v : values) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char c : bytes) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+// Systems below SolverOptions::sparse_threshold take the dense LU. These
+// digests of every solution byte were recorded when such systems still
+// assembled into a dense matrix; assembling into the CSR workspace and
+// densifying it must keep each double bit-identical.
+TEST(SmallSystemPin, BiasgenOperatingPointIsBitIdentical) {
+  const auto context =
+      flashadc::make_biasgen_context(flashadc::build_biasgen_netlist());
+  ASSERT_LT(context.map.size(), SolverOptions{}.sparse_threshold);
+  EXPECT_EQ(fnv1a(kFnvBasis, context.golden), 0x05f75b94aa1f7ccfull);
+}
+
+TEST(SmallSystemPin, DenseComparatorTransientIsBitIdentical) {
+  const auto bench = flashadc::instantiate_comparator_bench(
+      flashadc::build_comparator_netlist(), flashadc::kDecisionGrid.front());
+  TranOptions options = flashadc::comparator_tran_options();
+  options.solver.sparse_threshold = SIZE_MAX;  // the dense LU at 39 unknowns
+  const auto result = transient(bench, options);
+  EXPECT_FALSE(result.stats().sparse);
+  std::uint64_t h = fnv1a(kFnvBasis, result.times());
+  for (std::size_t i = 0; i < result.steps(); ++i)
+    h = fnv1a(h, result.state(i));
+  EXPECT_EQ(h, 0x4be0709c048f67c4ull);
 }
 
 TEST(Robustness, TransientThrowsWhenTrulyStuck) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 #include "spice/solver.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dot {
@@ -251,7 +251,7 @@ TEST(SolverContext, SymbolicAnalysisSharedAcrossSolves) {
   const spice::Netlist n = mos_array_netlist(20);
   const spice::MnaMap map(n);
   spice::SolverOptions opts;
-  opts.mode = spice::SolverMode::kSparse;
+  opts.sparse_threshold = 0;  // always sparse
   spice::SolverContext ctx(opts);
 
   const auto golden = spice::dc_operating_point(n, map, {}, nullptr, &ctx);
@@ -286,7 +286,7 @@ TEST(SolverContext, SeededContextSkipsAnalysis) {
   const spice::Netlist n = mos_array_netlist(12);
   const spice::MnaMap map(n);
   spice::SolverOptions opts;
-  opts.mode = spice::SolverMode::kSparse;
+  opts.sparse_threshold = 0;  // always sparse
   spice::SolverContext golden_ctx(opts);
   const auto golden =
       spice::dc_operating_point(n, map, {}, nullptr, &golden_ctx);
@@ -308,9 +308,9 @@ TEST(SolverContext, SparseMatchesDenseOnMosNetlist) {
   const spice::Netlist n = mos_array_netlist(25);
   const spice::MnaMap map(n);
   spice::SolverOptions dense_opts;
-  dense_opts.mode = spice::SolverMode::kDense;
+  dense_opts.sparse_threshold = SIZE_MAX;  // always dense
   spice::SolverOptions sparse_opts;
-  sparse_opts.mode = spice::SolverMode::kSparse;
+  sparse_opts.sparse_threshold = 0;
   spice::SolverContext dense_ctx(dense_opts);
   spice::SolverContext sparse_ctx(sparse_opts);
 
@@ -330,30 +330,13 @@ TEST(SolverContext, LargeNetlistConvergesSparse) {
   const spice::MnaMap map(n);
   ASSERT_GE(map.size(), 100u);
   spice::SolverOptions opts;
-  opts.mode = spice::SolverMode::kSparse;
+  opts.sparse_threshold = 0;  // always sparse
   spice::SolverContext ctx(opts);
   const auto result = spice::dc_operating_point(n, map, {}, nullptr, &ctx);
   EXPECT_TRUE(result.converged);
   EXPECT_TRUE(ctx.sparse_active());
   // Sanity: the supply rail solves to its source value.
   EXPECT_NEAR(map.voltage(result.x, *n.find_node("vdd")), 3.3, 1e-6);
-}
-
-TEST(SolverMode, ParseAndName) {
-  EXPECT_EQ(spice::parse_solver_mode("auto"), spice::SolverMode::kAuto);
-  EXPECT_EQ(spice::parse_solver_mode("dense"), spice::SolverMode::kDense);
-  EXPECT_EQ(spice::parse_solver_mode("sparse"), spice::SolverMode::kSparse);
-  EXPECT_STREQ(spice::solver_mode_name(spice::SolverMode::kAuto), "auto");
-  EXPECT_STREQ(spice::solver_mode_name(spice::SolverMode::kDense), "dense");
-  EXPECT_STREQ(spice::solver_mode_name(spice::SolverMode::kSparse), "sparse");
-  EXPECT_THROW(spice::parse_solver_mode("schur"), util::InvalidInputError);
-  try {
-    spice::parse_solver_mode("shur");
-    ADD_FAILURE() << "unknown solver mode accepted";
-  } catch (const util::InvalidInputError& e) {
-    EXPECT_NE(std::string(e.what()).find("auto|dense|sparse"),
-              std::string::npos);
-  }
 }
 
 }  // namespace

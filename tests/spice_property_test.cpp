@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "spice/dc.hpp"
 #include "spice/devices.hpp"
@@ -176,9 +177,9 @@ TEST_P(RandomNetworkTest, SparseSolverMatchesDense) {
   const MnaMap map(n);
 
   SolverOptions dense_opts;
-  dense_opts.mode = SolverMode::kDense;
+  dense_opts.sparse_threshold = SIZE_MAX;  // always dense
   SolverOptions sparse_opts;
-  sparse_opts.mode = SolverMode::kSparse;
+  sparse_opts.sparse_threshold = 0;  // always sparse
   SolverContext dense_ctx(dense_opts);
   SolverContext sparse_ctx(sparse_opts);
 
