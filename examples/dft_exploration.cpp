@@ -26,6 +26,12 @@ int main(int argc, char** argv) {
       base.defect_count = 50000;
       base.envelope_samples = 8;
       base.max_classes = 40;
+    } else {
+      const bool help = std::strcmp(argv[i], "--help") == 0;
+      if (!help)
+        std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+      return help ? 0 : 2;
     }
   }
 

@@ -20,11 +20,18 @@ int main(int argc, char** argv) {
   config.defect_count = 150000;
   config.envelope_samples = 15;
   config.max_classes = 120;
-  for (int i = 1; i < argc; ++i)
+  for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       config.defect_count = 50000;
       config.max_classes = 40;
+    } else {
+      const bool help = std::strcmp(argv[i], "--help") == 0;
+      if (!help)
+        std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+      return help ? 0 : 2;
     }
+  }
 
   std::printf("building the fault dictionary from a comparator campaign "
               "(%zu defects)...\n",

@@ -5,8 +5,6 @@
 
 #include "flashadc/tech.hpp"
 #include "layout/synth.hpp"
-#include "spice/dc.hpp"
-#include "util/error.hpp"
 
 namespace dot::flashadc {
 
@@ -59,7 +57,7 @@ macro::MacroCell build_biasgen_macro() {
 
 namespace {
 
-Netlist driven_biasgen(const Netlist& macro_netlist) {
+Netlist driven_biasgen(const Netlist& macro_netlist, int /*state*/) {
   Netlist n = macro_netlist;
   n.add_vsource("VDDA", "vdda", "0", SourceSpec::dc(kVdda));
   // Comparator-array load: 256 tail gates draw no DC current, but the
@@ -71,39 +69,19 @@ Netlist driven_biasgen(const Netlist& macro_netlist) {
 
 }  // namespace
 
-BiasgenContext make_biasgen_context(const Netlist& macro_netlist,
-                                    const spice::SolverOptions& solver) {
-  const Netlist n = driven_biasgen(macro_netlist);
-  BiasgenContext ctx;
-  ctx.node_count = n.node_count();
-  ctx.map = spice::MnaMap(n);
-  ctx.solver.options = solver;
-  spice::SolverContext solve_ctx(solver);
-  ctx.golden = dc_operating_point(n, ctx.map, {}, nullptr, &solve_ctx).x;
-  ctx.solver.symbolic = solve_ctx.shared_symbolic();
-  return ctx;
-}
+DcBench biasgen_dc_bench() { return {1, driven_biasgen}; }
 
 BiasgenSolution solve_biasgen(const Netlist& macro_netlist,
-                              const BiasgenContext* context) {
-  const Netlist n = driven_biasgen(macro_netlist);
-  const bool reuse = context && n.node_count() == context->node_count;
-  const spice::MnaMap local_map = reuse ? spice::MnaMap() : spice::MnaMap(n);
-  const spice::MnaMap& map = reuse ? context->map : local_map;
-  const std::vector<double>* warm = reuse ? &context->golden : nullptr;
-  spice::SolverContext solver(context ? context->solver
-                                      : spice::SolverSeed{});
-
+                              const DcContext* context) {
   BiasgenSolution out;
-  try {
-    const auto result = dc_operating_point(n, map, {}, warm, &solver);
-    out.vbn = map.voltage(result.x, *n.find_node("vbn"));
-    out.vbc = map.voltage(result.x, *n.find_node("vbc"));
-    out.ivdd = -map.branch_current(result.x, "VDDA");
-    out.converged = true;
-  } catch (const util::ConvergenceError&) {
-    out.converged = false;
-  }
+  out.converged = solve_dc(
+      biasgen_dc_bench(), macro_netlist, context,
+      [&](int, const Netlist& n, const spice::MnaMap& map,
+          const std::vector<double>& x) {
+        out.vbn = map.voltage(x, *n.find_node("vbn"));
+        out.vbc = map.voltage(x, *n.find_node("vbc"));
+        out.ivdd = -map.branch_current(x, "VDDA");
+      });
   return out;
 }
 

@@ -7,13 +7,12 @@
 
 #include <vector>
 
+#include "flashadc/dc_bench.hpp"
 #include "layout/cell.hpp"
 #include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
 #include "macro/signature.hpp"
-#include "spice/mna.hpp"
 #include "spice/netlist.hpp"
-#include "spice/solver.hpp"
 
 namespace dot::flashadc {
 
@@ -31,19 +30,12 @@ struct BiasgenSolution {
   double ivdd = 0.0;  ///< Delivered analog supply current.
   bool converged = false;
 };
-/// Fault-free solver state shared (read-only) by campaign workers:
-/// golden MNA map + operating point for warm-started faulty solves.
-struct BiasgenContext {
-  std::size_t node_count = 0;
-  spice::MnaMap map;
-  std::vector<double> golden;
-  spice::SolverSeed solver;  ///< Options + golden sparse symbolic.
-};
-BiasgenContext make_biasgen_context(const spice::Netlist& macro_netlist,
-                                    const spice::SolverOptions& solver = {});
+/// The bias generator's one drive state: VDDA on, comparator-array
+/// load on both bias lines.
+DcBench biasgen_dc_bench();
 
 BiasgenSolution solve_biasgen(const spice::Netlist& macro_netlist,
-                              const BiasgenContext* context = nullptr);
+                              const DcContext* context = nullptr);
 
 /// Envelope measurements: the supply current.
 macro::MeasurementLayout biasgen_measurement_layout();

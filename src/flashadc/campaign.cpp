@@ -10,6 +10,7 @@
 #include "flashadc/chip.hpp"
 #include "flashadc/clockgen.hpp"
 #include "flashadc/comparator_sim.hpp"
+#include "flashadc/dc_bench.hpp"
 #include "flashadc/decoder.hpp"
 #include "flashadc/journal.hpp"
 #include "flashadc/ladder.hpp"
@@ -180,18 +181,17 @@ ChipOptions chip_options_of(const CampaignConfig& c) {
 /// a fault without an operating point reads as stuck-at with its
 /// `unsolved` current grossly abnormal. The golden solver context is
 /// shared read-only by the envelope and fault-evaluation workers.
-template <typename Context, typename Solution, typename Classify>
+template <typename Solution, typename Classify>
 std::function<PreparedMacro(const CampaignConfig&)> dc_macro(
-    macro::MacroCell (*build)(),
-    Context (*make_context)(const Netlist&, const spice::SolverOptions&),
-    Solution (*solve)(const Netlist&, const Context*),
+    macro::MacroCell (*build)(), DcBench (*bench)(),
+    Solution (*solve)(const Netlist&, const DcContext*),
     macro::MeasurementLayout (*layout)(),
     std::vector<double> (*currents)(const Solution&), Classify classify,
     bool CurrentSignature::*unsolved) {
   return [=](const CampaignConfig& config) {
     PreparedMacro m(build(), layout());
-    auto ctx = std::make_shared<const Context>(
-        make_context(m.cell.netlist, config.solver));
+    auto ctx = std::make_shared<const DcContext>(
+        make_dc_context(bench(), m.cell.netlist, config.solver));
     const Solution nominal = solve(m.cell.netlist, ctx.get());
     m.envelope_benches = {m.cell.netlist};
     m.measure = [=](const std::vector<Netlist>& benches) {
@@ -253,22 +253,22 @@ const std::vector<MacroSpec>& macro_table() {
        },
        nullptr},
       {"ladder", 2, 0x1adde4, "vdda", tight_poly, {}, false, true,
-       dc_macro(build_ladder_macro, make_ladder_context, solve_ladder,
+       dc_macro(build_ladder_macro, ladder_dc_bench, solve_ladder,
                 ladder_measurement_layout, ladder_measurements,
                 classify_ladder, &CurrentSignature::iinput),
        nullptr},
       {"biasgen", 3, 0xb1a5, "vdda", {}, {}, false, true,
-       dc_macro(build_biasgen_macro, make_biasgen_context, solve_biasgen,
+       dc_macro(build_biasgen_macro, biasgen_dc_bench, solve_biasgen,
                 biasgen_measurement_layout, biasgen_measurements,
                 classify_biasgen, &CurrentSignature::ivdd),
        nullptr},
       {"clockgen", 4, 0xc10c, "vddd", {}, {"VDDD"}, false, true,
-       dc_macro(build_clockgen_macro, make_clockgen_context, solve_clockgen,
+       dc_macro(build_clockgen_macro, clockgen_dc_bench, solve_clockgen,
                 clockgen_measurement_layout, clockgen_measurements,
                 classify_clockgen, &CurrentSignature::iddq),
        nullptr},
       {"decoder", 5, 0xdec0de, "vddd", {}, {"VDDD"}, false, true,
-       dc_macro(build_decoder_macro, make_decoder_context, solve_decoder,
+       dc_macro(build_decoder_macro, decoder_dc_bench, solve_decoder,
                 decoder_measurement_layout, decoder_measurements,
                 [](const DecoderSolution& s, const DecoderSolution&) {
                   return classify_decoder(s);

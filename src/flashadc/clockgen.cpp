@@ -5,8 +5,6 @@
 
 #include "flashadc/tech.hpp"
 #include "layout/synth.hpp"
-#include "spice/dc.hpp"
-#include "util/error.hpp"
 
 namespace dot::flashadc {
 
@@ -91,73 +89,37 @@ macro::MacroCell build_clockgen_macro() {
 namespace {
 
 Netlist driven_clockgen(const Netlist& macro_netlist, int state) {
-  const char* outputs[3] = {"clk1", "clk2", "clk3"};
   Netlist n = macro_netlist;
   n.add_vsource("VDDD", "vddd", "0", SourceSpec::dc(kVddd));
   n.add_vsource("VCLK", "clk_src", "0",
                 SourceSpec::dc(state == 0 ? 0.0 : kVddd));
   n.add_resistor("RCLKIN", "clk_src", "clk", 100.0);
   // Each phase output drives the comparator-column distribution line.
-  for (const char* o : outputs)
+  for (const char* o : {"clk1", "clk2", "clk3"})
     n.add_capacitor(std::string("CL_") + o, o, "0", 5e-12);
   return n;
 }
 
 }  // namespace
 
-ClockgenContext make_clockgen_context(const Netlist& macro_netlist,
-                                      const spice::SolverOptions& solver) {
-  ClockgenContext ctx;
-  ctx.solver.options = solver;
-  spice::SolverContext solve_ctx(solver);
-  for (int state = 0; state < 2; ++state) {
-    const Netlist n = driven_clockgen(macro_netlist, state);
-    if (state == 0) {
-      ctx.node_count = n.node_count();
-      ctx.map = spice::MnaMap(n);  // both states share the node layout
-    }
-    ctx.golden[state] =
-        dc_operating_point(n, ctx.map, {}, nullptr, &solve_ctx).x;
-  }
-  ctx.solver.symbolic = solve_ctx.shared_symbolic();
-  return ctx;
-}
+DcBench clockgen_dc_bench() { return {2, driven_clockgen}; }
 
 ClockgenSolution solve_clockgen(const Netlist& macro_netlist,
-                                const ClockgenContext* context) {
+                                const DcContext* context) {
   ClockgenSolution out;
-  const char* outputs[3] = {"clk1", "clk2", "clk3"};
-  spice::SolverContext solver(context ? context->solver
-                                      : spice::SolverSeed{});
-  for (int state = 0; state < 2; ++state) {
-    const Netlist n = driven_clockgen(macro_netlist, state);
-    const bool reuse = context && n.node_count() == context->node_count;
-    const spice::MnaMap local_map =
-        reuse ? spice::MnaMap() : spice::MnaMap(n);
-    const spice::MnaMap& map = reuse ? context->map : local_map;
-    const std::vector<double>* warm =
-        reuse ? &context->golden[state] : nullptr;
-    try {
-      const auto result = dc_operating_point(n, map, {}, warm, &solver);
-      for (int i = 0; i < 3; ++i) {
-        const double v = map.voltage(result.x, *n.find_node(outputs[i]));
-        (state == 0 ? out.out_low : out.out_high)[i] = v;
-      }
-      const double iddq = -map.branch_current(result.x, "VDDD");
-      const double iclk = -map.branch_current(result.x, "VCLK");
-      if (state == 0) {
-        out.iddq_low = iddq;
-        out.iclk_low = iclk;
-      } else {
-        out.iddq_high = iddq;
-        out.iclk_high = iclk;
-      }
-    } catch (const util::ConvergenceError&) {
-      out.converged = false;
-      return out;
-    }
-  }
-  out.converged = true;
+  out.converged = solve_dc(
+      clockgen_dc_bench(), macro_netlist, context,
+      [&](int state, const Netlist& n, const spice::MnaMap& map,
+          const std::vector<double>& x) {
+        const char* outputs[3] = {"clk1", "clk2", "clk3"};
+        for (int i = 0; i < 3; ++i)
+          (state == 0 ? out.out_low : out.out_high)[i] =
+              map.voltage(x, *n.find_node(outputs[i]));
+        (state == 0 ? out.iddq_low : out.iddq_high) =
+            -map.branch_current(x, "VDDD");
+        (state == 0 ? out.iclk_low : out.iclk_high) =
+            -map.branch_current(x, "VCLK");
+      });
   return out;
 }
 

@@ -8,13 +8,12 @@
 
 #include <vector>
 
+#include "flashadc/dc_bench.hpp"
 #include "layout/cell.hpp"
 #include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
 #include "macro/signature.hpp"
-#include "spice/mna.hpp"
 #include "spice/netlist.hpp"
-#include "spice/solver.hpp"
 
 namespace dot::flashadc {
 
@@ -37,20 +36,12 @@ struct ClockgenSolution {
   double iclk_high = 0.0;
   bool converged = false;
 };
-/// Fault-free solver state shared (read-only) by campaign workers: one
-/// golden operating point per clock input level, warm-starting faulty
-/// solves that keep the node layout.
-struct ClockgenContext {
-  std::size_t node_count = 0;
-  spice::MnaMap map;
-  std::vector<double> golden[2];  ///< clk low / clk high.
-  spice::SolverSeed solver;       ///< Options + golden sparse symbolic.
-};
-ClockgenContext make_clockgen_context(const spice::Netlist& macro_netlist,
-                                      const spice::SolverOptions& solver = {});
+/// The clock generator's two drive states: clk held low (0) and high
+/// (1), phase outputs loaded by their distribution lines.
+DcBench clockgen_dc_bench();
 
 ClockgenSolution solve_clockgen(const spice::Netlist& macro_netlist,
-                                const ClockgenContext* context = nullptr);
+                                const DcContext* context = nullptr);
 
 /// Envelope measurements: quiescent supply and clock-pin currents at
 /// both clock input levels.

@@ -2,8 +2,6 @@
 
 #include "flashadc/tech.hpp"
 #include "layout/synth.hpp"
-#include "spice/dc.hpp"
-#include "util/error.hpp"
 
 namespace dot::flashadc {
 
@@ -103,52 +101,21 @@ Netlist driven_decoder(const Netlist& macro_netlist, int vec) {
 
 }  // namespace
 
-DecoderContext make_decoder_context(const Netlist& macro_netlist,
-                                    const spice::SolverOptions& solver) {
-  DecoderContext ctx;
-  ctx.solver.options = solver;
-  spice::SolverContext solve_ctx(solver);
-  for (int vec = 0; vec <= kDecoderSliceInputs; ++vec) {
-    const Netlist n = driven_decoder(macro_netlist, vec);
-    if (vec == 0) {
-      ctx.node_count = n.node_count();
-      ctx.map = spice::MnaMap(n);  // all vectors share the node layout
-    }
-    ctx.golden[static_cast<std::size_t>(vec)] =
-        dc_operating_point(n, ctx.map, {}, nullptr, &solve_ctx).x;
-  }
-  ctx.solver.symbolic = solve_ctx.shared_symbolic();
-  return ctx;
-}
+DcBench decoder_dc_bench() { return {kDecoderSliceInputs + 1, driven_decoder}; }
 
 DecoderSolution solve_decoder(const Netlist& macro_netlist,
-                              const DecoderContext* context) {
+                              const DcContext* context) {
   DecoderSolution out;
-  spice::SolverContext solver(context ? context->solver
-                                      : spice::SolverSeed{});
-  for (int vec = 0; vec <= kDecoderSliceInputs; ++vec) {
-    const Netlist n = driven_decoder(macro_netlist, vec);
-    const bool reuse = context && n.node_count() == context->node_count;
-    const spice::MnaMap local_map =
-        reuse ? spice::MnaMap() : spice::MnaMap(n);
-    const spice::MnaMap& map = reuse ? context->map : local_map;
-    const std::vector<double>* warm =
-        reuse ? &context->golden[static_cast<std::size_t>(vec)] : nullptr;
-    try {
-      const auto result = dc_operating_point(n, map, {}, warm, &solver);
-      for (int r = 0; r < 4; ++r) {
-        out.rows[static_cast<std::size_t>(vec)][static_cast<std::size_t>(r)] =
-            map.voltage(result.x,
-                        *n.find_node("r" + std::to_string(r)));
-      }
-      out.iddq[static_cast<std::size_t>(vec)] =
-          -map.branch_current(result.x, "VDDD");
-    } catch (const util::ConvergenceError&) {
-      out.converged = false;
-      return out;
-    }
-  }
-  out.converged = true;
+  out.converged = solve_dc(
+      decoder_dc_bench(), macro_netlist, context,
+      [&](int vec, const Netlist& n, const spice::MnaMap& map,
+          const std::vector<double>& x) {
+        const auto v = static_cast<std::size_t>(vec);
+        for (int r = 0; r < 4; ++r)
+          out.rows[v][static_cast<std::size_t>(r)] =
+              map.voltage(x, *n.find_node("r" + std::to_string(r)));
+        out.iddq[v] = -map.branch_current(x, "VDDD");
+      });
   return out;
 }
 

@@ -8,13 +8,12 @@
 #include <array>
 #include <vector>
 
+#include "flashadc/dc_bench.hpp"
 #include "layout/cell.hpp"
 #include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
 #include "macro/signature.hpp"
-#include "spice/mna.hpp"
 #include "spice/netlist.hpp"
-#include "spice/solver.hpp"
 
 namespace dot::flashadc {
 
@@ -36,20 +35,12 @@ struct DecoderSolution {
   std::array<double, 5> iddq{};
   bool converged = false;
 };
-/// Fault-free solver state shared (read-only) by campaign workers: one
-/// golden operating point per thermometer vector, warm-starting faulty
-/// solves that keep the node layout.
-struct DecoderContext {
-  std::size_t node_count = 0;
-  spice::MnaMap map;
-  std::array<std::vector<double>, kDecoderSliceInputs + 1> golden;
-  spice::SolverSeed solver;  ///< Options + golden sparse symbolic.
-};
-DecoderContext make_decoder_context(const spice::Netlist& macro_netlist,
-                                    const spice::SolverOptions& solver = {});
+/// The decoder's five drive states: state v holds the v lowest
+/// thermometer inputs high and the next-slice carry low.
+DcBench decoder_dc_bench();
 
 DecoderSolution solve_decoder(const spice::Netlist& macro_netlist,
-                              const DecoderContext* context = nullptr);
+                              const DcContext* context = nullptr);
 
 /// The fault-free logical row pattern for vector v (v inputs high):
 /// row i is high iff exactly i inputs are high... see implementation.

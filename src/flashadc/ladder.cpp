@@ -6,7 +6,6 @@
 #include "flashadc/behavioral.hpp"
 #include "flashadc/tech.hpp"
 #include "layout/synth.hpp"
-#include "spice/dc.hpp"
 #include "util/error.hpp"
 
 namespace dot::flashadc {
@@ -76,7 +75,7 @@ macro::MacroCell build_ladder_macro() {
 
 namespace {
 
-Netlist driven_ladder(const Netlist& macro_netlist) {
+Netlist driven_ladder(const Netlist& macro_netlist, int /*state*/) {
   Netlist n = macro_netlist;
   n.add_vsource("VREFP", "vrefp", "0", SourceSpec::dc(kVrefHi));
   n.add_vsource("VREFM", "vrefm", "0", SourceSpec::dc(kVrefLo));
@@ -85,54 +84,31 @@ Netlist driven_ladder(const Netlist& macro_netlist) {
 
 }  // namespace
 
-LadderContext make_ladder_context(const Netlist& macro_netlist,
-                                  const spice::SolverOptions& solver) {
-  const Netlist n = driven_ladder(macro_netlist);
-  LadderContext ctx;
-  ctx.node_count = n.node_count();
-  ctx.map = spice::MnaMap(n);
-  ctx.solver.options = solver;
-  spice::SolverContext solve_ctx(solver);
-  ctx.golden = dc_operating_point(n, ctx.map, {}, nullptr, &solve_ctx).x;
-  ctx.solver.symbolic = solve_ctx.shared_symbolic();
-  return ctx;
-}
+DcBench ladder_dc_bench() { return {1, driven_ladder}; }
 
 LadderSolution solve_ladder(const Netlist& macro_netlist,
-                            const LadderContext* context) {
-  const Netlist n = driven_ladder(macro_netlist);
-  // Faults that only bridge existing nets keep the node layout, so the
-  // golden map applies verbatim; node splits and parasitic devices add
-  // nodes and force a rebuild (and a cold solve).
-  const bool reuse = context && n.node_count() == context->node_count;
-  const spice::MnaMap local_map = reuse ? spice::MnaMap() : spice::MnaMap(n);
-  const spice::MnaMap& map = reuse ? context->map : local_map;
-  const std::vector<double>* warm = reuse ? &context->golden : nullptr;
-  spice::SolverContext solver(context ? context->solver
-                                      : spice::SolverSeed{});
-
+                            const DcContext* context) {
   LadderSolution out;
-  try {
-    const auto result = dc_operating_point(n, map, {}, warm, &solver);
-    out.taps.resize(kLevels);
-    for (int i = 0; i < kLevels; ++i) {
-      // Tap i*16+15 is the coarse node itself (the fine string ends on
-      // it); the other taps are fine-ladder nodes. Node splits keep the
-      // original name on the pin side, so the lookup stays valid under
-      // open faults.
-      const std::string net = (i % kFinePerSegment == kFinePerSegment - 1)
-                                  ? coarse_net(i / kFinePerSegment + 1)
-                                  : ladder_tap_net(i);
-      const auto node = n.find_node(net);
-      out.taps[static_cast<std::size_t>(i)] =
-          node ? map.voltage(result.x, *node) : 0.0;
-    }
-    out.iref_p = -map.branch_current(result.x, "VREFP");
-    out.iref_m = -map.branch_current(result.x, "VREFM");
-    out.converged = true;
-  } catch (const util::ConvergenceError&) {
-    out.converged = false;
-  }
+  out.converged = solve_dc(
+      ladder_dc_bench(), macro_netlist, context,
+      [&](int, const Netlist& n, const spice::MnaMap& map,
+          const std::vector<double>& x) {
+        out.taps.resize(kLevels);
+        for (int i = 0; i < kLevels; ++i) {
+          // Tap i*16+15 is the coarse node itself (the fine string ends
+          // on it); the other taps are fine-ladder nodes. Node splits
+          // keep the original name on the pin side, so the lookup stays
+          // valid under open faults.
+          const std::string net = (i % kFinePerSegment == kFinePerSegment - 1)
+                                      ? coarse_net(i / kFinePerSegment + 1)
+                                      : ladder_tap_net(i);
+          const auto node = n.find_node(net);
+          out.taps[static_cast<std::size_t>(i)] =
+              node ? map.voltage(x, *node) : 0.0;
+        }
+        out.iref_p = -map.branch_current(x, "VREFP");
+        out.iref_m = -map.branch_current(x, "VREFM");
+      });
   return out;
 }
 

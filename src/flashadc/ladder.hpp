@@ -6,13 +6,12 @@
 
 #include <vector>
 
+#include "flashadc/dc_bench.hpp"
 #include "layout/cell.hpp"
 #include "macro/envelope.hpp"
 #include "macro/macro_cell.hpp"
 #include "macro/signature.hpp"
-#include "spice/mna.hpp"
 #include "spice/netlist.hpp"
-#include "spice/solver.hpp"
 
 namespace dot::flashadc {
 
@@ -44,25 +43,12 @@ struct LadderSolution {
   bool converged = false;
 };
 
-/// Fault-free solver state computed once per campaign and shared
-/// (read-only) by all workers: the golden MNA index map and operating
-/// point. Faulty netlists that keep the node layout (bridge-style
-/// faults, the vast majority) reuse the map and warm-start Newton from
-/// the golden solution instead of walking the continuation ladder.
-struct LadderContext {
-  std::size_t node_count = 0;  ///< node count of the driven golden bench
-  spice::MnaMap map;
-  std::vector<double> golden;
-  /// Solver options plus the golden sparse symbolic analysis; faulty
-  /// solves that keep the matrix pattern refactor against it instead of
-  /// re-running the analysis.
-  spice::SolverSeed solver;
-};
-LadderContext make_ladder_context(const spice::Netlist& macro_netlist,
-                                  const spice::SolverOptions& solver = {});
+/// The ladder's one drive state: VREFP and VREFM at the reference
+/// levels.
+DcBench ladder_dc_bench();
 
 LadderSolution solve_ladder(const spice::Netlist& macro_netlist,
-                            const LadderContext* context = nullptr);
+                            const DcContext* context = nullptr);
 
 /// Envelope measurements: the two reference pin currents.
 macro::MeasurementLayout ladder_measurement_layout();

@@ -35,11 +35,14 @@ namespace dot::spice {
 
 struct SolverOptions {
   /// Dense/sparse crossover: systems with at least this many unknowns
-  /// take the sparse LU, smaller ones the dense LU. Default measured
-  /// with bench_solver on the MNA-style benchmark netlists (crossover_n
-  /// in BENCH_bench_solver.json; see DESIGN.md). The 39-unknown
-  /// comparator bench is well above it. Tests force one LU with 0
-  /// (always sparse) or SIZE_MAX (always dense).
+  /// take the sparse LU, smaller ones the dense LU. The default 18 is
+  /// pinned, not measured live: it is the crossover_n of one
+  /// bench_solver sweep (BENCH_bench_solver.json), and later sweeps
+  /// put the crossover lower (DESIGN.md §7). Dense and sparse LU differ
+  /// in the last bits, so moving it re-pins SmallSystemPin.*,
+  /// Campaign.PinnedVerdicts* and results/. The 39-unknown comparator
+  /// bench is well above it. Tests force one LU with 0 (always sparse)
+  /// or SIZE_MAX (always dense).
   std::size_t sparse_threshold = 18;
   double pivot_epsilon = 1e-13;
 };

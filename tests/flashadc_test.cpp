@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
@@ -9,10 +14,12 @@
 #include "flashadc/clockgen.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
+#include "flashadc/dc_bench.hpp"
 #include "flashadc/decoder.hpp"
 #include "flashadc/ladder.hpp"
 #include "flashadc/tech.hpp"
 #include "fault/model.hpp"
+#include "spice/dc.hpp"
 #include "spice/transient.hpp"
 #include "util/error.hpp"
 
@@ -375,6 +382,112 @@ TEST(Decoder, StuckRowDetectedFunctionally) {
   ASSERT_TRUE(sol.converged);
   // Row r1 can no longer go high for vector 2.
   EXPECT_LT(sol.rows[2][1], kVddd / 2);
+}
+
+// ------------------------------------------------------------- DC bench
+
+/// Every node voltage and voltage-source current of each converged drive
+/// state, by name, and whether any state ran on the context's map.
+struct DcObservation {
+  bool converged = false;
+  bool golden_map = false;
+  std::vector<std::map<std::string, double>> volts;
+  std::vector<std::map<std::string, double>> amps;
+};
+
+DcObservation observe_dc(const DcBench& bench, const spice::Netlist& macro,
+                         const DcContext* context) {
+  DcObservation obs;
+  obs.converged = solve_dc(
+      bench, macro, context,
+      [&](int, const spice::Netlist& n, const spice::MnaMap& map,
+          const std::vector<double>& x) {
+        obs.golden_map = obs.golden_map || (context && &map == &context->map);
+        auto& volts = obs.volts.emplace_back();
+        for (spice::NodeId id = 1;
+             id < static_cast<spice::NodeId>(n.node_count()); ++id)
+          volts[n.node_name(id)] = map.voltage(x, id);
+        auto& amps = obs.amps.emplace_back();
+        for (const auto& device : n.devices())
+          if (const auto* s = std::get_if<spice::VoltageSource>(&device))
+            amps[s->name] = map.branch_current(x, s->name);
+      });
+  return obs;
+}
+
+/// The context path (golden map and warm start when the node count
+/// matches) and a cold solve agree within 2·loose_vtol: node voltages
+/// in volts, source currents relative to the state's largest one.
+void expect_context_matches_cold(const DcBench& bench,
+                                 const spice::Netlist& macro,
+                                 const DcContext& context,
+                                 bool expect_golden_map) {
+  const double tol = 2.0 * spice::DcOptions{}.loose_vtol;
+  const DcObservation warm = observe_dc(bench, macro, &context);
+  const DcObservation cold = observe_dc(bench, macro, nullptr);
+  ASSERT_TRUE(warm.converged);
+  ASSERT_TRUE(cold.converged);
+  EXPECT_EQ(warm.golden_map, expect_golden_map);
+  ASSERT_EQ(warm.volts.size(), static_cast<std::size_t>(bench.states));
+  for (std::size_t s = 0; s < warm.volts.size(); ++s) {
+    ASSERT_EQ(warm.volts[s].size(), cold.volts[s].size());
+    for (const auto& [node, v] : cold.volts[s])
+      EXPECT_NEAR(warm.volts[s].at(node), v, tol)
+          << "state " << s << " node " << node;
+    double scale = 0.0;
+    for (const auto& [source, i] : cold.amps[s])
+      scale = std::max(scale, std::fabs(i));
+    for (const auto& [source, i] : cold.amps[s])
+      EXPECT_NEAR(warm.amps[s].at(source), i, tol * scale)
+          << "state " << s << " source " << source;
+  }
+}
+
+/// Gate-to-channel pinhole (variant 2) on `device`: adds node gos_ch.
+spice::Netlist with_channel_pinhole(const spice::Netlist& good,
+                                    const std::string& device) {
+  fault::CircuitFault f;
+  f.kind = fault::FaultKind::kGateOxidePinhole;
+  f.device = device;
+  return fault::apply_fault(good, f, fault::FaultModelOptions{}, 2);
+}
+
+TEST(DcBench, ContextSolveMatchesColdSolve) {
+  // An open at coarse node c4 strands RC4's lower end on a new node.
+  fault::CircuitFault open;
+  open.kind = fault::FaultKind::kOpen;
+  open.nets = {"c4"};
+  open.isolated_taps = {{"RC4", 0}};
+  const struct {
+    const char* name;
+    DcBench bench;
+    spice::Netlist good;
+    spice::Netlist node_adding;
+  } cases[] = {
+      {"ladder", ladder_dc_bench(), build_ladder_netlist(),
+       fault::apply_fault(build_ladder_netlist(), open,
+                          fault::FaultModelOptions{})},
+      {"biasgen", biasgen_dc_bench(), build_biasgen_netlist(),
+       with_channel_pinhole(build_biasgen_netlist(), "MD1")},
+      {"clockgen", clockgen_dc_bench(), build_clockgen_netlist(),
+       with_channel_pinhole(build_clockgen_netlist(), "MN_i1")},
+      {"decoder", decoder_dc_bench(), build_decoder_netlist(),
+       with_channel_pinhole(build_decoder_netlist(), "MN_inv_t1")},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const DcContext context = make_dc_context(c.bench, c.good);
+    ASSERT_EQ(context.golden.size(), static_cast<std::size_t>(c.bench.states));
+    ASSERT_GT(c.node_adding.node_count(), c.good.node_count());
+    {
+      SCOPED_TRACE("fault-free");
+      expect_context_matches_cold(c.bench, c.good, context, true);
+    }
+    {
+      SCOPED_TRACE("node-adding fault");
+      expect_context_matches_cold(c.bench, c.node_adding, context, false);
+    }
+  }
 }
 
 // ----------------------------------------------------------- behavioral
