@@ -1,15 +1,16 @@
 // Microbenchmarks of the computational kernels: MNA assembly + LU
 // solve, one transient Newton iteration and one transient step, DC
-// operating points, clocked transients, defect analysis and the
-// behavioral missing-code test. These bound how large a campaign a
-// given time budget affords.
+// operating points, clocked transients, defect analysis, a 60k-spot
+// defect sprinkle (comparator, bank-8) and the behavioral missing-code
+// test. These bound how large a campaign a given time budget affords.
 //
 //   bench_engine [--smoke] [--json=FILE | --json-root]
 //
 // Each kernel runs in blocks of a fixed repetition count; the reported
 // time per call is the minimum of three timed blocks after one untimed
 // warm-up block (bench_common's min_of_k_seconds). --smoke shrinks the
-// blocks to a few calls each.
+// blocks to a few calls each. The sprinkle kernels run on one thread
+// whatever --threads says.
 //
 // JSON result payload (dot-bench-v1): {"<kernel>": seconds per call, ...}
 #include <algorithm>
@@ -22,6 +23,7 @@
 
 #include "bench_common.hpp"
 #include "defect/analyze.hpp"
+#include "defect/simulate.hpp"
 #include "defect/statistics.hpp"
 #include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
@@ -31,6 +33,7 @@
 #include "numeric/lu.hpp"
 #include "spice/dc.hpp"
 #include "spice/transient.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -44,7 +47,27 @@ struct Kernel {
   std::string name;
   int reps = 1;  ///< Calls per timed block (full size).
   std::function<void()> call;
+  unsigned threads = 0;  ///< Pool size while timed; 0 keeps --threads.
 };
+
+/// One 60k-spot sprinkle and collapse (the --quick defect count) over a
+/// prebuilt analyzer, on one thread.
+Kernel defect_sprinkle(const std::string& macro, layout::CellLayout layout) {
+  const auto cell =
+      std::make_shared<const layout::CellLayout>(std::move(layout));
+  const auto analyzer = std::make_shared<const defect::DefectAnalyzer>(
+      *cell, defect::AnalyzerOptions{.vdd_net = "vdda"});
+  defect::CampaignOptions options;
+  options.defect_count = 60000;
+  options.vdd_net = "vdda";
+  return {"defect_sprinkle_" + macro, 20,
+          [cell, analyzer, options] {
+            g_sink = g_sink + static_cast<double>(
+                                  defect::run_campaign(*analyzer, options)
+                                      .faults_extracted);
+          },
+          1};
+}
 
 Kernel lu_solve(std::size_t n, int reps) {
   util::Rng rng(1);
@@ -174,6 +197,8 @@ int main(int argc, char** argv) {
          const auto defect = sample_defect(defect_rng);
          g_sink = g_sink + (analyzer.analyze(defect) ? 1.0 : 0.0);
        }},
+      defect_sprinkle("comparator", cell),
+      defect_sprinkle("bank8", flashadc::build_bank_layout(bank8)),
       {"missing_code_test", 20,
        [&] { g_sink = g_sink + (flashadc::has_missing_code(adc) ? 1.0 : 0.0); }},
   };
@@ -182,10 +207,12 @@ int main(int argc, char** argv) {
   std::string json = "{";
   for (const auto& k : kernels) {
     const int reps = args.smoke ? std::max(1, k.reps / 1000) : k.reps;
+    if (k.threads != 0) util::ThreadPool::set_global_thread_count(k.threads);
     const double seconds = bench::min_of_k_seconds([&] {
                              for (int r = 0; r < reps; ++r) k.call();
                            }) /
                            reps;
+    if (k.threads != 0) util::ThreadPool::set_global_thread_count(args.threads);
     table.add_row({k.name, std::to_string(reps), util::si(seconds, "s")});
     char entry[96];
     std::snprintf(entry, sizeof entry, "%s\"%s\": %.6e",

@@ -3,7 +3,8 @@
 # malformed JSON. Invoked by CTest (see tests/CMakeLists.txt) as:
 #   cmake -DBENCH=<bench_table1_defects> -DOUT=<report.json> -P bench_smoke.cmake
 # FLAGS overrides the preset flag (default --quick; bench_bank uses its
-# own --smoke sweep). Pass a ;-list for multiple flags.
+# own --smoke sweep). Pass a ;-list for multiple flags. KEYS, a ;-list,
+# names entries the report's "result" payload must carry.
 if(NOT BENCH OR NOT OUT)
   message(FATAL_ERROR "bench_smoke: BENCH and OUT must be defined")
 endif()
@@ -51,5 +52,12 @@ string(JSON threads GET "${report}" threads)
 if(NOT threads EQUAL 2)
   message(FATAL_ERROR "bench_smoke: expected threads=2, got '${threads}'")
 endif()
+
+foreach(key IN LISTS KEYS)
+  string(JSON value ERROR_VARIABLE err GET "${report}" result ${key})
+  if(err)
+    message(FATAL_ERROR "bench_smoke: result has no ${key}: ${err}")
+  endif()
+endforeach()
 
 message(STATUS "bench_smoke: ok (${bench_name}, ${threads} threads)")

@@ -1,6 +1,7 @@
 #include "defect/analyze.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <map>
 #include <set>
@@ -30,11 +31,16 @@ DefectSampler::DefectSampler(const DefectStatistics& stats, const Rect& area)
       size_(stats.size_min, stats.size_max, stats.size_exponent) {}
 
 Defect DefectSampler::operator()(util::Rng& rng) const {
-  Defect d;
+  const SpotDraw spot = draw(rng);
+  return {spot.type, spot.center, size_of(spot.size_variate)};
+}
+
+SpotDraw DefectSampler::draw(util::Rng& rng) const {
+  SpotDraw d;
   d.type = static_cast<DefectType>(type_(rng));
   d.center = {rng.uniform(area_.x_lo, area_.x_hi),
               rng.uniform(area_.y_lo, area_.y_hi)};
-  d.size = size_(rng);
+  d.size_variate = rng.uniform();
   return d;
 }
 
@@ -73,6 +79,83 @@ std::vector<Rect> subtract(const Rect& r, const Rect& cut) {
     out.push_back(Rect{strip_lo, cut.y_hi, strip_hi, r.y_hi});
   std::erase_if(out, [](const Rect& p) { return p.empty(); });
   return out;
+}
+
+/// The harmless-size search looks for different-net pairs closer than
+/// this (um). A layer with no closer pair gets the cap as its gap, which
+/// is still a bound; the cap sits above the metal (1.2 um) and poly
+/// (1.0 um) spacing rules, where most layers' gaps are.
+constexpr double kGapSearchCap = 2.0;
+
+/// Smallest L-inf gap between two of `rects` with different net ids
+/// (`nets[i]` is rects[i]'s), or `cap` when no pair is closer than
+/// `cap`. Each rectangle goes into every bin of `box` that it overlaps
+/// when grown by a hair over cap / 2 on each side, so two rectangles
+/// whose exact gap is below the cap share a row of bins and a run of
+/// columns, even after rounding. The run begins at the first column of
+/// one of the two; each bin lists the rectangles whose first column it
+/// is ahead of the rest, and only pairs with one of those are compared.
+/// Every close pair is thus compared, and long parallel wires once
+/// rather than in every bin they cross. The bins are square and hold
+/// about one rectangle each on average.
+double min_net_gap(const std::vector<Rect>& rects, const std::vector<int>& nets,
+                   const Rect& box, double reach, double cap) {
+  if (rects.size() < 2) return cap;
+  const double grow = 0.5 * cap + 4.0 * DBL_EPSILON * (reach + cap);
+  const double bin = std::max(
+      cap, std::sqrt(box.area() / static_cast<double>(rects.size())));
+  const int nx = std::max(1, static_cast<int>(box.width() / bin));
+  const int ny = std::max(1, static_cast<int>(box.height() / bin));
+  auto index = [](double v, double lo, double extent, int n) {
+    return std::clamp(static_cast<int>((v - lo) / extent * n), 0, n - 1);
+  };
+  // Visits the bins of rects[i] in its first column, or in the others.
+  auto for_each_bin = [&](std::size_t i, bool first_column, auto&& visit) {
+    const Rect& r = rects[i];
+    const int x0 = index(r.x_lo - grow, box.x_lo, box.width(), nx);
+    const int x1 = first_column
+                       ? x0
+                       : index(r.x_hi + grow, box.x_lo, box.width(), nx);
+    const int y0 = index(r.y_lo - grow, box.y_lo, box.height(), ny);
+    const int y1 = index(r.y_hi + grow, box.y_lo, box.height(), ny);
+    for (int by = y0; by <= y1; ++by)
+      for (int bx = first_column ? x0 : x0 + 1; bx <= x1; ++bx)
+        visit(static_cast<std::size_t>(by) * static_cast<std::size_t>(nx) +
+              static_cast<std::size_t>(bx));
+  };
+  std::vector<std::size_t> start(static_cast<std::size_t>(nx) *
+                                     static_cast<std::size_t>(ny) + 1,
+                                 0);
+  for (const bool first_column : {true, false})
+    for (std::size_t i = 0; i < rects.size(); ++i)
+      for_each_bin(i, first_column, [&](std::size_t b) { ++start[b + 1]; });
+  for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+  std::vector<std::size_t> members(start.back());
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  std::vector<std::size_t> firsts_end;
+  for (const bool first_column : {true, false}) {
+    for (std::size_t i = 0; i < rects.size(); ++i)
+      for_each_bin(i, first_column,
+                   [&](std::size_t b) { members[fill[b]++] = i; });
+    if (first_column) firsts_end = fill;
+  }
+
+  double gap = cap;
+  for (std::size_t b = 0; b + 1 < start.size(); ++b) {
+    for (std::size_t p = start[b]; p < firsts_end[b]; ++p) {
+      const Rect& r = rects[members[p]];
+      const int net = nets[members[p]];
+      for (std::size_t q = p + 1; q < start[b + 1]; ++q) {
+        if (nets[members[q]] == net) continue;
+        const Rect& o = rects[members[q]];
+        gap = std::min(gap, std::max({o.x_lo - r.x_hi, r.x_lo - o.x_hi,
+                                      o.y_lo - r.y_hi, r.y_lo - o.y_hi,
+                                      0.0}));
+        if (gap == 0.0) return 0.0;
+      }
+    }
+  }
+  return gap;
 }
 
 }  // namespace
@@ -131,6 +214,40 @@ DefectAnalyzer::DefectAnalyzer(const CellLayout& cell,
     for_each_slot(i, [&](std::size_t slot) {
       bin_entries_[fill[slot]++] = {shapes[i].rect, i, shape_net_[i]};
     });
+
+  // Harmless sizes: each extra-material layer's smallest gap between
+  // nets, less a margin for the rounding of the gap and of the spot's
+  // footprint (DESIGN.md section 8).
+  const double reach = std::max({std::abs(bbox_.x_lo), std::abs(bbox_.x_hi),
+                                 std::abs(bbox_.y_lo), std::abs(bbox_.y_hi)});
+  for (const Layer layer :
+       {Layer::kMetal1, Layer::kMetal2, Layer::kPoly, Layer::kActive}) {
+    std::vector<Rect> rects;
+    std::vector<int> nets;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      if (shapes[i].layer != layer) continue;
+      rects.push_back(shapes[i].rect);
+      nets.push_back(shape_net_[i]);
+    }
+    const double gap = min_net_gap(rects, nets, bbox_, reach, kGapSearchCap);
+    harmless_[static_cast<std::size_t>(layer)] =
+        std::max(0.0, gap - 4.0 * DBL_EPSILON * (reach + gap));
+  }
+}
+
+double DefectAnalyzer::harmless_below(DefectType type) const {
+  switch (type) {
+    case DefectType::kExtraMetal1:
+      return harmless_[static_cast<std::size_t>(Layer::kMetal1)];
+    case DefectType::kExtraMetal2:
+      return harmless_[static_cast<std::size_t>(Layer::kMetal2)];
+    case DefectType::kExtraPoly:
+      return harmless_[static_cast<std::size_t>(Layer::kPoly)];
+    case DefectType::kExtraActive:
+      return harmless_[static_cast<std::size_t>(Layer::kActive)];
+    default:
+      return 0.0;
+  }
 }
 
 std::size_t DefectAnalyzer::slot(Layer layer, int bx, int by) const {
@@ -239,8 +356,11 @@ std::optional<CircuitFault> DefectAnalyzer::analyze(
 
 std::optional<CircuitFault> DefectAnalyzer::analyze_extra_material(
     const Defect& defect, Layer layer) const {
+  // Most spots bridge nothing: settle those narrower than the layer's
+  // net spacing by size alone, and the rest without collecting hits.
+  if (defect.size < harmless_[static_cast<std::size_t>(layer)])
+    return std::nullopt;
   const Rect foot = Rect::square(defect.center, defect.size);
-  // Most spots bridge nothing; settle those without collecting hits.
   if (!touches_two_nets(layer, foot)) return std::nullopt;
   const auto hits = shapes_hit(layer, foot);
   std::vector<std::string> nets;

@@ -3,6 +3,7 @@
 // core of the VLASIC-equivalent catastrophic defect simulator.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,9 +27,17 @@ struct Defect {
 Defect sample_defect(const DefectStatistics& stats, const layout::Rect& area,
                      util::Rng& rng);
 
+/// A sampled spot before its size is computed: the size law's variate
+/// stands in for the diameter until DefectSampler::size_of needs it.
+struct SpotDraw {
+  DefectType type = DefectType::kExtraMetal1;
+  layout::Point center;
+  double size_variate = 0.0;
+};
+
 /// sample_defect for many draws from one statistics set and area: the
 /// type weights are checked and summed, and the size law's constant
-/// terms computed, once, at construction (a sprinkle block makes one).
+/// terms computed, once, at construction (a sprinkle makes one).
 /// Every draw is the one sample_defect makes from the same stream.
 /// Keeps a view of stats.weights; `stats` must outlive the sampler.
 class DefectSampler {
@@ -36,6 +45,17 @@ class DefectSampler {
   DefectSampler(const DefectStatistics& stats, const layout::Rect& area);
 
   Defect operator()(util::Rng& rng) const;
+
+  /// The draw operator() makes, from the same stream, with the size
+  /// left as its variate: operator() is draw() plus size_of.
+  SpotDraw draw(util::Rng& rng) const;
+  /// The spot diameter a size variate gives.
+  double size_of(double variate) const { return size_.at(variate); }
+  /// Variates below this bound give diameters below `size` (a
+  /// conservative bound: util::PowerLaw::variate_below).
+  double variate_below(double size) const {
+    return size_.variate_below(size);
+  }
 
  private:
   util::WeightedPick type_;
@@ -60,6 +80,12 @@ class DefectAnalyzer {
   /// the defect is harmless (lands on empty area, same-net material,
   /// redundant wiring, ...).
   std::optional<fault::CircuitFault> analyze(const Defect& defect) const;
+
+  /// Extra-material spots of a non-negative size below this bridge
+  /// nothing, wherever they land: the size is the smallest L-inf gap
+  /// between two shapes of different nets on the type's layer, less a
+  /// rounding margin (DESIGN.md section 8). 0 for every other type.
+  double harmless_below(DefectType type) const;
 
   const layout::CellLayout& cell() const { return cell_; }
 
@@ -118,6 +144,8 @@ class DefectAnalyzer {
   int bins_y_ = 1;
   std::vector<std::size_t> bin_start_;
   std::vector<BinEntry> bin_entries_;
+  /// harmless_below per layer.
+  std::array<double, layout::kLayerCount> harmless_{};
 
   // Per-net shape lists and tap lists for open analysis; nets are
   // numbered in first-seen order, and shape_net_ holds each shape's net

@@ -28,12 +28,28 @@ struct BlockResult {
   std::vector<std::string> keys;
 };
 
+/// What every block of one sprinkle shares: the sampler, and per defect
+/// type the size variate below which a spot is narrower than its
+/// layer's net spacing (DefectAnalyzer::harmless_below).
+struct Sprinkle {
+  layout::Rect area;
+  DefectSampler sample;
+  std::array<double, kDefectTypeCount> harmless_variate{};
+
+  Sprinkle(const DefectAnalyzer& analyzer, const DefectStatistics& stats)
+      : area(analyzer.cell().bounding_box()), sample(stats, area) {
+    for (std::size_t t = 0; t < harmless_variate.size(); ++t)
+      harmless_variate[t] = sample.variate_below(
+          analyzer.harmless_below(static_cast<DefectType>(t)));
+  }
+};
+
 BlockResult sprinkle_block(const DefectAnalyzer& analyzer,
                            const CampaignOptions& options,
-                           std::size_t block_index, std::size_t budget) {
+                           const Sprinkle& sprinkle, std::size_t block_index,
+                           std::size_t budget) {
   util::Rng rng = util::Rng(options.seed).split(block_index);
-  const layout::Rect area = analyzer.cell().bounding_box();
-  const DefectSampler sample(options.statistics, area);
+  const layout::Rect& area = sprinkle.area;
   const auto& clustering = options.statistics.clustering;
 
   BlockResult result;
@@ -48,7 +64,8 @@ BlockResult sprinkle_block(const DefectAnalyzer& analyzer,
   };
   std::vector<PendingMember> pending_cluster;
   for (std::size_t n = 0; n < budget; ++n) {
-    Defect defect = sample(rng);
+    const SpotDraw spot = sprinkle.sample.draw(rng);
+    Defect defect{spot.type, spot.center};
     if (!pending_cluster.empty()) {
       defect.center = pending_cluster.back().at;
       defect.type = pending_cluster.back().type;
@@ -66,11 +83,16 @@ BlockResult sprinkle_block(const DefectAnalyzer& analyzer,
         pending_cluster.push_back({member, defect.type});
       }
     }
-    ++result.defects_by_type[static_cast<std::size_t>(defect.type)];
+    const auto type = static_cast<std::size_t>(defect.type);
+    ++result.defects_by_type[type];
+    // A spot narrower than its layer's net spacing bridges nothing:
+    // settle it before its size is computed or the grid is queried.
+    if (spot.size_variate < sprinkle.harmless_variate[type]) continue;
+    defect.size = sprinkle.sample.size_of(spot.size_variate);
     const auto fault = analyzer.analyze(defect);
     if (!fault) continue;
     ++result.faults_extracted;
-    ++result.faulting_by_type[static_cast<std::size_t>(defect.type)];
+    ++result.faulting_by_type[type];
     ++result.faults_by_kind[static_cast<std::size_t>(fault->kind)];
     std::string key = fault->key();
     auto [it, inserted] = class_index.emplace(key, result.classes.size());
@@ -101,6 +123,7 @@ CampaignResult run_campaign(const DefectAnalyzer& analyzer,
 
   const std::size_t blocks =
       (options.defect_count + kSprinkleBlock - 1) / kSprinkleBlock;
+  const Sprinkle sprinkle(analyzer, options.statistics);
   // One RNG stream per block: the analyzer is read-only, so blocks run
   // concurrently; the merge below walks them in index order, which
   // keeps class first-occurrence order (and therefore tie-breaks of
@@ -110,7 +133,7 @@ CampaignResult run_campaign(const DefectAnalyzer& analyzer,
         const std::size_t lo = block * kSprinkleBlock;
         const std::size_t budget =
             std::min(options.defect_count - lo, kSprinkleBlock);
-        return sprinkle_block(analyzer, options, block, budget);
+        return sprinkle_block(analyzer, options, sprinkle, block, budget);
       });
 
   std::unordered_map<std::string, std::size_t> class_index;

@@ -262,12 +262,12 @@ const std::vector<MacroSpec>& macro_table() {
                 biasgen_measurement_layout, biasgen_measurements,
                 classify_biasgen, &CurrentSignature::ivdd),
        nullptr},
-      {"clockgen", 4, 0xc10c, "vddd", {}, {"VDDD"}, false, true,
+      {"clockgen", 4, 0xc10c, "vddd", {}, {}, false, true,
        dc_macro(build_clockgen_macro, clockgen_dc_bench, solve_clockgen,
                 clockgen_measurement_layout, clockgen_measurements,
                 classify_clockgen, &CurrentSignature::iddq),
        nullptr},
-      {"decoder", 5, 0xdec0de, "vddd", {}, {"VDDD"}, false, true,
+      {"decoder", 5, 0xdec0de, "vddd", {}, {}, false, true,
        dc_macro(build_decoder_macro, decoder_dc_bench, solve_decoder,
                 decoder_measurement_layout, decoder_measurements,
                 [](const DecoderSolution& s, const DecoderSolution&) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/error.hpp"
+
 namespace dot::spice {
 
 EnvironmentSample sample_environment(const ProcessSpread& spread,
@@ -27,6 +29,13 @@ EnvironmentSample sample_environment(const ProcessSpread& spread,
 Netlist perturb(const Netlist& nominal, const ProcessSpread& spread,
                 const EnvironmentSample& sample,
                 const std::vector<std::string>& supply_names, util::Rng& rng) {
+  for (const auto& name : supply_names) {
+    const Device* device = nominal.find_device(name);
+    if (device == nullptr || !(std::holds_alternative<VoltageSource>(*device) ||
+                               std::holds_alternative<CurrentSource>(*device)))
+      throw util::InvalidInputError("perturb: no source named " + name +
+                                    " to scale as a supply");
+  }
   Netlist out = nominal;
   const double dtemp = sample.temperature_c - spread.temp_nominal_c;
   const double t_ratio =

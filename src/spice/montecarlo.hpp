@@ -56,7 +56,8 @@ EnvironmentSample sample_environment(const ProcessSpread& spread,
 /// Applies the sample plus per-device mismatch to a copy of `nominal`.
 /// Sources whose names appear in `supply_names` are scaled by the
 /// supply factor; all other sources are left untouched (they are test
-/// stimuli, not supplies).
+/// stimuli, not supplies). Throws util::InvalidInputError when a listed
+/// name is not a voltage or current source of `nominal`.
 Netlist perturb(const Netlist& nominal, const ProcessSpread& spread,
                 const EnvironmentSample& sample,
                 const std::vector<std::string>& supply_names, util::Rng& rng);

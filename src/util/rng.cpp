@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -120,11 +121,29 @@ PowerLaw::PowerLaw(double x_min, double x_max, double exponent)
   b_minus_a_ = std::pow(x_max, one_minus) - a_;
 }
 
-double PowerLaw::operator()(Rng& rng) const {
-  const double u = rng.uniform();
+double PowerLaw::operator()(Rng& rng) const { return at(rng.uniform()); }
+
+double PowerLaw::at(double u) const {
   if (exponent_ == 1.0) return x_min_ * std::exp(u * a_);
   const double one_minus = 1.0 - exponent_;
   return std::pow(a_ + u * b_minus_a_, 1.0 / one_minus);
+}
+
+double PowerLaw::variate_below(double x) const {
+  // Aim the inverse CDF a hair below x, then check the aim. The steps
+  // of at() before its pow (or exp) are rounded products and sums with
+  // fixed operands, so they are monotone in u, and the exact power is
+  // monotone in its base the way at() is in u; with pow and exp within
+  // one ulp of exact, at(u) exceeds at(v) by at most a few ulps for
+  // every u < v. A checked at(v) below x * (1 - 1e-12) therefore bounds
+  // every sample drawn from a variate below v.
+  const double aim = x * (1.0 - 1e-9);
+  if (!(aim > x_min_)) return 0.0;
+  const double v = std::min(
+      exponent_ == 1.0 ? std::log(aim / x_min_) / a_
+                       : (std::pow(aim, 1.0 - exponent_) - a_) / b_minus_a_,
+      1.0);
+  return at(v) < x * (1.0 - 1e-12) ? v : 0.0;
 }
 
 Rng Rng::split(std::uint64_t stream_id) const {

@@ -25,6 +25,15 @@ class PowerLaw {
 
   double operator()(Rng& rng) const;
 
+  /// The sample the inverse CDF maps variate `u` in [0, 1) to; it does
+  /// not decrease as `u` grows.
+  double at(double u) const;
+
+  /// A variate bound below which every sample is smaller than `x`:
+  /// at(u) < x for every u < variate_below(x). Conservative: it may be
+  /// a little low, never high, and it is 0 when x <= x_min.
+  double variate_below(double x) const;
+
  private:
   double x_min_ = 0.0;
   double exponent_ = 0.0;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <stdexcept>
 
@@ -15,6 +16,7 @@
 #include "flashadc/ladder.hpp"
 #include "layout/synth.hpp"
 #include "spice/netlist.hpp"
+#include "util/parallel.hpp"
 
 namespace dot::defect {
 namespace {
@@ -321,6 +323,43 @@ TEST(Analyze, MissingContactOpensRiser) {
   EXPECT_EQ(f->isolated_taps[0].device, "M1");
 }
 
+TEST(Analyze, HarmlessSizeIsTheClosestGapBetweenNets) {
+  // A 20 x 20 array of 1 um net-a squares at 3 um pitch and one 0.3 um
+  // net-b square slid along its rows, with a far net-a square that
+  // stretches the cell a little more each time, so the closest pair
+  // lands on both sides of the gap search's bin edges. The harmless
+  // size is that pair's gap (capped at 2 um), less a rounding margin,
+  // wherever the pair sits; same-net neighbours never count.
+  for (int k = 0; k < 300; ++k) {
+    CellLayout cell("array");
+    for (int i = 0; i < 20; ++i)
+      for (int j = 0; j < 20; ++j)
+        cell.add_shape({Layer::kMetal1, Rect{3.0 * i, 3.0 * j, 3.0 * i + 1,
+                                             3.0 * j + 1},
+                        "a"});
+    const double stretch = 60.0 + 0.07 * (k % 41);
+    cell.add_shape({Layer::kMetal1, Rect{stretch, 0, stretch + 1, 1}, "a"});
+    const double x = 0.191 * k;
+    const double y = 3.0 * (k % 19) + 0.35;
+    const Rect b{x, y, x + 0.3, y + 0.3};
+    cell.add_shape({Layer::kMetal1, b, "b"});
+    double gap = 2.0;
+    for (const auto& shape : cell.shapes())
+      if (shape.net == "a")
+        gap = std::min(gap, std::max({b.x_lo - shape.rect.x_hi,
+                                      shape.rect.x_lo - b.x_hi,
+                                      b.y_lo - shape.rect.y_hi,
+                                      shape.rect.y_lo - b.y_hi, 0.0}));
+    const DefectAnalyzer analyzer(cell, {});
+    const double harmless = analyzer.harmless_below(DefectType::kExtraMetal1);
+    EXPECT_LE(harmless, gap) << k;
+    EXPECT_GE(harmless, gap - 1e-9) << k;
+    // An empty layer has no pair below the cap; other types get 0.
+    EXPECT_NEAR(analyzer.harmless_below(DefectType::kExtraMetal2), 2.0, 1e-9);
+    EXPECT_EQ(analyzer.harmless_below(DefectType::kMissingMetal1), 0.0);
+  }
+}
+
 // --------------------------------------------------------------------
 // End-to-end campaign on a synthesized cell.
 
@@ -470,6 +509,98 @@ TEST(Campaign, PinnedClassesOnEveryMacro) {
     EXPECT_EQ(r.faults_extracted, p.faults_extracted) << p.macro;
     EXPECT_EQ(types, p.types_digest) << p.macro;
   }
+}
+
+/// Runs `fn` with the global pool at `threads`, restoring the default
+/// afterwards.
+template <typename Fn>
+auto with_threads(unsigned threads, Fn&& fn) {
+  util::ThreadPool::set_global_thread_count(threads);
+  struct Restore {
+    ~Restore() { util::ThreadPool::set_global_thread_count(0); }
+  } restore;
+  return fn();
+}
+
+/// (key, count) of every class in class order, then the per-type
+/// sprinkled and faulting counts and the fault total.
+std::uint64_t sprinkle_digest(const CampaignResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& cls : r.classes)
+    h = fnv1a(h, cls.representative.key() + '\n' +
+                     std::to_string(cls.count) + '\n');
+  for (std::size_t n : r.defects_by_type) h = fnv1a(h, std::to_string(n) + ',');
+  for (std::size_t n : r.faulting_by_type) h = fnv1a(h, std::to_string(n) + ',');
+  return fnv1a(h, std::to_string(r.faults_extracted));
+}
+
+struct PinnedSprinkle {
+  const char* macro;
+  std::function<CellLayout()> build;
+  const char* vdd_net;
+  std::uint64_t seed;
+  double cluster_fraction;
+  std::uint64_t digest;
+};
+
+/// 60k-spot sprinkles pinned before the sprinkle settled spots by size:
+/// the sprinkle may skip work, never change a draw, a class, a count or
+/// the class order, at any thread count.
+void expect_pinned(const std::vector<PinnedSprinkle>& pinned) {
+  for (const auto& p : pinned) {
+    const CellLayout cell = p.build();
+    const DefectAnalyzer analyzer(cell, {.vdd_net = p.vdd_net});
+    CampaignOptions opt;
+    opt.defect_count = 60000;
+    opt.seed = p.seed;
+    opt.vdd_net = p.vdd_net;
+    opt.statistics.clustering.cluster_fraction = p.cluster_fraction;
+    for (unsigned threads : {1u, 4u}) {
+      const std::uint64_t digest = sprinkle_digest(
+          with_threads(threads, [&] { return run_campaign(analyzer, opt); }));
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016llx",
+                    static_cast<unsigned long long>(digest));
+      EXPECT_EQ(digest, p.digest)
+          << p.macro << " seed " << p.seed << " clusters "
+          << p.cluster_fraction << " threads " << threads << ": " << hex;
+    }
+  }
+}
+
+CellLayout bank8_layout() {
+  flashadc::BankOptions bank;
+  bank.size = 8;
+  return flashadc::build_bank_layout(bank);
+}
+
+TEST(SprinklePin, FiveMacrosAndBank8AtTwoSeeds) {
+  const auto comparator = [] { return flashadc::build_comparator_layout(); };
+  const auto ladder = [] { return flashadc::build_ladder_layout(); };
+  const auto biasgen = [] { return flashadc::build_biasgen_layout(); };
+  const auto clockgen = [] { return flashadc::build_clockgen_layout(); };
+  const auto decoder = [] { return flashadc::build_decoder_layout(); };
+  expect_pinned({
+      {"comparator", comparator, "vdda", 1, 0.0, 0xfddb1fa65cd390d9ull},
+      {"comparator", comparator, "vdda", 1995, 0.0, 0x8d25c1da8fe30c81ull},
+      {"ladder", ladder, "vdda", 1, 0.0, 0x465457af0343cb95ull},
+      {"ladder", ladder, "vdda", 1995, 0.0, 0xd364593c170d244full},
+      {"biasgen", biasgen, "vdda", 1, 0.0, 0x47011703694fe0a4ull},
+      {"biasgen", biasgen, "vdda", 1995, 0.0, 0xaace4106eda4390eull},
+      {"clockgen", clockgen, "vddd", 1, 0.0, 0x39b0e800477c4ef4ull},
+      {"clockgen", clockgen, "vddd", 1995, 0.0, 0x2081fc442bb84709ull},
+      {"decoder", decoder, "vddd", 1, 0.0, 0xdd43eefb64ec073bull},
+      {"decoder", decoder, "vddd", 1995, 0.0, 0xd2b1a0f7ae438e33ull},
+      {"bank-8", bank8_layout, "vdda", 1, 0.0, 0xa98e80e6b9d6e798ull},
+      {"bank-8", bank8_layout, "vdda", 1995, 0.0, 0x203413fbbf0034abull},
+  });
+}
+
+TEST(SprinklePin, ClusteredSprinkle) {
+  // Cluster members take the seed spot's type after the spot is drawn,
+  // so the size rule must read the type the member ends up with.
+  expect_pinned({{"bank-8", bank8_layout, "vdda", 1995, 0.2,
+                  0x7416a0782034c4ccull}});
 }
 
 }  // namespace

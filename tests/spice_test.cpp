@@ -346,6 +346,21 @@ TEST(MonteCarlo, PerturbScalesSupplyOnlyForListedSources) {
   EXPECT_NEAR(std::get<Resistor>(*out.find_device("R1")).ohms, 2e3, 1e-9);
 }
 
+TEST(MonteCarlo, PerturbRejectsASupplyNameNoSourceCarries) {
+  Netlist n;
+  n.add_vsource("VDD", "vdd", "0", SourceSpec::dc(5.0));
+  n.add_resistor("R1", "vdd", "0", 1e3);
+  const ProcessSpread spread;
+  const EnvironmentSample s;
+  util::Rng rng(6);
+  // A listed name that matches nothing would leave the supply unscaled.
+  EXPECT_THROW(perturb(n, spread, s, {"VDD", "VDDD"}, rng),
+               util::InvalidInputError);
+  // A device of that name that is not a source is no supply either.
+  EXPECT_THROW(perturb(n, spread, s, {"R1"}, rng), util::InvalidInputError);
+  EXPECT_NO_THROW(perturb(n, spread, s, {"VDD"}, rng));
+}
+
 TEST(MonteCarlo, TemperatureShiftsThresholdAndLeakage) {
   Netlist n;
   n.add_mosfet("M1", MosType::kNmos, "d", "g", "0", "0", 1e-6, 1e-6,
