@@ -1,18 +1,6 @@
 #include "defect/statistics.hpp"
 
-#include <array>
-
 namespace dot::defect {
-
-const std::string& defect_type_name(DefectType type) {
-  static const std::array<std::string, kDefectTypeCount> names = {
-      "extra metal1",    "extra metal2",     "extra poly",
-      "extra active",    "missing metal1",   "missing metal2",
-      "missing poly",    "missing active",   "extra contact",
-      "extra via",       "missing contact",  "missing via",
-      "gate oxide pinhole", "thick oxide pinhole", "junction pinhole"};
-  return names[static_cast<std::size_t>(type)];
-}
 
 DefectStatistics::DefectStatistics() {
   // Metallization extra-material defects dominate (paper section 3.2:

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 
 #include "util/rng.hpp"
 
@@ -32,8 +31,6 @@ enum class DefectType {
   kJunctionPinhole,
 };
 inline constexpr int kDefectTypeCount = 15;
-
-const std::string& defect_type_name(DefectType type);
 
 /// Spatial clustering of spot defects. Real fab defects do not arrive
 /// as a homogeneous Poisson process: a scratch, splash or particle

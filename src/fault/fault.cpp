@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -52,29 +51,6 @@ std::string CircuitFault::key() const {
     k += ',';
   }
   return k;
-}
-
-std::vector<FaultClass> collapse_faults(
-    const std::vector<CircuitFault>& faults) {
-  std::unordered_map<std::string, std::size_t> index;
-  std::vector<FaultClass> classes;
-  for (const auto& fault : faults) {
-    const std::string key = fault.key();
-    auto [it, inserted] = index.emplace(key, classes.size());
-    if (inserted) classes.push_back(FaultClass{fault, 1});
-    else ++classes[it->second].count;
-  }
-  std::stable_sort(classes.begin(), classes.end(),
-                   [](const FaultClass& a, const FaultClass& b) {
-                     return a.count > b.count;
-                   });
-  return classes;
-}
-
-std::size_t total_fault_count(const std::vector<FaultClass>& classes) {
-  std::size_t total = 0;
-  for (const auto& c : classes) total += c.count;
-  return total;
 }
 
 }  // namespace dot::fault

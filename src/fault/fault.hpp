@@ -68,19 +68,13 @@ struct CircuitFault {
   std::string key() const;
 };
 
-/// Equivalence class of collapsed faults. `count` is the class
+/// Equivalence class of collapsed faults (paper fig. 1, "fault
+/// collapsing", done by defect::run_campaign). `count` is the class
 /// magnitude -- the number of simulated defects that produced this
 /// fault, which the paper uses as the likelihood of the fault.
 struct FaultClass {
   CircuitFault representative;
   std::size_t count = 0;
 };
-
-/// Collapses circuit-level equivalent faults (paper fig. 1, "fault
-/// collapsing"). Classes come out in descending count order.
-std::vector<FaultClass> collapse_faults(const std::vector<CircuitFault>& faults);
-
-/// Total fault count across classes.
-std::size_t total_fault_count(const std::vector<FaultClass>& classes);
 
 }  // namespace dot::fault

@@ -173,7 +173,7 @@ BankOptions bank_options_of(const CampaignConfig& c) {
 }
 
 ChipOptions chip_options_of(const CampaignConfig& c) {
-  return {c.chip_slices, c.dft, c.solver};
+  return {c.chip_slices, c.dft};
 }
 
 /// A DC macro: one operating point per netlist, its currents checked

@@ -298,11 +298,4 @@ ComparatorRun extract_chip_run(const spice::TranResult& result,
   return run;
 }
 
-ComparatorRun run_chip_bench(const Netlist& full_bench,
-                             const ChipOptions& options, int slice) {
-  spice::TranOptions tran = chip_tran_options();
-  tran.solver = options.solver;
-  return extract_chip_run(spice::transient(full_bench, tran), options, slice);
-}
-
 }  // namespace dot::flashadc

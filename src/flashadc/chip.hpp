@@ -49,9 +49,6 @@ struct ChipOptions {
   /// util::InvalidInputError otherwise. 256 is the paper's converter.
   int slices = 256;
   ComparatorDft dft;
-  /// Linear-solver options for run_chip_bench. The campaign's
-  /// decision-grid bench takes CampaignConfig::solver instead.
-  spice::SolverOptions solver;
 };
 
 /// The comparator-column options embedded in the chip.
@@ -112,10 +109,5 @@ spice::TranOptions chip_tran_options();
 /// digital supply (now including decoder + clockgen quiescent paths).
 ComparatorRun extract_chip_run(const spice::TranResult& result,
                                const ChipOptions& options, int slice);
-
-/// Two-cycle transient on an already-instantiated bench, read at
-/// slice `slice`. Convergence failures throw.
-ComparatorRun run_chip_bench(const spice::Netlist& full_bench,
-                             const ChipOptions& options, int slice);
 
 }  // namespace dot::flashadc

@@ -140,24 +140,16 @@ ComparatorRun extract_comparator_run(const spice::TranResult& result) {
   return run;
 }
 
-ComparatorRun run_comparator(const Netlist& full_bench) {
-  return extract_comparator_run(
-      spice::transient(full_bench, comparator_tran_options()));
-}
-
 ComparatorRun simulate_comparator(const Netlist& macro, double delta_v) {
   const Netlist bench = instantiate_comparator_bench(macro, delta_v);
   try {
-    return run_comparator(bench);
+    return extract_comparator_run(
+        spice::transient(bench, comparator_tran_options()));
   } catch (const util::ConvergenceError&) {
     ComparatorRun failed;
     failed.converged = false;
     return failed;
   }
-}
-
-std::array<ComparatorRun, 4> simulate_comparator_grid(const Netlist& macro) {
-  return run_decision_grid(comparator_grid_bench(), macro, 0);
 }
 
 DecisionGridBench comparator_grid_bench() {

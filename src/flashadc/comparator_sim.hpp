@@ -64,17 +64,10 @@ void check_measurement_horizon(const spice::TranResult& result);
 /// kMeasEnd (as do the bank and chip extractors).
 ComparatorRun extract_comparator_run(const spice::TranResult& result);
 
-/// Runs the two-cycle transient and extracts the run record. Throws
-/// util::ConvergenceError when a step fails (callers decide policy).
-ComparatorRun run_comparator(const spice::Netlist& full_bench);
-
-/// Convenience: bench + run for a macro netlist at one input level.
+/// Convenience: bench + run for a macro netlist at one input level; a
+/// transient that fails to converge gives a converged=false record.
 ComparatorRun simulate_comparator(const spice::Netlist& macro,
                                   double delta_v);
-
-/// All four grid points. Index order follows kDecisionGrid.
-std::array<ComparatorRun, 4> simulate_comparator_grid(
-    const spice::Netlist& macro);
 
 /// The decision-grid bench of any comparator-style macro: the flat bank
 /// and chip columns observe one slice's flipflop, the single comparator

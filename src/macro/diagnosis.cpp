@@ -18,8 +18,7 @@ Syndrome syndrome_of(const DetectionOutcome& outcome) {
 
 void FaultDictionary::add(const fault::FaultClass& cls,
                           const DetectionOutcome& outcome) {
-  const Syndrome s = syndrome_of(outcome);
-  buckets_[s.key()].push_back({cls, s});
+  buckets_[syndrome_of(outcome).key()].push_back(cls);
   ++total_entries_;
 }
 
@@ -28,16 +27,16 @@ std::vector<Candidate> FaultDictionary::diagnose(
   const auto& bucket = buckets_[observed.key()];
   double total = 0.0;
   for (const auto& entry : bucket)
-    total += static_cast<double>(entry.cls.count);
+    total += static_cast<double>(entry.count);
 
   std::vector<Candidate> candidates;
   candidates.reserve(bucket.size());
   for (const auto& entry : bucket) {
     Candidate c;
-    c.fault = entry.cls.representative;
-    c.magnitude = entry.cls.count;
+    c.fault = entry.representative;
+    c.magnitude = entry.count;
     c.posterior =
-        total > 0.0 ? static_cast<double>(entry.cls.count) / total : 0.0;
+        total > 0.0 ? static_cast<double>(entry.count) / total : 0.0;
     candidates.push_back(std::move(c));
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -53,7 +52,7 @@ FaultDictionary::Resolution FaultDictionary::resolution() const {
   double grand_total = 0.0;
   for (const auto& bucket : buckets_)
     for (const auto& entry : bucket)
-      grand_total += static_cast<double>(entry.cls.count);
+      grand_total += static_cast<double>(entry.count);
   if (grand_total <= 0.0) return r;
 
   for (const auto& bucket : buckets_) {
@@ -61,14 +60,14 @@ FaultDictionary::Resolution FaultDictionary::resolution() const {
     ++r.distinct_syndromes;
     double bucket_total = 0.0;
     for (const auto& entry : bucket)
-      bucket_total += static_cast<double>(entry.cls.count);
+      bucket_total += static_cast<double>(entry.count);
     // E[posterior | bucket] = sum_i (w_i / bucket_total)^2 * bucket_total
     // weighted by P(bucket); summed over buckets this is the expected
     // posterior of the true fault under the dictionary.
     double sum_sq = 0.0;
     for (const auto& entry : bucket)
-      sum_sq += static_cast<double>(entry.cls.count) *
-                static_cast<double>(entry.cls.count);
+      sum_sq += static_cast<double>(entry.count) *
+                static_cast<double>(entry.count);
     r.expected_posterior += sum_sq / bucket_total / grand_total;
   }
   return r;

@@ -31,12 +31,6 @@ struct Syndrome {
   }
 };
 
-/// One dictionary entry: a fault class and the syndrome it produces.
-struct DictionaryEntry {
-  fault::FaultClass cls;
-  Syndrome syndrome;
-};
-
 struct Candidate {
   fault::CircuitFault fault;
   std::size_t magnitude = 0;   ///< Class count (likelihood weight).
@@ -66,7 +60,8 @@ class FaultDictionary {
   Resolution resolution() const;
 
  private:
-  std::vector<DictionaryEntry> buckets_[16];
+  /// Fault classes by the key() of the syndrome they produce.
+  std::vector<fault::FaultClass> buckets_[16];
   std::size_t total_entries_ = 0;
 };
 

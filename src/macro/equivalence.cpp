@@ -2,18 +2,7 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace dot::macro {
-
-const std::string& fault_locality_name(FaultLocality locality) {
-  static const std::string names[kFaultLocalityCount] = {
-      "slice_local", "shared", "inter_slice", "unmappable"};
-  const int i = static_cast<int>(locality);
-  if (i < 0 || i >= kFaultLocalityCount)
-    throw util::InvalidInputError("fault_locality_name: bad locality");
-  return names[i];
-}
 
 namespace {
 

@@ -37,8 +37,6 @@ enum class FaultLocality {
 };
 inline constexpr int kFaultLocalityCount = 4;
 
-const std::string& fault_locality_name(FaultLocality locality);
-
 /// Maps one composite-cell name into (slice, sub-cell name). Slice -1
 /// means shared (present in the sub-cell under the same name); an empty
 /// mapped name means "belongs to that slice but has no sub-cell

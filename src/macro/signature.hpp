@@ -36,12 +36,4 @@ struct CurrentSignature {
   bool any() const { return ivdd || iddq || iinput; }
 };
 
-/// Complete macro-level fault signature with its likelihood weight
-/// (the collapsed fault-class magnitude).
-struct FaultSignature {
-  VoltageSignature voltage = VoltageSignature::kNoDeviation;
-  CurrentSignature current;
-  double weight = 0.0;
-};
-
 }  // namespace dot::macro

@@ -1,8 +1,6 @@
 #include "numeric/lu.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -21,7 +19,6 @@ bool DenseLu::factor(double pivot_epsilon) {
   perm_.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
   singular_ = false;
-  min_abs_pivot_ = n == 0 ? 0.0 : std::numeric_limits<double>::infinity();
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: largest-magnitude entry in column k.
@@ -36,7 +33,6 @@ bool DenseLu::factor(double pivot_epsilon) {
     }
     if (pivot_mag <= pivot_epsilon) {
       singular_ = true;
-      min_abs_pivot_ = 0.0;
       return false;
     }
     if (pivot_row != k) {
@@ -44,7 +40,6 @@ bool DenseLu::factor(double pivot_epsilon) {
         std::swap(lu_(k, c), lu_(pivot_row, c));
       std::swap(perm_[k], perm_[pivot_row]);
     }
-    min_abs_pivot_ = std::min(min_abs_pivot_, pivot_mag);
     const double inv_pivot = 1.0 / lu_(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
       const double factor = lu_(r, k) * inv_pivot;
@@ -82,11 +77,6 @@ std::vector<double> DenseLu::solve(const std::vector<double>& b) const {
   std::vector<double> x;
   solve_into(b, x);
   return x;
-}
-
-std::vector<double> solve_linear(const Matrix& a,
-                                 const std::vector<double>& b) {
-  return DenseLu(a).solve(b);
 }
 
 }  // namespace dot::numeric

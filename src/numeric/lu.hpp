@@ -33,10 +33,6 @@ class DenseLu {
   std::size_t size() const { return lu_.rows(); }
   bool singular() const { return singular_; }
 
-  /// Estimated reciprocal pivot growth; tiny values signal an
-  /// ill-conditioned system (useful for fault-sim diagnostics).
-  double min_abs_pivot() const { return min_abs_pivot_; }
-
   /// Factors matrix() in place (P*A = L*U). Returns false (and marks
   /// the factorization singular) when a zero / sub-epsilon pivot is hit.
   bool factor(double pivot_epsilon = 1e-13);
@@ -51,10 +47,6 @@ class DenseLu {
   Matrix lu_;
   std::vector<std::size_t> perm_;
   bool singular_ = false;
-  double min_abs_pivot_ = 0.0;
 };
-
-/// One-shot convenience: solves A x = b, throwing on singular A.
-std::vector<double> solve_linear(const Matrix& a, const std::vector<double>& b);
 
 }  // namespace dot::numeric

@@ -1,83 +1,14 @@
 #include "numeric/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace dot::numeric {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 void Matrix::fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
-}
-
-std::vector<double> Matrix::multiply(const std::vector<double>& x) const {
-  if (x.size() != cols_)
-    throw std::invalid_argument("Matrix::multiply: size mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-Matrix Matrix::transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-double Matrix::max_abs() const {
-  double best = 0.0;
-  for (double v : data_) best = std::max(best, std::fabs(v));
-  return best;
-}
-
-std::string Matrix::str(int decimals) const {
-  std::ostringstream os;
-  os.precision(decimals);
-  os << std::fixed;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      os << (c == 0 ? "" : " ") << (*this)(r, c);
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-double norm_inf(const std::vector<double>& v) {
-  double best = 0.0;
-  for (double x : v) best = std::max(best, std::fabs(x));
-  return best;
-}
-
-double norm_2(const std::vector<double>& v) {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return std::sqrt(acc);
-}
-
-std::vector<double> subtract(const std::vector<double>& a,
-                             const std::vector<double>& b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("subtract: size mismatch");
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
 }
 
 }  // namespace dot::numeric

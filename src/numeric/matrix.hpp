@@ -1,12 +1,11 @@
 // Dense real matrix used by the MNA formulation. Macro cells in the
 // methodology are deliberately small (that is the point of the macro
-// decomposition), so a dense solver wins on constant factors below the
-// dense/sparse crossover (~20-30 unknowns, measured by bench_solver);
-// past it, spice::SolverContext switches to numeric/sparse.hpp.
+// decomposition), so a dense solver wins on constant factors on small
+// systems; past SolverOptions::sparse_threshold unknowns,
+// spice::SolverContext switches to numeric/sparse.hpp.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace dot::numeric {
@@ -15,8 +14,6 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  static Matrix identity(std::size_t n);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -31,27 +28,10 @@ class Matrix {
 
   void fill(double value);
 
-  /// y = A * x
-  std::vector<double> multiply(const std::vector<double>& x) const;
-
-  Matrix transpose() const;
-
-  /// max_ij |a_ij|
-  double max_abs() const;
-
-  std::string str(int decimals = 4) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Vector helpers shared by the solvers.
-double norm_inf(const std::vector<double>& v);
-double norm_2(const std::vector<double>& v);
-/// out = a - b (sizes must match).
-std::vector<double> subtract(const std::vector<double>& a,
-                             const std::vector<double>& b);
 
 }  // namespace dot::numeric

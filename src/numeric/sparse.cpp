@@ -304,7 +304,6 @@ bool SparseFactors::refactor(
   udiag_.resize(n);
   x_.assign(n, 0.0);
   z_.resize(n);
-  min_abs_pivot_ = n > 0 ? std::numeric_limits<double>::infinity() : 0.0;
 
   // Column j's nonzeros are its U entries (pivot positions < j), the
   // pivot and its L entries, all inside the column's reach. The U
@@ -331,10 +330,8 @@ bool SparseFactors::refactor(
     const double mag = std::abs(piv);
     if (mag <= pivot_epsilon) {
       symbolic_.reset();
-      min_abs_pivot_ = mag;
       return false;
     }
-    min_abs_pivot_ = std::min(min_abs_pivot_, mag);
     udiag_[j] = piv;
     x_[s.pivrow[j]] = 0.0;
     const double inv_piv = 1.0 / piv;

@@ -141,9 +141,6 @@ class SparseSymbolic {
   std::size_t size() const { return pattern.n; }
   std::size_t l_nnz() const { return l_rows.size(); }
   std::size_t u_nnz() const { return u_rows.size() + pattern.n; }
-  /// Total factor entries (L + U including the diagonal); compare with
-  /// pattern.nnz() to see the fill the ordering admitted.
-  std::size_t factor_nnz() const { return l_nnz() + u_nnz(); }
 
   CsrPattern pattern;                ///< The analyzed matrix structure.
   std::vector<std::int32_t> qperm;   ///< factor column j = A column qperm[j].
@@ -172,8 +169,6 @@ class SparseFactors {
                 const std::vector<double>& csr_values,
                 double pivot_epsilon = 1e-13);
 
-  bool valid() const { return symbolic_ != nullptr; }
-  double min_abs_pivot() const { return min_abs_pivot_; }
   const std::shared_ptr<const SparseSymbolic>& symbolic() const {
     return symbolic_;
   }
@@ -195,7 +190,6 @@ class SparseFactors {
   std::vector<double> l_vals_, u_vals_, udiag_;
   std::vector<double> x_;  ///< dense scratch (factor + solve).
   std::vector<double> z_;  ///< pivot-space scratch (solve).
-  double min_abs_pivot_ = 0.0;
 };
 
 }  // namespace dot::numeric

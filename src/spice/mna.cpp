@@ -41,10 +41,6 @@ std::size_t MnaMap::branch_index(const std::string& source_name) const {
   return it->second;
 }
 
-bool MnaMap::has_branch(const std::string& source_name) const {
-  return branch_.count(source_name) != 0;
-}
-
 double MnaMap::voltage(const std::vector<double>& x, NodeId node) const {
   const int i = node_index(node);
   return i < 0 ? 0.0 : x[static_cast<std::size_t>(i)];

@@ -183,7 +183,6 @@ class MnaMap {
   /// Unknown index of the branch current of a voltage source; throws
   /// for unknown names.
   std::size_t branch_index(const std::string& source_name) const;
-  bool has_branch(const std::string& source_name) const;
 
   /// Branch-current index of the k-th voltage source in device-list
   /// order. Assembly walks devices in that same order, so this replaces

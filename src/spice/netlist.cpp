@@ -111,18 +111,6 @@ void Netlist::append_renamed(
   }
 }
 
-bool Netlist::remove_device(const std::string& name) {
-  auto it = device_index_.find(name);
-  if (it == device_index_.end()) return false;
-  const std::size_t index = it->second;
-  devices_.erase(devices_.begin() + static_cast<std::ptrdiff_t>(index));
-  device_index_.erase(it);
-  // Reindex the tail.
-  for (auto& entry : device_index_)
-    if (entry.second > index) --entry.second;
-  return true;
-}
-
 const Device* Netlist::find_device(const std::string& name) const {
   auto it = device_index_.find(name);
   return it == device_index_.end() ? nullptr : &devices_[it->second];
@@ -131,17 +119,6 @@ const Device* Netlist::find_device(const std::string& name) const {
 Device* Netlist::find_device(const std::string& name) {
   auto it = device_index_.find(name);
   return it == device_index_.end() ? nullptr : &devices_[it->second];
-}
-
-std::vector<std::pair<std::size_t, int>> Netlist::terminals_on_node(
-    NodeId node) const {
-  std::vector<std::pair<std::size_t, int>> out;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const auto nodes = terminal_nodes(devices_[i]);
-    for (std::size_t t = 0; t < nodes.size(); ++t)
-      if (nodes[t] == node) out.emplace_back(i, static_cast<int>(t));
-  }
-  return out;
 }
 
 std::vector<NodeId> Netlist::terminal_nodes(const Device& device) {
@@ -186,32 +163,6 @@ void Netlist::set_terminal_node(Device& device, int index, NodeId node) {
         }
       },
       device);
-}
-
-bool Netlist::fully_connected() const {
-  if (node_names_.size() <= 1) return true;
-  std::vector<char> reached(node_names_.size(), 0);
-  reached[kGround] = 1;
-  // Breadth-first flood over device terminal groups.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& device : devices_) {
-      const auto nodes = terminal_nodes(device);
-      bool any = false;
-      for (NodeId n : nodes) any = any || reached[static_cast<std::size_t>(n)];
-      if (!any) continue;
-      for (NodeId n : nodes) {
-        auto& flag = reached[static_cast<std::size_t>(n)];
-        if (!flag) {
-          flag = 1;
-          changed = true;
-        }
-      }
-    }
-  }
-  return std::all_of(reached.begin(), reached.end(),
-                     [](char c) { return c != 0; });
 }
 
 }  // namespace dot::spice

@@ -61,29 +61,17 @@ class Netlist {
       const Netlist& other, const std::string& device_prefix,
       const std::function<std::string(const std::string&)>& map_net);
 
-  /// Removes the named device. Returns false if absent.
-  bool remove_device(const std::string& name);
-
   const std::vector<Device>& devices() const { return devices_; }
   std::vector<Device>& devices() { return devices_; }
 
-  /// Pointer to the named device, or nullptr (invalidated by add/remove).
+  /// Pointer to the named device, or nullptr (invalidated by add).
   const Device* find_device(const std::string& name) const;
   Device* find_device(const std::string& name);
-
-  /// All (device index, terminal index) pairs attached to `node`.
-  /// Terminal order matches terminal_nodes().
-  std::vector<std::pair<std::size_t, int>> terminals_on_node(NodeId node) const;
 
   /// The node list of a device in canonical terminal order.
   static std::vector<NodeId> terminal_nodes(const Device& device);
   /// Rebinds terminal `index` of `device` to `node`.
   static void set_terminal_node(Device& device, int index, NodeId node);
-
-  /// True when every non-ground node can reach ground through device
-  /// terminals (capacitors count as connections here); used as a sanity
-  /// check before simulation.
-  bool fully_connected() const;
 
  private:
   void check_fresh_name(const std::string& name) const;

@@ -1,20 +1,14 @@
 // Time-dependent stimulus descriptions for independent sources.
 //
-// The case-study tests need DC levels, clock pulses (three comparator
-// phases), triangular ramps (missing-code test) and piecewise-linear
-// stimuli, so those are the supported shapes.
+// The case-study benches need DC levels and clock pulses (three
+// comparator phases), so those are the supported shapes.
 #pragma once
-
-#include <vector>
 
 namespace dot::spice {
 
 enum class SourceShape {
-  kDc,        ///< Constant value.
-  kPulse,     ///< Periodic trapezoidal pulse (SPICE PULSE semantics).
-  kSine,      ///< offset + amplitude * sin(2*pi*freq*(t - delay)).
-  kTriangle,  ///< Periodic symmetric triangle between low and high.
-  kPwl,       ///< Piecewise linear; holds last value after final point.
+  kDc,     ///< Constant value.
+  kPulse,  ///< Periodic trapezoidal pulse (SPICE PULSE semantics).
 };
 
 struct PulseParams {
@@ -27,25 +21,6 @@ struct PulseParams {
   double period = 0.0;    ///< Repetition period (0 = single pulse).
 };
 
-struct SineParams {
-  double offset = 0.0;
-  double amplitude = 0.0;
-  double freq_hz = 0.0;
-  double delay = 0.0;
-};
-
-struct TriangleParams {
-  double low = 0.0;
-  double high = 0.0;
-  double period = 0.0;  ///< Full low->high->low period.
-  double delay = 0.0;   ///< Waveform holds `low` before the delay.
-};
-
-struct PwlPoint {
-  double time = 0.0;
-  double value = 0.0;
-};
-
 /// Value-semantic description of a source waveform; eval() is pure.
 class SourceSpec {
  public:
@@ -53,11 +28,6 @@ class SourceSpec {
 
   static SourceSpec dc(double value);
   static SourceSpec pulse(const PulseParams& p);
-  static SourceSpec sine(const SineParams& p);
-  static SourceSpec triangle(const TriangleParams& p);
-  static SourceSpec pwl(std::vector<PwlPoint> points);
-
-  SourceShape shape() const { return shape_; }
 
   /// Instantaneous value at time t (t < 0 treated as t = 0).
   double eval(double t) const;
@@ -73,9 +43,6 @@ class SourceSpec {
   SourceShape shape_;
   double dc_ = 0.0;
   PulseParams pulse_{};
-  SineParams sine_{};
-  TriangleParams triangle_{};
-  std::vector<PwlPoint> pwl_;
 };
 
 }  // namespace dot::spice

@@ -69,12 +69,6 @@ double TranResult::current_at(double time, const std::string& source) const {
                      current(i + 1, source), time);
 }
 
-std::vector<double> TranResult::voltage_series(const std::string& node) const {
-  std::vector<double> out(times_.size());
-  for (std::size_t i = 0; i < times_.size(); ++i) out[i] = voltage(i, node);
-  return out;
-}
-
 TranStepper::TranStepper(const Netlist& netlist, const TranOptions& options)
     : netlist_(netlist),
       options_(options),

@@ -75,9 +75,6 @@ class TranResult {
   /// Linear interpolation of a source branch current at a time.
   double current_at(double time, const std::string& source) const;
 
-  /// Whole time series of one node.
-  std::vector<double> voltage_series(const std::string& node) const;
-
   const MnaMap& map() const { return map_; }
 
   /// Aggregate solver work of the run that produced this result.

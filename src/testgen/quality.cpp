@@ -31,9 +31,4 @@ double defect_level(double yield, double fault_coverage) {
   return 1.0 - std::pow(yield, 1.0 - fault_coverage);
 }
 
-double defects_per_million(const ProcessQuality& process,
-                           double fault_coverage) {
-  return 1e6 * defect_level(poisson_yield(process), fault_coverage);
-}
-
 }  // namespace dot::testgen

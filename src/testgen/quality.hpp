@@ -25,8 +25,4 @@ double clustered_yield(const ProcessQuality& process, double alpha);
 /// parts that contain an undetected defect, DL = 1 - Y^(1 - FC).
 double defect_level(double yield, double fault_coverage);
 
-/// Same, in defective parts per million shipped.
-double defects_per_million(const ProcessQuality& process,
-                           double fault_coverage);
-
 }  // namespace dot::testgen

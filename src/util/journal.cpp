@@ -46,11 +46,6 @@ void JournalWriter::close() {
   if (unflushed_ > 0 || records_.empty()) checkpoint_locked();
 }
 
-std::size_t JournalWriter::record_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
 void JournalWriter::checkpoint_locked() {
   const std::string tmp = path_ + ".tmp";
   {

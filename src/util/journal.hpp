@@ -62,7 +62,6 @@ class JournalWriter {
   void close();
 
   const std::string& path() const { return path_; }
-  std::size_t record_count() const;
 
  private:
   void checkpoint_locked();

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -360,16 +361,19 @@ class JsonParser {
       ++pos_;
       eat_digits();
     }
-    if (digits && pos_ < text_.size() &&
-        (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    if (!digits) fail("bad number");
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
         ++pos_;
+      digits = false;
       eat_digits();
+      if (!digits) fail("exponent without digits");
     }
-    if (!digits) fail("bad number");
     const std::string token(text_.substr(start, pos_ - start));
-    return JsonValue::make_number(std::strtod(token.c_str(), nullptr));
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(value)) fail("number out of range");
+    return JsonValue::make_number(value);
   }
 
   std::string_view text_;

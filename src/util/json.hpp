@@ -62,7 +62,6 @@ class JsonValue {
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
 
   /// Typed accessors; throw InvalidInputError on a kind mismatch so
   /// journal readers surface corrupt records with a real message.

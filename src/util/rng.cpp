@@ -158,15 +158,4 @@ Rng Rng::split(std::uint64_t stream_id) const {
   return Rng(splitmix64(mix));
 }
 
-Rng Rng::fork() {
-  Rng child(0);
-  // Child state drawn from this stream keeps the two streams independent.
-  for (auto& word : child.state_) word = (*this)();
-  // Avoid the (astronomically unlikely) all-zero state.
-  bool all_zero = true;
-  for (auto word : child.state_) all_zero = all_zero && word == 0;
-  if (all_zero) child.state_[0] = 1;
-  return child;
-}
-
 }  // namespace dot::util

@@ -100,10 +100,6 @@ class Rng {
   /// The classic spot-defect size distribution uses exponent = 3.
   double power_law(double x_min, double x_max, double exponent);
 
-  /// Derives an independent child stream; used to give each macro /
-  /// experiment its own stream from one master seed.
-  Rng fork();
-
   /// Counter-based stream derivation: returns the child stream for
   /// `stream_id` WITHOUT advancing this generator. The same (master
   /// state, stream_id) pair always yields the same child, so work item

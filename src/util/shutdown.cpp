@@ -30,6 +30,4 @@ int shutdown_exit_status() {
   return g_signal == 0 ? 0 : 128 + static_cast<int>(g_signal);
 }
 
-void reset_shutdown_for_tests() { g_signal = 0; }
-
 }  // namespace dot::util

@@ -27,8 +27,4 @@ int shutdown_signal();
 /// shutdown was requested.
 int shutdown_exit_status();
 
-/// Test hook: clears the flag so one process can exercise several
-/// interrupt scenarios.
-void reset_shutdown_for_tests();
-
 }  // namespace dot::util

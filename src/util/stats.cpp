@@ -27,12 +27,6 @@ void SignatureSpace::add_dimension(std::string name, Band band) {
   bands_.push_back(band);
 }
 
-std::size_t SignatureSpace::find(const std::string& name) const {
-  for (std::size_t i = 0; i < names_.size(); ++i)
-    if (names_[i] == name) return i;
-  return npos;
-}
-
 bool SignatureSpace::inside(const std::vector<double>& response) const {
   if (response.size() != bands_.size())
     throw std::invalid_argument("SignatureSpace::inside: dimension mismatch");
@@ -51,57 +45,5 @@ std::vector<std::size_t> SignatureSpace::violations(
     if (!bands_[i].contains(response[i])) out.push_back(i);
   return out;
 }
-
-void EnvelopeBuilder::add_sample(const std::vector<double>& response) {
-  if (stats_.empty()) {
-    stats_.resize(response.size());
-  } else if (stats_.size() != response.size()) {
-    throw std::invalid_argument("EnvelopeBuilder: inconsistent sample size");
-  }
-  for (std::size_t i = 0; i < response.size(); ++i) stats_[i].add(response[i]);
-}
-
-SignatureSpace EnvelopeBuilder::build(
-    const std::vector<std::string>& names) const {
-  if (names.size() != stats_.size())
-    throw std::invalid_argument("EnvelopeBuilder::build: name count mismatch");
-  SignatureSpace space;
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    const double mean = stats_[i].mean();
-    double half = k_sigma_ * stats_[i].stddev();
-    half = std::max(half, min_width_ / 2.0);
-    space.add_dimension(names[i], Band{mean - half, mean + half});
-  }
-  return space;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0)
-    throw std::invalid_argument("Histogram: bad range or bin count");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
-  bin = std::min(bin, counts_.size() - 1);
-  ++counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
 
 }  // namespace dot::util

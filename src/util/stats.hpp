@@ -52,10 +52,6 @@ class SignatureSpace {
   const std::string& name(std::size_t i) const { return names_[i]; }
   const Band& band(std::size_t i) const { return bands_[i]; }
 
-  /// Index of the named dimension, or npos if absent.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t find(const std::string& name) const;
-
   bool inside(const std::vector<double>& response) const;
 
   /// Indices of dimensions where the response escapes its band.
@@ -64,52 +60,6 @@ class SignatureSpace {
  private:
   std::vector<std::string> names_;
   std::vector<Band> bands_;
-};
-
-/// Builds a SignatureSpace from per-dimension sample sets:
-/// band = mean +/- k_sigma * stddev, widened to at least min_width to
-/// avoid zero-width bands on perfectly deterministic measurements.
-class EnvelopeBuilder {
- public:
-  explicit EnvelopeBuilder(double k_sigma = 3.0, double min_width = 0.0)
-      : k_sigma_(k_sigma), min_width_(min_width) {}
-
-  /// Adds one Monte-Carlo sample vector; all samples must agree in size
-  /// and dimension order with the names passed to build().
-  void add_sample(const std::vector<double>& response);
-
-  SignatureSpace build(const std::vector<std::string>& names) const;
-
-  std::size_t sample_count() const { return stats_.empty() ? 0 : stats_[0].count(); }
-
- private:
-  double k_sigma_;
-  double min_width_;
-  std::vector<RunningStats> stats_;
-};
-
-/// Fixed-bin histogram for diagnostics and ablation benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_[bin]; }
-  std::size_t total() const { return total_; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 }  // namespace dot::util

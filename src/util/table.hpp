@@ -21,7 +21,6 @@ class TextTable {
   std::string str() const;
 
   std::size_t rows() const { return rows_.size(); }
-  std::size_t columns() const { return headers_.size(); }
 
  private:
   std::vector<std::string> headers_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -17,6 +18,7 @@
 #include "layout/synth.hpp"
 #include "spice/netlist.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace dot::defect {
 namespace {
@@ -396,7 +398,9 @@ TEST(Campaign, YieldAndAccountingConsistent) {
   EXPECT_GT(r.faults_extracted, 0u);
   EXPECT_LT(r.fault_yield(), 0.5);
   // Class counts must add up to the fault count.
-  EXPECT_EQ(fault::total_fault_count(r.classes), r.faults_extracted);
+  std::size_t class_total = 0;
+  for (const auto& c : r.classes) class_total += c.count;
+  EXPECT_EQ(class_total, r.faults_extracted);
   // Per-kind fault counts add up too.
   std::size_t kind_total = 0;
   for (auto c : r.faults_by_kind) kind_total += c;
@@ -405,6 +409,55 @@ TEST(Campaign, YieldAndAccountingConsistent) {
   std::size_t type_total = 0;
   for (auto c : r.defects_by_type) type_total += c;
   EXPECT_EQ(type_total, r.defects_sprinkled);
+}
+
+// Fault collapsing (paper fig. 1) happens inside run_campaign: one class
+// per fault key, sorted by descending count, ties in first-occurrence
+// order. The reference replays the one-block sprinkle spot by spot
+// (block 0 draws from Rng(seed).split(0)) and collapses it by key.
+TEST(Collapse, GroupsAndSortsByCount) {
+  const auto cell = synthesized_inverter();
+  CampaignOptions opt;
+  opt.defect_count = 8000;  // fits one sprinkle block (8192 spots)
+  opt.seed = 5;
+  const auto r = run_campaign(cell, opt);
+
+  const DefectAnalyzer analyzer(cell, {});
+  const DefectSampler sample(opt.statistics, cell.bounding_box());
+  util::Rng rng = util::Rng(opt.seed).split(0);
+  std::vector<std::string> keys;
+  std::vector<std::size_t> counts;
+  std::size_t faults = 0;
+  for (std::size_t n = 0; n < opt.defect_count; ++n) {
+    const auto fault = analyzer.analyze(sample(rng));
+    if (!fault) continue;
+    ++faults;
+    const std::string key = fault->key();
+    const auto at = std::find(keys.begin(), keys.end(), key);
+    if (at == keys.end()) {
+      keys.push_back(key);
+      counts.push_back(1);
+    } else {
+      ++counts[static_cast<std::size_t>(at - keys.begin())];
+    }
+  }
+  std::vector<std::size_t> order(keys.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return counts[a] > counts[b];
+                   });
+
+  EXPECT_EQ(r.faults_extracted, faults);
+  ASSERT_EQ(r.classes.size(), keys.size());
+  ASSERT_GT(keys.size(), 3u);
+  bool tie = false;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(r.classes[i].representative.key(), keys[order[i]]) << i;
+    EXPECT_EQ(r.classes[i].count, counts[order[i]]) << i;
+    if (i > 0) tie = tie || counts[order[i - 1]] == counts[order[i]];
+  }
+  EXPECT_TRUE(tie) << "no tie exercises the first-occurrence order";
 }
 
 TEST(Campaign, ShortsDominateOnSynthesizedCell) {

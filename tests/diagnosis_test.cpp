@@ -116,8 +116,9 @@ TEST(Quality, PaperScaleNumbers) {
   ProcessQuality q;
   q.defect_density_per_cm2 = 0.8;
   q.die_area_cm2 = 0.25;
-  const double before = defects_per_million(q, 0.933);
-  const double after = defects_per_million(q, 0.991);
+  // Defective parts per million shipped.
+  const double before = 1e6 * defect_level(poisson_yield(q), 0.933);
+  const double after = 1e6 * defect_level(poisson_yield(q), 0.991);
   EXPECT_GT(before, 5.0 * after);
   EXPECT_GT(before, 1000.0);  // wafer-sort-only would ship >1000 DPM
   EXPECT_LT(after, 2000.0);

@@ -47,19 +47,6 @@ TEST(FaultKey, OpenTapPartitionDistinguishes) {
   EXPECT_NE(o1.key(), o2.key());
 }
 
-TEST(Collapse, GroupsAndSortsByCount) {
-  std::vector<CircuitFault> faults;
-  for (int i = 0; i < 5; ++i) faults.push_back(make_short("a", "b"));
-  for (int i = 0; i < 2; ++i) faults.push_back(make_short("a", "c"));
-  faults.push_back(make_short("b", "c"));
-  const auto classes = collapse_faults(faults);
-  ASSERT_EQ(classes.size(), 3u);
-  EXPECT_EQ(classes[0].count, 5u);
-  EXPECT_EQ(classes[0].representative.nets, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(classes[2].count, 1u);
-  EXPECT_EQ(total_fault_count(classes), 8u);
-}
-
 TEST(Model, VariantAndNoncatSupport) {
   CircuitFault gos;
   gos.kind = FaultKind::kGateOxidePinhole;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
 #include "flashadc/biasgen.hpp"
+#include "flashadc/campaign.hpp"
 #include "flashadc/chip.hpp"
 #include "flashadc/clockgen.hpp"
 #include "flashadc/comparator.hpp"
@@ -19,9 +21,12 @@
 #include "flashadc/ladder.hpp"
 #include "flashadc/tech.hpp"
 #include "fault/model.hpp"
+#include "macro/envelope.hpp"
 #include "spice/dc.hpp"
+#include "spice/montecarlo.hpp"
 #include "spice/transient.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dot::flashadc {
 namespace {
@@ -86,7 +91,8 @@ TEST(Comparator, BiasLinesAdjacentNominally) {
 
 TEST(Comparator, ResolvesPolarityAcrossGrid) {
   const auto macro_netlist = build_comparator_netlist();
-  const auto runs = simulate_comparator_grid(macro_netlist);
+  const auto runs =
+      run_decision_grid(comparator_grid_bench(), macro_netlist, 0);
   EXPECT_EQ(runs[0].decision, -1);
   EXPECT_EQ(runs[1].decision, -1);
   EXPECT_EQ(runs[2].decision, 1);
@@ -204,8 +210,8 @@ TEST(Comparator, OutputShortIsDetectedAsBrokenFlipflop) {
   f.nets = {"outn", "outp"};
   f.material = fault::BridgeMaterial::kMetal;
   const auto bad = fault::apply_fault(good, f, fault::FaultModelOptions{});
-  const auto nominal = simulate_comparator_grid(good);
-  const auto faulty = simulate_comparator_grid(bad);
+  const auto nominal = run_decision_grid(comparator_grid_bench(), good, 0);
+  const auto faulty = run_decision_grid(comparator_grid_bench(), bad, 0);
   EXPECT_NE(classify_comparator(faulty, nominal),
             VoltageSignature::kNoDeviation);
 }
@@ -216,7 +222,7 @@ TEST(Comparator, ClockLineNearMissShortsYieldClockValueSignature) {
   // the paper's "Clock value" signature. At least one of the plausible
   // clock-line near-miss shorts must classify that way.
   const auto good = build_comparator_netlist();
-  const auto nominal = simulate_comparator_grid(good);
+  const auto nominal = run_decision_grid(comparator_grid_bench(), good, 0);
   const std::vector<std::pair<std::string, std::string>> candidates = {
       {"clk2", "tail3"}, {"clk3", "lat"}, {"clk1", "q"}, {"clk3", "outn"},
       {"clk1", "vin"}};
@@ -228,7 +234,7 @@ TEST(Comparator, ClockLineNearMissShortsYieldClockValueSignature) {
     f.material = fault::BridgeMaterial::kMetal;
     const auto bad = fault::apply_fault(good, f, fault::FaultModelOptions{},
                                         0, /*non_catastrophic=*/true);
-    const auto faulty = simulate_comparator_grid(bad);
+    const auto faulty = run_decision_grid(comparator_grid_bench(), bad, 0);
     found_clock_value =
         found_clock_value || classify_comparator(faulty, nominal) ==
                                  VoltageSignature::kClockValue;
@@ -601,6 +607,103 @@ TEST(MeasurementHorizon, ExtractorsRejectShortWaveforms) {
   ChipOptions chip;
   chip.slices = 8;
   EXPECT_THROW(extract_chip_run(short_run, chip, 0), util::InvalidInputError);
+}
+
+// ------------------------------------------------------------ envelope
+
+/// Checks that every fault-free sample lies inside the envelope built
+/// from those same samples, and that each band is the 3-sigma band (or
+/// a floor) of an independent two-pass mean and sample deviation. With
+/// n <= 10 samples this must hold: by Samuelson's inequality no sample
+/// lies more than (n - 1) / sqrt(n) <= 2.85 sample sigma from the mean,
+/// and the floors and the dilution only widen a 3-sigma band.
+void expect_samples_inside(const macro::MeasurementLayout& layout,
+                           const std::vector<std::vector<double>>& samples,
+                           const macro::BandPolicy& policy) {
+  ASSERT_GE(samples.size(), 2u);
+  ASSERT_LE(samples.size(), 10u);
+  const auto envelope = macro::build_envelope(layout, samples, policy);
+  for (const auto& sample : samples) EXPECT_TRUE(envelope.inside(sample));
+  const double n = static_cast<double>(samples.size());
+  for (std::size_t i = 0; i < layout.size(); ++i) {
+    double mean = 0.0;
+    for (const auto& sample : samples) mean += sample[i] / n;
+    double ss = 0.0;
+    for (const auto& sample : samples)
+      ss += (sample[i] - mean) * (sample[i] - mean);
+    const double sigma = std::sqrt(ss / (n - 1.0));
+    double dilution = 1.0;
+    if (layout.kinds[i] == macro::MeasurementKind::kIVdd)
+      dilution = policy.ivdd_dilution;
+    else if (layout.kinds[i] == macro::MeasurementKind::kIinput)
+      dilution = policy.iinput_dilution;
+    const double half = std::max(
+        {policy.k_sigma * sigma * dilution, policy.abs_floor,
+         policy.rel_floor * std::fabs(mean) * dilution});
+    const util::Band& band = envelope.space().band(i);
+    EXPECT_NEAR((band.lo + band.hi) / 2.0, mean, 1e-9 * half)
+        << layout.names[i];
+    EXPECT_NEAR(band.width() / 2.0, half, 1e-9 * half) << layout.names[i];
+  }
+}
+
+// The comparator's and the ladder's envelopes as the campaign draws them
+// at --envelope=10: the campaign's seed and salts, spreads, perturbed
+// supplies and band policy (comparator currents diluted by its
+// instance count).
+TEST(Envelope, FaultFreeSamplesLieInsideTheirEnvelope) {
+  const CampaignConfig config;
+  constexpr int kSamples = 10;
+
+  const macro::MacroCell comparator = build_comparator_macro();
+  const std::vector<spice::Netlist> benches = {
+      instantiate_comparator_bench(comparator.netlist,
+                                   kDecisionGrid.front()),
+      instantiate_comparator_bench(comparator.netlist, kDecisionGrid.back())};
+  const spice::ProcessSpread spread;
+  const auto comparator_samples = macro::monte_carlo_samples(
+      kSamples, util::Rng(config.seed ^ 0xc0ffee),
+      [&](int, util::Rng& rng) -> std::optional<std::vector<double>> {
+        const auto env = spice::sample_environment(spread, rng);
+        std::vector<spice::Netlist> perturbed;
+        for (const spice::Netlist& bench : benches)
+          perturbed.push_back(spice::perturb(
+              bench, spread, env, {"VDDA", "VDDD", "VBN_SRC", "VBC_SRC"},
+              rng));
+        auto run = [](const spice::Netlist& bench) {
+          return extract_comparator_run(
+              spice::transient(bench, comparator_tran_options()));
+        };
+        try {
+          return comparator_measurements(run(perturbed[0]),
+                                         run(perturbed[1]));
+        } catch (const util::ConvergenceError&) {
+          return std::nullopt;
+        }
+      });
+  macro::BandPolicy diluted = config.band_policy;
+  diluted.ivdd_dilution *= static_cast<double>(comparator.instance_count);
+  diluted.iinput_dilution *= static_cast<double>(comparator.instance_count);
+  expect_samples_inside(comparator_measurement_layout(), comparator_samples,
+                        diluted);
+
+  const macro::MacroCell ladder = build_ladder_macro();
+  const DcContext context = make_dc_context(ladder_dc_bench(), ladder.netlist,
+                                            config.solver);
+  const spice::ProcessSpread tight_poly{.res_sigma_rel_global = 0.015,
+                                        .res_tc = 1e-4};
+  const auto ladder_samples = macro::monte_carlo_samples(
+      kSamples, util::Rng(config.seed ^ 0x1adde4),
+      [&](int, util::Rng& rng) -> std::optional<std::vector<double>> {
+        const auto env = spice::sample_environment(tight_poly, rng);
+        const LadderSolution sol = solve_ladder(
+            spice::perturb(ladder.netlist, tight_poly, env, {}, rng),
+            &context);
+        if (!sol.converged) return std::nullopt;
+        return ladder_measurements(sol);
+      });
+  expect_samples_inside(ladder_measurement_layout(), ladder_samples,
+                        config.band_policy);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "flashadc/report.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace dot::util {
@@ -46,6 +47,37 @@ TEST(Json, EmptyContainers) {
   w.end_object();
   w.end_object();
   EXPECT_EQ(w.str(), "{\"a\":[],\"b\":{}}");
+}
+
+// Journals and the golden corpus come from outside the program; the
+// parser must not invent a value for a malformed number.
+TEST(JsonParse, RejectsExponentWithoutDigits) {
+  for (const char* text : {"1e", "1e+", "2.5E-", "[1e]", "{\"a\":3e}"})
+    EXPECT_THROW(parse_json(text), InvalidInputError) << text;
+  EXPECT_EQ(parse_json("1e3").as_number(), 1000.0);
+  EXPECT_EQ(parse_json("-2.5E-1").as_number(), -0.25);
+}
+
+TEST(JsonParse, RejectsNonFiniteNumbers) {
+  for (const char* text : {"1e999", "-1e999", "[0, 2e400]"})
+    EXPECT_THROW(parse_json(text), InvalidInputError) << text;
+  EXPECT_EQ(parse_json("1.5e308").as_number(), 1.5e308);
+}
+
+TEST(JsonParse, NestingLimit) {
+  auto nested = [](int arrays) {
+    return std::string(static_cast<std::size_t>(arrays), '[') +
+           std::string(static_cast<std::size_t>(arrays), ']');
+  };
+  EXPECT_NO_THROW(parse_json(nested(64)));
+  try {
+    (void)parse_json(nested(66));
+    FAIL() << "66 nested arrays parsed";
+  } catch (const InvalidInputError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -35,8 +35,8 @@ TEST(PaperStories, BiasLineShortIsFunctionallyInvisible) {
   const auto good = build_comparator_netlist();
   const auto bad = fault::apply_fault(good, short_fault("vbc", "vbn"),
                                       fault::FaultModelOptions{});
-  const auto nominal = simulate_comparator_grid(good);
-  const auto faulty = simulate_comparator_grid(bad);
+  const auto nominal = run_decision_grid(comparator_grid_bench(), good, 0);
+  const auto faulty = run_decision_grid(comparator_grid_bench(), bad, 0);
   EXPECT_EQ(classify_comparator(faulty, nominal),
             VoltageSignature::kNoDeviation);
   // And the analog supply current barely moves (sub-3% of nominal).
@@ -84,7 +84,8 @@ TEST(PaperStories, SamplingContentionIsProcessDependent) {
           instantiate_comparator_bench(macro_netlist, 0.3), spread, env,
           {"VDDA", "VDDD"}, rng);
       try {
-        const auto run = run_comparator(bench);
+        const auto run = extract_comparator_run(
+            spice::transient(bench, comparator_tran_options()));
         lo = std::min(lo, run.ivdd[0]);
         hi = std::max(hi, run.ivdd[0]);
         ++good_samples;

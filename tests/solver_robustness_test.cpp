@@ -182,9 +182,13 @@ TEST(Robustness, StepHalvingRecoversOffTheBaseGrid) {
   // from t + dt/2: every later point sits half a step off the base grid
   // (only t_stop is clamped back onto it), so readers of such a run
   // interpolate between points.
+  PulseParams ramp;
+  ramp.pulsed = 1.0;
+  ramp.delay = 1e-9;
+  ramp.rise = 1e-9;
+  ramp.width = 1.0;
   Netlist n;
-  n.add_vsource("V1", "in", "0",
-                SourceSpec::pwl({{0.0, 0.0}, {1e-9, 0.0}, {2e-9, 1.0}}));
+  n.add_vsource("V1", "in", "0", SourceSpec::pulse(ramp));
   n.add_resistor("R1", "in", "out", 1e3);
   n.add_capacitor("C1", "out", "0", 1e-12);
   TranOptions opt;
@@ -284,7 +288,8 @@ TEST(Robustness, GshuntLadderRescuesColumnSizedZeroStateStep) {
                   cell.netlist, chip_opt, mid_slice,
                   flashadc::kDecisionGrid.front()),
               spread, env, {"VDDA", "VDDD"}, rng);
-  const auto run = flashadc::run_chip_bench(bench, chip_opt, mid_slice);
+  const auto run = flashadc::extract_chip_run(
+      transient(bench, flashadc::chip_tran_options()), chip_opt, mid_slice);
   EXPECT_TRUE(run.converged);
 }
 

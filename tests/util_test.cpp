@@ -167,15 +167,6 @@ TEST(Rng, PowerLawVariateBoundIsConservativeAndTight) {
   for (int i = 0; i < 1000; ++i) ASSERT_EQ(sample(a), sample.at(b.uniform()));
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng parent(41);
-  Rng child = parent.fork();
-  // The two streams should not be identical.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) equal += parent() == child();
-  EXPECT_LT(equal, 3);
-}
-
 TEST(RunningStats, BasicMoments) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
@@ -209,56 +200,12 @@ TEST(SignatureSpace, InsideRequiresAllDimensions) {
   EXPECT_FALSE(space.inside({2.5, 0.0}));
   EXPECT_FALSE(space.inside({1.5, 0.2}));
   EXPECT_EQ(space.violations({2.5, 0.2}).size(), 2u);
-  EXPECT_EQ(space.find("iddq"), 1u);
-  EXPECT_EQ(space.find("nope"), SignatureSpace::npos);
 }
 
 TEST(SignatureSpace, DimensionMismatchThrows) {
   SignatureSpace space;
   space.add_dimension("a", Band{0, 1});
   EXPECT_THROW(space.inside({0.5, 0.5}), std::invalid_argument);
-}
-
-TEST(EnvelopeBuilder, ThreeSigmaBand) {
-  EnvelopeBuilder builder(3.0);
-  Rng rng(43);
-  for (int i = 0; i < 50000; ++i)
-    builder.add_sample({rng.normal(10.0, 1.0)});
-  const SignatureSpace space = builder.build({"m"});
-  EXPECT_NEAR(space.band(0).lo, 7.0, 0.1);
-  EXPECT_NEAR(space.band(0).hi, 13.0, 0.1);
-}
-
-TEST(EnvelopeBuilder, MinWidthGuardsDeterministicMeasurements) {
-  EnvelopeBuilder builder(3.0, 0.2);
-  for (int i = 0; i < 10; ++i) builder.add_sample({5.0});
-  const SignatureSpace space = builder.build({"m"});
-  EXPECT_NEAR(space.band(0).width(), 0.2, 1e-12);
-  EXPECT_TRUE(space.inside({5.05}));
-  EXPECT_FALSE(space.inside({5.2}));
-}
-
-TEST(EnvelopeBuilder, InconsistentSampleSizeThrows) {
-  EnvelopeBuilder builder;
-  builder.add_sample({1.0, 2.0});
-  EXPECT_THROW(builder.add_sample({1.0}), std::invalid_argument);
-}
-
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
 }
 
 TEST(TextTable, RendersAlignedColumns) {
