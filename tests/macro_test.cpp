@@ -187,5 +187,30 @@ TEST(Envelope, MismatchedSampleThrows) {
   EXPECT_THROW(build_envelope(layout, {}, {}), util::InvalidInputError);
 }
 
+// A measurement without spread still gets a band of the floor's width.
+TEST(EnvelopeBuilder, MinWidthGuardsDeterministicMeasurements) {
+  MeasurementLayout layout;
+  layout.add("m", MeasurementKind::kOther);
+  std::vector<std::vector<double>> samples(10, {5.0});
+  BandPolicy policy;
+  policy.abs_floor = 0.1;
+  policy.rel_floor = 0.0;
+  const GoodEnvelope envelope = build_envelope(layout, samples, policy);
+  EXPECT_NEAR(envelope.space().band(0).width(), 0.2, 1e-12);
+  EXPECT_TRUE(envelope.inside({5.05}));
+  EXPECT_FALSE(envelope.inside({5.2}));
+}
+
+// Every sample must have the layout's size, wherever it sits in the
+// population.
+TEST(EnvelopeBuilder, InconsistentSampleSizeThrows) {
+  MeasurementLayout layout;
+  layout.add("a", MeasurementKind::kIVdd);
+  layout.add("b", MeasurementKind::kIddq);
+  EXPECT_NO_THROW(build_envelope(layout, {{1.0, 2.0}}, {}));
+  EXPECT_THROW(build_envelope(layout, {{1.0, 2.0}, {1.0}}, {}),
+               util::InvalidInputError);
+}
+
 }  // namespace
 }  // namespace dot::macro
