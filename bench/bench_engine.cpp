@@ -1,8 +1,9 @@
 // Microbenchmarks of the computational kernels: MNA assembly + LU
 // solve, one transient Newton iteration and one transient step, DC
 // operating points, clocked transients, defect analysis, a 60k-spot
-// defect sprinkle (comparator, bank-8) and the behavioral missing-code
-// test. These bound how large a campaign a given time budget affords.
+// defect sprinkle (comparator, bank-8), DefectAnalyzer construction
+// (bank-64, chip-64) and the behavioral missing-code test. These bound
+// how large a campaign a given time budget affords.
 //
 //   bench_engine [--smoke] [--json=FILE | --json-root]
 //
@@ -27,6 +28,7 @@
 #include "defect/statistics.hpp"
 #include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
+#include "flashadc/chip.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
 #include "flashadc/ladder.hpp"
@@ -67,6 +69,19 @@ Kernel defect_sprinkle(const std::string& macro, layout::CellLayout layout) {
                                       .faults_extracted);
           },
           1};
+}
+
+/// DefectAnalyzer construction (spatial index, net lists, harmless
+/// sizes) over a prebuilt layout.
+Kernel defect_analyzer_build(const std::string& macro,
+                             layout::CellLayout layout) {
+  const auto cell =
+      std::make_shared<const layout::CellLayout>(std::move(layout));
+  return {"defect_analyzer_build_" + macro, 20, [cell] {
+            const defect::DefectAnalyzer analyzer(*cell, {.vdd_net = "vdda"});
+            g_sink = g_sink +
+                     analyzer.harmless_below(defect::DefectType::kExtraMetal1);
+          }};
 }
 
 Kernel lu_solve(std::size_t n, int reps) {
@@ -159,6 +174,10 @@ int main(int argc, char** argv) {
   adc.set_comparator(100, {flashadc::ComparatorMode::kOffset, 0.02});
   flashadc::BankOptions bank8;
   bank8.size = 8;
+  flashadc::BankOptions bank64;
+  bank64.size = 64;
+  flashadc::ChipOptions chip64;
+  chip64.slices = 64;
   const auto newton_comparator = std::make_shared<NewtonIteration>(
       comparator_bench, flashadc::comparator_tran_options());
   const auto newton_bank8 = std::make_shared<NewtonIteration>(
@@ -199,6 +218,8 @@ int main(int argc, char** argv) {
        }},
       defect_sprinkle("comparator", cell),
       defect_sprinkle("bank8", flashadc::build_bank_layout(bank8)),
+      defect_analyzer_build("bank64", flashadc::build_bank_layout(bank64)),
+      defect_analyzer_build("chip64", flashadc::build_chip_layout(chip64)),
       {"missing_code_test", 20,
        [&] { g_sink = g_sink + (flashadc::has_missing_code(adc) ? 1.0 : 0.0); }},
   };

@@ -4,7 +4,8 @@
 #include <cfloat>
 #include <cmath>
 #include <map>
-#include <set>
+#include <span>
+#include <tuple>
 
 #include "layout/extract.hpp"
 #include "util/error.hpp"
@@ -89,69 +90,42 @@ constexpr double kGapSearchCap = 2.0;
 
 /// Smallest L-inf gap between two of `rects` with different net ids
 /// (`nets[i]` is rects[i]'s), or `cap` when no pair is closer than
-/// `cap`. Each rectangle goes into every bin of `box` that it overlaps
-/// when grown by a hair over cap / 2 on each side, so two rectangles
-/// whose exact gap is below the cap share a row of bins and a run of
-/// columns, even after rounding. The run begins at the first column of
-/// one of the two; each bin lists the rectangles whose first column it
-/// is ahead of the rest, and only pairs with one of those are compared.
-/// Every close pair is thus compared, and long parallel wires once
-/// rather than in every bin they cross. The bins are square and hold
-/// about one rectangle each on average.
+/// `cap`. The rectangles are indexed grown by a hair over cap / 2 on
+/// each side, so two whose exact gap is below the cap overlap when
+/// grown, even after rounding, and share a run of bins. A pair is
+/// compared only in the first bin of that run (the larger of the two
+/// first columns, then of the two first rows), so every close pair is
+/// compared once, and long parallel wires once rather than in every
+/// bin they cross.
 double min_net_gap(const std::vector<Rect>& rects, const std::vector<int>& nets,
-                   const Rect& box, double reach, double cap) {
+                   double reach, double cap) {
   if (rects.size() < 2) return cap;
   const double grow = 0.5 * cap + 4.0 * DBL_EPSILON * (reach + cap);
-  const double bin = std::max(
-      cap, std::sqrt(box.area() / static_cast<double>(rects.size())));
-  const int nx = std::max(1, static_cast<int>(box.width() / bin));
-  const int ny = std::max(1, static_cast<int>(box.height() / bin));
-  auto index = [](double v, double lo, double extent, int n) {
-    return std::clamp(static_cast<int>((v - lo) / extent * n), 0, n - 1);
-  };
-  // Visits the bins of rects[i] in its first column, or in the others.
-  auto for_each_bin = [&](std::size_t i, bool first_column, auto&& visit) {
-    const Rect& r = rects[i];
-    const int x0 = index(r.x_lo - grow, box.x_lo, box.width(), nx);
-    const int x1 = first_column
-                       ? x0
-                       : index(r.x_hi + grow, box.x_lo, box.width(), nx);
-    const int y0 = index(r.y_lo - grow, box.y_lo, box.height(), ny);
-    const int y1 = index(r.y_hi + grow, box.y_lo, box.height(), ny);
-    for (int by = y0; by <= y1; ++by)
-      for (int bx = first_column ? x0 : x0 + 1; bx <= x1; ++bx)
-        visit(static_cast<std::size_t>(by) * static_cast<std::size_t>(nx) +
-              static_cast<std::size_t>(bx));
-  };
-  std::vector<std::size_t> start(static_cast<std::size_t>(nx) *
-                                     static_cast<std::size_t>(ny) + 1,
-                                 0);
-  for (const bool first_column : {true, false})
-    for (std::size_t i = 0; i < rects.size(); ++i)
-      for_each_bin(i, first_column, [&](std::size_t b) { ++start[b + 1]; });
-  for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
-  std::vector<std::size_t> members(start.back());
-  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
-  std::vector<std::size_t> firsts_end;
-  for (const bool first_column : {true, false}) {
-    for (std::size_t i = 0; i < rects.size(); ++i)
-      for_each_bin(i, first_column,
-                   [&](std::size_t b) { members[fill[b]++] = i; });
-    if (first_column) firsts_end = fill;
-  }
+  std::vector<Rect> grown;
+  grown.reserve(rects.size());
+  for (const Rect& r : rects) grown.push_back(r.expanded(grow));
+  const layout::RectIndex index(grown);
+  std::vector<layout::RectIndex::Range> bins;
+  bins.reserve(grown.size());
+  for (const Rect& r : grown) bins.push_back(index.range(r));
 
   double gap = cap;
-  for (std::size_t b = 0; b + 1 < start.size(); ++b) {
-    for (std::size_t p = start[b]; p < firsts_end[b]; ++p) {
-      const Rect& r = rects[members[p]];
-      const int net = nets[members[p]];
-      for (std::size_t q = p + 1; q < start[b + 1]; ++q) {
-        if (nets[members[q]] == net) continue;
-        const Rect& o = rects[members[q]];
-        gap = std::min(gap, std::max({o.x_lo - r.x_hi, r.x_lo - o.x_hi,
-                                      o.y_lo - r.y_hi, r.y_lo - o.y_hi,
-                                      0.0}));
-        if (gap == 0.0) return 0.0;
+  for (int by = 0; by < index.bins_y(); ++by) {
+    for (int bx = 0; bx < index.bins_x(); ++bx) {
+      const auto members = index.members(bx, by);
+      for (std::size_t p : members) {
+        if (bins[p].x0 != bx) continue;
+        const Rect& r = rects[p];
+        for (std::size_t q : members) {
+          if (nets[q] == nets[p] || (bins[q].x0 == bx && q < p) ||
+              std::max(bins[p].y0, bins[q].y0) != by)
+            continue;
+          const Rect& o = rects[q];
+          gap = std::min(gap, std::max({o.x_lo - r.x_hi, r.x_lo - o.x_hi,
+                                        o.y_lo - r.y_hi, r.y_lo - o.y_hi,
+                                        0.0}));
+          if (gap == 0.0) return 0.0;
+        }
       }
     }
   }
@@ -164,8 +138,10 @@ DefectAnalyzer::DefectAnalyzer(const CellLayout& cell,
                                AnalyzerOptions options)
     : cell_(cell), options_(std::move(options)) {
   bbox_ = cell.bounding_box().expanded(1.0);
-  bins_x_ = std::max(1, static_cast<int>(bbox_.width() / options_.bin_size));
-  bins_y_ = std::max(1, static_cast<int>(bbox_.height() / options_.bin_size));
+  order_cols_ =
+      std::max(1, static_cast<int>(bbox_.width() / kHitOrderBin));
+  order_rows_ =
+      std::max(1, static_cast<int>(bbox_.height() / kHitOrderBin));
 
   // Per-net shape and tap indexes.
   const auto& shapes = cell.shapes();
@@ -193,27 +169,14 @@ DefectAnalyzer::DefectAnalyzer(const CellLayout& cell,
     shape_net_.push_back(it == net_of.end() ? -1 : it->second);
   }
 
-  // Spatial grid: each shape is entered, in shape order, into every bin
-  // of its layer that its rectangle overlaps.
-  const std::size_t bins = static_cast<std::size_t>(bins_x_) *
-                           static_cast<std::size_t>(bins_y_);
-  auto for_each_slot = [&](std::size_t i, auto&& visit) {
-    const BinRange r = bins_of(shapes[i].rect);
-    for (int by = r.y0; by <= r.y1; ++by)
-      for (int bx = r.x0; bx <= r.x1; ++bx)
-        visit(slot(shapes[i].layer, bx, by));
-  };
-  bin_start_.assign(layout::kLayerCount * bins + 1, 0);
-  for (std::size_t i = 0; i < shapes.size(); ++i)
-    for_each_slot(i, [&](std::size_t slot) { ++bin_start_[slot + 1]; });
-  for (std::size_t b = 1; b < bin_start_.size(); ++b)
-    bin_start_[b] += bin_start_[b - 1];
-  bin_entries_.resize(bin_start_.back());
-  std::vector<std::size_t> fill(bin_start_.begin(), bin_start_.end() - 1);
-  for (std::size_t i = 0; i < shapes.size(); ++i)
-    for_each_slot(i, [&](std::size_t slot) {
-      bin_entries_[fill[slot]++] = {shapes[i].rect, i, shape_net_[i]};
-    });
+  // Spatial index: each layer's shapes, in shape order.
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    LayerShapes& l = layers_[static_cast<std::size_t>(shapes[i].layer)];
+    l.rects.push_back(shapes[i].rect);
+    l.shapes.push_back(i);
+    l.nets.push_back(shape_net_[i]);
+  }
+  for (LayerShapes& l : layers_) l.index = layout::RectIndex(l.rects);
 
   // Harmless sizes: each extra-material layer's smallest gap between
   // nets, less a margin for the rounding of the gap and of the spot's
@@ -222,14 +185,8 @@ DefectAnalyzer::DefectAnalyzer(const CellLayout& cell,
                                  std::abs(bbox_.y_lo), std::abs(bbox_.y_hi)});
   for (const Layer layer :
        {Layer::kMetal1, Layer::kMetal2, Layer::kPoly, Layer::kActive}) {
-    std::vector<Rect> rects;
-    std::vector<int> nets;
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      if (shapes[i].layer != layer) continue;
-      rects.push_back(shapes[i].rect);
-      nets.push_back(shape_net_[i]);
-    }
-    const double gap = min_net_gap(rects, nets, bbox_, reach, kGapSearchCap);
+    const LayerShapes& l = layers_[static_cast<std::size_t>(layer)];
+    const double gap = min_net_gap(l.rects, l.nets, reach, kGapSearchCap);
     harmless_[static_cast<std::size_t>(layer)] =
         std::max(0.0, gap - 4.0 * DBL_EPSILON * (reach + gap));
   }
@@ -250,65 +207,56 @@ double DefectAnalyzer::harmless_below(DefectType type) const {
   }
 }
 
-std::size_t DefectAnalyzer::slot(Layer layer, int bx, int by) const {
-  return (static_cast<std::size_t>(layer) * static_cast<std::size_t>(bins_y_) +
-          static_cast<std::size_t>(by)) *
-             static_cast<std::size_t>(bins_x_) +
-         static_cast<std::size_t>(bx);
-}
-
-DefectAnalyzer::BinRange DefectAnalyzer::bins_of(const Rect& r) const {
-  auto clampi = [](int v, int lo, int hi) {
-    return std::max(lo, std::min(v, hi));
-  };
-  BinRange out;
-  out.x0 = clampi(
-      static_cast<int>((r.x_lo - bbox_.x_lo) / bbox_.width() * bins_x_), 0,
-      bins_x_ - 1);
-  out.x1 = clampi(
-      static_cast<int>((r.x_hi - bbox_.x_lo) / bbox_.width() * bins_x_), 0,
-      bins_x_ - 1);
-  out.y0 = clampi(
-      static_cast<int>((r.y_lo - bbox_.y_lo) / bbox_.height() * bins_y_), 0,
-      bins_y_ - 1);
-  out.y1 = clampi(
-      static_cast<int>((r.y_hi - bbox_.y_lo) / bbox_.height() * bins_y_), 0,
-      bins_y_ - 1);
-  return out;
+std::pair<int, int> DefectAnalyzer::order_cell(const Rect& r) const {
+  return {std::clamp(static_cast<int>((r.x_lo - bbox_.x_lo) / bbox_.width() *
+                                      order_cols_),
+                     0, order_cols_ - 1),
+          std::clamp(static_cast<int>((r.y_lo - bbox_.y_lo) /
+                                      bbox_.height() * order_rows_),
+                     0, order_rows_ - 1)};
 }
 
 std::vector<std::size_t> DefectAnalyzer::shapes_hit(Layer layer,
                                                     const Rect& probe) const {
+  const LayerShapes& l = layers_[static_cast<std::size_t>(layer)];
   std::vector<std::size_t> out;
-  const BinRange r = bins_of(probe);
-  for (int by = r.y0; by <= r.y1; ++by) {
-    for (int bx = r.x0; bx <= r.x1; ++bx) {
-      const std::size_t b = slot(layer, bx, by);
-      for (std::size_t k = bin_start_[b]; k < bin_start_[b + 1]; ++k) {
-        const BinEntry& e = bin_entries_[k];
-        if (e.rect.intersects(probe) &&
-            std::find(out.begin(), out.end(), e.shape) == out.end())
-          out.push_back(e.shape);
-      }
+  l.index.for_each_bin(probe, [&](std::span<const std::size_t> members) {
+    for (std::size_t k : members)
+      if (l.rects[k].intersects(probe) &&
+          std::find(out.begin(), out.end(), k) == out.end())
+        out.push_back(k);
+  });
+  if (out.size() > 1) {
+    // Key each hit (row, column, index) by the first hit-order cell it
+    // shares with the probe.
+    const auto [probe_col, probe_row] = order_cell(probe);
+    std::vector<std::tuple<int, int, std::size_t>> keyed;
+    keyed.reserve(out.size());
+    for (std::size_t k : out) {
+      const auto [col, row] = order_cell(l.rects[k]);
+      keyed.emplace_back(std::max(probe_row, row), std::max(probe_col, col),
+                         k);
     }
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t h = 0; h < out.size(); ++h) out[h] = std::get<2>(keyed[h]);
   }
+  for (std::size_t& k : out) k = l.shapes[k];
   return out;
 }
 
 bool DefectAnalyzer::touches_two_nets(Layer layer, const Rect& probe) const {
-  const BinRange r = bins_of(probe);
+  const LayerShapes& l = layers_[static_cast<std::size_t>(layer)];
+  const layout::RectIndex::Range g = l.index.range(probe);
   bool seen = false;
   int first = 0;
-  for (int by = r.y0; by <= r.y1; ++by) {
-    for (int bx = r.x0; bx <= r.x1; ++bx) {
-      const std::size_t b = slot(layer, bx, by);
-      for (std::size_t k = bin_start_[b]; k < bin_start_[b + 1]; ++k) {
-        const BinEntry& e = bin_entries_[k];
-        if (!e.rect.intersects(probe)) continue;
+  for (int by = g.y0; by <= g.y1; ++by) {
+    for (int bx = g.x0; bx <= g.x1; ++bx) {
+      for (std::size_t k : l.index.members(bx, by)) {
+        if (!l.rects[k].intersects(probe)) continue;
         if (!seen) {
           seen = true;
-          first = e.net;
-        } else if (e.net != first) {
+          first = l.nets[k];
+        } else if (l.nets[k] != first) {
           return true;
         }
       }

@@ -6,11 +6,13 @@
 #include <array>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "defect/statistics.hpp"
 #include "fault/fault.hpp"
 #include "layout/cell.hpp"
+#include "layout/rect_index.hpp"
 #include "util/rng.hpp"
 
 namespace dot::defect {
@@ -65,13 +67,11 @@ class DefectSampler {
 
 struct AnalyzerOptions {
   std::string vdd_net = "vdd";
-  /// Grid bin size for the spatial index (um).
-  double bin_size = 5.0;
 };
 
-/// Precomputes spatial and per-net indexes over one cell layout, then
-/// answers defect queries. The analyzer borrows the cell; keep the cell
-/// alive while using it.
+/// Precomputes spatial (one layout::RectIndex per layer) and per-net
+/// indexes over one cell layout, then answers defect queries. The
+/// analyzer borrows the cell; keep the cell alive while using it.
 class DefectAnalyzer {
  public:
   DefectAnalyzer(const layout::CellLayout& cell, AnalyzerOptions options);
@@ -90,14 +90,16 @@ class DefectAnalyzer {
   const layout::CellLayout& cell() const { return cell_; }
 
  private:
+  /// Side (um) of the square cells over bbox_ that set shapes_hit's
+  /// order; a property of the reported faults, not of the index.
+  static constexpr double kHitOrderBin = 5.0;
+  /// Hit-order cell (column, row) of a rectangle's low corner.
+  std::pair<int, int> order_cell(const layout::Rect& r) const;
 
-  /// Inclusive range of grid bins a rectangle overlaps.
-  struct BinRange {
-    int x0 = 0, x1 = 0, y0 = 0, y1 = 0;
-  };
-  BinRange bins_of(const layout::Rect& r) const;
-
-  /// Shapes on `layer` intersecting `probe`, in bin-visit order.
+  /// Shapes on `layer` intersecting `probe`, in hit order: by the
+  /// hit-order cell where the probe first meets the shape (row-major),
+  /// then by shape index. Callers read the order: a fault names the
+  /// first hit's net, and nets are tried for an open in hit order.
   std::vector<std::size_t> shapes_hit(layout::Layer layer,
                                       const layout::Rect& probe) const;
   /// True when shapes on `layer` intersecting `probe` carry at least two
@@ -129,21 +131,18 @@ class DefectAnalyzer {
   const layout::CellLayout& cell_;
   AnalyzerOptions options_;
 
-  // Spatial grid over bbox_, compressed: the entries of one (layer,
-  // bin) slot are bin_entries_[bin_start_[slot], bin_start_[slot + 1]),
-  // in shape order. Entries carry the rect and net id, so a query reads
-  // one contiguous run per bin.
-  struct BinEntry {
-    layout::Rect rect;
-    std::size_t shape = 0;
-    int net = -1;
+  /// One layer's shapes in shape order, with their shape indices, net
+  /// ids and the index over their rectangles.
+  struct LayerShapes {
+    std::vector<layout::Rect> rects;
+    std::vector<std::size_t> shapes;
+    std::vector<int> nets;
+    layout::RectIndex index;
   };
-  std::size_t slot(layout::Layer layer, int bx, int by) const;
+  std::array<LayerShapes, layout::kLayerCount> layers_;
   layout::Rect bbox_;
-  int bins_x_ = 1;
-  int bins_y_ = 1;
-  std::vector<std::size_t> bin_start_;
-  std::vector<BinEntry> bin_entries_;
+  int order_cols_ = 1;
+  int order_rows_ = 1;
   /// harmless_below per layer.
   std::array<double, layout::kLayerCount> harmless_{};
 

@@ -38,13 +38,11 @@ struct Piece {
 
 /// Electrical connectivity of a set of pieces: unites every pair that
 /// intersects and is electrically continuous -- two pieces of one
-/// conducting layer, or a cut over a layer it connects -- skipping the
-/// pieces flagged in `removed` (empty, or one flag per piece). A
-/// uniform grid finds the candidate pairs, which are then united in the
-/// order of the all-pairs scan (ascending i, then ascending j > i), so
-/// the forest, root indices included, is the one that scan builds.
-UnionFind connect_pieces(const std::vector<Piece>& pieces,
-                         const std::vector<char>& removed = {});
+/// conducting layer, or a cut over a layer it connects. A RectIndex
+/// finds the candidate pairs, which are then united in the order of the
+/// all-pairs scan (ascending i, then ascending j > i), so the forest,
+/// root indices included, is the one that scan builds.
+UnionFind connect_pieces(const std::vector<Piece>& pieces);
 
 struct ExtractionResult {
   /// Component id per shape; -1 for non-conducting shapes (wells).
@@ -60,12 +58,5 @@ ExtractionResult extract_connectivity(const CellLayout& cell);
 /// Human-readable label/geometry mismatches: a net label split over
 /// several components, or one component carrying several labels.
 std::vector<std::string> verify_net_labels(const CellLayout& cell);
-
-/// Partition of the tap indices of `net` into electrically connected
-/// groups after deleting the given shapes (wire material or cuts).
-/// A tap whose supporting material vanished forms its own group.
-std::vector<std::vector<std::size_t>> tap_groups_after_removal(
-    const CellLayout& cell, const std::string& net,
-    const std::vector<std::size_t>& removed_shapes);
 
 }  // namespace dot::layout

@@ -101,13 +101,6 @@ struct VoltageSource {
   SourceSpec spec;
 };
 
-struct CurrentSource {
-  std::string name;
-  NodeId pos = kGround;  ///< Current flows pos -> device -> neg.
-  NodeId neg = kGround;
-  SourceSpec spec;
-};
-
 struct Mosfet {
   std::string name;
   MosType type = MosType::kNmos;
@@ -120,8 +113,7 @@ struct Mosfet {
   MosModel model;
 };
 
-using Device =
-    std::variant<Resistor, Capacitor, VoltageSource, CurrentSource, Mosfet>;
+using Device = std::variant<Resistor, Capacitor, VoltageSource, Mosfet>;
 
 /// Name accessor shared by all alternatives.
 const std::string& device_name(const Device& device);

@@ -331,10 +331,6 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
             const double volts = source_value(d.spec, options);
             next_quantity(target, {Kind::kSource, device_index}, volts);
             stamp.rhs_add(branch, volts);
-          } else if constexpr (std::is_same_v<T, CurrentSource>) {
-            const double amps = source_value(d.spec, options);
-            next_quantity(target, {Kind::kSource, device_index}, amps);
-            stamp.current(d.pos, d.neg, amps);
           } else if constexpr (std::is_same_v<T, Mosfet>) {
             if (mos_fields != nullptr) {
               // Companion fields gm, gds, gmb, ieq of this occurrence
@@ -410,11 +406,6 @@ bool same_static_inputs(std::vector<double>& key, const StampOptions& o,
   return false;
 }
 
-const SourceSpec& source_spec(const Device& device) {
-  if (const auto* v = std::get_if<VoltageSource>(&device)) return v->spec;
-  return std::get<CurrentSource>(device).spec;
-}
-
 /// Recomputes every static quantity of the program for new static
 /// inputs and scatters it through the recipes (constants keep their
 /// captured values).
@@ -439,7 +430,8 @@ void refresh_statics(StampProgram& p, const Netlist& netlist,
                            x_prev_step, options);
         break;
       case StampQuantity::Kind::kSource:
-        q[k] = source_value(source_spec(devices[at]), options);
+        q[k] = source_value(std::get<VoltageSource>(devices[at]).spec,
+                            options);
         break;
     }
   }

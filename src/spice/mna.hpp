@@ -49,7 +49,7 @@ struct StampQuantity {
     kCapConductance,  ///< A capacitor's companion conductance.
     kCapCurrent,      ///< Its companion current; directly follows the
                       ///< capacitor's kCapConductance quantity.
-    kSource,          ///< A V or I source's value at the stamp time.
+    kSource,          ///< A V source's value at the stamp time.
   };
   Kind kind = Kind::kGshunt;
   std::int32_t device = -1;  ///< Index into Netlist::devices().

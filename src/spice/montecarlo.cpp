@@ -31,8 +31,7 @@ Netlist perturb(const Netlist& nominal, const ProcessSpread& spread,
                 const std::vector<std::string>& supply_names, util::Rng& rng) {
   for (const auto& name : supply_names) {
     const Device* device = nominal.find_device(name);
-    if (device == nullptr || !(std::holds_alternative<VoltageSource>(*device) ||
-                               std::holds_alternative<CurrentSource>(*device)))
+    if (device == nullptr || !std::holds_alternative<VoltageSource>(*device))
       throw util::InvalidInputError("perturb: no source named " + name +
                                     " to scale as a supply");
   }
@@ -71,8 +70,7 @@ Netlist perturb(const Netlist& nominal, const ProcessSpread& spread,
             // doubling-per-10K rule of thumb plus the process spread.
             d.model.i_leak0 *=
                 sample.leak_scale * std::exp2(dtemp / 10.0);
-          } else if constexpr (std::is_same_v<T, VoltageSource> ||
-                               std::is_same_v<T, CurrentSource>) {
+          } else if constexpr (std::is_same_v<T, VoltageSource>) {
             if (is_supply(d.name)) d.spec.scale(sample.supply_scale);
           }
         },

@@ -57,7 +57,7 @@ EnvironmentSample sample_environment(const ProcessSpread& spread,
 /// Sources whose names appear in `supply_names` are scaled by the
 /// supply factor; all other sources are left untouched (they are test
 /// stimuli, not supplies). Throws util::InvalidInputError when a listed
-/// name is not a voltage or current source of `nominal`.
+/// name is not a voltage source of `nominal`.
 Netlist perturb(const Netlist& nominal, const ProcessSpread& spread,
                 const EnvironmentSample& sample,
                 const std::vector<std::string>& supply_names, util::Rng& rng);

@@ -69,11 +69,6 @@ void Netlist::add_vsource(const std::string& name, const std::string& pos,
   add_device(VoltageSource{name, node(pos), node(neg), std::move(spec)});
 }
 
-void Netlist::add_isource(const std::string& name, const std::string& pos,
-                          const std::string& neg, SourceSpec spec) {
-  add_device(CurrentSource{name, node(pos), node(neg), std::move(spec)});
-}
-
 void Netlist::add_mosfet(const std::string& name, MosType type,
                          const std::string& drain, const std::string& gate,
                          const std::string& source, const std::string& bulk,
@@ -132,9 +127,6 @@ std::vector<NodeId> Netlist::terminal_nodes(const Device& device) {
     std::vector<NodeId> operator()(const VoltageSource& d) const {
       return {d.pos, d.neg};
     }
-    std::vector<NodeId> operator()(const CurrentSource& d) const {
-      return {d.pos, d.neg};
-    }
     std::vector<NodeId> operator()(const Mosfet& d) const {
       return {d.drain, d.gate, d.source, d.bulk};
     }
@@ -154,8 +146,7 @@ void Netlist::set_terminal_node(Device& device, int index, NodeId node) {
         if constexpr (std::is_same_v<T, Resistor> ||
                       std::is_same_v<T, Capacitor>) {
           assign({&d.a, &d.b});
-        } else if constexpr (std::is_same_v<T, VoltageSource> ||
-                             std::is_same_v<T, CurrentSource>) {
+        } else if constexpr (std::is_same_v<T, VoltageSource>) {
           assign({&d.pos, &d.neg});
         } else {
           static_assert(std::is_same_v<T, Mosfet>);

@@ -42,8 +42,6 @@ class Netlist {
                      const std::string& b, double farads);
   void add_vsource(const std::string& name, const std::string& pos,
                    const std::string& neg, SourceSpec spec);
-  void add_isource(const std::string& name, const std::string& pos,
-                   const std::string& neg, SourceSpec spec);
   void add_mosfet(const std::string& name, MosType type,
                   const std::string& drain, const std::string& gate,
                   const std::string& source, const std::string& bulk,

@@ -263,7 +263,7 @@ TEST(StampProgram, AssembliesBitIdenticalToUntrustedWalk) {
 
 // The recipe refresh of the static fields against the walk, on a
 // netlist holding every device kind: R, C (grounded and floating), a
-// pulse V source, a DC V source, an I source and N/PMOS. Each round
+// pulse V source, a DC V source and N/PMOS. Each round
 // assembles through the kernel (trusted stream, stamp program) and
 // through the tag-0 scalar walk; the CSR values and b must be equal
 // byte for byte.
@@ -278,7 +278,7 @@ TEST(StampProgram, RecipeRefreshEqualsTheWalk) {
   clk.period = 8e-9;
   n.add_vsource("vdd", "vdd", "0", spice::SourceSpec::dc(3.3));
   n.add_vsource("vclk", "clk", "0", spice::SourceSpec::pulse(clk));
-  n.add_isource("ibias", "vdd", "bias", spice::SourceSpec::dc(5e-6));
+  n.add_resistor("rbias", "vdd", "bias", 460e3);
   n.add_resistor("r1", "vdd", "n1", 10e3);
   n.add_resistor("r2", "n1", "out", 5e3);
   n.add_resistor("r3", "n2", "0", 100e3);

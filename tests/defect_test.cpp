@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -325,6 +326,68 @@ TEST(Analyze, MissingContactOpensRiser) {
   EXPECT_EQ(f->isolated_taps[0].device, "M1");
 }
 
+TEST(Analyze, OpenNetFollowsHitOrderNotShapeOrder) {
+  // Two metal1 wires, "b" added before "a", both severed by one
+  // missing-metal spot. Nets are tried for an open in hit order, and a
+  // hit's place is the first 5 um hit-order cell it shares with the
+  // spot: "a" starts in the spot's bottom row, "b" two rows up, so "a"
+  // is tried first although "b" has the lower shape index.
+  CellLayout cell("order");
+  cell.add_shape({Layer::kMetal1, Rect{0, 12, 20, 13}, "b"});
+  cell.add_shape({Layer::kMetal1, Rect{0, 2, 20, 3}, "a"});
+  cell.add_tap({"b", "pin", 0, {1, 12.5}});
+  cell.add_tap({"b", "D2", 0, {19, 12.5}});
+  cell.add_tap({"a", "pin", 0, {1, 2.5}});
+  cell.add_tap({"a", "D1", 0, {19, 2.5}});
+  const DefectAnalyzer analyzer(cell, {});
+  const auto f =
+      analyzer.analyze({DefectType::kMissingMetal1, {10.0, 7.5}, 12.0});
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->kind, FaultKind::kOpen);
+  EXPECT_EQ(f->nets, (std::vector<std::string>{"a"}));
+  ASSERT_EQ(f->isolated_taps.size(), 1u);
+  EXPECT_EQ(f->isolated_taps[0].device, "D1");
+}
+
+// Open extraction groups a net's taps by what a missing-material spot
+// leaves of its wiring.
+TEST(Extract, TapGroupsSplitByRemoval) {
+  // Net "a": two pads joined by a bridge; cutting the bridge separates
+  // the taps, a nick in it does not. Without a pin the first of the
+  // two equal groups keeps the node.
+  CellLayout cell("c");
+  cell.add_shape({Layer::kMetal1, Rect{0, 0, 2, 1}, "a"});    // left pad
+  cell.add_shape({Layer::kMetal1, Rect{1.5, 0, 6, 1}, "a"});  // bridge
+  cell.add_shape({Layer::kMetal1, Rect{5.5, 0, 8, 1}, "a"});  // right pad
+  cell.add_tap({"a", "D1", 0, {1.0, 0.5}});
+  cell.add_tap({"a", "D2", 0, {7.0, 0.5}});
+  const DefectAnalyzer analyzer(cell, {});
+  EXPECT_FALSE(
+      analyzer.analyze({DefectType::kMissingMetal1, {4.0, 0.2}, 0.3}));
+  const auto f =
+      analyzer.analyze({DefectType::kMissingMetal1, {4.0, 0.5}, 1.5});
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->kind, FaultKind::kOpen);
+  ASSERT_EQ(f->isolated_taps.size(), 1u);
+  EXPECT_EQ(f->isolated_taps[0].device, "D2");
+}
+
+TEST(Extract, IsolatedTapFormsOwnGroup) {
+  // A spot that takes all the material under D1 strands it alone.
+  CellLayout cell("c");
+  cell.add_shape({Layer::kMetal1, Rect{0, 0, 6, 1}, "a"});
+  cell.add_tap({"a", "pin", 0, {0.5, 0.5}});
+  cell.add_tap({"a", "D1", 0, {5.5, 0.5}});
+  const DefectAnalyzer analyzer(cell, {});
+  const auto f =
+      analyzer.analyze({DefectType::kMissingMetal1, {5.5, 0.5}, 2.0});
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->kind, FaultKind::kOpen);
+  EXPECT_EQ(f->nets, (std::vector<std::string>{"a"}));
+  ASSERT_EQ(f->isolated_taps.size(), 1u);
+  EXPECT_EQ(f->isolated_taps[0].device, "D1");
+}
+
 TEST(Analyze, HarmlessSizeIsTheClosestGapBetweenNets) {
   // A 20 x 20 array of 1 um net-a squares at 3 um pitch and one 0.3 um
   // net-b square slid along its rows, with a far net-a square that
@@ -360,6 +423,25 @@ TEST(Analyze, HarmlessSizeIsTheClosestGapBetweenNets) {
     EXPECT_NEAR(analyzer.harmless_below(DefectType::kExtraMetal2), 2.0, 1e-9);
     EXPECT_EQ(analyzer.harmless_below(DefectType::kMissingMetal1), 0.0);
   }
+}
+
+TEST(Analyze, Bank256ConstructionPeakStaysUnder200MB) {
+  // The analyzer's spatial index grows with the shapes, not with the
+  // bounding box: building it for the 256-slice bank (133,000 x
+  // 3,400 um) raises this process's peak resident set by less than
+  // 200 MB.
+  auto peak_mb = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+  };
+  flashadc::BankOptions bank;
+  bank.size = 256;
+  const CellLayout cell = flashadc::build_bank_layout(bank);
+  const double before = peak_mb();
+  const DefectAnalyzer analyzer(cell, {.vdd_net = "vdda"});
+  EXPECT_LT(peak_mb() - before, 200.0);
+  EXPECT_GT(analyzer.harmless_below(DefectType::kExtraMetal1), 0.0);
 }
 
 // --------------------------------------------------------------------

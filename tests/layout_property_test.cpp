@@ -152,8 +152,7 @@ TEST_P(SynthPropertyTest, PinTrunksSpanFullWidth) {
 /// The all-pairs union the binned enumerator replaced, kept as the
 /// reference: every pair i < j, in order, united when the two pieces
 /// intersect and connect electrically.
-UnionFind brute_force_union(const std::vector<Piece>& pieces,
-                            const std::vector<char>& removed) {
+UnionFind brute_force_union(const std::vector<Piece>& pieces) {
   auto cut_connects = [](Layer cut, Layer conductor) {
     if (cut == Layer::kContact)
       return conductor == Layer::kMetal1 || conductor == Layer::kPoly ||
@@ -164,9 +163,7 @@ UnionFind brute_force_union(const std::vector<Piece>& pieces,
   };
   UnionFind uf(pieces.size());
   for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (!removed.empty() && removed[i]) continue;
     for (std::size_t j = i + 1; j < pieces.size(); ++j) {
-      if (!removed.empty() && removed[j]) continue;
       const Piece& a = pieces[i];
       const Piece& b = pieces[j];
       if (!a.rect.intersects(b.rect)) continue;
@@ -199,7 +196,7 @@ TEST_P(SynthPropertyTest, BinnedExtractionMatchesAllPairs) {
       synthesize_layout(random_netlist(rng), "rand", SynthOptions{});
   const auto pieces = pieces_of(cell);
   UnionFind binned = connect_pieces(pieces);
-  UnionFind reference = brute_force_union(pieces, {});
+  UnionFind reference = brute_force_union(pieces);
   expect_same_forest(binned, reference, pieces.size());
 
   // Component numbering follows shape order, so it must agree too.
@@ -221,18 +218,17 @@ TEST_P(SynthPropertyTest, BinnedExtractionMatchesAllPairs) {
 /// Random rectangles on every layer over a 0.5 um grid, so touching
 /// edges, shared corners and stacked cuts all occur; a few long wires
 /// span many bins.
-CellLayout random_soup(util::Rng& rng) {
-  CellLayout cell("soup");
+std::vector<Piece> random_soup(util::Rng& rng) {
   constexpr Layer kLayers[] = {Layer::kNWell,   Layer::kActive,
                                Layer::kPoly,    Layer::kContact,
                                Layer::kMetal1,  Layer::kVia1,
                                Layer::kMetal2};
-  const int nets = 1 + static_cast<int>(rng.below(4));
   const int count = 20 + static_cast<int>(rng.below(180));
   auto grid = [&](double extent) {
     return 0.5 * static_cast<double>(
                      rng.below(static_cast<std::uint64_t>(extent * 2)));
   };
+  std::vector<Piece> pieces;
   for (int k = 0; k < count; ++k) {
     const Layer layer = kLayers[rng.below(std::size(kLayers))];
     const double x = grid(60.0), y = grid(60.0);
@@ -240,67 +236,23 @@ CellLayout random_soup(util::Rng& rng) {
     const double w = wire ? 10.0 + grid(50.0) : 0.5 + grid(4.0);
     const double h = wire ? 0.5 + grid(1.0) : 0.5 + grid(4.0);
     const bool vertical = rng.chance(0.5);
-    const Rect rect{x, y, x + (vertical ? h : w), y + (vertical ? w : h)};
-    const std::string net =
-        layer == Layer::kNWell
-            ? ""
-            : "n" + std::to_string(rng.below(static_cast<std::uint64_t>(nets)));
-    cell.add_shape({layer, rect, net});
+    pieces.push_back(
+        {Rect{x, y, x + (vertical ? h : w), y + (vertical ? w : h)}, layer});
   }
-  // Taps sit on random shapes of net n0 (and a few on empty ground).
-  for (std::size_t i = 0; i < cell.shapes().size(); ++i) {
-    const Shape& s = cell.shapes()[i];
-    if (s.net != "n0" || !rng.chance(0.5)) continue;
-    cell.add_tap({"n0", "D" + std::to_string(i), 0, s.rect.center(), s.layer});
-  }
-  cell.add_tap({"n0", "pin", 0, {-5.0, -5.0}, Layer::kMetal1});
-  return cell;
-}
-
-/// tap_groups_after_removal, restated over the reference union.
-std::vector<std::vector<std::size_t>> reference_tap_groups(
-    const CellLayout& cell, const std::string& net,
-    const std::vector<char>& removed) {
-  const auto& shapes = cell.shapes();
-  UnionFind uf = brute_force_union(pieces_of(cell), removed);
-  std::map<long, std::vector<std::size_t>> groups;
-  for (std::size_t t = 0; t < cell.taps().size(); ++t) {
-    const Tap& tap = cell.taps()[t];
-    if (tap.net != net) continue;
-    long key = -1 - static_cast<long>(t);
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      if (removed[i] || shapes[i].net != net || shapes[i].layer != tap.layer)
-        continue;
-      if (shapes[i].rect.contains(tap.at)) {
-        key = static_cast<long>(uf.find(i));
-        break;
-      }
-    }
-    groups[key].push_back(t);
-  }
-  std::vector<std::vector<std::size_t>> out;
-  for (auto& [key, taps] : groups) out.push_back(std::move(taps));
-  return out;
+  return pieces;
 }
 
 TEST_P(SynthPropertyTest, BinnedRemovalMatchesAllPairs) {
+  // Open analysis connects what a defect leaves: the pieces of a net
+  // with some of them gone.
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151ull + 3);
   for (int round = 0; round < 8; ++round) {
-    const CellLayout cell = random_soup(rng);
-    const auto pieces = pieces_of(cell);
-    std::vector<char> removed(pieces.size(), 0);
-    std::vector<std::size_t> removed_list;
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      if (rng.chance(0.15)) {
-        removed[i] = 1;
-        removed_list.push_back(i);
-      }
-    }
-    UnionFind binned = connect_pieces(pieces, removed);
-    UnionFind reference = brute_force_union(pieces, removed);
-    expect_same_forest(binned, reference, pieces.size());
-    EXPECT_EQ(tap_groups_after_removal(cell, "n0", removed_list),
-              reference_tap_groups(cell, "n0", removed));
+    std::vector<Piece> kept;
+    for (const Piece& piece : random_soup(rng))
+      if (!rng.chance(0.15)) kept.push_back(piece);
+    UnionFind binned = connect_pieces(kept);
+    UnionFind reference = brute_force_union(kept);
+    expect_same_forest(binned, reference, kept.size());
   }
 }
 

@@ -143,29 +143,6 @@ TEST(Extract, VerifyLabelsFlagsSplitAndMerge) {
   EXPECT_EQ(issues.size(), 2u);
 }
 
-TEST(Extract, TapGroupsSplitByRemoval) {
-  // Net "a": two pads joined by a bridge shape; removing the bridge
-  // separates the taps.
-  CellLayout cell("c");
-  cell.add_shape({Layer::kMetal1, Rect{0, 0, 2, 1}, "a"});   // 0: left pad
-  cell.add_shape({Layer::kMetal1, Rect{1.5, 0, 6, 1}, "a"});  // 1: bridge
-  cell.add_shape({Layer::kMetal1, Rect{5.5, 0, 8, 1}, "a"});  // 2: right pad
-  cell.add_tap({"a", "D1", 0, {1.0, 0.5}});
-  cell.add_tap({"a", "D2", 0, {7.0, 0.5}});
-  EXPECT_EQ(tap_groups_after_removal(cell, "a", {}).size(), 1u);
-  const auto groups = tap_groups_after_removal(cell, "a", {1});
-  EXPECT_EQ(groups.size(), 2u);
-}
-
-TEST(Extract, IsolatedTapFormsOwnGroup) {
-  CellLayout cell("c");
-  cell.add_shape({Layer::kMetal1, Rect{0, 0, 2, 1}, "a"});
-  cell.add_tap({"a", "D1", 0, {1.0, 0.5}});
-  const auto groups = tap_groups_after_removal(cell, "a", {0});
-  ASSERT_EQ(groups.size(), 1u);  // single isolated tap
-  EXPECT_EQ(groups[0].size(), 1u);
-}
-
 // ---------------------------------------------------------------------
 // Synthesis tests use a small CMOS circuit.
 

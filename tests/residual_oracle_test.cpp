@@ -122,8 +122,6 @@ PointRows point_rows(const spice::Netlist& netlist, const spice::MnaMap& map,
       row.add(v(x, s->pos) - v(x, s->neg));
       row.add(-s->spec.eval(t));
       rows.branch.emplace_back(s->name, row);
-    } else if (const auto* s = std::get_if<spice::CurrentSource>(&device)) {
-      leave(s->pos, s->neg, s->spec.eval(t));
     } else if (const auto* m = std::get_if<spice::Mosfet>(&device)) {
       const double sign = m->type == spice::MosType::kNmos ? 1.0 : -1.0;
       const double vs = v(x, m->source);

@@ -136,15 +136,6 @@ TEST(Dc, ResistorDivider) {
   EXPECT_NEAR(map.branch_current(result.x, "V1"), -5e-3, 1e-8);
 }
 
-TEST(Dc, CurrentSourceIntoResistor) {
-  Netlist n;
-  n.add_isource("I1", "0", "out", SourceSpec::dc(1e-3));
-  n.add_resistor("R1", "out", "0", 2000.0);
-  const MnaMap map(n);
-  const auto result = dc_operating_point(n, map);
-  EXPECT_NEAR(map.voltage(result.x, n.node("out")), 2.0, 1e-6);
-}
-
 TEST(Dc, NmosSaturationOperatingPoint) {
   // Common-source NMOS with drain resistor: solve the quadratic by hand
   // and compare.
