@@ -1,9 +1,11 @@
 // Microbenchmarks of the computational kernels: MNA assembly + LU
 // solve, one transient Newton iteration and one transient step, DC
-// operating points, clocked transients, defect analysis, a 60k-spot
-// defect sprinkle (comparator, bank-8), DefectAnalyzer construction
-// (bank-64, chip-64) and the behavioral missing-code test. These bound
-// how large a campaign a given time budget affords.
+// operating points (the comparator's, the ladder's, and every drive
+// state of the clock generator's and decoder's DC benches), clocked
+// transients, defect analysis, a 60k-spot defect sprinkle (comparator,
+// bank-8), DefectAnalyzer construction (bank-64, chip-64) and the
+// behavioral missing-code test. These bound how large a campaign a
+// given time budget affords.
 //
 //   bench_engine [--smoke] [--json=FILE | --json-root]
 //
@@ -29,8 +31,11 @@
 #include "flashadc/bank.hpp"
 #include "flashadc/behavioral.hpp"
 #include "flashadc/chip.hpp"
+#include "flashadc/clockgen.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
+#include "flashadc/dc_bench.hpp"
+#include "flashadc/decoder.hpp"
 #include "flashadc/ladder.hpp"
 #include "numeric/lu.hpp"
 #include "spice/dc.hpp"
@@ -81,6 +86,23 @@ Kernel defect_analyzer_build(const std::string& macro,
             const defect::DefectAnalyzer analyzer(*cell, {.vdd_net = "vdda"});
             g_sink = g_sink +
                      analyzer.harmless_below(defect::DefectType::kExtraMetal1);
+          }};
+}
+
+/// solve_dc over every drive state of a fault-free DC macro through its
+/// DcContext (golden map and warm starts), as a DC campaign solves one
+/// class.
+Kernel dc_bench(const std::string& macro, int reps, flashadc::DcBench bench,
+                spice::Netlist netlist) {
+  const auto context = std::make_shared<const flashadc::DcContext>(
+      flashadc::make_dc_context(bench, netlist));
+  return {"dc_bench_" + macro, reps, [bench, netlist, context] {
+            flashadc::solve_dc(bench, netlist, context.get(),
+                               [](int, const spice::Netlist&,
+                                  const spice::MnaMap&,
+                                  const std::vector<double>& x) {
+                                 g_sink = g_sink + x[0];
+                               });
           }};
 }
 
@@ -211,6 +233,10 @@ int main(int argc, char** argv) {
        }},
       {"ladder_dc", 100,
        [&] { g_sink = g_sink + flashadc::solve_ladder(ladder).taps[0]; }},
+      dc_bench("clockgen", 2000, flashadc::clockgen_dc_bench(),
+               flashadc::build_clockgen_netlist()),
+      dc_bench("decoder", 1000, flashadc::decoder_dc_bench(),
+               flashadc::build_decoder_netlist()),
       {"defect_analysis", 100000,
        [&] {
          const auto defect = sample_defect(defect_rng);

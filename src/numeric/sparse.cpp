@@ -14,7 +14,7 @@ namespace dot::numeric {
 // SparseAssembler
 // ---------------------------------------------------------------------------
 
-void SparseAssembler::begin(std::size_t n, std::uint32_t stream_tag) {
+void SparseAssembler::begin(std::size_t n) {
   if (n != n_) {
     frozen_ = false;
     n_ = n;
@@ -22,26 +22,9 @@ void SparseAssembler::begin(std::size_t n, std::uint32_t stream_tag) {
   codes_.clear();
   vals_.clear();
   pattern_reused_ = false;
-  // Trusted path: the caller vouches (via a matching nonzero tag) that
-  // this round's add() stream repeats the frozen one, so values scatter
-  // straight into their CSR slots.
-  fast_ = stream_tag != 0 && frozen_ && stream_tag == frozen_tag_;
-  fast_used_ = false;
-  fast_index_ = 0;
-  frozen_tag_ = stream_tag;
-  if (fast_) values_.assign(pattern_.cols.size(), 0.0);
 }
 
 void SparseAssembler::finish() {
-  if (fast_) {
-    if (fast_index_ != frozen_codes_.size())
-      throw std::logic_error(
-          "SparseAssembler: trusted stream length mismatch");
-    fast_ = false;
-    fast_used_ = true;
-    pattern_reused_ = true;
-    return;
-  }
   const std::size_t m = codes_.size();
   if (frozen_ && codes_ == frozen_codes_) {
     pattern_reused_ = true;
@@ -54,9 +37,9 @@ void SparseAssembler::finish() {
               [this](std::int32_t a, std::int32_t b) {
                 return codes_[a] < codes_[b];
               });
-    pattern_.n = n_;
-    pattern_.row_ptr.assign(n_ + 1, 0);
-    pattern_.cols.clear();
+    auto pattern = std::make_shared<CsrPattern>();
+    pattern->n = n_;
+    pattern->row_ptr.assign(n_ + 1, 0);
     slot_.assign(m, -1);
     std::uint64_t prev_code = 0;
     std::int32_t slot = -1;
@@ -65,18 +48,18 @@ void SparseAssembler::finish() {
       if (slot < 0 || code != prev_code) {
         prev_code = code;
         ++slot;
-        pattern_.cols.push_back(static_cast<std::int32_t>(code % n_));
-        ++pattern_.row_ptr[code / n_ + 1];
+        pattern->cols.push_back(static_cast<std::int32_t>(code % n_));
+        ++pattern->row_ptr[code / n_ + 1];
       }
       slot_[i] = slot;
     }
     for (std::size_t r = 0; r < n_; ++r)
-      pattern_.row_ptr[r + 1] += pattern_.row_ptr[r];
+      pattern->row_ptr[r + 1] += pattern->row_ptr[r];
+    pattern_ = std::move(pattern);
     frozen_codes_ = codes_;
     frozen_ = true;
-    ++generation_;
   }
-  values_.assign(pattern_.cols.size(), 0.0);
+  values_.assign(pattern_->cols.size(), 0.0);
   for (std::size_t i = 0; i < m; ++i) values_[slot_[i]] += vals_[i];
 }
 

@@ -5,10 +5,11 @@
 // every fault-simulation campaign. This module provides:
 //
 //  - SparseAssembler: triplet accumulation into CSR with *pattern
-//    freezing* -- the stamp sequence of a fixed netlist is identical
-//    every Newton iteration, so after the first assembly the (row,col)
-//    stream is recognized and values are scattered straight into the
-//    cached CSR slots (no sort, no dense n*n clear).
+//    freezing* -- a repeated (row,col) stream reuses the frozen CSR
+//    pattern, and a caller that knows the CSR slot of each of its
+//    stamps (spice::StampProgram) re-assembles by zeroing the values
+//    and scattering straight into the slots (no sort, no dense n*n
+//    clear).
 //  - minimum_degree_order: greedy fill-reducing ordering on the
 //    symmetrized pattern.
 //  - SparseSymbolic: one-time "analyze" pass (Gilbert-Peierls LU with
@@ -24,6 +25,7 @@
 //    dense partial-pivoting solver.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -49,54 +51,45 @@ struct CsrPattern {
 /// with the identical (r, c) stream reuses the frozen pattern and only
 /// rewrites values (pattern_reused() reports which path ran).
 ///
-/// Trusted streams: begin(n, tag) with a nonzero tag declares that the
-/// upcoming add() stream is identical to the last one frozen under the
-/// same tag (a fixed netlist stamped in a fixed analysis mode). The
-/// assembler then skips the code push and comparison entirely and
-/// scatters each add() straight into its cached CSR slot -- the batched
-/// fault-evaluation hot path. Accumulation order is unchanged (stream
-/// order into slots), so the values are bit-identical to the checked
-/// path. A tag or size change refreezes from scratch; tag 0 always runs
-/// the checked path.
+/// Replay: after a finish(), slots()[k] is the CSR slot the k-th add()
+/// landed in. A caller that recorded them re-assembles the same stream
+/// with zero_values() and replay(), without the triplet round; it
+/// holds shared_pattern() to tell whether the frozen pattern is still
+/// the one its slots index.
 class SparseAssembler {
  public:
-  void begin(std::size_t n, std::uint32_t stream_tag = 0);
+  void begin(std::size_t n);
   void add(std::size_t r, std::size_t c, double v) {
-    if (fast_) {
-      values_[static_cast<std::size_t>(slot_[fast_index_++])] += v;
-      return;
-    }
     codes_.push_back(static_cast<std::uint64_t>(r) * n_ + c);
     vals_.push_back(v);
   }
   void finish();
 
-  /// Whether this round runs the trusted (slot-scatter) path.
-  bool fast_active() const { return fast_; }
-  /// CSR value slot of stream position `pos` (valid once frozen; the
-  /// stamp-program capture reads the slot of every add it records).
-  std::int32_t slot_at(std::size_t pos) const { return slot_.at(pos); }
-  /// Replays a precompiled stamp program (see spice::StampProgram) on
-  /// the trusted path: `count` adds values_[slots[i]] += fields[srcs[i]]
-  /// in stream order, advancing the stream cursor. Bit-identical to the
-  /// add() calls it replaces: the slots are their exact stream
-  /// positions and the fields hold the values they add.
+  /// CSR value slot of every add() of the last finish(), in stream
+  /// order.
+  const std::vector<std::int32_t>& slots() const { return slot_; }
+  /// Starts a replay round on the frozen pattern: every value is zero.
+  void zero_values() { std::fill(values_.begin(), values_.end(), 0.0); }
+  /// Replays `count` adds values_[slots[i]] += fields[srcs[i]] in
+  /// stream order. Bit-identical to the add() calls they stand for when
+  /// the slots are those adds' slots() and the fields hold the values
+  /// they add.
   void replay(const std::int32_t* slots, const std::int32_t* srcs,
               std::size_t count, const double* fields) {
     for (std::size_t i = 0; i < count; ++i)
       values_[static_cast<std::size_t>(slots[i])] += fields[srcs[i]];
-    fast_index_ += count;
   }
 
   std::size_t size() const { return n_; }
-  const CsrPattern& pattern() const { return pattern_; }
+  const CsrPattern& pattern() const { return *pattern_; }
+  /// The frozen pattern. Every finish() that builds a pattern makes a
+  /// new object, so a holder's pointer equals this one exactly while
+  /// the pattern it saw is still frozen.
+  const std::shared_ptr<const CsrPattern>& shared_pattern() const {
+    return pattern_;
+  }
   const std::vector<double>& values() const { return values_; }
   bool pattern_reused() const { return pattern_reused_; }
-  /// Whether the last finish() ran the trusted (slot-scatter) path.
-  bool fast_path_used() const { return fast_used_; }
-  /// Bumped by every finish() that builds a new pattern: equal values
-  /// mean pattern() has not changed in between.
-  std::uint64_t pattern_generation() const { return generation_; }
 
  private:
   std::size_t n_ = 0;
@@ -104,15 +97,10 @@ class SparseAssembler {
   std::vector<double> vals_;                 ///< parallel to codes_.
   std::vector<std::uint64_t> frozen_codes_;  ///< add() stream of the pattern.
   std::vector<std::int32_t> slot_;           ///< add() index -> CSR slot.
-  CsrPattern pattern_;
+  std::shared_ptr<const CsrPattern> pattern_ = std::make_shared<CsrPattern>();
   std::vector<double> values_;
   bool frozen_ = false;
-  std::uint64_t generation_ = 0;
   bool pattern_reused_ = false;
-  std::uint32_t frozen_tag_ = 0;  ///< Tag the pattern was frozen under.
-  bool fast_ = false;             ///< Trusted scatter active this round.
-  bool fast_used_ = false;
-  std::size_t fast_index_ = 0;    ///< add() counter on the trusted path.
 };
 
 /// Greedy minimum-degree ordering of the symmetrized pattern (graph of

@@ -140,6 +140,8 @@ DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
     options.max_iterations = base_options.max_iterations * 2;
   }
 
+  std::optional<MosKernel> own_kernel;
+  if (mos == nullptr) mos = &own_kernel.emplace(netlist, map);
   const std::vector<double> no_prev(map.size(), 0.0);
   StampOptions stamp;
   stamp.mode = AnalysisMode::kDc;

@@ -49,8 +49,9 @@ struct DcResult {
 /// classes with a shared node layout) to amortize analysis and
 /// allocation. Without one, a private context with default options is
 /// used. `mos` (optional) is the netlist's MOSFET kernel (see
-/// MosKernel); it changes how the MOSFETs are evaluated, not the
-/// result.
+/// MosKernel), whose stamp program every Newton iteration replays;
+/// without one, the solve builds its own. A caller's kernel keeps its
+/// program across solves; the result is the same either way.
 /// `flat_first_solve` (optional) is the plain-Newton rung's
 /// `first_solve` (see newton_solve): the solution of the flat-start
 /// system, already solved by the caller in `solver`.
@@ -72,7 +73,8 @@ struct NewtonBuffers {
 
 /// Newton loop from a given initial guess at fixed gshunt/source scale.
 /// Returns converged=false instead of throwing; building block for the
-/// continuation strategies and the transient engine.
+/// continuation strategies and the transient engine. `stamp.mos` must
+/// be set (see assemble_mna).
 ///
 /// `first_solve` (optional) is the solution of iteration 0's linear
 /// system, which the caller already assembled into `solver` and solved

@@ -174,6 +174,13 @@ MosOperatingPoint eval_mos(const MosModel& m, double w_over_l, double vgs,
   return op;
 }
 
+void DeviceBatch::reserve(std::size_t lanes) {
+  for (auto* lane : {&vt0, &gamma, &phi, &sqrt_phi, &n_vt, &i0, &beta, &lambda,
+                     &vgs, &vds, &vbs, &ids, &gm, &gds, &gmb, &nvgs, &nvds,
+                     &nvbs, &swapped, &vt, &dvt})
+    lane->reserve(lanes);
+}
+
 void DeviceBatch::push_device(const MosModel& model, double w_over_l) {
   vt0.push_back(model.vt0);
   gamma.push_back(model.gamma);

@@ -44,14 +44,16 @@ struct MosOperatingPoint {
 };
 
 /// Evaluates the level-1 model (with subthreshold) for NMOS-normalized
-/// terminal voltages. Handles drain/source symmetry internally.
+/// terminal voltages. Handles drain/source symmetry internally. The
+/// assembly evaluates MOSFETs only through eval_mos_batch; this is the
+/// scalar reference its lanes are checked against.
 MosOperatingPoint eval_mos(const MosModel& model, double w_over_l,
                            double vgs, double vds, double vbs);
 
 /// Struct-of-arrays batch for the level-1 MOSFET model: one lane per
 /// (batch member, device) occurrence with contiguous terminal-voltage,
-/// parameter and result arrays, so the companion-model hot loops of the
-/// batched fault-evaluation path auto-vectorize. The drain/source
+/// parameter and result arrays, so the companion-model hot loops of
+/// every MNA assembly (MosKernel) auto-vectorize. The drain/source
 /// normalization, threshold/body-effect and swap-back passes are
 /// branchless lane loops; the exp-heavy region evaluation stays scalar.
 /// Lane results are bit-identical to eval_mos on the same inputs (the
@@ -72,6 +74,8 @@ struct DeviceBatch {
   std::vector<double> nvgs, nvds, nvbs, swapped, vt, dvt;
 
   std::size_t size() const { return vt0.size(); }
+  /// Reserves every lane array, scratch included, for `lanes` lanes.
+  void reserve(std::size_t lanes);
   /// Appends one lane holding the device's derived static parameters
   /// (beta = kp*W/L etc., the same products eval_mos forms per call).
   void push_device(const MosModel& model, double w_over_l);

@@ -1,13 +1,11 @@
 #include "spice/mna.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iterator>
-#include <numeric>
 #include <stdexcept>
 #include <type_traits>
 
@@ -53,9 +51,14 @@ double MnaMap::branch_current(const std::vector<double>& x,
 
 MosKernel::MosKernel(const Netlist& netlist, const MnaMap& map)
     : netlist_(&netlist), xpad_(map.node_unknowns() + 1, 0.0) {
-  static std::atomic<std::uint32_t> next_id{0};
-  id_ = next_id.fetch_add(1);
   auto slot = [&map](NodeId node) { return map.node_index(node) + 1; };
+  std::size_t count = 0;
+  for (const auto& device : netlist.devices())
+    count += std::holds_alternative<Mosfet>(device) ? 1u : 0u;
+  for (auto* terminal : {&drain_, &gate_, &source_, &bulk_})
+    terminal->reserve(count);
+  sign_.reserve(count);
+  batch_.reserve(count);
   for (const auto& device : netlist.devices()) {
     const auto* mos = std::get_if<Mosfet>(&device);
     if (mos == nullptr) continue;
@@ -93,6 +96,9 @@ void MosKernel::evaluate(const std::vector<double>& x) {
   const double* __restrict gmb = batch_.gmb.data();
   double* __restrict c = program_.fields.data();
   for (std::size_t i = 0; i < count; ++i) {
+    // Newton companion: ids_lin = ieq + gm*vgs + gds*vds + gmb*vbs with
+    // the voltages of the new iterate; for PMOS the normalized current
+    // flows source -> drain in real terms, hence the sign.
     const double ieq = sign[i] * (ids[i] - gm[i] * vgs[i] - gds[i] * vds[i] -
                                   gmb[i] * vbs[i]);
     c[8 * i + 0] = gm[i];
@@ -111,55 +117,36 @@ void MosKernel::evaluate(const std::vector<double>& x) {
 
 namespace {
 
-// Trusted-stream tag of a kernel-attached assembly: unique per kernel
-// (hence per netlist) and per analysis mode -- the DC and transient
-// stamp streams of one netlist differ (capacitors stamp only in
-// transient), so a mode switch or another kernel refreezes once.
-std::uint32_t stream_tag(const StampOptions& options) {
-  if (options.mos == nullptr) return 0;
-  const std::uint32_t mode = options.mode == AnalysisMode::kDc ? 1 : 2;
-  return (options.mos->id() << 2) | mode;
-}
-
-/// Matrix-entry sink of a walk: records CSR triplets and adds RHS
-/// entries into b.
-struct SparseTarget {
-  numeric::SparseAssembler& a;
-  std::vector<double>& b;
-  void add(std::size_t r, std::size_t c, double v) { a.add(r, c, v); }
-  void rhs(std::size_t i, double v) { b[i] += v; }
-};
-
-/// Stamp target of the StampProgram capture: records every add as an
-/// op. A MOSFET's adds carry probe values +/-(field + 1) that decode to
-/// their companion field or its negation; every other add gets the
-/// next static field, holding the walk's value, and -- when the walk
-/// named the quantity it stamps (see next_quantity) -- a recipe that
-/// recomputes it.
+/// Stamp target of the StampProgram capture walk: feeds every matrix
+/// add to the assembler's triplet accumulation and records the field of
+/// every add (a matrix op's CSR slot is the one its add lands in once
+/// the pattern is frozen). A MOSFET's adds carry probe values
+/// +/-(field + 1) that decode to their companion field or its
+/// negation; every other add gets the next static field, holding the
+/// walk's value, and -- when the walk named the quantity it stamps
+/// (next_quantity) -- a recipe that recomputes it.
 struct ProgramTarget {
   StampProgram& p;
-  const numeric::SparseAssembler& a;
+  numeric::SparseAssembler& a;
   bool mos = false;            ///< Stamping a MOSFET's probes.
   std::int32_t quantity = -1;  ///< Quantity of the next static adds.
   double value = 0.0;          ///< Its value in this walk.
 
-  void add(std::size_t, std::size_t, double v) {
-    op(v, p.matrix, a.slot_at(p.matrix.at.size()));
+  void add(std::size_t r, std::size_t c, double v) {
+    a.add(r, c, v);
+    p.matrix.src.push_back(field(v));
   }
   void rhs(std::size_t i, double v) {
-    op(v, p.rhs, static_cast<std::int32_t>(i));
+    p.rhs.at.push_back(static_cast<std::int32_t>(i));
+    p.rhs.src.push_back(field(v));
   }
-  void op(double v, StampOps& ops, std::int32_t target) {
-    std::int32_t field;
-    if (mos) {
-      field = static_cast<std::int32_t>(std::fabs(v)) - 1 + (v < 0.0 ? 4 : 0);
-    } else {
-      field = static_cast<std::int32_t>(p.fields.size());
-      p.fields.push_back(v);
-      if (quantity >= 0) p.recipes.push_back({field, quantity, negated(v)});
-    }
-    ops.at.push_back(target);
-    ops.src.push_back(field);
+  std::int32_t field(double v) {
+    if (mos)
+      return static_cast<std::int32_t>(std::fabs(v)) - 1 + (v < 0.0 ? 4 : 0);
+    const auto f = static_cast<std::int32_t>(p.fields.size());
+    p.fields.push_back(v);
+    if (quantity >= 0) p.recipes.push_back({f, quantity, negated(v)});
+    return f;
   }
   /// Whether `v` is the negation of the quantity's value (compared by
   /// bits, so a recipe reproduces signed zeros too).
@@ -170,24 +157,16 @@ struct ProgramTarget {
       throw std::logic_error("stamp capture: add is not +/- its quantity");
     return bits != q;
   }
-};
-
-/// Names the quantity the next static adds of the walk stamp (with its
-/// value in this walk); only the program capture records it.
-template <typename Target>
-void next_quantity(Target& target, StampQuantity q, double value) {
-  if constexpr (std::is_same_v<Target, ProgramTarget>) {
-    target.quantity = static_cast<std::int32_t>(target.p.quantities.size());
-    target.value = value;
-    target.p.quantities.push_back(q);
+  /// Names the quantity the next static adds stamp, with its value in
+  /// this walk.
+  void next_quantity(StampQuantity q, double v) {
+    quantity = static_cast<std::int32_t>(p.quantities.size());
+    value = v;
+    p.quantities.push_back(q);
   }
-}
-
-/// Marks the next static adds of the walk as constants.
-template <typename Target>
-void next_constant(Target& target) {
-  if constexpr (std::is_same_v<Target, ProgramTarget>) target.quantity = -1;
-}
+  /// Marks the next static adds as constants.
+  void next_constant() { quantity = -1; }
+};
 
 bool trapezoidal(const StampOptions& o) {
   return o.integrator == Integrator::kTrapezoidal && o.cap_i_prev != nullptr;
@@ -214,10 +193,9 @@ double source_value(const SourceSpec& spec, const StampOptions& o) {
   return o.source_scale * spec.eval(o.time);
 }
 
-template <typename Target>
 class Stamper {
  public:
-  Stamper(const MnaMap& map, Target& a) : map_(map), a_(a) {}
+  Stamper(const MnaMap& map, ProgramTarget& a) : map_(map), a_(a) {}
 
   void conductance(NodeId na, NodeId nb, double g) {
     const int i = map_.node_index(na);
@@ -275,23 +253,21 @@ class Stamper {
   static std::size_t idx(int i) { return static_cast<std::size_t>(i); }
 
   const MnaMap& map_;
-  Target& a_;
+  ProgramTarget& a_;
 };
 
-/// Stamps gshunt and every device. `mos_fields` holds 8 companion
-/// doubles per MOSFET, gm gds gmb ieq first (see MosKernel::evaluate);
-/// null evaluates each MOSFET with the scalar eval_mos.
-template <typename Target>
-void assemble_into(const Netlist& netlist, const MnaMap& map,
-                   const std::vector<double>& x,
-                   const std::vector<double>& x_prev_step,
-                   const StampOptions& options, Target target,
-                   const double* mos_fields) {
-  Stamper<Target> stamp(map, target);
+/// The capture walk: stamps gshunt and every device into `target`.
+/// MOSFETs stamp probe values in place of their companions: gm, gds,
+/// gmb and ieq of the m-th MOSFET are 8m+1 .. 8m+4 (see ProgramTarget);
+/// ieq carries the polarity (see MosKernel::evaluate).
+void capture_walk(const Netlist& netlist, const MnaMap& map,
+                  const std::vector<double>& x_prev_step,
+                  const StampOptions& options, ProgramTarget& target) {
+  Stamper stamp(map, target);
 
   // Node-to-ground shunts keep otherwise-floating nodes solvable and
   // implement gmin stepping.
-  next_quantity(target, {StampQuantity::Kind::kGshunt}, options.gshunt);
+  target.next_quantity({StampQuantity::Kind::kGshunt}, options.gshunt);
   for (std::size_t i = 0; i < map.node_unknowns(); ++i)
     target.add(i, i, options.gshunt);
 
@@ -302,9 +278,8 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
   const auto& devices = netlist.devices();
   for (std::size_t k = 0; k < devices.size(); ++k) {
     const auto device_index = static_cast<std::int32_t>(k);
-    if constexpr (std::is_same_v<Target, ProgramTarget>)
-      target.mos = std::holds_alternative<Mosfet>(devices[k]);
-    next_constant(target);
+    target.mos = std::holds_alternative<Mosfet>(devices[k]);
+    target.next_constant();
     std::visit(
         [&](const auto& d) {
           using T = std::decay_t<decltype(d)>;
@@ -315,13 +290,13 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
             if (options.mode == AnalysisMode::kTransient) {
               const auto cap = static_cast<std::int32_t>(cap_index);
               const double geq = cap_conductance(d, options);
-              next_quantity(target, {Kind::kCapConductance, device_index, cap},
-                            geq);
+              target.next_quantity({Kind::kCapConductance, device_index, cap},
+                                   geq);
               stamp.conductance(d.a, d.b, geq);
               const double amps =
                   cap_current(d, cap_index, geq, map, x_prev_step, options);
-              next_quantity(target, {Kind::kCapCurrent, device_index, cap},
-                            amps);
+              target.next_quantity({Kind::kCapCurrent, device_index, cap},
+                                   amps);
               stamp.current(d.b, d.a, amps);
             }
             ++cap_index;
@@ -329,49 +304,22 @@ void assemble_into(const Netlist& netlist, const MnaMap& map,
             const std::size_t branch = map.branch_at(branch_seq++);
             stamp.voltage_source_rows(branch, d.pos, d.neg);
             const double volts = source_value(d.spec, options);
-            next_quantity(target, {Kind::kSource, device_index}, volts);
+            target.next_quantity({Kind::kSource, device_index}, volts);
             stamp.rhs_add(branch, volts);
           } else if constexpr (std::is_same_v<T, Mosfet>) {
-            if (mos_fields != nullptr) {
-              // Companion fields gm, gds, gmb, ieq of this occurrence
-              // (the kernel's evaluation of the current iterate, or the
-              // program capture's probes); ieq carries the polarity.
-              const double* c = mos_fields + 8 * mos_index++;
-              stamp.transconductance(d.drain, d.source, d.gate, d.source,
-                                     c[0]);
-              stamp.transconductance(d.drain, d.source, d.drain, d.source,
-                                     c[1]);
-              stamp.transconductance(d.drain, d.source, d.bulk, d.source,
-                                     c[2]);
-              stamp.current(d.drain, d.source, c[3]);
-              return;
-            }
-            // NMOS-normalized terminal voltages around the candidate.
-            const double sign = d.type == MosType::kNmos ? 1.0 : -1.0;
-            const double vd = map.voltage(x, d.drain);
-            const double vg = map.voltage(x, d.gate);
-            const double vs = map.voltage(x, d.source);
-            const double vb = map.voltage(x, d.bulk);
-            const double vgs = sign * (vg - vs);
-            const double vds = sign * (vd - vs);
-            const double vbs = sign * (vb - vs);
-            const auto op = eval_mos(d.model, d.w / d.l, vgs, vds, vbs);
-            // Newton companion: ids_lin = ieq + gm*vgs + gds*vds + gmb*vbs
-            // with voltages of the *new* iterate.
-            const double ieq =
-                op.ids - op.gm * vgs - op.gds * vds - op.gmb * vbs;
-            // Map back to real node polarities: for PMOS the normalized
-            // current Ids flows source->drain in real terms.
-            // A transconductance g from normalized (va - vb) injecting
-            // normalized current d->s equals, in real nodes, g from
-            // sign*(va - vb) injecting sign*current: the sign appears
-            // twice and cancels for conductance stamps, once for ieq.
-            stamp.transconductance(d.drain, d.source, d.gate, d.source, op.gm);
+            // A transconductance g from NMOS-normalized (va - vb)
+            // injecting normalized current d->s equals, in real nodes,
+            // g from sign*(va - vb) injecting sign*current: the sign
+            // appears twice and cancels for the conductance stamps, once
+            // for ieq, which the kernel folds in.
+            const double probe = 8.0 * static_cast<double>(mos_index++) + 1.0;
+            stamp.transconductance(d.drain, d.source, d.gate, d.source,
+                                   probe);
             stamp.transconductance(d.drain, d.source, d.drain, d.source,
-                                   op.gds);
+                                   probe + 1.0);
             stamp.transconductance(d.drain, d.source, d.bulk, d.source,
-                                   op.gmb);
-            stamp.current(d.drain, d.source, sign * ieq);
+                                   probe + 2.0);
+            stamp.current(d.drain, d.source, probe + 3.0);
           }
         },
         devices[k]);
@@ -404,6 +352,40 @@ bool same_static_inputs(std::vector<double>& key, const StampOptions& o,
   key.insert(key.end(), x_prev_step.begin(), x_prev_step.end());
   key.insert(key.end(), cap.begin(), cap.end());
   return false;
+}
+
+/// Captures the program with one walk: the walk's matrix adds freeze
+/// the assembler's pattern, and each matrix op targets the CSR slot
+/// its add landed in.
+void capture(StampProgram& p, const Netlist& netlist, const MnaMap& map,
+             const std::vector<double>& x_prev_step,
+             const StampOptions& options, std::size_t mos_count,
+             numeric::SparseAssembler& a) {
+  // Room for the walk: at most 12 matrix and 2 RHS adds per device (a
+  // MOSFET's) plus one gshunt per node, two quantities per device.
+  const std::size_t devices = netlist.devices().size();
+  const std::size_t adds = map.node_unknowns() + 14 * devices;
+  p.matrix.src.clear();
+  p.matrix.src.reserve(adds);
+  p.rhs.at.clear();
+  p.rhs.at.reserve(2 * devices);
+  p.rhs.src.clear();
+  p.rhs.src.reserve(2 * devices);
+  p.quantities.clear();
+  p.quantities.reserve(1 + 2 * devices);
+  p.recipes.clear();
+  p.recipes.reserve(adds);
+  p.fields.resize(8 * mos_count);
+  p.fields.reserve(8 * mos_count + adds);
+  ++p.walks;
+  a.begin(map.size());
+  ProgramTarget target{p, a};
+  capture_walk(netlist, map, x_prev_step, options, target);
+  a.finish();
+  p.matrix.at = a.slots();
+  p.values.resize(p.quantities.size());
+  p.mode = options.mode;
+  p.pattern = a.shared_pattern();
 }
 
 /// Recomputes every static quantity of the program for new static
@@ -440,59 +422,12 @@ void refresh_statics(StampProgram& p, const Netlist& netlist,
     fields[r.field] = r.negate ? -q[r.quantity] : q[r.quantity];
 }
 
-/// A trusted round through the kernel's StampProgram: capture it with
-/// one walk (first round of this stream tag) or refresh its static
-/// fields from the recipes (new static inputs), then evaluate the
-/// MOSFETs and replay.
-void replay_program(const Netlist& netlist, const MnaMap& map,
-                    const std::vector<double>& x,
-                    const std::vector<double>& x_prev_step,
-                    const StampOptions& options, MosKernel& kernel,
-                    numeric::SparseAssembler& a, std::vector<double>& b) {
-  StampProgram& p = kernel.program();
-  const bool capture = !p.ready || p.tag != stream_tag(options);
-  const bool fresh_inputs = !same_static_inputs(p.key, options, x_prev_step);
-  if (capture || fresh_inputs) {
-    p.ready = false;  // A throwing round leaves the program to recapture.
-    if (capture) {
-      const std::size_t companions = 8 * kernel.mos_count();
-      p.matrix = {};
-      p.rhs = {};
-      p.quantities.clear();
-      p.recipes.clear();
-      p.fields.resize(companions);
-      std::vector<double> probes(companions);
-      std::iota(probes.begin(), probes.end(), 1.0);
-      ++p.walks;
-      assemble_into(netlist, map, x, x_prev_step, options,
-                    ProgramTarget{p, a}, probes.data());
-      p.values.resize(p.quantities.size());
-      p.tag = stream_tag(options);
-    } else {
-      refresh_statics(p, netlist, map, x_prev_step, options);
-    }
-    p.ready = true;
-  }
-  kernel.evaluate(x);
-  const double* const fields = p.fields.data();
-  a.replay(p.matrix.at.data(), p.matrix.src.data(), p.matrix.at.size(),
-           fields);
-  for (std::size_t k = 0; k < p.rhs.at.size(); ++k)
-    b[static_cast<std::size_t>(p.rhs.at[k])] += fields[p.rhs.src[k]];
-}
-
-MosKernel* checked_kernel(const Netlist& netlist, const StampOptions& options) {
-  MosKernel* const kernel = options.mos;
-  if (kernel != nullptr && &kernel->netlist() != &netlist)
+MosKernel& checked_kernel(const Netlist& netlist, const StampOptions& options) {
+  if (options.mos == nullptr)
+    throw std::logic_error("assemble_mna: no MOS kernel");
+  if (&options.mos->netlist() != &netlist)
     throw std::logic_error("assemble_mna: MOS kernel of another netlist");
-  return kernel;
-}
-
-/// Companion fields for a walk: the kernel's, evaluated at `x`.
-const double* walk_fields(MosKernel* kernel, const std::vector<double>& x) {
-  if (kernel == nullptr) return nullptr;
-  kernel->evaluate(x);
-  return kernel->program().fields.data();
+  return *options.mos;
 }
 
 }  // namespace
@@ -502,16 +437,27 @@ void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   const std::vector<double>& x_prev_step,
                   const StampOptions& options, numeric::SparseAssembler& a,
                   std::vector<double>& b) {
-  const std::size_t n = map.size();
-  a.begin(n, stream_tag(options));
-  b.assign(n, 0.0);
-  MosKernel* const kernel = checked_kernel(netlist, options);
-  if (kernel != nullptr && a.fast_active())
-    replay_program(netlist, map, x, x_prev_step, options, *kernel, a, b);
-  else
-    assemble_into(netlist, map, x, x_prev_step, options, SparseTarget{a, b},
-                  walk_fields(kernel, x));
-  a.finish();
+  MosKernel& kernel = checked_kernel(netlist, options);
+  StampProgram& p = kernel.program();
+  const bool recapture = !p.ready || p.mode != options.mode ||
+                         p.pattern != a.shared_pattern();
+  const bool fresh_inputs = !same_static_inputs(p.key, options, x_prev_step);
+  if (recapture || fresh_inputs) {
+    p.ready = false;  // A throwing round leaves the program to recapture.
+    if (recapture)
+      capture(p, netlist, map, x_prev_step, options, kernel.mos_count(), a);
+    else
+      refresh_statics(p, netlist, map, x_prev_step, options);
+    p.ready = true;
+  }
+  kernel.evaluate(x);
+  const double* const fields = p.fields.data();
+  a.zero_values();
+  a.replay(p.matrix.at.data(), p.matrix.src.data(), p.matrix.at.size(),
+           fields);
+  b.assign(map.size(), 0.0);
+  for (std::size_t k = 0; k < p.rhs.at.size(); ++k)
+    b[static_cast<std::size_t>(p.rhs.at[k])] += fields[p.rhs.src[k]];
 }
 
 void capacitor_currents(const Netlist& netlist, const MnaMap& map,

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,23 +64,24 @@ struct StampRecipe {
   bool negate = false;
 };
 
-/// The trusted stream's stamp program (part of MosKernel).
+/// The stamp program of a MosKernel: every assembly replays it.
 ///
-/// Once the assembler's trusted stream is frozen, every add() of an
-/// assembly lands in a fixed CSR slot (or RHS entry), and its value is
-/// either one of a MOSFET's four companion doubles or its negation, or
-/// a value that only changes when a new solve starts (gshunt,
-/// resistors, capacitor companions, sources). The program records the
-/// whole stream -- gshunt, then every device, matrix and RHS -- as
-/// (slot or node, field) ops over one array
+/// Every add() of an assembly lands in a fixed CSR slot (or RHS entry),
+/// and its value is either one of a MOSFET's four companion doubles or
+/// its negation, or a value that only changes when a new solve starts
+/// (gshunt, resistors, capacitor companions, sources). The program
+/// records the whole stream -- gshunt, then every device, matrix and
+/// RHS -- as (slot or node, field) ops over one array
 ///
 ///   fields = [gm gds gmb ieq -gm -gds -gmb -ieq per MOSFET | statics]
 ///
-/// so a Newton iteration is kernel.evaluate(x) plus one flat replay of
-/// the ops.
+/// so a Newton iteration is kernel.evaluate(x), zeroing the values and
+/// one flat replay of the ops.
 ///
-/// The Stamper walk runs once per capture. It records, next to every
-/// static field, where its value comes from: a constant (resistor
+/// The capture walks the netlist once: its matrix adds go to the
+/// assembler's triplet accumulation, which freezes the pattern (held in
+/// `pattern`) and names each op's CSR slot. Next to every static field
+/// the walk records where its value comes from: a constant (resistor
 /// conductances, the +/-1 of a source's branch rows) keeps the captured
 /// double, every other field gets a signed recipe over a StampQuantity
 /// (gshunt, a capacitor's geq or companion current, a source value).
@@ -90,13 +92,16 @@ struct StampRecipe {
 /// walk's own expressions and scattered through the recipes; no device
 /// walk runs. Every entry receives the same doubles (a negated recipe
 /// stores the exact negation the walk stamps) in the same order, so the
-/// assembled system is bit-identical.
+/// assembled system is bit-identical to a fresh capture's.
 ///
-/// Captured on the first trusted round of a stream tag; a tag change
-/// (DC -> transient, another kernel) recaptures.
+/// Captured on the first assembly; an analysis-mode change (DC ->
+/// transient, whose stream adds the capacitors) or an assembler whose
+/// frozen pattern is no longer `pattern` recaptures.
 struct StampProgram {
   bool ready = false;
-  std::uint32_t tag = 0;  ///< Stream tag the program was captured under.
+  AnalysisMode mode = AnalysisMode::kDc;  ///< Mode of the capture.
+  /// The frozen pattern the matrix ops' slots index.
+  std::shared_ptr<const numeric::CsrPattern> pattern;
   std::vector<double> fields;
   StampOps matrix;  ///< Targets are CSR value slots.
   StampOps rhs;     ///< Targets are unknowns.
@@ -108,23 +113,19 @@ struct StampProgram {
   std::size_t walks = 0;  ///< Stamper walks run (one per capture).
 };
 
-/// The transient kernel's MOSFET stage for one circuit: one SoA lane
-/// per MOSFET occurrence (device order) and the stamp program whose
-/// field array holds the companions. Attached through StampOptions::mos,
-/// it replaces the per-device scalar eval_mos call: every assembly
-/// gathers the terminal voltages of the candidate iterate (from a copy
-/// padded with ground at slot 0, so the gather has no ground branch),
-/// runs eval_mos_batch over all lanes and writes the companions into
-/// the program's fields -- the same arithmetic, in the same order, as
-/// the scalar MOSFET branch, so the assembled values are bit-identical.
+/// The MOSFET stage of every assembly of one circuit: one SoA lane per
+/// MOSFET occurrence (device order) and the stamp program whose field
+/// array holds the companions. Every assembly gathers the terminal
+/// voltages of the candidate iterate (from a copy padded with ground at
+/// slot 0, so the gather has no ground branch), runs eval_mos_batch
+/// over all lanes and writes the companions into the program's fields.
+/// eval_mos_batch's lanes are bit-identical to the scalar eval_mos.
 class MosKernel {
  public:
   MosKernel(const Netlist& netlist, const MnaMap& map);
 
   /// The netlist this kernel was built for (assembly checks it).
   const Netlist& netlist() const { return *netlist_; }
-  /// Process-unique serial; keys the kernel's trusted stamp streams.
-  std::uint32_t id() const { return id_; }
   std::size_t mos_count() const { return sign_.size(); }
   /// Refreshes every companion for candidate iterate `x`: fields 8m ..
   /// 8m+3 of the program become the m-th MOSFET's gm, gds, gmb (in its
@@ -137,7 +138,6 @@ class MosKernel {
 
  private:
   const Netlist* netlist_;
-  std::uint32_t id_ = 0;
   /// Terminal unknown index + 1 (0 = ground) into xpad_.
   std::vector<std::int32_t> drain_, gate_, source_, bulk_;
   std::vector<double> sign_;
@@ -159,11 +159,8 @@ struct StampOptions {
   /// ordered by capacitor occurrence in the device list.
   const std::vector<double>* cap_i_prev = nullptr;
   /// The circuit's MOSFET kernel (built for the netlist being
-  /// assembled). When set, MOSFETs stamp the kernel's SoA companions,
-  /// and the sparse assembly declares a trusted stream per kernel and
-  /// analysis mode (see numeric::SparseAssembler) and replays the
-  /// kernel's stamp program. Null evaluates each MOSFET with the scalar
-  /// eval_mos.
+  /// assembled); assembly replays its stamp program. Required by
+  /// assemble_mna (dc_operating_point builds one when given none).
   MosKernel* mos = nullptr;
 };
 
@@ -211,10 +208,10 @@ class MnaMap {
 /// Assembles the Newton-linearized MNA system around candidate solution
 /// x (same layout as the unknown vector) as CSR triplets into `a`, and
 /// its right-hand side into `b`. For transient mode, `x_prev_step` is
-/// the converged solution of the previous time point. For a fixed
-/// netlist the assembler recognizes the repeated stamp sequence and
-/// scatters values straight into the frozen pattern (see
-/// numeric::SparseAssembler).
+/// the converged solution of the previous time point. The assembly
+/// evaluates options.mos (which must be set, for this netlist) at x and
+/// replays its StampProgram into the frozen pattern, capturing the
+/// program first when it has none for this mode and assembler.
 void assemble_mna(const Netlist& netlist, const MnaMap& map,
                   const std::vector<double>& x,
                   const std::vector<double>& x_prev_step,

@@ -27,10 +27,9 @@ bool SolverContext::factor_sparse(std::size_t n) {
   const std::vector<double>& values = assembler_.values();
 
   // The cache holds at most one entry per pattern, so the entry matched
-  // for this pattern generation stays the match until the assembler
-  // builds a new pattern or the cache changes.
-  const std::uint64_t generation = assembler_.pattern_generation();
-  if (!matched_ || matched_generation_ != generation) {
+  // for this frozen pattern stays the match until the assembler builds
+  // a new pattern or the cache changes.
+  if (!matched_ || matched_pattern_ != assembler_.shared_pattern()) {
     matched_.reset();
     for (const auto& cached : cache_) {
       if (cached->pattern == pattern) {
@@ -48,7 +47,7 @@ bool SolverContext::factor_sparse(std::size_t n) {
       if (symbolic) cache_insert(symbolic);
       matched_ = std::move(symbolic);
     }
-    matched_generation_ = generation;
+    matched_pattern_ = assembler_.shared_pattern();
   }
   if (matched_) {
     const double t0 = phase_times_ ? now_seconds() : 0.0;

@@ -166,11 +166,11 @@ class SolverContext {
   /// Pattern-keyed symbolic cache, front = golden/seed entry; at most
   /// one entry per pattern.
   std::vector<std::shared_ptr<const numeric::SparseSymbolic>> cache_;
-  /// Cache entry of the assembler's pattern at matched_generation_
+  /// Cache entry of the assembler's frozen pattern matched_pattern_
   /// (null: look it up again), so a Newton iteration does not compare
   /// patterns.
   std::shared_ptr<const numeric::SparseSymbolic> matched_;
-  std::uint64_t matched_generation_ = 0;
+  std::shared_ptr<const numeric::CsrPattern> matched_pattern_;
   std::size_t symbolic_analyses_ = 0;
   std::size_t factorizations_ = 0;
   bool sparse_active_ = false;

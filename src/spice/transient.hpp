@@ -95,7 +95,7 @@ class TranResult {
 /// The transient kernel of one circuit, shared by transient() and the
 /// batched fault-evaluation engine (spice/batch.hpp): it owns the MNA
 /// map, the solver context and the SoA MOSFET kernel (MosKernel, with
-/// its trusted stamp streams and precompiled stamp plan), and advances
+/// its stamp program), and advances
 /// the circuit from a t = 0 state one *accepted* time point per step()
 /// call (internal dt halving retries failed Newton solves), recording
 /// every point into the TranResult that finish() hands over. The

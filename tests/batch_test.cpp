@@ -1,8 +1,8 @@
-// Transient-kernel building blocks: the SoA level-1 MOSFET kernel, the
-// multi-RHS triangular solve, the trusted-stream assembler fast path
-// and the stamp program. Every case here asserts *bit* identity against
-// the scalar code path it replaces -- the verdict equality of the
-// scalar and batched campaign paths rests on these.
+// Assembly building blocks: the SoA level-1 MOSFET kernel, the
+// multi-RHS triangular solve and the stamp program. Every case here
+// asserts *bit* identity: the SoA lanes against the scalar eval_mos,
+// a replayed stamp program against a fresh capture -- the verdict
+// equality of the scalar and batched campaign paths rests on these.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,11 +13,14 @@
 
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
+#include "flashadc/decoder.hpp"
 #include "flashadc/tech.hpp"
 #include "numeric/sparse.hpp"
+#include "spice/dc.hpp"
 #include "spice/devices.hpp"
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
+#include "spice/solver.hpp"
 
 namespace dot {
 namespace {
@@ -101,39 +104,6 @@ TEST(SolveMulti, ColumnsBitIdenticalToSolveInto) {
 }
 
 // ---------------------------------------------------------------------
-// Trusted-stream assembler fast path.
-
-TEST(TrustedStream, FastPathBitIdenticalAndTagGated) {
-  const std::size_t n = 6;
-  auto stamp_round = [&](numeric::SparseAssembler& a, std::uint32_t tag,
-                         std::size_t round) {
-    a.begin(n, tag);
-    for (std::size_t i = 0; i < n; ++i) a.add(i, i, 2.0 + wiggle(i, round));
-    a.add(0, 3, wiggle(1, round));
-    a.add(3, 0, wiggle(2, round));
-    a.add(2, 2, wiggle(3, round));  // duplicate slot accumulation
-    a.finish();
-  };
-  numeric::SparseAssembler tagged;
-  numeric::SparseAssembler checked;
-  for (std::size_t round = 0; round < 4; ++round) {
-    stamp_round(tagged, 5, round);
-    stamp_round(checked, 0, round);
-    EXPECT_EQ(tagged.values(), checked.values()) << "round " << round;
-    EXPECT_EQ(tagged.pattern().cols, checked.pattern().cols);
-    // Trusted scatter engages from the second tagged round on; the
-    // untagged assembler always runs the checked path.
-    EXPECT_EQ(tagged.fast_path_used(), round > 0) << "round " << round;
-    EXPECT_FALSE(checked.fast_path_used());
-  }
-  // A tag change refreezes: the next round must not trust stale slots.
-  stamp_round(tagged, 9, 4);
-  EXPECT_FALSE(tagged.fast_path_used());
-  stamp_round(checked, 0, 4);
-  EXPECT_EQ(tagged.values(), checked.values());
-}
-
-// ---------------------------------------------------------------------
 // MnaMap::branch_at vs the string-keyed branch_index.
 
 TEST(MnaMap, BranchAtMatchesBranchIndex) {
@@ -152,18 +122,20 @@ TEST(MnaMap, BranchAtMatchesBranchIndex) {
 }
 
 // ---------------------------------------------------------------------
-// The trusted stream's stamp program (StampProgram).
+// The stamp program (StampProgram).
 
-// Assembles through a MOSFET kernel (trusted stream, stamp program)
-// and through an untrusted full walk with the scalar eval_mos, asserting
-// bit-identical CSR values and right-hand sides on every round.
+// Assembles through one long-lived MOSFET kernel, whose program is
+// captured once per mode and then replayed (its static fields
+// refreshed from the recipes when the static inputs move), and through
+// a fresh kernel and assembler at the same static inputs, whose
+// program is captured by this very assembly. Every round asserts
+// byte-identical CSR patterns, values and right-hand sides.
 struct ProgramHarness {
   const spice::Netlist& netlist;
   spice::MnaMap map;
   spice::StampOptions prog;
-  spice::StampOptions walk;
-  numeric::SparseAssembler a_prog, a_walk;
-  std::vector<double> b_prog, b_walk;
+  numeric::SparseAssembler a_prog;
+  std::vector<double> b_prog, b_fresh;
   std::vector<double> x;
   std::vector<double> x_prev;
 
@@ -174,20 +146,31 @@ struct ProgramHarness {
   void round(std::size_t r) {
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = 1.5 * wiggle(i, r);
     assemble_mna(netlist, map, x, x_prev, prog, a_prog, b_prog);
-    assemble_mna(netlist, map, x, x_prev, walk, a_walk, b_walk);
-    EXPECT_FALSE(a_walk.fast_path_used());
-    EXPECT_EQ(a_prog.values(), a_walk.values()) << "round " << r;
-    EXPECT_EQ(b_prog, b_walk) << "round " << r;
+    spice::MosKernel fresh(netlist, map);
+    spice::StampOptions options = prog;
+    options.mos = &fresh;
+    numeric::SparseAssembler a_fresh;
+    assemble_mna(netlist, map, x, x_prev, options, a_fresh, b_fresh);
+    EXPECT_EQ(fresh.program().walks, 1u);
+    EXPECT_EQ(a_prog.pattern(), a_fresh.pattern()) << "round " << r;
+    ASSERT_EQ(a_prog.values().size(), a_fresh.values().size());
+    EXPECT_EQ(std::memcmp(a_prog.values().data(), a_fresh.values().data(),
+                          a_prog.values().size() * sizeof(double)),
+              0)
+        << "round " << r;
+    ASSERT_EQ(b_prog.size(), b_fresh.size());
+    EXPECT_EQ(std::memcmp(b_prog.data(), b_fresh.data(),
+                          b_prog.size() * sizeof(double)),
+              0)
+        << "round " << r;
   }
-  // Both sides see the same static inputs.
   template <typename F>
   void set(F&& f) {
     f(prog);
-    f(walk);
   }
 };
 
-TEST(StampProgram, AssembliesBitIdenticalToUntrustedWalk) {
+TEST(StampProgram, AssembliesBitIdenticalToAFreshCapture) {
   const auto macro = flashadc::build_comparator_netlist();
   const auto bench = flashadc::instantiate_comparator_bench(macro, 0.02);
   ProgramHarness h(bench);
@@ -195,41 +178,36 @@ TEST(StampProgram, AssembliesBitIdenticalToUntrustedWalk) {
   ASSERT_GT(kernel.mos_count(), 0u);
   h.prog.mos = &kernel;
 
-  // Repeated iterations of one DC solve: round 0 freezes the pattern,
-  // round 1 captures the program, later rounds replay it.
+  // Repeated iterations of one DC solve: round 0 captures the program,
+  // later rounds replay it.
   std::size_t r = 0;
   for (; r < 4; ++r) {
     h.round(r);
-    EXPECT_EQ(kernel.program().ready, r >= 1) << "round " << r;
-    EXPECT_EQ(h.a_prog.fast_path_used(), r >= 1) << "round " << r;
+    EXPECT_TRUE(kernel.program().ready) << "round " << r;
+    EXPECT_EQ(kernel.program().walks, 1u) << "round " << r;
   }
-  const std::uint32_t dc_tag = kernel.program().tag;
   // A continuation rung: new gshunt and source scale.
-  h.set([](spice::StampOptions& o) {
-    o.gshunt = 1e-6;
-    o.source_scale = 0.5;
-  });
+  h.prog.gshunt = 1e-6;
+  h.prog.source_scale = 0.5;
   for (; r < 6; ++r) h.round(r);
+  EXPECT_EQ(kernel.program().walks, 1u);
 
-  // DC -> transient switches the stream tag: refreeze, recapture.
+  // DC -> transient changes the stream (capacitors stamp): recapture.
   std::size_t caps = 0;
   for (const auto& device : bench.devices())
     caps += std::holds_alternative<spice::Capacitor>(device) ? 1u : 0u;
   ASSERT_GT(caps, 0u);
   std::vector<double> cap_i(caps, 0.0);
-  h.set([&cap_i](spice::StampOptions& o) {
-    o.gshunt = 1e-12;
-    o.source_scale = 1.0;
-    o.mode = spice::AnalysisMode::kTransient;
-    o.time = 1e-9;
-    o.dt = 1e-9;
-    o.integrator = spice::Integrator::kTrapezoidal;
-    o.cap_i_prev = &cap_i;
-  });
+  h.prog.gshunt = 1e-12;
+  h.prog.source_scale = 1.0;
+  h.prog.mode = spice::AnalysisMode::kTransient;
+  h.prog.time = 1e-9;
+  h.prog.dt = 1e-9;
+  h.prog.integrator = spice::Integrator::kTrapezoidal;
+  h.prog.cap_i_prev = &cap_i;
   for (; r < 9; ++r) h.round(r);
-  EXPECT_TRUE(kernel.program().ready);
-  EXPECT_NE(kernel.program().tag, dc_tag);
-  EXPECT_TRUE(h.a_prog.fast_path_used());
+  EXPECT_EQ(kernel.program().mode, spice::AnalysisMode::kTransient);
+  EXPECT_EQ(kernel.program().walks, 2u);
 
   // New steps, each changing one static input: x_prev, cap_i_prev
   // (mutated in place), time, dt. The static fields must follow without
@@ -241,32 +219,74 @@ TEST(StampProgram, AssembliesBitIdenticalToUntrustedWalk) {
     if (input == 1)
       for (std::size_t i = 0; i < cap_i.size(); ++i)
         cap_i[i] = 1e-6 * wiggle(i, 200);
-    h.set([input](spice::StampOptions& o) {
-      if (input == 2) o.time += o.dt;
-      if (input == 3) o.dt = 0.5e-9;
-    });
+    if (input == 2) h.prog.time += h.prog.dt;
+    if (input == 3) h.prog.dt = 0.5e-9;
     for (std::size_t it = 0; it < 3; ++it, ++r) h.round(r);
   }
+  EXPECT_EQ(kernel.program().walks, 2u);
 
-  // Another kernel on the same assembler never inherits the trusted
-  // stream: its first round runs the checked walk, then it captures.
+  // Another kernel of the same netlist on the same assembler captures
+  // its own program; its stream freezes the same pattern, so the first
+  // kernel's slots stay valid and it replays without a walk.
   spice::MosKernel other(bench, h.map);
   h.prog.mos = &other;
   h.round(r++);
-  EXPECT_FALSE(h.a_prog.fast_path_used());
-  EXPECT_FALSE(other.program().ready);
+  EXPECT_TRUE(h.a_prog.pattern_reused());
+  EXPECT_EQ(other.program().walks, 1u);
+  h.prog.mos = &kernel;
   h.round(r++);
-  EXPECT_TRUE(h.a_prog.fast_path_used());
-  EXPECT_TRUE(other.program().ready);
+  EXPECT_EQ(kernel.program().walks, 2u);
+
+  // A kernel of another netlist freezes another pattern in the
+  // assembler: the first kernel's next assembly recaptures.
+  spice::Netlist divider;
+  divider.add_vsource("v1", "in", "0", spice::SourceSpec::dc(1.0));
+  divider.add_resistor("r1", "in", "out", 1e3);
+  divider.add_resistor("r2", "out", "0", 1e3);
+  const spice::MnaMap divider_map(divider);
+  spice::MosKernel divider_kernel(divider, divider_map);
+  spice::StampOptions divider_stamp;
+  divider_stamp.mos = &divider_kernel;
+  std::vector<double> divider_b;
+  const std::vector<double> divider_x(divider_map.size(), 0.0);
+  assemble_mna(divider, divider_map, divider_x, divider_x, divider_stamp,
+               h.a_prog, divider_b);
   h.round(r++);
+  EXPECT_EQ(kernel.program().walks, 3u);
+  h.round(r++);
+  EXPECT_EQ(kernel.program().walks, 3u);
 }
 
-// The recipe refresh of the static fields against the walk, on a
-// netlist holding every device kind: R, C (grounded and floating), a
-// pulse V source, a DC V source and N/PMOS. Each round
-// assembles through the kernel (trusted stream, stamp program) and
-// through the tag-0 scalar walk; the CSR values and b must be equal
-// byte for byte.
+// A multi-iteration DC solve of a DC bench captures its program once:
+// every later Newton iteration, gmin and source-stepping rung replays
+// it, and a second (warm) solve with the same kernel keeps it.
+TEST(StampProgram, DcBenchSolveCapturesOnce) {
+  const spice::Netlist driven = flashadc::decoder_dc_bench().drive(
+      flashadc::build_decoder_netlist(), 0);
+  const spice::MnaMap map(driven);
+  spice::MosKernel kernel(driven, map);
+  ASSERT_GT(kernel.mos_count(), 0u);
+  spice::SolverContext solver;
+  const auto cold =
+      spice::dc_operating_point(driven, map, {}, nullptr, &solver, &kernel);
+  ASSERT_TRUE(cold.converged);
+  EXPECT_GT(cold.iterations, 1);
+  EXPECT_EQ(kernel.program().walks, 1u);
+  const auto warm =
+      spice::dc_operating_point(driven, map, {}, &cold.x, &solver, &kernel);
+  ASSERT_TRUE(warm.converged);
+  EXPECT_EQ(kernel.program().walks, 1u);
+  // The solve with a kernel of its own lands on the same point.
+  spice::SolverContext own_solver;
+  EXPECT_EQ(spice::dc_operating_point(driven, map, {}, nullptr, &own_solver).x,
+            cold.x);
+}
+
+// The recipe refresh of the static fields against a fresh capture's
+// walk, on a netlist holding every device kind: R, C (grounded and
+// floating), a pulse V source, a DC V source and N/PMOS. Each round
+// assembles through the long-lived kernel and through a fresh one; the
+// CSR values and b must be equal byte for byte.
 TEST(StampProgram, RecipeRefreshEqualsTheWalk) {
   spice::Netlist n;
   spice::PulseParams clk;
@@ -300,28 +320,15 @@ TEST(StampProgram, RecipeRefreshEqualsTheWalk) {
 
   std::size_t r = 0;
   auto rounds = [&](std::size_t count) {
-    for (std::size_t k = 0; k < count; ++k, ++r) {
-      h.round(r);
-      ASSERT_EQ(h.a_prog.values().size(), h.a_walk.values().size());
-      EXPECT_EQ(std::memcmp(h.a_prog.values().data(), h.a_walk.values().data(),
-                            h.a_prog.values().size() * sizeof(double)),
-                0)
-          << "round " << r;
-      ASSERT_EQ(h.b_prog.size(), h.b_walk.size());
-      EXPECT_EQ(std::memcmp(h.b_prog.data(), h.b_walk.data(),
-                            h.b_prog.size() * sizeof(double)),
-                0)
-          << "round " << r;
-    }
+    for (std::size_t k = 0; k < count; ++k, ++r) h.round(r);
   };
 
-  // DC: round 0 freezes the pattern, round 1 captures, then replays.
+  // DC: round 0 captures, then replays.
   rounds(3);
   EXPECT_TRUE(kernel.program().ready);
-  EXPECT_TRUE(h.a_prog.fast_path_used());
   // A gshunt ladder, then source-stepping rungs.
   for (double g = 1e-3; g > 1e-12; g /= 10.0) {
-    h.set([g](spice::StampOptions& o) { o.gshunt = g; });
+    h.prog.gshunt = g;
     rounds(2);
   }
   for (int s = 1; s <= 8; ++s) {
@@ -366,11 +373,11 @@ TEST(StampProgram, RecipeRefreshEqualsTheWalk) {
   }
   // The transient gshunt rescue ladder.
   for (double g = 1e-3; g >= 1e-12; g /= 10.0) {
-    h.set([g](spice::StampOptions& o) { o.gshunt = g; });
+    h.prog.gshunt = g;
     rounds(2);
   }
 
-  // One capture walk per stream tag (DC, transient); every other change
+  // One capture walk per analysis mode (DC, transient); every other change
   // of the static inputs was a recipe refresh.
   EXPECT_EQ(kernel.program().walks, 2u);
   EXPECT_FALSE(kernel.program().recipes.empty());

@@ -10,8 +10,10 @@
 
 #include "flashadc/biasgen.hpp"
 #include "flashadc/chip.hpp"
+#include "flashadc/clockgen.hpp"
 #include "flashadc/comparator.hpp"
 #include "flashadc/comparator_sim.hpp"
+#include "flashadc/decoder.hpp"
 #include "fault/model.hpp"
 #include "spice/dc.hpp"
 #include "spice/mna.hpp"
@@ -128,8 +130,10 @@ TEST(Robustness, DcFirstSolveReproducesTheScalarOperatingPoint) {
     for (std::size_t c = 0; c < benches.size(); ++c) {
       const Netlist& n = benches[c];
       const MnaMap map(n);
+      MosKernel kernel(n, map);
       StampOptions stamp;  // DC at t = 0, as dc_operating_point stamps
       stamp.gshunt = options.gshunt;
+      stamp.mos = &kernel;
       const std::vector<double> zeros(map.size(), 0.0);
       SolverContext shared;
       ASSERT_TRUE(shared.use_sparse(map.size()));
@@ -196,6 +200,7 @@ TEST(Robustness, StepHalvingRecoversOffTheBaseGrid) {
   opt.dt = 1e-9;
   opt.newton.max_iterations = 2;
   const auto result = transient(n, opt);
+  EXPECT_EQ(result.stats().gshunt_rescues, 0u);  // halving alone recovers
   const std::vector<double> expected = {0.0,    1e-9,   1.5e-9, 2.5e-9,
                                         3.5e-9, 4.5e-9, 5e-9};
   ASSERT_EQ(result.steps(), expected.size());
@@ -228,6 +233,30 @@ TEST(SmallSystemPin, BiasgenOperatingPointIsBitIdentical) {
       flashadc::biasgen_dc_bench(), flashadc::build_biasgen_netlist());
   ASSERT_LT(context.map.size(), SolverOptions{}.sparse_threshold);
   EXPECT_EQ(fnv1a(kFnvBasis, context.golden[0]), 0x05f75b94aa1f7ccfull);
+}
+
+// Every drive state's golden operating point of the two DC benches
+// with the most MOSFETs, chained into one digest. Recorded when DC
+// solves still stamped each MOSFET with the scalar eval_mos; the stamp
+// program's replay must keep every double bit-identical.
+std::uint64_t golden_digest(const flashadc::DcContext& context) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& x : context.golden) h = fnv1a(h, x);
+  return h;
+}
+
+TEST(SmallSystemPin, ClockgenOperatingPointsAreBitIdentical) {
+  const auto context = flashadc::make_dc_context(
+      flashadc::clockgen_dc_bench(), flashadc::build_clockgen_netlist());
+  ASSERT_GT(context.golden.size(), 1u);
+  EXPECT_EQ(golden_digest(context), 0x1dbe0dbd9126c359ull);
+}
+
+TEST(SmallSystemPin, DecoderOperatingPointsAreBitIdentical) {
+  const auto context = flashadc::make_dc_context(
+      flashadc::decoder_dc_bench(), flashadc::build_decoder_netlist());
+  ASSERT_GT(context.golden.size(), 1u);
+  EXPECT_EQ(golden_digest(context), 0x1a1a58df79eab2cdull);
 }
 
 TEST(SmallSystemPin, DenseComparatorTransientIsBitIdentical) {
@@ -288,8 +317,9 @@ TEST(Robustness, GshuntLadderRescuesColumnSizedZeroStateStep) {
                   cell.netlist, chip_opt, mid_slice,
                   flashadc::kDecisionGrid.front()),
               spread, env, {"VDDA", "VDDD"}, rng);
-  const auto run = flashadc::extract_chip_run(
-      transient(bench, flashadc::chip_tran_options()), chip_opt, mid_slice);
+  const TranResult tran = transient(bench, flashadc::chip_tran_options());
+  EXPECT_GE(tran.stats().gshunt_rescues, 1u);
+  const auto run = flashadc::extract_chip_run(tran, chip_opt, mid_slice);
   EXPECT_TRUE(run.converged);
 }
 
