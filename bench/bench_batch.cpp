@@ -1,7 +1,8 @@
 // Batched vs scalar fault-campaign throughput (comparator macro).
 //
 // Runs the comparator campaign in two arms -- scalar (--batch=1, the
-// historical path) and batched (sibling-fault prepass) -- and
+// default path) and batched (the prepass that runs each class's first
+// scalar attempt in chunks of classes) -- and
 // reports the classes/sec speedup with the per-run setup cost (defect
 // sprinkle, collapsing, envelope, golden solve) subtracted out:
 //
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
   const std::size_t batch = args.config.batch == 1 ? 0 : args.config.batch;
   const std::size_t n = args.config.max_classes;
   dot::bench::print_header(
-      "bench_batch: batched sibling-fault evaluation vs scalar");
+      "bench_batch: batched prepass vs scalar fault evaluation");
 
   const dot::bench::WallTimer timer;
 

@@ -14,9 +14,11 @@
 //                  retried under escalating solver aid and reported
 //                  unresolved after the retry budget
 //   --max-retries=N retries after a failed class attempt (default 3)
-//   --batch=N|auto  sibling-fault batch size for the batched
-//                  transient prepass on the comparator/bank/chip
-//                  campaigns (1 = scalar path, the default; auto = 32)
+//   --batch=N|auto  chunk size of the batched prepass on the
+//                  comparator/bank/chip campaigns: each class's first
+//                  scalar attempt, run N classes at a time before the
+//                  class loop (1 = no prepass, the default; auto = 32);
+//                  verdicts are the same at any value
 //   --phase-times  collect the device-eval/assembly/factor/solve
 //                  wall-time breakdown of the transient class
 //                  evaluations

@@ -16,9 +16,10 @@
 //   --resume              replay the journal, skipping completed classes
 //   --class-timeout-ms=T  wall-clock budget per class attempt (0 = off)
 //   --max-retries=N       retries under escalating solver aid (default 3)
-//   --batch=N|auto        sibling-fault batch size for the batched
-//                         transient prepass on the comparator/bank/chip
-//                         campaigns (1 = scalar path, the default)
+//   --batch=N|auto        chunk size of the batched prepass (each
+//                         class's first scalar attempt, N classes at a
+//                         time) on the comparator/bank/chip campaigns
+//                         (1 = no prepass, the default; auto = 32)
 //   --phase-times         collect the device-eval/assembly/factor/solve
 //                         wall-time breakdown of the transient class
 //                         evaluations (reported in the --json output)

@@ -111,8 +111,7 @@ spice::Netlist instantiate_bank_bench(const spice::Netlist& macro_netlist,
 /// every clock low the sampled nodes float behind subthreshold leakage
 /// and the column-sized DC solve fails for many faulted variants, so
 /// the run integrates from the zero state). Stops one step past
-/// kMeasEnd, like comparator_tran_options(). Shared by the scalar path
-/// and the batched campaign prepass.
+/// kMeasEnd, like comparator_tran_options().
 spice::TranOptions bank_tran_options();
 
 /// The bank's decision-grid bench: bank_tran_options(), faults observed

@@ -15,7 +15,6 @@
 #include "flashadc/journal.hpp"
 #include "flashadc/ladder.hpp"
 #include "flashadc/tech.hpp"
-#include "spice/batch.hpp"
 #include "spice/montecarlo.hpp"
 #include "spice/resilience.hpp"
 #include "util/error.hpp"
@@ -98,9 +97,8 @@ ClassEval evaluate_class(const FaultClass& cls, bool with_noncat,
 /// the netlists each Monte-Carlo envelope sample perturbs, `measure`
 /// for the envelope (nullopt drops a sample without operating point)
 /// and `evaluate` for the verdict on a faulty macro netlist (adding the
-/// phase times of its transients to the optional sink). Transient
-/// macros also carry their bench and fault-free grid, for the lockstep
-/// prepass.
+/// phase times of its transients to the optional sink). Only transient
+/// macros take the batched prepass.
 struct PreparedMacro {
   PreparedMacro(macro::MacroCell c, macro::MeasurementLayout l)
       : cell(std::move(c)), layout(std::move(l)) {}
@@ -112,8 +110,7 @@ struct PreparedMacro {
   std::function<FaultOutcome(const Netlist&, const CircuitFault&,
                              const GoodEnvelope&, spice::PhaseTimes*)>
       evaluate;
-  std::shared_ptr<const DecisionGridBench> bench;
-  std::array<ComparatorRun, 4> nominal{};
+  bool transient = false;
 };
 
 /// Verdict from the four grid runs. The fault-free grid is
@@ -140,8 +137,8 @@ PreparedMacro prepare_transient(macro::MacroCell cell, DecisionGridBench grid,
   grid.tran.collect_phase_times = config.collect_phase_times;
   auto b = std::make_shared<const DecisionGridBench>(std::move(grid));
   PreparedMacro m(std::move(cell), comparator_measurement_layout());
-  m.bench = b;
-  m.nominal = run_decision_grid(*b, m.cell.netlist, b->mid_slice);
+  m.transient = true;
+  const auto nominal = run_decision_grid(*b, m.cell.netlist, b->mid_slice);
   // The envelope measures the two outer grid runs.
   for (const double dv : {kDecisionGrid.front(), kDecisionGrid.back()})
     m.envelope_benches.push_back(
@@ -157,10 +154,9 @@ PreparedMacro prepare_transient(macro::MacroCell cell, DecisionGridBench grid,
       return std::nullopt;
     }
   };
-  m.evaluate = [b, nominal = m.nominal](const Netlist& faulty,
-                                        const CircuitFault& rep,
-                                        const GoodEnvelope& envelope,
-                                        spice::PhaseTimes* phases) {
+  m.evaluate = [b, nominal](const Netlist& faulty, const CircuitFault& rep,
+                            const GoodEnvelope& envelope,
+                            spice::PhaseTimes* phases) {
     return classify_runs(
         run_decision_grid(*b, faulty, b->observed_slice(rep), phases),
         nominal, envelope);
@@ -348,33 +344,41 @@ struct ClassLoop {
   const CampaignConfig& config;
   CampaignJournal* journal;
 
-  /// Scalar evaluation of class c under the resilience budget: each
-  /// attempt runs in an EvalScope with the configured wall-clock budget;
-  /// a failed attempt is retried with the continuation aid ladder
-  /// escalated one rung, and a class that exhausts 1 + max_retries
-  /// attempts is carried as a structured kUnresolved outcome -- its own
-  /// coverage bucket, never silently detected or undetected.
+  /// One attempt at class c: every variant evaluated inside an
+  /// EvalScope with the configured wall-clock budget on aid rung
+  /// `attempt - 1`, each kept outcome stamped with `attempt`. Throws
+  /// whatever the evaluation throws.
+  ClassEval attempt_class(std::size_t c, int attempt) const {
+    const CircuitFault& rep = classes[c].representative;
+    spice::EvalBudget budget;
+    budget.timeout_ms = config.resilience.class_timeout_ms;
+    budget.aid_level = attempt - 1;
+    spice::EvalScope scope(macro, c, budget);
+    spice::PhaseTimes phases;
+    ClassEval eval = evaluate_class(
+        classes[c], config.with_noncatastrophic, [&](bool nc, int v) {
+          return m.evaluate(
+              fault::apply_fault(m.cell.netlist, rep, model_opt, v, nc), rep,
+              envelope, &phases);
+        });
+    eval.phases = phases;
+    if (eval.cat) eval.cat->attempts = attempt;
+    if (eval.noncat) eval.noncat->attempts = attempt;
+    return eval;
+  }
+
+  /// Scalar evaluation of class c under the resilience budget: a failed
+  /// attempt is retried with the continuation aid ladder escalated one
+  /// rung, and a class that exhausts 1 + max_retries attempts is
+  /// carried as a structured kUnresolved outcome -- its own coverage
+  /// bucket, never silently detected or undetected.
   ClassEval evaluate_with_retries(std::size_t c) const {
     const CircuitFault& rep = classes[c].representative;
     const int attempts = 1 + std::max(0, config.resilience.max_retries);
     std::string failure;
     for (int attempt = 1; attempt <= attempts; ++attempt) {
-      spice::EvalBudget budget;
-      budget.timeout_ms = config.resilience.class_timeout_ms;
-      budget.aid_level = attempt - 1;
-      spice::EvalScope scope(macro, c, budget);
-      spice::PhaseTimes phases;
       try {
-        auto eval = evaluate_class(
-            classes[c], config.with_noncatastrophic, [&](bool nc, int v) {
-              return m.evaluate(
-                  fault::apply_fault(m.cell.netlist, rep, model_opt, v, nc),
-                  rep, envelope, &phases);
-            });
-        eval.phases = phases;
-        if (eval.cat) eval.cat->attempts = attempt;
-        if (eval.noncat) eval.noncat->attempts = attempt;
-        return eval;
+        return attempt_class(c, attempt);
       } catch (const util::ShardError&) {
         throw;  // infrastructure failure, not a circuit pathology
       } catch (const std::exception& e) {
@@ -431,16 +435,13 @@ struct ClassLoop {
     });
   }
 
-  /// Batched prepass over a transient macro: every (class, pass,
-  /// variant, grid point) transient of a chunk of classes goes to
-  /// spice::run_transient_batch, and the runs are reassembled with the
-  /// scalar path's reduction. A member that fails to converge leaves a
-  /// converged=false record, as in run_decision_grid; one that exhausts the
-  /// class budget (or dies unexpectedly) evicts its whole class, which
-  /// then runs the scalar attempt ladder, so retry/aid/kUnresolved
-  /// accounting is untouched.
+  /// Batched prepass over a transient macro: the first attempt of every
+  /// pending class, run in chunks of classes. A class whose attempt
+  /// returned is kept; one whose attempt failed (class budget spent, or
+  /// an unexpected failure) is left to the scalar attempt ladder, which
+  /// starts over at attempt 1, so retry/aid/kUnresolved accounting is
+  /// untouched.
   PrecomputedEvals batch_prepass(MacroCampaignResult& result) const {
-    const DecisionGridBench& bench = *m.bench;
     // Classes this process still has to evaluate: its shard, minus what
     // a resumed journal already holds.
     const ResilienceOptions& res = config.resilience;
@@ -453,7 +454,7 @@ struct ClassLoop {
     // Auto chunk: 32 classes, capped so that each worker thread of a
     // parallel run gets about four chunks -- class costs differ by
     // orders of magnitude, and one chunk per thread leaves threads idle
-    // behind the slowest; no member's result depends on the chunking.
+    // behind the slowest; no class's result depends on the chunking.
     const std::size_t threads = util::ThreadPool::global_thread_count();
     const std::size_t target_chunks = threads > 1 ? 4 * threads : 1;
     const std::size_t share =
@@ -466,75 +467,15 @@ struct ClassLoop {
     auto run_chunk = [&](std::size_t k) {
       ChunkEvals part;
       if (util::shutdown_requested()) return part;  // graceful drain
-      const std::size_t start = k * chunk;
-      const std::size_t end = std::min(pending.size(), start + chunk);
-      std::vector<std::unique_ptr<Netlist>> benches;
-      std::vector<spice::BatchJob> jobs;
-      std::vector<std::size_t> class_end;  // one past each class's jobs
-      for (std::size_t p = start; p < end; ++p) {
-        const CircuitFault& rep = classes[pending[p]].representative;
-        for_each_variant(rep, config.with_noncatastrophic, [&](bool nc, int v) {
-          const Netlist faulty =
-              fault::apply_fault(m.cell.netlist, rep, model_opt, v, nc);
-          for (const double dv : kDecisionGrid) {
-            benches.push_back(std::make_unique<Netlist>(
-                bench.instantiate(faulty, bench.observed_slice(rep), dv)));
-            spice::BatchJob& job = jobs.emplace_back();
-            job.netlist = benches.back().get();
-            job.options = bench.tran;
-            job.scope_macro = macro;
-            job.scope_class = pending[p];
-            job.timeout_ms = res.class_timeout_ms;
-          }
-        });
-        class_end.push_back(jobs.size());
-      }
-      // Each finished run is reduced to its comparator record at once
-      // and its bench released, so a chunk holds one waveform at a time.
-      struct JobRun {
-        bool completed = false;
-        ComparatorRun run;  ///< Default (converged == false) unless set.
-        spice::PhaseTimes phases;
-      };
-      std::vector<JobRun> runs(jobs.size());
-      spice::run_transient_batch(
-          jobs, [&](std::size_t i, spice::BatchJobOutcome outcome) {
-            runs[i].completed = outcome.completed;
-            if (outcome.completed && outcome.converged) {
-              const FaultClass& cls = classes[jobs[i].scope_class];
-              runs[i].run = bench.extract(
-                  *outcome.result, bench.observed_slice(cls.representative));
-              runs[i].phases = outcome.result->stats().phases;
-            }
-            benches[i].reset();
-          });
-
-      // Reassembly walks the same enumeration: each class owns the next
-      // run of jobs, four grid points per (pass, variant).
-      auto next = runs.begin();
-      for (std::size_t p = start; p < end; ++p) {
-        const auto first = next;
-        next = runs.begin() + static_cast<std::ptrdiff_t>(class_end[p - start]);
-        if (std::any_of(first, next, [](auto& r) { return !r.completed; }))
-          continue;  // evicted: the scalar attempt ladder takes over
-        const FaultClass& cls = classes[pending[p]];
-        auto out = first;
-        spice::PhaseTimes phases;
-        auto classify_next = [&](bool, int) {
-          std::array<ComparatorRun, 4> grid{};
-          for (ComparatorRun& run : grid) {
-            // A non-converged member keeps the default record,
-            // converged == false, as in run_decision_grid.
-            run = out->run;
-            phases += out->phases;
-            ++out;
-          }
-          return classify_runs(grid, m.nominal, envelope);
-        };
-        ClassEval eval =
-            evaluate_class(cls, config.with_noncatastrophic, classify_next);
-        eval.phases = phases;
-        part.emplace_back(pending[p], std::move(eval));
+      const std::size_t end = std::min(pending.size(), (k + 1) * chunk);
+      for (std::size_t p = k * chunk; p < end; ++p) {
+        try {
+          part.emplace_back(pending[p], attempt_class(pending[p], 1));
+        } catch (const util::ShardError&) {
+          throw;
+        } catch (const std::exception&) {
+          // the scalar attempt ladder takes over
+        }
       }
       return part;
     };
@@ -599,7 +540,7 @@ MacroCampaignResult run_macro_campaign(const CampaignConfig& config,
   const FaultModelOptions model_opt = model_options(config, spec);
   const ClassLoop loop{spec.name, m,      envelope, classes,
                        model_opt, config, journal};
-  const PrecomputedEvals precomputed = config.batch != 1 && m.bench
+  const PrecomputedEvals precomputed = config.batch != 1 && m.transient
                                            ? loop.batch_prepass(result)
                                            : PrecomputedEvals{};
   // Phase times sum in class order, whichever path evaluated a class.

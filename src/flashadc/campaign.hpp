@@ -86,12 +86,12 @@ struct CampaignConfig {
   spice::SolverOptions solver;
   /// Sharding / checkpoint-resume / degradation knobs.
   ResilienceOptions resilience;
-  /// Batched sibling-fault evaluation: fault classes evaluated together
-  /// per transient batch on the transient-bench macros (comparator,
-  /// bank, chip). 1 = scalar path (default, byte-identical to
-  /// the original flow); 0 = auto (currently 32). A batch member that
-  /// exhausts its budget degrades to the unchanged scalar attempt
-  /// ladder for its class, so resilience semantics are preserved.
+  /// Batched prepass on the transient-bench macros (comparator, bank,
+  /// chip): the first scalar attempt of every class, run in chunks of
+  /// this many classes before the class loop. 1 = no prepass (default);
+  /// 0 = auto (currently 32). A class whose prepass attempt fails (its
+  /// budget spent) runs the unchanged scalar attempt ladder, so
+  /// verdicts and resilience semantics are the same at any value.
   std::size_t batch = 1;
   /// Collect the device-eval / assembly / factor / solve wall-time
   /// breakdown of the transient class evaluations, batched or scalar

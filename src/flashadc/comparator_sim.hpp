@@ -47,9 +47,7 @@ struct ComparatorRun {
 spice::Netlist instantiate_comparator_bench(const spice::Netlist& macro,
                                             double delta_v);
 
-/// Transient settings of the two-cycle comparator bench (shared by the
-/// scalar path and the batched campaign prepass, which simulates many
-/// benches together and extracts each record afterwards). The run stops
+/// Transient settings of the two-cycle comparator bench. The run stops
 /// one step past kMeasEnd: nothing later in cycle 2 is ever read.
 spice::TranOptions comparator_tran_options();
 

@@ -73,73 +73,67 @@ bool cut_connects(Layer cut, Layer conductor) {
 
 }  // namespace
 
-std::vector<DrcViolation> run_drc(const CellLayout& cell,
-                                  const DrcOptions& options) {
+std::vector<DrcViolation> run_drc(const CellLayout& cell) {
+  const TechRules rules;
   std::vector<DrcViolation> out;
   const auto& shapes = cell.shapes();
 
-  if (options.check_width) {
-    for (const auto& shape : shapes) {
-      const double rule = min_width_rule(options.rules, shape.layer);
-      const double w = std::min(shape.rect.width(), shape.rect.height());
-      if (w + 1e-9 < rule) {
-        out.push_back({DrcRule::kMinWidth, shape.layer, shape.rect,
-                       layer_name(shape.layer) + " width " +
-                           std::to_string(w) + " < " +
-                           std::to_string(rule) + " (net " + shape.net +
-                           ")"});
-      }
+  for (const auto& shape : shapes) {
+    const double rule = min_width_rule(rules, shape.layer);
+    const double w = std::min(shape.rect.width(), shape.rect.height());
+    if (w + 1e-9 < rule) {
+      out.push_back({DrcRule::kMinWidth, shape.layer, shape.rect,
+                     layer_name(shape.layer) + " width " +
+                         std::to_string(w) + " < " +
+                         std::to_string(rule) + " (net " + shape.net +
+                         ")"});
     }
   }
 
-  if (options.check_spacing) {
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      const auto& a = shapes[i];
-      if (!is_conducting(a.layer)) continue;
-      const double rule = spacing_rule(options.rules, a.layer);
-      if (rule <= 0.0) continue;
-      for (std::size_t j = i + 1; j < shapes.size(); ++j) {
-        const auto& b = shapes[j];
-        if (b.layer != a.layer || b.net == a.net) continue;
-        Rect gap_region;
-        const double gap = rect_gap(a.rect, b.rect, &gap_region);
-        if (gap + 1e-9 >= rule) continue;
-        if (gap <= 0.0) continue;  // overlap = short, extraction's job
-        // Transistor exemption: an active-to-active gap fully bridged
-        // by gate poly is a channel, not a spacing violation.
-        if (a.layer == Layer::kActive &&
-            !cell.shapes_hit(Layer::kPoly, gap_region).empty())
-          continue;
-        out.push_back({DrcRule::kSpacing, a.layer, gap_region,
-                       layer_name(a.layer) + " spacing " +
-                           std::to_string(gap) + " < " +
-                           std::to_string(rule) + " between nets " + a.net +
-                           " and " + b.net});
-      }
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const auto& a = shapes[i];
+    if (!is_conducting(a.layer)) continue;
+    const double rule = spacing_rule(rules, a.layer);
+    if (rule <= 0.0) continue;
+    for (std::size_t j = i + 1; j < shapes.size(); ++j) {
+      const auto& b = shapes[j];
+      if (b.layer != a.layer || b.net == a.net) continue;
+      Rect gap_region;
+      const double gap = rect_gap(a.rect, b.rect, &gap_region);
+      if (gap + 1e-9 >= rule) continue;
+      if (gap <= 0.0) continue;  // overlap = short, extraction's job
+      // Transistor exemption: an active-to-active gap fully bridged
+      // by gate poly is a channel, not a spacing violation.
+      if (a.layer == Layer::kActive &&
+          !cell.shapes_hit(Layer::kPoly, gap_region).empty())
+        continue;
+      out.push_back({DrcRule::kSpacing, a.layer, gap_region,
+                     layer_name(a.layer) + " spacing " +
+                         std::to_string(gap) + " < " +
+                         std::to_string(rule) + " between nets " + a.net +
+                         " and " + b.net});
     }
   }
 
-  if (options.check_cuts) {
-    for (const auto& shape : shapes) {
-      if (!is_cut(shape.layer)) continue;
-      int layers_touched = 0;
-      for (Layer conductor : {Layer::kActive, Layer::kPoly, Layer::kMetal1,
-                              Layer::kMetal2}) {
-        if (!cut_connects(shape.layer, conductor)) continue;
-        if (!cell.shapes_hit(conductor, shape.rect).empty())
-          ++layers_touched;
-      }
-      if (layers_touched < 2) {
-        // Substrate/well taps legitimately contact only metal1.
-        const bool substrate_tap =
-            shape.layer == Layer::kContact &&
-            !cell.shapes_hit(Layer::kMetal1, shape.rect).empty();
-        if (!substrate_tap)
-          out.push_back({DrcRule::kDanglingCut, shape.layer, shape.rect,
-                         layer_name(shape.layer) +
-                             " does not bridge two layers (net " +
-                             shape.net + ")"});
-      }
+  for (const auto& shape : shapes) {
+    if (!is_cut(shape.layer)) continue;
+    int layers_touched = 0;
+    for (Layer conductor : {Layer::kActive, Layer::kPoly, Layer::kMetal1,
+                            Layer::kMetal2}) {
+      if (!cut_connects(shape.layer, conductor)) continue;
+      if (!cell.shapes_hit(conductor, shape.rect).empty())
+        ++layers_touched;
+    }
+    if (layers_touched < 2) {
+      // Substrate/well taps legitimately contact only metal1.
+      const bool substrate_tap =
+          shape.layer == Layer::kContact &&
+          !cell.shapes_hit(Layer::kMetal1, shape.rect).empty();
+      if (!substrate_tap)
+        out.push_back({DrcRule::kDanglingCut, shape.layer, shape.rect,
+                       layer_name(shape.layer) +
+                           " does not bridge two layers (net " +
+                           shape.net + ")"});
     }
   }
   return out;

@@ -28,18 +28,11 @@ struct DrcViolation {
   std::string detail;    ///< Human-readable description.
 };
 
-struct DrcOptions {
-  TechRules rules;
-  /// Spacing checks apply only between shapes of different nets (same
-  /// net shapes may abut or overlap freely).
-  bool check_spacing = true;
-  bool check_width = true;
-  bool check_cuts = true;
-};
-
-/// Runs the checks; returns all violations (empty = clean).
-std::vector<DrcViolation> run_drc(const CellLayout& cell,
-                                  const DrcOptions& options = {});
+/// Runs the width, spacing and cut checks under the default TechRules;
+/// returns all violations (empty = clean). Spacing applies only between
+/// shapes of different nets (same-net shapes may abut or overlap
+/// freely).
+std::vector<DrcViolation> run_drc(const CellLayout& cell);
 
 std::string drc_report(const std::vector<DrcViolation>& violations);
 

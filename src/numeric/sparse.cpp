@@ -359,48 +359,4 @@ void SparseFactors::solve_into(const std::vector<double>& b,
   for (std::int32_t j = 0; j < n; ++j) x[s.qperm[j]] = z_[j];
 }
 
-void SparseFactors::solve_multi(
-    const std::vector<const std::vector<double>*>& rhs,
-    std::vector<std::vector<double>>& x) {
-  if (!symbolic_)
-    throw util::ConvergenceError(
-        "SparseFactors::solve_multi: no valid factorization");
-  const SparseSymbolic& s = *symbolic_;
-  const std::int32_t n = static_cast<std::int32_t>(s.pattern.n);
-  const std::size_t k = rhs.size();
-  x.resize(k);
-  for (std::size_t m = 0; m < k; ++m) {
-    if (rhs[m]->size() != static_cast<std::size_t>(n))
-      throw std::invalid_argument("SparseFactors::solve_multi: rhs size");
-    x[m].assign(rhs[m]->begin(), rhs[m]->end());
-  }
-  // One sweep over the factor columns, all right-hand sides advanced in
-  // lockstep: the L/U column data is touched once per pivot instead of
-  // once per (pivot, rhs). Each rhs still sees solve_into's exact
-  // per-column operation sequence, so results are bit-identical to k
-  // individual solves.
-  std::vector<std::vector<double>> z(k, std::vector<double>(n));
-  for (std::int32_t j = 0; j < n; ++j) {
-    for (std::size_t m = 0; m < k; ++m) {
-      std::vector<double>& xm = x[m];
-      const double xj = xm[s.pivrow[j]];
-      if (xj == 0.0) continue;
-      for (std::int32_t li = s.l_ptr[j]; li < s.l_ptr[j + 1]; ++li)
-        xm[s.l_rows[li]] -= l_vals_[li] * xj;
-    }
-  }
-  for (std::int32_t j = n - 1; j >= 0; --j) {
-    for (std::size_t m = 0; m < k; ++m) {
-      std::vector<double>& xm = x[m];
-      const double zj = xm[s.pivrow[j]] / udiag_[j];
-      z[m][j] = zj;
-      if (zj == 0.0) continue;
-      for (std::int32_t ui = s.u_ptr[j]; ui < s.u_ptr[j + 1]; ++ui)
-        xm[s.pivrow[s.u_pos[ui]]] -= u_vals_[ui] * zj;
-    }
-  }
-  for (std::size_t m = 0; m < k; ++m)
-    for (std::int32_t j = 0; j < n; ++j) x[m][s.qperm[j]] = z[m][j];
-}
-
 }  // namespace dot::numeric

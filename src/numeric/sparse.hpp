@@ -165,14 +165,6 @@ class SparseFactors {
   /// util::ConvergenceError when no valid factorization is held.
   void solve_into(const std::vector<double>& b, std::vector<double>& x);
 
-  /// Multi-RHS solve: one triangular sweep per right-hand side over the
-  /// shared factors (the batched Newton path solves all sibling fault
-  /// members against one factorization). Each column's arithmetic is
-  /// exactly solve_into's, so result k is bit-identical to an
-  /// individual solve of rhs[k].
-  void solve_multi(const std::vector<const std::vector<double>*>& rhs,
-                   std::vector<std::vector<double>>& x);
-
  private:
   std::shared_ptr<const SparseSymbolic> symbolic_;
   std::vector<double> l_vals_, u_vals_, udiag_;

@@ -25,9 +25,7 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
                       std::vector<double> initial_guess,
                       const StampOptions& stamp, const DcOptions& options,
                       const std::vector<double>& x_prev_step,
-                      SolverContext* solver,
-                      const std::vector<double>* first_solve,
-                      NewtonBuffers* buffers) {
+                      SolverContext* solver, NewtonBuffers* buffers) {
   const std::size_t n = map.size();
   DcResult result;
   result.x = std::move(initial_guess);
@@ -46,41 +44,37 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
     // class whose Newton iteration never settles throws TimeoutError
     // here instead of spinning through every continuation rung.
     EvalScope::check_deadline();
-    if (iter == 0 && first_solve != nullptr) {
-      x_new = *first_solve;  // the caller already solved this system
-    } else {
-      // Phase-time attribution (only when a sink is attached; otherwise
-      // the hot loop stays clock-free). The MOSFET kernel's device eval
-      // self-reports into pt, so the assembly phase is the stamping wall
-      // time minus that delta.
-      PhaseTimes* const pt = ctx.phase_times();
-      PhaseClock::time_point t0;
-      double dev_before = 0.0;
-      if (pt != nullptr) {
-        t0 = PhaseClock::now();
-        dev_before = pt->device_eval_seconds;
-      }
-      assemble_mna(netlist, map, result.x, x_prev_step, stamp, ctx.assembler(),
-                   b);
-      PhaseClock::time_point t1;
-      if (pt != nullptr) {
-        t1 = PhaseClock::now();
-        pt->assembly_seconds +=
-            phase_seconds(t0, t1) - (pt->device_eval_seconds - dev_before);
-      }
-      if (!ctx.factor(n)) {
-        result.iterations = iter;
-        return result;  // converged == false
-      }
-      PhaseClock::time_point t2;
-      if (pt != nullptr) {
-        t2 = PhaseClock::now();
-        pt->factor_seconds += phase_seconds(t1, t2);
-      }
-      ctx.solve(b, x_new);
-      if (pt != nullptr)
-        pt->solve_seconds += phase_seconds(t2, PhaseClock::now());
+    // Phase-time attribution (only when a sink is attached; otherwise
+    // the hot loop stays clock-free). The MOSFET kernel's device eval
+    // self-reports into pt, so the assembly phase is the stamping wall
+    // time minus that delta.
+    PhaseTimes* const pt = ctx.phase_times();
+    PhaseClock::time_point t0;
+    double dev_before = 0.0;
+    if (pt != nullptr) {
+      t0 = PhaseClock::now();
+      dev_before = pt->device_eval_seconds;
     }
+    assemble_mna(netlist, map, result.x, x_prev_step, stamp, ctx.assembler(),
+                 b);
+    PhaseClock::time_point t1;
+    if (pt != nullptr) {
+      t1 = PhaseClock::now();
+      pt->assembly_seconds +=
+          phase_seconds(t0, t1) - (pt->device_eval_seconds - dev_before);
+    }
+    if (!ctx.factor(n)) {
+      result.iterations = iter;
+      return result;  // converged == false
+    }
+    PhaseClock::time_point t2;
+    if (pt != nullptr) {
+      t2 = PhaseClock::now();
+      pt->factor_seconds += phase_seconds(t1, t2);
+    }
+    ctx.solve(b, x_new);
+    if (pt != nullptr)
+      pt->solve_seconds += phase_seconds(t2, PhaseClock::now());
 
     // Damping: restrict the largest node-voltage move per iteration.
     double max_dv = 0.0;
@@ -112,8 +106,7 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
 DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
                             const DcOptions& base_options,
                             const std::vector<double>* warm_start,
-                            SolverContext* solver, MosKernel* mos,
-                            const std::vector<double>* flat_first_solve) {
+                            SolverContext* solver, MosKernel* mos) {
   // Continuation aid ladder (campaign resilience): a retried fault
   // class runs under an EvalScope whose aid level escalates the stock
   // strategies. Level 0 (every non-campaign caller) is byte-identical
@@ -158,8 +151,8 @@ DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
   }
 
   // 1) Plain Newton from a flat start.
-  DcResult direct = newton_solve(netlist, map, {}, stamp, options, no_prev,
-                                 solver, flat_first_solve);
+  DcResult direct =
+      newton_solve(netlist, map, {}, stamp, options, no_prev, solver);
   if (direct.converged) return direct;
   int spent = direct.iterations;
 

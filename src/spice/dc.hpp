@@ -52,14 +52,11 @@ struct DcResult {
 /// MosKernel), whose stamp program every Newton iteration replays;
 /// without one, the solve builds its own. A caller's kernel keeps its
 /// program across solves; the result is the same either way.
-/// `flat_first_solve` (optional) is the plain-Newton rung's
-/// `first_solve` (see newton_solve): the solution of the flat-start
-/// system, already solved by the caller in `solver`.
-DcResult dc_operating_point(
-    const Netlist& netlist, const MnaMap& map, const DcOptions& options = {},
-    const std::vector<double>* warm_start = nullptr,
-    SolverContext* solver = nullptr, MosKernel* mos = nullptr,
-    const std::vector<double>* flat_first_solve = nullptr);
+DcResult dc_operating_point(const Netlist& netlist, const MnaMap& map,
+                            const DcOptions& options = {},
+                            const std::vector<double>* warm_start = nullptr,
+                            SolverContext* solver = nullptr,
+                            MosKernel* mos = nullptr);
 
 /// Work buffers of newton_solve: the right-hand side, the linear
 /// solve's result and the best iterate. A caller that keeps one across
@@ -76,13 +73,6 @@ struct NewtonBuffers {
 /// continuation strategies and the transient engine. `stamp.mos` must
 /// be set (see assemble_mna).
 ///
-/// `first_solve` (optional) is the solution of iteration 0's linear
-/// system, which the caller already assembled into `solver` and solved
-/// (the batch engine solves the flat-start systems of a whole VIN sweep
-/// with one factorization). Iteration 0 takes it instead of assembling,
-/// factoring and solving; every later step, and the result, is the
-/// same as without it.
-///
 /// `buffers` (optional) lends the loop its work vectors; without them
 /// it uses its own.
 DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
@@ -90,7 +80,6 @@ DcResult newton_solve(const Netlist& netlist, const MnaMap& map,
                       const StampOptions& stamp, const DcOptions& options,
                       const std::vector<double>& x_prev_step,
                       SolverContext* solver = nullptr,
-                      const std::vector<double>* first_solve = nullptr,
                       NewtonBuffers* buffers = nullptr);
 
 }  // namespace dot::spice

@@ -51,9 +51,9 @@ MosOperatingPoint eval_mos(const MosModel& model, double w_over_l,
                            double vgs, double vds, double vbs);
 
 /// Struct-of-arrays batch for the level-1 MOSFET model: one lane per
-/// (batch member, device) occurrence with contiguous terminal-voltage,
-/// parameter and result arrays, so the companion-model hot loops of
-/// every MNA assembly (MosKernel) auto-vectorize. The drain/source
+/// device with contiguous terminal-voltage, parameter and result
+/// arrays, so the companion-model hot loops of every MNA assembly
+/// (MosKernel) auto-vectorize. The drain/source
 /// normalization, threshold/body-effect and swap-back passes are
 /// branchless lane loops; the exp-heavy region evaluation stays scalar.
 /// Lane results are bit-identical to eval_mos on the same inputs (the

@@ -114,24 +114,6 @@ void SolverContext::solve(const std::vector<double>& b,
     dense_.solve_into(b, x);
 }
 
-void SolverContext::solve_multi(
-    const std::vector<const std::vector<double>*>& rhs,
-    std::vector<std::vector<double>>& x) {
-  if (!sparse_active_)
-    throw util::ConvergenceError(
-        "SolverContext::solve_multi: sparse factors not active");
-  factors_.solve_multi(rhs, x);
-}
-
-void SolverContext::adopt_symbolic(
-    std::shared_ptr<const numeric::SparseSymbolic> symbolic) {
-  if (!symbolic) return;
-  for (const auto& cached : cache_)
-    if (cached->pattern == symbolic->pattern) return;
-  cache_insert(std::move(symbolic));
-  matched_.reset();  // the insert may have evicted it
-}
-
 void SolverContext::cache_insert(
     std::shared_ptr<const numeric::SparseSymbolic> symbolic) {
   cache_.push_back(std::move(symbolic));

@@ -118,18 +118,6 @@ class SolverContext {
   /// Solves with the factors from the last successful factor() call.
   void solve(const std::vector<double>& b, std::vector<double>& x);
 
-  /// Multi-RHS solve against the current factors: one factor sweep,
-  /// all right-hand sides in lockstep, each result bit-identical to an
-  /// individual solve(). Requires the sparse factors to be active (the
-  /// batched Newton path checks sparse_active() first).
-  void solve_multi(const std::vector<const std::vector<double>*>& rhs,
-                   std::vector<std::vector<double>>& x);
-
-  /// Injects a symbolic analysis produced by a sibling context (the
-  /// batch group leader) into this context's cache, so the next sparse
-  /// factor() of the same pattern refactors without re-analyzing.
-  void adopt_symbolic(std::shared_ptr<const numeric::SparseSymbolic> symbolic);
-
   /// Attaches (or detaches, with nullptr) a per-phase wall-time sink;
   /// newton_solve and the stamping hooks accumulate into it. The sink
   /// must outlive the context or be detached first.

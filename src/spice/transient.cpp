@@ -92,20 +92,10 @@ TranStepper::TranStepper(const Netlist& netlist, const TranOptions& options)
   cap_i_.assign(cap_count, 0.0);
 }
 
-StampOptions TranStepper::dc_stamp() {
-  StampOptions stamp;
-  stamp.mode = AnalysisMode::kDc;
-  stamp.time = 0.0;
-  stamp.gshunt = options_.newton.gshunt;
-  stamp.mos = &mos_;
-  return stamp;
-}
-
-DcResult TranStepper::solve_dc(const std::vector<double>* flat_first_solve) {
+DcResult TranStepper::solve_dc() {
   DcOptions dc = options_.newton;
   dc.time = 0.0;
-  return dc_operating_point(netlist_, map_, dc, nullptr, &solver_, &mos_,
-                            flat_first_solve);
+  return dc_operating_point(netlist_, map_, dc, nullptr, &solver_, &mos_);
 }
 
 void TranStepper::start(std::vector<double> x0) {
@@ -136,7 +126,7 @@ void TranStepper::step() {
     guess_ = x_;
     DcResult step =
         newton_solve(netlist_, map_, std::move(guess_), stamp_,
-                     options_.newton, x_, &solver_, nullptr, &newton_buffers_);
+                     options_.newton, x_, &solver_, &newton_buffers_);
     newton_iterations_ += static_cast<std::size_t>(step.iterations);
     if (!step.converged) {
       guess_ = std::move(step.x);
@@ -184,7 +174,7 @@ bool TranStepper::gshunt_rescue() {
     stamp_.gshunt = last ? options_.newton.gshunt : g;
     DcResult rung =
         newton_solve(netlist_, map_, std::move(guess_), stamp_,
-                     options_.newton, x_, &solver_, nullptr, &newton_buffers_);
+                     options_.newton, x_, &solver_, &newton_buffers_);
     newton_iterations_ += static_cast<std::size_t>(rung.iterations);
     guess_ = std::move(rung.x);
     if (!rung.converged) return false;

@@ -92,15 +92,16 @@ class TranResult {
   TranStats stats_;
 };
 
-/// The transient kernel of one circuit, shared by transient() and the
-/// batched fault-evaluation engine (spice/batch.hpp): it owns the MNA
-/// map, the solver context and the SoA MOSFET kernel (MosKernel, with
-/// its stamp program), and advances
-/// the circuit from a t = 0 state one *accepted* time point per step()
-/// call (internal dt halving retries failed Newton solves), recording
-/// every point into the TranResult that finish() hands over. The
-/// stepper owns the Newton loop's work vectors and recycles its state
-/// buffers, so an accepted step allocates only the recorded state.
+/// The transient kernel of one circuit, the engine of transient(): it
+/// owns the MNA map, the solver context and the SoA MOSFET kernel
+/// (MosKernel, with its stamp program), solves the t = 0 operating
+/// point, and advances the circuit from a t = 0 state one *accepted*
+/// time point per step() call (internal dt halving retries failed
+/// Newton solves), recording every point into the TranResult that
+/// finish() hands over. The stepper owns the Newton loop's work
+/// vectors and recycles its state buffers, so an accepted step
+/// allocates only the recorded state; the allocation and layer benches
+/// drive it step by step.
 class TranStepper {
  public:
   /// `netlist` must outlive the stepper. collect_phase_times attaches
@@ -110,13 +111,9 @@ class TranStepper {
   TranStepper& operator=(const TranStepper&) = delete;
 
   const MnaMap& map() const { return map_; }
-  SolverContext& solver() { return solver_; }
-  /// DC stamp template at t = 0 with the MOSFET kernel attached.
-  StampOptions dc_stamp();
   /// The t = 0 operating point: dc_operating_point's full continuation
-  /// ladder through this circuit's kernel and solver context, with
-  /// `flat_first_solve` as its plain-Newton rung's first linear solve.
-  DcResult solve_dc(const std::vector<double>* flat_first_solve = nullptr);
+  /// ladder through this circuit's kernel and solver context.
+  DcResult solve_dc();
 
   /// Starts integration from state `x0` at t = 0 (the post-DC
   /// operating point, or flat), recording it as the first point.

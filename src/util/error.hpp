@@ -91,10 +91,10 @@ class ShardError : public std::runtime_error {
   std::string macro_;
 };
 
-/// Rethrown by parallel sections in first-error mode: the message names
-/// the failing chunk (and the caller-supplied context label) so a
-/// campaign abort identifies *which* work item died; the original
-/// exception stays reachable for callers that need the precise type.
+/// Rethrown by parallel sections: the message names the failing chunk
+/// and its index range so a campaign abort identifies *which* work item
+/// died; the original exception stays reachable for callers that need
+/// the precise type.
 class ParallelError : public std::runtime_error {
  public:
   ParallelError(const std::string& what, std::size_t chunk,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <string>
 
 #include "util/error.hpp"
@@ -93,52 +94,47 @@ unsigned ThreadPool::global_thread_count() {
 
 namespace {
 
-/// Builds the first-error-mode wrapper: context label + chunk index +
-/// the original what(), with the original exception kept reachable.
-ParallelError wrap_chunk_error(const char* context, const ChunkError& failed) {
-  std::string msg = "parallel section";
-  if (context != nullptr && context[0] != '\0')
-    msg += std::string(" [") + context + "]";
-  msg += ": chunk " + std::to_string(failed.chunk) + " (indices [" +
-         std::to_string(failed.begin) + ", " + std::to_string(failed.end) +
-         ")) failed: " + failed.message;
-  return ParallelError(msg, failed.chunk, failed.error);
-}
-
-std::string describe_exception(std::exception_ptr error) {
+/// Chunk c (of `chunk` indices, out of `count`) failed with `error`, as
+/// a ParallelError: chunk index, index range and the original what(),
+/// with the original exception kept reachable.
+ParallelError chunk_error(std::size_t c, std::size_t chunk, std::size_t count,
+                          std::exception_ptr error) {
+  std::string what;
   try {
     std::rethrow_exception(error);
   } catch (const std::exception& e) {
-    return e.what();
+    what = e.what();
   } catch (...) {
-    return "unknown exception";
+    what = "unknown exception";
   }
+  const std::size_t hi = std::min(count, (c + 1) * chunk);
+  return ParallelError("parallel section: chunk " + std::to_string(c) +
+                           " (indices [" + std::to_string(c * chunk) + ", " +
+                           std::to_string(hi) + ")) failed: " + what,
+                       c, error);
 }
 
 }  // namespace
 
-void parallel_chunks(std::size_t count, const ParallelOptions& options,
-                     const std::function<void(std::size_t, std::size_t)>& body) {
+void parallel_for(std::size_t count,
+                  const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   ThreadPool& pool = ThreadPool::global();
   const std::size_t parallelism = pool.thread_count();
-  std::size_t chunk = options.chunk;
-  if (chunk == 0)
-    chunk = std::max<std::size_t>(1, count / (parallelism * 8));
+  const std::size_t chunk =
+      std::max<std::size_t>(1, count / (parallelism * 8));
   const std::size_t chunks = (count + chunk - 1) / chunk;
-  const bool collect = options.errors != nullptr;
+  auto run_chunk = [&body, chunk, count](std::size_t c) {
+    const std::size_t hi = std::min(count, (c + 1) * chunk);
+    for (std::size_t i = c * chunk; i < hi; ++i) body(i);
+  };
 
   if (parallelism <= 1 || chunks <= 1) {
     for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(count, lo + chunk);
       try {
-        body(lo, hi);
+        run_chunk(c);
       } catch (...) {
-        ChunkError failed{c, lo, hi, describe_exception(std::current_exception()),
-                          std::current_exception()};
-        if (!collect) throw wrap_chunk_error(options.context, failed);
-        options.errors->push_back(std::move(failed));
+        throw chunk_error(c, chunk, count, std::current_exception());
       }
     }
     return;
@@ -147,43 +143,37 @@ void parallel_chunks(std::size_t count, const ParallelOptions& options,
   // Shared loop state. Helper jobs hold the shared_ptr, so a helper
   // that is scheduled long after the loop finished (pool was busy)
   // still finds valid state -- it sees next >= chunks and exits without
-  // touching `body`, which may be gone by then.
+  // calling `run`, whose captured `body` may be gone by then.
   struct State {
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::atomic<bool> failed{false};
-    bool collect = false;
-    std::size_t chunk = 0;
-    std::size_t count = 0;
     std::size_t chunks = 0;
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+    std::function<void(std::size_t)> run;
     std::mutex mutex;
     std::condition_variable cv;
-    std::vector<ChunkError> errors;
+    std::size_t failed_chunk = 0;
+    std::exception_ptr error;  ///< The lowest-index failed chunk's.
   };
   auto state = std::make_shared<State>();
-  state->collect = collect;
-  state->chunk = chunk;
-  state->count = count;
   state->chunks = chunks;
-  state->body = &body;
+  state->run = run_chunk;
 
   auto drain = [](const std::shared_ptr<State>& s) {
     for (;;) {
       const std::size_t c = s->next.fetch_add(1, std::memory_order_relaxed);
       if (c >= s->chunks) return;
-      // Collect mode runs every chunk; first-error mode skips the rest
-      // once something failed.
-      if (s->collect || !s->failed.load(std::memory_order_relaxed)) {
-        const std::size_t lo = c * s->chunk;
-        const std::size_t hi = std::min(s->count, lo + s->chunk);
+      // Once something failed, the remaining chunks are skipped.
+      if (!s->failed.load(std::memory_order_relaxed)) {
         try {
-          (*s->body)(lo, hi);
+          s->run(c);
         } catch (...) {
           std::lock_guard<std::mutex> lock(s->mutex);
-          s->errors.push_back(
-              {c, lo, hi, describe_exception(std::current_exception()),
-               std::current_exception()});
+          // Arrival order depends on scheduling; chunk order does not.
+          if (!s->error || c < s->failed_chunk) {
+            s->failed_chunk = c;
+            s->error = std::current_exception();
+          }
           s->failed.store(true, std::memory_order_relaxed);
         }
       }
@@ -199,44 +189,12 @@ void parallel_chunks(std::size_t count, const ParallelOptions& options,
     pool.submit([state, drain] { drain(state); });
   drain(state);  // the caller participates; guarantees forward progress
 
-  {
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->cv.wait(lock, [&] {
-      return state->done.load(std::memory_order_acquire) == state->chunks;
-    });
-  }
-  if (state->errors.empty()) return;
-  // Arrival order depends on scheduling; chunk order does not.
-  std::sort(state->errors.begin(), state->errors.end(),
-            [](const ChunkError& a, const ChunkError& b) {
-              return a.chunk < b.chunk;
-            });
-  if (collect) {
-    for (auto& e : state->errors) options.errors->push_back(std::move(e));
-    return;
-  }
-  throw wrap_chunk_error(options.context, state->errors.front());
-}
-
-void parallel_chunks(std::size_t count, std::size_t chunk,
-                     const std::function<void(std::size_t, std::size_t)>& body) {
-  ParallelOptions options;
-  options.chunk = chunk;
-  parallel_chunks(count, options, body);
-}
-
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body) {
-  parallel_chunks(count, 0, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) body(i);
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->cv.wait(lock, [&] {
+    return state->done.load(std::memory_order_acquire) == state->chunks;
   });
-}
-
-void parallel_for(std::size_t count, const ParallelOptions& options,
-                  const std::function<void(std::size_t)>& body) {
-  parallel_chunks(count, options, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) body(i);
-  });
+  if (state->error)
+    throw chunk_error(state->failed_chunk, chunk, count, state->error);
 }
 
 }  // namespace dot::util

@@ -12,26 +12,19 @@
 //    pool and each issues an inner loop), the caller simply drains its
 //    own chunks inline. Nested parallel sections therefore cannot
 //    deadlock and need no special casing at the call site.
-//  * Two error modes. Default (first-error): the first exception thrown
-//    by any chunk is captured, remaining chunks are skipped, and a
-//    ParallelError naming the failing chunk (plus the caller's context
-//    label) is rethrown on the calling thread once the loop has
-//    quiesced. Collect mode (ParallelOptions::errors): every chunk
-//    runs regardless of other chunks' failures; failures are gathered
-//    per chunk, sorted by chunk index (deterministic at any thread
-//    count), and nothing is thrown -- the campaign resilience layer
-//    uses this so independent fault-class failures never wipe out each
-//    other's completed work.
+//  * First error wins: once a chunk throws, chunks not yet started are
+//    skipped, and a ParallelError naming the lowest failed chunk (with
+//    its original exception reachable) is rethrown on the calling
+//    thread once the loop has quiesced. The campaign's per-class guard
+//    catches circuit failures inside its loop body, so only
+//    infrastructure failures reach this path.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -78,45 +71,10 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// One failed chunk of a parallel loop run in collect mode.
-struct ChunkError {
-  std::size_t chunk = 0;  ///< Chunk ordinal within the loop.
-  std::size_t begin = 0;  ///< First index of the failed chunk.
-  std::size_t end = 0;    ///< One past the last index.
-  std::string message;    ///< what() of the captured exception.
-  std::exception_ptr error;
-};
-
-struct ParallelOptions {
-  /// Chunk size; 0 picks a size targeting ~8 chunks per thread.
-  std::size_t chunk = 0;
-  /// Label attached to error reports ("comparator classes", ...), so a
-  /// failure escaping a deeply nested loop still names its campaign.
-  const char* context = nullptr;
-  /// Collect mode: when non-null, chunk failures are appended here
-  /// (sorted by chunk index) instead of aborting the loop; no exception
-  /// propagates. When null, first-error mode rethrows a ParallelError.
-  std::vector<ChunkError>* errors = nullptr;
-};
-
-/// Runs body(lo, hi) over [0, count) split into chunks. Blocks until
-/// the loop quiesces; error handling per ParallelOptions.
-void parallel_chunks(std::size_t count, const ParallelOptions& options,
-                     const std::function<void(std::size_t, std::size_t)>& body);
-
-/// Back-compat shorthand: first-error mode with an explicit chunk size.
-void parallel_chunks(std::size_t count, std::size_t chunk,
-                     const std::function<void(std::size_t, std::size_t)>& body);
-
-/// Runs body(i) for every i in [0, count). body must be safe to call
-/// concurrently from multiple threads.
+/// Runs body(i) for every i in [0, count), split into about eight
+/// chunks per thread. body must be safe to call concurrently from
+/// multiple threads.
 void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body);
-
-/// Same, with explicit error handling / context label. In collect mode
-/// each failed chunk is reported once (chunk = item range, since the
-/// loop is chunked internally).
-void parallel_for(std::size_t count, const ParallelOptions& options,
                   const std::function<void(std::size_t)>& body);
 
 /// Maps fn over [0, count) preserving index order: result[i] == fn(i)

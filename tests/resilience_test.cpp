@@ -183,43 +183,19 @@ TEST(Journal, PreserveExistingKeepsPriorRecords) {
 // Parallel error handling.
 
 TEST(ParallelErrors, FirstErrorNamesChunkAndContext) {
-  util::ParallelOptions options;
-  options.chunk = 1;
-  options.context = "resilience unit test";
   try {
-    util::parallel_for(8, options, [](std::size_t i) {
+    util::parallel_for(8, [](std::size_t i) {
       if (i == 5) throw util::InvalidInputError("boom at 5");
     });
     FAIL() << "expected ParallelError";
   } catch (const util::ParallelError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("resilience unit test"), std::string::npos) << what;
     EXPECT_NE(what.find("chunk"), std::string::npos) << what;
     EXPECT_NE(what.find("boom at 5"), std::string::npos) << what;
     ASSERT_TRUE(e.original());
     EXPECT_THROW(std::rethrow_exception(e.original()),
                  util::InvalidInputError);
   }
-}
-
-TEST(ParallelErrors, CollectModeRunsEveryChunk) {
-  std::vector<util::ChunkError> errors;
-  util::ParallelOptions options;
-  options.chunk = 1;
-  options.errors = &errors;
-  std::vector<int> ran(16, 0);
-  util::parallel_for(16, options, [&](std::size_t i) {
-    ran[i] = 1;
-    if (i == 3 || i == 11) throw util::ConvergenceError("chunk failed");
-  });
-  // Every index ran despite the two failures...
-  for (int r : ran) EXPECT_EQ(r, 1);
-  // ...and the failures arrive sorted by chunk, at any thread count.
-  ASSERT_EQ(errors.size(), 2u);
-  EXPECT_EQ(errors[0].begin, 3u);
-  EXPECT_EQ(errors[1].begin, 11u);
-  EXPECT_NE(errors[0].message.find("chunk failed"), std::string::npos);
-  ASSERT_TRUE(errors[0].error);
 }
 
 // ---------------------------------------------------------------------

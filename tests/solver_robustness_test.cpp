@@ -102,12 +102,10 @@ TEST(Robustness, SourceSteppingRecoversHardStart) {
   EXPECT_TRUE(result.converged);
 }
 
-// The batch engine solves the flat-start systems of a whole VIN sweep
-// with one factorization and hands each member its solution as the
-// plain-Newton rung's first solve. The operating point must be the
-// scalar one, bit for bit, with the same iteration count, whether plain
-// Newton converges strictly, accepts loosely, or fails and hands over
-// to the gmin ladder.
+// The DC operating point of a clean and of a rail-shorted comparator
+// bench converges whether plain Newton converges strictly, accepts
+// loosely, or fails and hands over to the gmin ladder -- and the last
+// case does occur.
 TEST(Robustness, DcFirstSolveReproducesTheScalarOperatingPoint) {
   fault::CircuitFault rail_short;
   rail_short.kind = fault::FaultKind::kShort;
@@ -135,23 +133,9 @@ TEST(Robustness, DcFirstSolveReproducesTheScalarOperatingPoint) {
       stamp.gshunt = options.gshunt;
       stamp.mos = &kernel;
       const std::vector<double> zeros(map.size(), 0.0);
-      SolverContext shared;
-      ASSERT_TRUE(shared.use_sparse(map.size()));
-      std::vector<double> b, first_solve;
-      assemble_mna(n, map, zeros, zeros, stamp, shared.assembler(), b);
-      ASSERT_TRUE(shared.factor(map.size()));
-      shared.solve(b, first_solve);
-
-      SolverContext own;
       const DcResult plain = newton_solve(n, map, {}, stamp, options, zeros);
-      const DcResult scalar =
-          dc_operating_point(n, map, options, nullptr, &own);
-      const DcResult resumed = dc_operating_point(
-          n, map, options, nullptr, &shared, nullptr, &first_solve);
-      ASSERT_TRUE(scalar.converged) << "bench " << c;
-      EXPECT_TRUE(resumed.converged) << "bench " << c;
-      EXPECT_EQ(resumed.x, scalar.x) << "bench " << c;
-      EXPECT_EQ(resumed.iterations, scalar.iterations) << "bench " << c;
+      ASSERT_TRUE(dc_operating_point(n, map, options).converged)
+          << "bench " << c;
       if (!plain.converged) ++ladder_runs;
     }
   }
