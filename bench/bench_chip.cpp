@@ -17,11 +17,14 @@
 //   bench_chip [--chip-slices=N] [--classes=N] [--smoke]
 //              [--json=FILE | --json-root]
 //
+// --chip-slices defaults to 64, or 8 under --smoke; an explicit value
+// wins over either.
+//
 // JSON result payload (dot-bench-v1):
 //   {"slices": N, "classes": N, "classes_per_sec": ...,
 //    "sharded_match": true|false}
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -120,19 +123,20 @@ double timed_run(CampaignConfig config, std::size_t max_classes,
 
 int main(int argc, char** argv) {
   // --chip-slices=N is bench-local; strip it before the shared parser
-  // (which rejects unknown flags) sees the argument list.
-  int slices = 64;
+  // (which rejects unknown flags) sees the argument list. 0 = not given:
+  // 64 slices, 8 under --smoke.
+  int slices = 0;
   std::vector<char*> rest;
   rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--chip-slices=", 14) == 0) {
-      char* end = nullptr;
-      slices = static_cast<int>(std::strtol(argv[i] + 14, &end, 10));
-      if (end == argv[i] + 14 || *end != '\0' || slices < 4 || slices > 256) {
+    if (const char* v = dot::flashadc::arg_value(argv[i], "--chip-slices=")) {
+      std::uint64_t n = 0;
+      if (!dot::flashadc::parse_whole(v, 256, n) || n < 4) {
         std::fprintf(stderr, "%s: bad --chip-slices value '%s'\n", argv[0],
-                     argv[i] + 14);
+                     v);
         return 2;
       }
+      slices = static_cast<int>(n);
     } else {
       rest.push_back(argv[i]);
     }
@@ -142,10 +146,8 @@ int main(int argc, char** argv) {
   // Chip transients are column-sized; the shared 250-class default
   // would run for hours. --classes=N, --quick and --smoke override.
   if (args.config.max_classes == 250) args.config.max_classes = 12;
-  if (args.smoke) {
-    slices = 8;
-    args.config.max_classes = 6;
-  }
+  if (args.smoke) args.config.max_classes = 6;
+  if (slices == 0) slices = args.smoke ? 8 : 64;
   args.config.macro_selection = "chip";
   args.config.chip_slices = slices;
   args.config.with_noncatastrophic = false;

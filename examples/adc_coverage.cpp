@@ -16,10 +16,6 @@
 //   --resume              replay the journal, skipping completed classes
 //   --class-timeout-ms=T  wall-clock budget per class attempt (0 = off)
 //   --max-retries=N       retries under escalating solver aid (default 3)
-//   --batch=N|auto        chunk size of the batched prepass (each
-//                         class's first scalar attempt, N classes at a
-//                         time) on the comparator/bank/chip campaigns
-//                         (1 = no prepass, the default; auto = 32)
 //   --phase-times         collect the device-eval/assembly/factor/solve
 //                         wall-time breakdown of the transient class
 //                         evaluations (reported in the --json output)
@@ -42,9 +38,8 @@
 // SIGINT/SIGTERM drain the campaign at class granularity: the journal
 // is flushed, the report is printed/written with an explicit
 // "interrupted" marker, and the exit status is 128+signal.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -90,9 +85,8 @@ int main(int argc, char** argv) {
     if (const char* v = examples::arg_value(arg, "--journal=")) {
       config.resilience.journal_path = v;
     } else if (const char* v = examples::arg_value(arg, "--journal-sync=")) {
-      char* end = nullptr;
-      const long sync = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || sync < 1) {
+      std::uint64_t sync = 0;
+      if (!flashadc::parse_whole(v, SIZE_MAX, sync) || sync < 1) {
         std::fprintf(stderr, "%s: bad --journal-sync value '%s'\n", argv[0],
                      v);
         usage(argv[0]);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <memory>
-#include <unordered_map>
 
 #include "flashadc/bank.hpp"
 #include "flashadc/biasgen.hpp"
@@ -53,9 +53,6 @@ struct ClassEval {
   spice::PhaseTimes phases;
 };
 
-/// Class index -> evaluation the batched prepass already finished.
-using PrecomputedEvals = std::unordered_map<std::size_t, ClassEval>;
-
 /// The job enumeration of one fault: fn(noncat, variant) over the
 /// catastrophic pass, then the non-catastrophic one when wanted and
 /// supported, each over every model variant.
@@ -97,8 +94,7 @@ ClassEval evaluate_class(const FaultClass& cls, bool with_noncat,
 /// the netlists each Monte-Carlo envelope sample perturbs, `measure`
 /// for the envelope (nullopt drops a sample without operating point)
 /// and `evaluate` for the verdict on a faulty macro netlist (adding the
-/// phase times of its transients to the optional sink). Only transient
-/// macros take the batched prepass.
+/// phase times of its transients to the optional sink).
 struct PreparedMacro {
   PreparedMacro(macro::MacroCell c, macro::MeasurementLayout l)
       : cell(std::move(c)), layout(std::move(l)) {}
@@ -110,7 +106,6 @@ struct PreparedMacro {
   std::function<FaultOutcome(const Netlist&, const CircuitFault&,
                              const GoodEnvelope&, spice::PhaseTimes*)>
       evaluate;
-  bool transient = false;
 };
 
 /// Verdict from the four grid runs. The fault-free grid is
@@ -137,7 +132,6 @@ PreparedMacro prepare_transient(macro::MacroCell cell, DecisionGridBench grid,
   grid.tran.collect_phase_times = config.collect_phase_times;
   auto b = std::make_shared<const DecisionGridBench>(std::move(grid));
   PreparedMacro m(std::move(cell), comparator_measurement_layout());
-  m.transient = true;
   const auto nominal = run_decision_grid(*b, m.cell.netlist, b->mid_slice);
   // The envelope measures the two outer grid runs.
   for (const double dv : {kDecisionGrid.front(), kDecisionGrid.back()})
@@ -333,8 +327,8 @@ FaultModelOptions model_options(const CampaignConfig& config,
   return opt;
 }
 
-/// A macro campaign past its golden runs: the class loop and the
-/// batched prepass over its (possibly truncated) class list.
+/// A macro campaign past its golden runs: the class loop over its
+/// (possibly truncated) class list.
 struct ClassLoop {
   const std::string& macro;
   const PreparedMacro& m;
@@ -344,41 +338,34 @@ struct ClassLoop {
   const CampaignConfig& config;
   CampaignJournal* journal;
 
-  /// One attempt at class c: every variant evaluated inside an
-  /// EvalScope with the configured wall-clock budget on aid rung
-  /// `attempt - 1`, each kept outcome stamped with `attempt`. Throws
-  /// whatever the evaluation throws.
-  ClassEval attempt_class(std::size_t c, int attempt) const {
-    const CircuitFault& rep = classes[c].representative;
-    spice::EvalBudget budget;
-    budget.timeout_ms = config.resilience.class_timeout_ms;
-    budget.aid_level = attempt - 1;
-    spice::EvalScope scope(macro, c, budget);
-    spice::PhaseTimes phases;
-    ClassEval eval = evaluate_class(
-        classes[c], config.with_noncatastrophic, [&](bool nc, int v) {
-          return m.evaluate(
-              fault::apply_fault(m.cell.netlist, rep, model_opt, v, nc), rep,
-              envelope, &phases);
-        });
-    eval.phases = phases;
-    if (eval.cat) eval.cat->attempts = attempt;
-    if (eval.noncat) eval.noncat->attempts = attempt;
-    return eval;
-  }
-
-  /// Scalar evaluation of class c under the resilience budget: a failed
-  /// attempt is retried with the continuation aid ladder escalated one
-  /// rung, and a class that exhausts 1 + max_retries attempts is
-  /// carried as a structured kUnresolved outcome -- its own coverage
-  /// bucket, never silently detected or undetected.
+  /// Evaluation of class c under the resilience budget. Each attempt
+  /// evaluates every variant inside an EvalScope with the configured
+  /// wall-clock budget on aid rung `attempt - 1` and stamps each kept
+  /// outcome with `attempt`; a failed attempt is retried one rung up,
+  /// and a class that exhausts 1 + max_retries attempts is carried as a
+  /// structured kUnresolved outcome -- its own coverage bucket, never
+  /// silently detected or undetected.
   ClassEval evaluate_with_retries(std::size_t c) const {
     const CircuitFault& rep = classes[c].representative;
     const int attempts = 1 + std::max(0, config.resilience.max_retries);
     std::string failure;
     for (int attempt = 1; attempt <= attempts; ++attempt) {
       try {
-        return attempt_class(c, attempt);
+        spice::EvalBudget budget;
+        budget.timeout_ms = config.resilience.class_timeout_ms;
+        budget.aid_level = attempt - 1;
+        spice::EvalScope scope(macro, c, budget);
+        spice::PhaseTimes phases;
+        ClassEval eval = evaluate_class(
+            classes[c], config.with_noncatastrophic, [&](bool nc, int v) {
+              return m.evaluate(
+                  fault::apply_fault(m.cell.netlist, rep, model_opt, v, nc),
+                  rep, envelope, &phases);
+            });
+        eval.phases = phases;
+        if (eval.cat) eval.cat->attempts = attempt;
+        if (eval.noncat) eval.noncat->attempts = attempt;
+        return eval;
       } catch (const util::ShardError&) {
         throw;  // infrastructure failure, not a circuit pathology
       } catch (const std::exception& e) {
@@ -398,95 +385,58 @@ struct ClassLoop {
     return eval;
   }
 
-  /// The class loop. Classes run in parallel and land in likelihood
-  /// order, so the outcome vectors are bit-identical at any thread
-  /// count.
+  /// The class loop. Classes run in parallel in chunks of
+  /// CampaignConfig::batch consecutive indices (0 = 32), each chunk
+  /// capped so that every worker thread gets about four -- class costs
+  /// differ by orders of magnitude, and one chunk per thread leaves
+  /// threads idle behind the slowest. Each class lands in its own slot,
+  /// in likelihood order, so the outcome vectors are bit-identical at
+  /// any thread count and chunk size.
   ///   * sharding -- this process evaluates class c iff
   ///     c % shard_count == shard_index; the union of all shards equals
   ///     the unsharded run bit-for-bit;
   ///   * resume -- journaled classes are restored, their abbreviated
   ///     representative rehydrated from the deterministic re-sprinkle;
-  ///   * batching -- classes the batched prepass finished are taken
-  ///     from `precomputed`; a class it evicted runs the scalar ladder;
   ///   * graceful shutdown -- classes not yet evaluated are skipped;
   ///     the caller marks the partial report `interrupted`.
-  std::vector<ClassEval> evaluate(const PrecomputedEvals& precomputed) const {
+  /// Unless batch is 1, `batch_evaluated` receives the number of
+  /// classes this run evaluated (not restored) whose first attempt
+  /// resolved.
+  std::vector<ClassEval> evaluate(std::size_t& batch_evaluated) const {
     const ResilienceOptions& res = config.resilience;
-    return util::parallel_map(classes.size(), [&](std::size_t c) {
-      ClassEval eval;
-      if (c % res.shard_count != res.shard_index) return eval;
-      if (const ClassRecord* record =
-              journal ? journal->completed(macro, c) : nullptr) {
-        eval.cat = record->catastrophic;
-        eval.noncat = record->noncatastrophic;
-        if (eval.cat) eval.cat->cls = classes[c];
-        if (eval.noncat) eval.noncat->cls = classes[c];
-        return eval;
-      }
-      if (const auto it = precomputed.find(c); it != precomputed.end())
-        eval = it->second;
-      else if (util::shutdown_requested())
-        return eval;
-      else
-        eval = evaluate_with_retries(c);
-      if (journal != nullptr)
-        journal->record_class(macro, c, eval.cat, eval.noncat);
-      return eval;
-    });
-  }
-
-  /// Batched prepass over a transient macro: the first attempt of every
-  /// pending class, run in chunks of classes. A class whose attempt
-  /// returned is kept; one whose attempt failed (class budget spent, or
-  /// an unexpected failure) is left to the scalar attempt ladder, which
-  /// starts over at attempt 1, so retry/aid/kUnresolved accounting is
-  /// untouched.
-  PrecomputedEvals batch_prepass(MacroCampaignResult& result) const {
-    // Classes this process still has to evaluate: its shard, minus what
-    // a resumed journal already holds.
-    const ResilienceOptions& res = config.resilience;
-    std::vector<std::size_t> pending;
-    for (std::size_t c = 0; c < classes.size(); ++c)
-      if (c % res.shard_count == res.shard_index &&
-          (journal == nullptr || journal->completed(macro, c) == nullptr))
-        pending.push_back(c);
-
-    // Auto chunk: 32 classes, capped so that each worker thread of a
-    // parallel run gets about four chunks -- class costs differ by
-    // orders of magnitude, and one chunk per thread leaves threads idle
-    // behind the slowest; no class's result depends on the chunking.
     const std::size_t threads = util::ThreadPool::global_thread_count();
     const std::size_t target_chunks = threads > 1 ? 4 * threads : 1;
     const std::size_t share =
-        (pending.size() + target_chunks - 1) / target_chunks;
+        (classes.size() + target_chunks - 1) / target_chunks;
     const std::size_t chunk = std::max<std::size_t>(
         1, std::min(config.batch == 0 ? 32 : config.batch, share));
+    const std::size_t chunks = (classes.size() + chunk - 1) / chunk;
 
-    /// One chunk's finished classes, in class order.
-    using ChunkEvals = std::vector<std::pair<std::size_t, ClassEval>>;
-    auto run_chunk = [&](std::size_t k) {
-      ChunkEvals part;
-      if (util::shutdown_requested()) return part;  // graceful drain
-      const std::size_t end = std::min(pending.size(), (k + 1) * chunk);
-      for (std::size_t p = k * chunk; p < end; ++p) {
-        try {
-          part.emplace_back(pending[p], attempt_class(pending[p], 1));
-        } catch (const util::ShardError&) {
-          throw;
-        } catch (const std::exception&) {
-          // the scalar attempt ladder takes over
+    std::vector<ClassEval> evals(classes.size());
+    std::atomic<std::size_t> resolved{0};
+    util::parallel_for(chunks, [&](std::size_t k) {
+      const std::size_t end = std::min(classes.size(), (k + 1) * chunk);
+      for (std::size_t c = k * chunk; c < end; ++c) {
+        if (c % res.shard_count != res.shard_index) continue;
+        ClassEval& eval = evals[c];
+        if (const ClassRecord* record =
+                journal ? journal->completed(macro, c) : nullptr) {
+          eval.cat = record->catastrophic;
+          eval.noncat = record->noncatastrophic;
+          if (eval.cat) eval.cat->cls = classes[c];
+          if (eval.noncat) eval.noncat->cls = classes[c];
+          continue;
         }
+        if (util::shutdown_requested()) continue;
+        eval = evaluate_with_retries(c);
+        if (eval.cat->status == EvalStatus::kOk && eval.cat->attempts == 1)
+          ++resolved;
+        if (journal != nullptr)
+          journal->record_class(macro, c, eval.cat, eval.noncat);
       }
-      return part;
-    };
-
-    PrecomputedEvals out;
-    const std::size_t chunks = (pending.size() + chunk - 1) / chunk;
-    for (ChunkEvals& part : util::parallel_map(chunks, run_chunk)) {
-      for (auto& [c, eval] : part) out.emplace(c, std::move(eval));
-      result.batch_evaluated += part.size();
-    }
-    return out;
+    });
+    if (config.batch != 1) batch_evaluated = resolved;
+    return evals;
   }
 };
 
@@ -540,11 +490,8 @@ MacroCampaignResult run_macro_campaign(const CampaignConfig& config,
   const FaultModelOptions model_opt = model_options(config, spec);
   const ClassLoop loop{spec.name, m,      envelope, classes,
                        model_opt, config, journal};
-  const PrecomputedEvals precomputed = config.batch != 1 && m.transient
-                                           ? loop.batch_prepass(result)
-                                           : PrecomputedEvals{};
-  // Phase times sum in class order, whichever path evaluated a class.
-  for (ClassEval& eval : loop.evaluate(precomputed)) {
+  // Phase times sum in class order.
+  for (ClassEval& eval : loop.evaluate(result.batch_evaluated)) {
     result.phase_times += eval.phases;
     if (eval.cat) result.catastrophic.push_back(std::move(*eval.cat));
     if (eval.noncat) result.noncatastrophic.push_back(std::move(*eval.noncat));

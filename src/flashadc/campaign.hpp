@@ -86,15 +86,14 @@ struct CampaignConfig {
   spice::SolverOptions solver;
   /// Sharding / checkpoint-resume / degradation knobs.
   ResilienceOptions resilience;
-  /// Batched prepass on the transient-bench macros (comparator, bank,
-  /// chip): the first scalar attempt of every class, run in chunks of
-  /// this many classes before the class loop. 1 = no prepass (default);
-  /// 0 = auto (currently 32). A class whose prepass attempt fails (its
-  /// budget spent) runs the unchanged scalar attempt ladder, so
-  /// verdicts and resilience semantics are the same at any value.
+  /// Classes per chunk of the class loop's schedule: 1 (default) runs
+  /// every class as its own chunk; 0 = 32. Verdicts, attempts and the
+  /// journal are the same at any value. No command-line flag sets it:
+  /// it stays only as the hook the campaign benchmark sets (with
+  /// MacroCampaignResult::batch_evaluated, which it checks).
   std::size_t batch = 1;
   /// Collect the device-eval / assembly / factor / solve wall-time
-  /// breakdown of the transient class evaluations, batched or scalar
+  /// breakdown of the transient class evaluations
   /// (MacroCampaignResult::phase_times). Off by default: the hot loops
   /// stay clock-free.
   bool collect_phase_times = false;
@@ -141,8 +140,9 @@ struct MacroCampaignResult {
   defect::CampaignResult defects;
   std::vector<FaultOutcome> catastrophic;
   std::vector<FaultOutcome> noncatastrophic;
-  /// Fault classes whose whole evaluation came from the batched
-  /// prepass (0 on the scalar path / non-batched macros).
+  /// Classes this run evaluated (not restored from a journal) whose
+  /// first attempt resolved; counted only when CampaignConfig::batch is
+  /// not 1, else 0. Kept only for the campaign benchmark's cross-check.
   std::size_t batch_evaluated = 0;
   /// Solver wall-time breakdown summed over the transient class
   /// evaluations in class order (DC macros and journal-restored classes

@@ -40,7 +40,7 @@ bool parse_nonnegative(const char* text, double& out) {
 const char* campaign_usage() {
   return "          [--defects=N] [--envelope=N] [--classes=N] [--seed=N]\n"
          "          [--threads=N] [--class-timeout-ms=T] [--max-retries=N]\n"
-         "          [--batch=N|auto] [--phase-times] [--quick] [--smoke]\n";
+         "          [--phase-times] [--quick] [--smoke]\n";
 }
 
 ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
@@ -71,11 +71,6 @@ ArgParse parse_campaign_arg(const char* argv0, const std::string& arg,
   } else if (const char* v = arg_value(arg, "--class-timeout-ms=")) {
     if (!parse_nonnegative(v, config.resilience.class_timeout_ms))
       return bad(v);
-  } else if (const char* v = arg_value(arg, "--batch=")) {
-    // "auto" maps to the sentinel 0.
-    if (std::strcmp(v, "auto") != 0 && !parse_whole(v, SIZE_MAX, n))
-      return bad(v);
-    config.batch = static_cast<std::size_t>(n);
   } else if (arg == "--phase-times") {
     config.collect_phase_times = true;
   } else if (arg == "--quick") {

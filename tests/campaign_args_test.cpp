@@ -33,7 +33,7 @@ ArgParse parse(const std::string& arg) {
 TEST(CampaignArgs, RejectsMalformedNumbers) {
   for (const std::string flag :
        {"--defects=", "--envelope=", "--classes=", "--seed=", "--threads=",
-        "--max-retries=", "--batch=", "--class-timeout-ms="}) {
+        "--max-retries=", "--class-timeout-ms="}) {
     for (const std::string value :
          {"", "abc", "12k", "-1", "+5", " 5", "5 ", "0x10", "1.5.2"})
       EXPECT_EQ(parse(flag + value), ArgParse::kBad) << flag << value;
@@ -41,7 +41,7 @@ TEST(CampaignArgs, RejectsMalformedNumbers) {
   // Whole-number knobs also refuse decimals, exponents and overflow.
   for (const std::string flag :
        {"--defects=", "--envelope=", "--classes=", "--seed=", "--threads=",
-        "--max-retries=", "--batch="}) {
+        "--max-retries="}) {
     for (const std::string value : {"1.5", "1e3", "99999999999999999999999"})
       EXPECT_EQ(parse(flag + value), ArgParse::kBad) << flag << value;
   }
@@ -56,7 +56,6 @@ TEST(CampaignArgs, RejectsValuesOutsideTheFieldRange) {
   EXPECT_EQ(parse("--class-timeout-ms=nan"), ArgParse::kBad);
   EXPECT_EQ(parse("--class-timeout-ms=1e999"), ArgParse::kBad);
   EXPECT_EQ(parse("--class-timeout-ms=-5"), ArgParse::kBad);
-  EXPECT_EQ(parse("--batch=bogus"), ArgParse::kBad);
 }
 
 TEST(CampaignArgs, MalformedValueLeavesConfigUnchanged) {
@@ -74,7 +73,7 @@ TEST(CampaignArgs, AppliesValidValues) {
   for (const char* arg :
        {"--defects=12000", "--envelope=9", "--classes=0",
         "--seed=18446744073709551615", "--threads=3", "--max-retries=0",
-        "--class-timeout-ms=2.5", "--batch=auto", "--phase-times"})
+        "--class-timeout-ms=2.5", "--phase-times"})
     EXPECT_EQ(parse(arg, config, threads), ArgParse::kConsumed) << arg;
   EXPECT_EQ(config.defect_count, 12000u);
   EXPECT_EQ(config.envelope_samples, 9);
@@ -83,10 +82,7 @@ TEST(CampaignArgs, AppliesValidValues) {
   EXPECT_EQ(threads, 3u);
   EXPECT_EQ(config.resilience.max_retries, 0);
   EXPECT_DOUBLE_EQ(config.resilience.class_timeout_ms, 2.5);
-  EXPECT_EQ(config.batch, 0u);
   EXPECT_TRUE(config.collect_phase_times);
-  EXPECT_EQ(parse("--batch=8", config, threads), ArgParse::kConsumed);
-  EXPECT_EQ(config.batch, 8u);
 }
 
 TEST(CampaignArgs, PresetsAndUnknownFlags) {
@@ -101,11 +97,13 @@ TEST(CampaignArgs, PresetsAndUnknownFlags) {
   EXPECT_EQ(config.envelope_samples, 4);
   EXPECT_EQ(config.max_classes, 8u);
   // Tool-only flags are left to the tool. System size alone picks the
-  // linear solver, so a solver flag is unknown everywhere.
+  // linear solver, so a solver flag is unknown everywhere; the class
+  // loop's chunk size has no flag either.
   for (const char* arg : {"--defect=5", "--macro=bank", "--bank-size=8",
                           "--shards=2", "--json=x", "defects=5",
                           "--solver=dense"})
     EXPECT_EQ(parse(arg), ArgParse::kUnknown) << arg;
+  EXPECT_EQ(parse("--batch=8"), ArgParse::kUnknown);
 }
 
 // The shard flags are the whole multi-host interface, so a malformed
@@ -140,7 +138,7 @@ TEST(CampaignArgs, MutatedValuesAreConsumedInRangeOrRejected) {
   const std::vector<std::string> seeds = {
       "--defects=60000",   "--envelope=10",        "--classes=40",
       "--seed=1995",       "--threads=4",          "--max-retries=3",
-      "--class-timeout-ms=250.5", "--batch=32",    "--batch=auto"};
+      "--class-timeout-ms=250.5"};
   const std::string alphabet = "0123456789.-+eExkauto \t\x01\xff";
   util::Rng rng(20261017);
   std::size_t consumed = 0, rejected = 0;

@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "flashadc/campaign.hpp"
 #include "flashadc/report.hpp"
@@ -207,13 +209,19 @@ struct PinnedVerdicts {
 // Oracle for the whole class-evaluation layer (golden runs, envelope,
 // fault injection, worst-variant reduction, classification): per-macro
 // digests of every verdict, pinned from an independent earlier
-// implementation, on the scalar path and the batched one.
-void expect_pinned(const std::vector<PinnedVerdicts>& pinned) {
+// implementation, at chunk size 1 and at the automatic one. Returns the
+// chunk-size-1 runs, one per entry.
+std::vector<MacroCampaignResult> expect_pinned(
+    const std::vector<PinnedVerdicts>& pinned) {
+  std::vector<MacroCampaignResult> runs;
   for (const std::size_t batch : {std::size_t{1}, std::size_t{0}})
-    for (const auto& p : pinned)
-      EXPECT_EQ(verdict_digest(run_pinned(p.macro, batch, p.classes)),
-                p.digest)
+    for (const auto& p : pinned) {
+      MacroCampaignResult run = run_pinned(p.macro, batch, p.classes);
+      EXPECT_EQ(verdict_digest(run), p.digest)
           << p.macro << " batch=" << batch;
+      if (batch == 1) runs.push_back(std::move(run));
+    }
+  return runs;
 }
 
 TEST(Campaign, PinnedVerdictsDcMacros) {
@@ -228,16 +236,14 @@ TEST(Campaign, PinnedVerdictsComparator) {
 }
 
 TEST(Campaign, PinnedVerdictsBank8) {
-  expect_pinned({{"bank", 12, 0xc25d207b4b896e3aull}});
-  const auto bank = run_pinned("bank", 1, 12);
+  const auto bank = expect_pinned({{"bank", 12, 0xc25d207b4b896e3aull}})[0];
   EXPECT_EQ(equivalence_digest(
                 compare_decomposition(pinned_config(1, 12), bank)),
             0x907c5ff42cff79b2ull);
 }
 
 TEST(Campaign, PinnedVerdictsChip8) {
-  expect_pinned({{"chip", 8, 0x8e664297efa9165eull}});
-  const auto chip = run_pinned("chip", 1, 8);
+  const auto chip = expect_pinned({{"chip", 8, 0x8e664297efa9165eull}})[0];
   EXPECT_EQ(equivalence_digest(
                 compare_decomposition(pinned_config(1, 8), chip)),
             0xd2c45a2a99eba53bull);
