@@ -129,7 +129,8 @@ int main(int argc, char** argv) {
   std::vector<char*> rest;
   rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = dot::flashadc::arg_value(argv[i], "--chip-slices=")) {
+    const std::string arg = argv[i];
+    if (const char* v = dot::flashadc::arg_value(arg, "--chip-slices=")) {
       std::uint64_t n = 0;
       if (!dot::flashadc::parse_whole(v, 256, n) || n < 4) {
         std::fprintf(stderr, "%s: bad --chip-slices value '%s'\n", argv[0],

@@ -385,13 +385,9 @@ struct ClassLoop {
     return eval;
   }
 
-  /// The class loop. Classes run in parallel in chunks of
-  /// CampaignConfig::batch consecutive indices (0 = 32), each chunk
-  /// capped so that every worker thread gets about four -- class costs
-  /// differ by orders of magnitude, and one chunk per thread leaves
-  /// threads idle behind the slowest. Each class lands in its own slot,
-  /// in likelihood order, so the outcome vectors are bit-identical at
-  /// any thread count and chunk size.
+  /// The class loop. Classes run in parallel and land in likelihood
+  /// order, so the outcome vectors are bit-identical at any thread
+  /// count.
   ///   * sharding -- this process evaluates class c iff
   ///     c % shard_count == shard_index; the union of all shards equals
   ///     the unsharded run bit-for-bit;
@@ -399,42 +395,32 @@ struct ClassLoop {
   ///     representative rehydrated from the deterministic re-sprinkle;
   ///   * graceful shutdown -- classes not yet evaluated are skipped;
   ///     the caller marks the partial report `interrupted`.
-  /// Unless batch is 1, `batch_evaluated` receives the number of
-  /// classes this run evaluated (not restored) whose first attempt
-  /// resolved.
+  /// CampaignConfig::batch changes no scheduling: unless it is 1,
+  /// `batch_evaluated` receives the number of classes this run
+  /// evaluated (not restored) whose first attempt resolved.
   std::vector<ClassEval> evaluate(std::size_t& batch_evaluated) const {
     const ResilienceOptions& res = config.resilience;
-    const std::size_t threads = util::ThreadPool::global_thread_count();
-    const std::size_t target_chunks = threads > 1 ? 4 * threads : 1;
-    const std::size_t share =
-        (classes.size() + target_chunks - 1) / target_chunks;
-    const std::size_t chunk = std::max<std::size_t>(
-        1, std::min(config.batch == 0 ? 32 : config.batch, share));
-    const std::size_t chunks = (classes.size() + chunk - 1) / chunk;
-
-    std::vector<ClassEval> evals(classes.size());
     std::atomic<std::size_t> resolved{0};
-    util::parallel_for(chunks, [&](std::size_t k) {
-      const std::size_t end = std::min(classes.size(), (k + 1) * chunk);
-      for (std::size_t c = k * chunk; c < end; ++c) {
-        if (c % res.shard_count != res.shard_index) continue;
-        ClassEval& eval = evals[c];
-        if (const ClassRecord* record =
-                journal ? journal->completed(macro, c) : nullptr) {
-          eval.cat = record->catastrophic;
-          eval.noncat = record->noncatastrophic;
-          if (eval.cat) eval.cat->cls = classes[c];
-          if (eval.noncat) eval.noncat->cls = classes[c];
-          continue;
-        }
-        if (util::shutdown_requested()) continue;
-        eval = evaluate_with_retries(c);
-        if (eval.cat->status == EvalStatus::kOk && eval.cat->attempts == 1)
-          ++resolved;
-        if (journal != nullptr)
-          journal->record_class(macro, c, eval.cat, eval.noncat);
-      }
-    });
+    std::vector<ClassEval> evals =
+        util::parallel_map(classes.size(), [&](std::size_t c) {
+          ClassEval eval;
+          if (c % res.shard_count != res.shard_index) return eval;
+          if (const ClassRecord* record =
+                  journal ? journal->completed(macro, c) : nullptr) {
+            eval.cat = record->catastrophic;
+            eval.noncat = record->noncatastrophic;
+            if (eval.cat) eval.cat->cls = classes[c];
+            if (eval.noncat) eval.noncat->cls = classes[c];
+            return eval;
+          }
+          if (util::shutdown_requested()) return eval;
+          eval = evaluate_with_retries(c);
+          if (eval.cat->status == EvalStatus::kOk && eval.cat->attempts == 1)
+            ++resolved;
+          if (journal != nullptr)
+            journal->record_class(macro, c, eval.cat, eval.noncat);
+          return eval;
+        });
     if (config.batch != 1) batch_evaluated = resolved;
     return evals;
   }

@@ -86,11 +86,10 @@ struct CampaignConfig {
   spice::SolverOptions solver;
   /// Sharding / checkpoint-resume / degradation knobs.
   ResilienceOptions resilience;
-  /// Classes per chunk of the class loop's schedule: 1 (default) runs
-  /// every class as its own chunk; 0 = 32. Verdicts, attempts and the
-  /// journal are the same at any value. No command-line flag sets it:
-  /// it stays only as the hook the campaign benchmark sets (with
-  /// MacroCampaignResult::batch_evaluated, which it checks).
+  /// Schedules nothing: verdicts, attempts and the journal are the same
+  /// at any value. Any value but 1 (the default) only fills
+  /// MacroCampaignResult::batch_evaluated. No command-line flag sets
+  /// it: it stays only as the field the campaign benchmark sets.
   std::size_t batch = 1;
   /// Collect the device-eval / assembly / factor / solve wall-time
   /// breakdown of the transient class evaluations
@@ -142,7 +141,9 @@ struct MacroCampaignResult {
   std::vector<FaultOutcome> noncatastrophic;
   /// Classes this run evaluated (not restored from a journal) whose
   /// first attempt resolved; counted only when CampaignConfig::batch is
-  /// not 1, else 0. Kept only for the campaign benchmark's cross-check.
+  /// not 1, else 0. Kept only because the campaign benchmark fails a
+  /// batched run whose count is 0; that check now passes on any run
+  /// with an easy class and verifies nothing (ROADMAP item 2).
   std::size_t batch_evaluated = 0;
   /// Solver wall-time breakdown summed over the transient class
   /// evaluations in class order (DC macros and journal-restored classes

@@ -183,7 +183,7 @@ std::uint64_t equivalence_digest(const macro::EquivalenceReport& report) {
 
 /// The oracle's pinned campaign: the smoke defect and envelope budgets,
 /// 8-slice bank and chip columns, `classes` classes per macro.
-CampaignConfig pinned_config(std::size_t batch, std::size_t classes) {
+CampaignConfig pinned_config(std::size_t classes) {
   CampaignConfig config;
   config.defect_count = 8000;
   config.seed = 31;
@@ -191,14 +191,9 @@ CampaignConfig pinned_config(std::size_t batch, std::size_t classes) {
   config.max_classes = classes;
   config.bank_size = 8;
   config.chip_slices = 8;
-  config.batch = batch;
   return config;
 }
 
-MacroCampaignResult run_pinned(const std::string& name, std::size_t batch,
-                               std::size_t classes) {
-  return run_macro_campaign(pinned_config(batch, classes), name);
-}
 
 struct PinnedVerdicts {
   const char* macro;
@@ -209,18 +204,16 @@ struct PinnedVerdicts {
 // Oracle for the whole class-evaluation layer (golden runs, envelope,
 // fault injection, worst-variant reduction, classification): per-macro
 // digests of every verdict, pinned from an independent earlier
-// implementation, at chunk size 1 and at the automatic one. Returns the
-// chunk-size-1 runs, one per entry.
+// implementation. Returns the runs, one per entry.
 std::vector<MacroCampaignResult> expect_pinned(
     const std::vector<PinnedVerdicts>& pinned) {
   std::vector<MacroCampaignResult> runs;
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{0}})
-    for (const auto& p : pinned) {
-      MacroCampaignResult run = run_pinned(p.macro, batch, p.classes);
-      EXPECT_EQ(verdict_digest(run), p.digest)
-          << p.macro << " batch=" << batch;
-      if (batch == 1) runs.push_back(std::move(run));
-    }
+  for (const auto& p : pinned) {
+    MacroCampaignResult run =
+        run_macro_campaign(pinned_config(p.classes), p.macro);
+    EXPECT_EQ(verdict_digest(run), p.digest) << p.macro;
+    runs.push_back(std::move(run));
+  }
   return runs;
 }
 
@@ -238,22 +231,22 @@ TEST(Campaign, PinnedVerdictsComparator) {
 TEST(Campaign, PinnedVerdictsBank8) {
   const auto bank = expect_pinned({{"bank", 12, 0xc25d207b4b896e3aull}})[0];
   EXPECT_EQ(equivalence_digest(
-                compare_decomposition(pinned_config(1, 12), bank)),
+                compare_decomposition(pinned_config(12), bank)),
             0x907c5ff42cff79b2ull);
 }
 
 TEST(Campaign, PinnedVerdictsChip8) {
   const auto chip = expect_pinned({{"chip", 8, 0x8e664297efa9165eull}})[0];
   EXPECT_EQ(equivalence_digest(
-                compare_decomposition(pinned_config(1, 8), chip)),
+                compare_decomposition(pinned_config(8), chip)),
             0xd2c45a2a99eba53bull);
 }
 
-// --phase-times on the scalar class loop (batch 1): the comparator's
+// --phase-times on the class loop: the comparator's
 // transients report their phase split, and the report differs from an
 // unclocked run only by that block.
 TEST(Campaign, PhaseTimesOnTheScalarPath) {
-  CampaignConfig config = pinned_config(1, 8);
+  CampaignConfig config = pinned_config(8);
   const MacroCampaignResult plain = run_macro_campaign(config, "comparator");
   config.collect_phase_times = true;
   const MacroCampaignResult timed = run_macro_campaign(config, "comparator");

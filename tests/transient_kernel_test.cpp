@@ -1,6 +1,6 @@
 // The transient kernel: its linear-solver choice on the comparator and
 // bank-8 benches, its phase times, and a campaign cut to its first
-// class evaluating alike as a one-class chunk and at chunk size 1.
+// class evaluating alike at batch 1 and 2.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,9 +17,9 @@
 namespace dot {
 namespace {
 
-// A campaign cut to its first class, run at chunk size 1 and 2: the one
+// A campaign cut to its first class, run at batch 1 and 2: the one
 // class resolves on its first attempt, counts in batch_evaluated only
-// at size 2, and gets the same verdict. Returns the size-2 run.
+// at batch 2, and gets the same verdict. Returns the batch-2 run.
 flashadc::MacroCampaignResult expect_one_member_batch_equals_scalar(
     flashadc::CampaignConfig config, const std::string& macro) {
   config.max_classes = 1;
