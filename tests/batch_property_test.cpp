@@ -1,15 +1,12 @@
 // Properties of the class loop around CampaignConfig::batch, the field
-// the campaign benchmark sets: it changes no verdict or attempt, sharded
-// or not, and only makes the loop count its first-try successes into
+// the campaign benchmark sets: it changes no verdict or attempt and
+// only makes the loop count its first-try successes into
 // batch_evaluated; a class that spends its evaluation budget climbs the
 // attempt ladder without disturbing the other classes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <map>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "campaign_compare.hpp"
 #include "flashadc/campaign.hpp"
@@ -51,52 +48,6 @@ TEST(BatchedCampaign, BankVerdictsIdenticalScalarVsBatched) {
   expect_same_outcomes(scalar.catastrophic, batched.catastrophic, "bank cat");
   expect_same_outcomes(scalar.noncatastrophic, batched.noncatastrophic,
                        "bank noncat");
-}
-
-// Sharding: 2 shards at batch 4 merge to the unsharded batch-1 run,
-// attempts included, and their batch_evaluated counts sum to the
-// unsharded run's first-try successes.
-TEST(BatchedCampaign, ShardedRunMergesToTheUnshardedRun) {
-  auto config = small_config();
-  config.batch = 1;
-  const auto scalar = flashadc::run_macro_campaign(config, "comparator");
-
-  config.batch = 4;
-  config.resilience.shard_count = 2;
-  std::map<std::pair<std::string, bool>, flashadc::FaultOutcome> merged;
-  std::size_t evaluated = 0;
-  for (std::size_t shard = 0; shard < 2; ++shard) {
-    config.resilience.shard_index = shard;
-    const auto part = flashadc::run_macro_campaign(config, "comparator");
-    evaluated += part.batch_evaluated;
-    for (const auto* list : {&part.catastrophic, &part.noncatastrophic})
-      for (const auto& o : *list)
-        merged.emplace(std::pair{o.cls.representative.key(),
-                                 o.non_catastrophic},
-                       o);
-  }
-  std::size_t first_try = 0;
-  for (const auto& o : scalar.catastrophic)
-    first_try += o.status == flashadc::EvalStatus::kOk && o.attempts == 1;
-  EXPECT_EQ(evaluated, first_try);
-
-  // The merged outcomes, in the unsharded run's class order.
-  auto in_scalar_order = [&](const std::vector<flashadc::FaultOutcome>& ref) {
-    std::vector<flashadc::FaultOutcome> out;
-    for (const auto& o : ref) {
-      const auto it = merged.find({o.cls.representative.key(),
-                                   o.non_catastrophic});
-      if (it != merged.end()) out.push_back(it->second);
-    }
-    return out;
-  };
-  EXPECT_EQ(merged.size(),
-            scalar.catastrophic.size() + scalar.noncatastrophic.size());
-  expect_same_outcomes(scalar.catastrophic,
-                       in_scalar_order(scalar.catastrophic), "sharded cat");
-  expect_same_outcomes(scalar.noncatastrophic,
-                       in_scalar_order(scalar.noncatastrophic),
-                       "sharded noncat");
 }
 
 // ---------------------------------------------------------------------
