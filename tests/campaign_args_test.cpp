@@ -97,8 +97,8 @@ TEST(CampaignArgs, PresetsAndUnknownFlags) {
   EXPECT_EQ(config.envelope_samples, 4);
   EXPECT_EQ(config.max_classes, 8u);
   // Tool-only flags are left to the tool. System size alone picks the
-  // linear solver, so a solver flag is unknown everywhere; the class
-  // loop's chunk size has no flag either.
+  // linear solver, so a solver flag is unknown everywhere; the batched
+  // prepass and its --batch flag are gone.
   for (const char* arg : {"--defect=5", "--macro=bank", "--bank-size=8",
                           "--shards=2", "--json=x", "defects=5",
                           "--solver=dense"})
